@@ -35,7 +35,7 @@ def main():
         diag.write_diagnostics_csv(res.records,
                                    os.path.join(args.out, f"diag_{tag}.csv"))
         write_checkpoint(res.state, os.path.join(args.out, f"final_{tag}"),
-                         c, -1)
+                         c, res.step)
         drift = max(abs(rec.energy_drift) for rec in res.records)
         print(f"{tag}: n={c.n_cells} status={res.status} "
               f"max_drift={drift:.6e}")

@@ -18,9 +18,9 @@ from .diagnostics import (DiagnosticsRecord, energy, energy_drift,
                           spacetime_norm, SpacetimeTracker,
                           write_diagnostics_csv)
 from .evolve import (InitialDataSpec, SpongeSpec, RunConfig, RunResult,
-                     make_grid, initial_state, sponge_sigma, rhs, step, run,
-                     evolve_bundles, detect_blowup, config_fingerprint,
-                     write_checkpoint)
+                     make_grid, initial_state, sponge_sigma, rhs, step,
+                     trajectory, run, evolve_bundles, detect_blowup,
+                     config_fingerprint, write_checkpoint)
 from .verify import (ManufacturedSolution, manufactured_initial_state,
                      manufactured_config, make_forcing, solution_error,
                      convergence_study, linear_wave_study,

@@ -3,8 +3,8 @@
 Config files are INI-style `key = value` text with sections grid,
 integrator, initial_data, kernels, diagnostics, output. Unknown keys are
 hard errors. Exit codes: 0 success, 1 config error, 2 blow-up or scheme
-breakdown, 3 verification-suite failure. Identical config and overrides
-reproduce diagnostics byte for byte.
+breakdown, 3 verification-suite failure, 4 a sweep run raised an error.
+Identical config and overrides reproduce diagnostics byte for byte.
 """
 from __future__ import annotations
 
@@ -21,10 +21,9 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import kernels
-from .evolve import (InitialDataSpec, RunConfig, SpongeSpec, config_items,
-                     initial_state, make_grid, run, write_checkpoint)
+from .evolve import (CONFIG_TABLE, RunConfig, config_from_items, config_items,
+                     initial_state, run, write_checkpoint)
 from .grid import FLOAT_FMT, FieldState, RadialField, RadialGrid
-from .kernels import CutoffProfile, KernelParams
 from .transform import _grouped_line_integral, compute_Phi, compute_Phi_t, v_to_u
 from .verify import (ManufacturedSolution, convergence_study, kernel_limit,
                      kernel_series_oracle, manufactured_config, study_to_csv)
@@ -42,38 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"config-error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-_BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
-
-
-def _bool(text):
-    try:
-        return _BOOL_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}")
-
-
-def _orders(text):
-    text = text.strip()
-    return tuple(int(tok) for tok in text.split(",") if tok.strip()) if text else ()
-
-
-_SCHEMA = {
-    "grid": {"n_cells": int, "r_max": float},
-    "integrator": {"t_end": float, "cfl": float, "integrator": str,
-                   "sponge_start": float, "sponge_strength": float},
-    "initial_data": {"family": str, "amplitude": float, "center": float,
-                     "width": float, "amplitude_t": float, "center_t": float,
-                     "width_t": float, "profile_path": str},
-    "kernels": {"alpha": float, "x_switch": float, "series_terms": int,
-                "cutoff_order": int},
-    "diagnostics": {"output_every": int, "monitor_ceiling": float,
-                    "drift_ceiling": float, "sobolev_orders": _orders,
-                    "track_spacetime": _bool, "decay_s_proxy": int,
-                    "ghost_mode": str},
-    "output": {"dir": str, "snapshot_every": int},
-}
 
 
 def _flatten_file(path):
@@ -95,8 +62,8 @@ def _flatten_file(path):
 
 def load_config(path=None, sets=()):
     """Build (RunConfig, out_dir) from an optional file plus --set overrides.
-    Every key is validated against the schema; unknown keys raise ConfigError
-    naming the key."""
+    Every key is validated against evolve.CONFIG_TABLE; unknown keys raise
+    ConfigError naming the key."""
     flat = _flatten_file(path) if path else {}
     for item in sets:
         if "=" not in item:
@@ -104,90 +71,49 @@ def load_config(path=None, sets=()):
         dotted, value = item.split("=", 1)
         flat[dotted.strip()] = value.strip()
 
+    casters = {key: caster for key, _, caster in CONFIG_TABLE}
     typed = {}
     for dotted, raw in flat.items():
-        if "." not in dotted:
-            raise ConfigError(f"unknown key {dotted!r} (expected section.key)")
-        section, key = dotted.split(".", 1)
-        caster = _SCHEMA.get(section, {}).get(key)
+        caster = casters.get(dotted)
         if caster is None:
-            raise ConfigError(f"unknown key {dotted!r}")
+            hint = "" if "." in dotted else " (expected section.key)"
+            raise ConfigError(f"unknown key {dotted!r}{hint}")
         try:
             typed[dotted] = caster(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {dotted}: {exc}")
-
-    def take(dotted, default):
-        return typed.pop(dotted, default)
-
     try:
-        initial = InitialDataSpec(
-            family=take("initial_data.family", "gaussian_v"),
-            amplitude=take("initial_data.amplitude", 0.5),
-            center=take("initial_data.center", 0.0),
-            width=take("initial_data.width", 1.0),
-            amplitude_t=take("initial_data.amplitude_t", 0.0),
-            center_t=take("initial_data.center_t", 0.0),
-            width_t=take("initial_data.width_t", 1.0),
-            profile_path=take("initial_data.profile_path", ""),
-        )
-        sponge = SpongeSpec(start=take("integrator.sponge_start", -1.0),
-                            strength=take("integrator.sponge_strength", 1.0))
-        params = KernelParams(alpha=take("kernels.alpha", 1.0),
-                              x_switch=take("kernels.x_switch", 1e-2),
-                              series_terms=take("kernels.series_terms", 8))
-        profile = CutoffProfile(kind=take("kernels.cutoff_order", 7))
-        config = RunConfig(
-            n_cells=take("grid.n_cells", 512),
-            r_max=take("grid.r_max", 16.0),
-            t_end=take("integrator.t_end", 5.0),
-            cfl=take("integrator.cfl", 0.25),
-            integrator=take("integrator.integrator", "rk4"),
-            sponge=sponge, initial=initial,
-            kernel_params=params, profile=profile,
-            output_every=take("diagnostics.output_every", 64),
-            snapshot_every=take("output.snapshot_every", 0),
-            monitor_ceiling=take("diagnostics.monitor_ceiling", 1e6),
-            drift_ceiling=take("diagnostics.drift_ceiling", 1e-2),
-            sobolev_orders=take("diagnostics.sobolev_orders", (1, 2, 3, 4)),
-            track_spacetime=take("diagnostics.track_spacetime", True),
-            decay_s_proxy=take("diagnostics.decay_s_proxy", 2),
-            ghost_mode=take("diagnostics.ghost_mode", "parity"),
-        )
+        config = config_from_items(typed)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    out_dir = typed.pop("output.dir", None)
-    return config, out_dir
+    return config, typed.get("output.dir")
 
 
 def write_effective_config(config: RunConfig, out_dir, path):
     """Round-trippable echo of every effective setting."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    for dotted, value in config_items(config):
+    values = dict(config_items(config), **{"output.dir": out_dir})
+    for dotted, _, _ in CONFIG_TABLE:
         section, key = dotted.split(".", 1)
         if not cp.has_section(section):
             cp.add_section(section)
+        value = values[dotted]
         cp.set(section, key, repr(value) if isinstance(value, float) else str(value))
-    if not cp.has_section("output"):
-        cp.add_section("output")
-    cp.set("output", "dir", str(out_dir))
     with open(path, "w") as fh:
         cp.write(fh)
 
 
-def _resolve_out(cli_out, file_out, default):
-    return cli_out or file_out or default
+def _load(args):
+    """(config, out_dir) from the common options; out_dir is created."""
+    config, file_out = load_config(args.config, args.set or ())
+    out_dir = args.out or file_out or "faddeev_out"
+    os.makedirs(out_dir, exist_ok=True)
+    return config, out_dir
 
 
 def cmd_run(args) -> int:
-    try:
-        config, file_out = load_config(args.config, args.set or ())
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = _resolve_out(args.out, file_out, "faddeev_out")
-    os.makedirs(out_dir, exist_ok=True)
+    config, out_dir = _load(args)
     try:
         result = run(config)
     except (ValueError, FileNotFoundError, OSError) as exc:
@@ -195,9 +121,9 @@ def cmd_run(args) -> int:
         return 1
     diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
     write_effective_config(config, out_dir, os.path.join(out_dir, "effective_config.ini"))
-    for i, snap in enumerate(result.snapshots):
-        write_checkpoint(snap, os.path.join(out_dir, f"snapshot_{i:04d}"), config, i)
-    write_checkpoint(result.state, os.path.join(out_dir, "final"), config, -1)
+    for i, (k, snap) in enumerate(zip(result.snapshot_steps, result.snapshots)):
+        write_checkpoint(snap, os.path.join(out_dir, f"snapshot_{i:04d}"), config, k)
+    write_checkpoint(result.state, os.path.join(out_dir, "final"), config, result.step)
     print(f"status={result.status} t_final={result.state.time:.17g} "
           f"out={out_dir} reason={result.reason!r}")
     return 0 if result.status == "completed" else 2
@@ -356,13 +282,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    try:
-        config, file_out = load_config(args.config, args.set or ())
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = _resolve_out(args.out, file_out, "faddeev_out")
-    os.makedirs(out_dir, exist_ok=True)
+    config, out_dir = _load(args)
     rows = []
     _SUITES[args.suite](rows, config.kernel_params, config.profile)
     report = os.path.join(out_dir, f"verify_{args.suite}.csv")
@@ -397,7 +317,8 @@ def _sweep_one(packed):
     diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
     write_effective_config(result.config, out_dir,
                            os.path.join(out_dir, "effective_config.ini"))
-    write_checkpoint(result.state, os.path.join(out_dir, "final"), result.config, -1)
+    write_checkpoint(result.state, os.path.join(out_dir, "final"), result.config,
+                     result.step)
     recs = result.records
     return {"index": index, "status": result.status, "reason": result.reason,
             "t_final": result.state.time,
@@ -409,28 +330,23 @@ def _sweep_one(packed):
 
 def cmd_sweep(args) -> int:
     axes = []
-    try:
-        for spec in args.sweep:
-            if "=" not in spec:
-                raise ConfigError(f"sweep axis {spec!r} is not of the form "
-                                  "section.key=v1,v2,...")
-            dotted, values = spec.split("=", 1)
-            vals = [tok.strip() for tok in values.split(",") if tok.strip()]
-            if not vals:
-                raise ConfigError(f"sweep axis {dotted!r} has no values")
-            axes.append((dotted.strip(), vals))
-        base_sets = list(args.set or ())
-        combos = list(itertools.product(*[vals for _, vals in axes]))
-        jobs = []
-        for i, combo in enumerate(combos):
-            sets = base_sets + [f"{key}={val}"
-                                for (key, _), val in zip(axes, combo)]
-            config, file_out = load_config(args.config, sets)
-            jobs.append((i, combo, config, file_out))
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 1
-    out_root = _resolve_out(args.out, jobs[0][3] if jobs else None, "faddeev_out")
+    for spec in args.sweep:
+        if "=" not in spec:
+            raise ConfigError(f"sweep axis {spec!r} is not of the form "
+                              "section.key=v1,v2,...")
+        dotted, values = spec.split("=", 1)
+        vals = [tok.strip() for tok in values.split(",") if tok.strip()]
+        if not vals:
+            raise ConfigError(f"sweep axis {dotted!r} has no values")
+        axes.append((dotted.strip(), vals))
+    base_sets = list(args.set or ())
+    combos = list(itertools.product(*[vals for _, vals in axes]))
+    jobs = []
+    for i, combo in enumerate(combos):
+        sets = base_sets + [f"{key}={val}" for (key, _), val in zip(axes, combo)]
+        config, file_out = load_config(args.config, sets)
+        jobs.append((i, combo, config, file_out))
+    out_root = args.out or jobs[0][3] or "faddeev_out"
     os.makedirs(out_root, exist_ok=True)
 
     packed = [(i, config, os.path.join(out_root, f"run_{i:03d}"))
@@ -458,17 +374,11 @@ def cmd_sweep(args) -> int:
                           FLOAT_FMT % summary["max_drift"]])
     n_bad = sum(1 for s in summaries if s["status"] != "completed")
     print(f"status=done runs={len(summaries)} incomplete={n_bad} summary={path}")
-    return 0
+    return 4 if any(s["status"] == "error" for s in summaries) else 0
 
 
 def cmd_kernels_table(args) -> int:
-    try:
-        config, file_out = load_config(args.config, args.set or ())
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = _resolve_out(args.out, file_out, "faddeev_out")
-    os.makedirs(out_dir, exist_ok=True)
+    config, out_dir = _load(args)
     p, profile = config.kernel_params, config.profile
     xs = np.linspace(-3.0, 3.0, 601)
     path_k = os.path.join(out_dir, "kernels.csv")
@@ -528,7 +438,11 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_kernels_table)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config-error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,29 +8,35 @@ Runs are deterministic: a fixed config reproduces diagnostics bit for bit.
 """
 from __future__ import annotations
 
+import configparser
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
-from .grid import FieldState, RadialGrid, RadialField, _d1_values, _d2_values
+from .grid import (FLOAT_FMT, FieldState, RadialGrid, RadialField, _d1_values,
+                   _d2_values)
 from . import diagnostics as diag
 from . import kernels
-from .kernels import CutoffProfile, KernelParams
-from .transform import u_to_v, v_to_u
+from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile, KernelParams
+from .transform import make_bundle, u_to_v, v_to_u
 
 __all__ = [
     "InitialDataSpec",
     "SpongeSpec",
     "RunConfig",
     "RunResult",
+    "CONFIG_TABLE",
+    "config_from_items",
     "make_grid",
     "initial_state",
     "sponge_sigma",
     "rhs",
     "step",
+    "trajectory",
     "run",
     "evolve_bundles",
     "detect_blowup",
@@ -120,6 +126,93 @@ class RunResult:
     snapshots: list
     e0: float
     config: RunConfig
+    step: int                 # step index of state: nsteps, or where the run halted
+    snapshot_steps: list      # step index of each snapshot
+
+
+_BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
+
+
+def _bool(text):
+    try:
+        return _BOOL_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}")
+
+
+def _orders(text):
+    text = text.strip()
+    return tuple(int(tok) for tok in text.split(",") if tok.strip()) if text else ()
+
+
+# Every settable key: (dotted key, RunConfig field path, caster from text),
+# in the order config files, fingerprints and checkpoint metadata list them.
+# Defaults live only in the dataclasses. output.dir is not part of a
+# RunConfig; load_config returns it beside the config.
+CONFIG_TABLE = (
+    ("grid.n_cells", "n_cells", int),
+    ("grid.r_max", "r_max", float),
+    ("integrator.t_end", "t_end", float),
+    ("integrator.cfl", "cfl", float),
+    ("integrator.integrator", "integrator", str),
+    ("integrator.sponge_start", "sponge.start", float),
+    ("integrator.sponge_strength", "sponge.strength", float),
+    ("initial_data.family", "initial.family", str),
+    ("initial_data.amplitude", "initial.amplitude", float),
+    ("initial_data.center", "initial.center", float),
+    ("initial_data.width", "initial.width", float),
+    ("initial_data.amplitude_t", "initial.amplitude_t", float),
+    ("initial_data.center_t", "initial.center_t", float),
+    ("initial_data.width_t", "initial.width_t", float),
+    ("initial_data.profile_path", "initial.profile_path", str),
+    ("kernels.alpha", "kernel_params.alpha", float),
+    ("kernels.x_switch", "kernel_params.x_switch", float),
+    ("kernels.series_terms", "kernel_params.series_terms", int),
+    ("kernels.cutoff_order", "profile.kind", int),
+    ("diagnostics.output_every", "output_every", int),
+    ("diagnostics.monitor_ceiling", "monitor_ceiling", float),
+    ("diagnostics.drift_ceiling", "drift_ceiling", float),
+    ("diagnostics.decay_s_proxy", "decay_s_proxy", int),
+    ("diagnostics.track_spacetime", "track_spacetime", _bool),
+    ("diagnostics.ghost_mode", "ghost_mode", str),
+    ("diagnostics.sobolev_orders", "sobolev_orders", _orders),
+    ("output.snapshot_every", "snapshot_every", int),
+    ("output.dir", None, str),
+)
+
+
+def config_from_items(values: dict) -> RunConfig:
+    """RunConfig from typed {dotted key: value}; absent keys keep their
+    dataclass defaults and keys without a field path are ignored."""
+    top, nested = {}, {}
+    for key, path, _ in CONFIG_TABLE:
+        if path and key in values:
+            head, _, attr = path.partition(".")
+            if attr:
+                nested.setdefault(head, {})[attr] = values[key]
+            else:
+                top[head] = values[key]
+    base = RunConfig()
+    for head, kw in nested.items():
+        top[head] = replace(getattr(base, head), **kw)
+    return replace(base, **top)
+
+
+def config_items(config: RunConfig):
+    """Flatten a RunConfig into deterministic (section.key, value) pairs."""
+    items = []
+    for key, path, _ in CONFIG_TABLE:
+        if path:
+            value = reduce(getattr, path.split("."), config)
+            if isinstance(value, tuple):
+                value = ",".join(str(s) for s in value)
+            items.append((key, value))
+    return items
+
+
+def config_fingerprint(config: RunConfig) -> str:
+    text = "\n".join(f"{k} = {v}" for k, v in config_items(config))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def make_grid(config: RunConfig) -> RadialGrid:
@@ -178,15 +271,19 @@ def _rhs_arrays(v, vt, t, grid, cut, sig, p, mode, forcing):
     return vt, acc
 
 
+def _operator(grid, p, profile, sig, mode, forcing, nonlinear=True):
+    """The arguments after (v, vt, t[, dt]) of _rhs_arrays and _rk4 on one
+    grid; nonlinear=False passes cut=None."""
+    cut = (kernels.cutoff_arrays(grid.r, profile or DEFAULT_PROFILE)
+           if nonlinear else None)
+    return grid, cut, sig, p or DEFAULT_PARAMS, mode, forcing
+
+
 def rhs(state: FieldState, p=None, profile=None, sponge=None,
         mode="parity", forcing=None):
     """(dv/dt, dv_t/dt) for the lifted equation; returns a pair of arrays."""
-    p = p or KernelParams()
-    profile = profile or CutoffProfile()
-    g = state.grid
-    cut = kernels.cutoff_arrays(g.r, profile)
     dv, dvt = _rhs_arrays(state.f.values, state.f_t.values, state.time,
-                          g, cut, sponge, p, mode, forcing)
+                          *_operator(state.grid, p, profile, sponge, mode, forcing))
     if not (np.all(np.isfinite(dvt)) and np.all(np.isfinite(dv))):
         raise FloatingPointError("non-finite right-hand side (blow-up candidate)")
     return dv, dvt
@@ -210,13 +307,38 @@ def step(state: FieldState, dt: float, p=None, profile=None, cfl=0.25,
     g = state.grid
     if dt > cfl * g.dr * (1.0 + 1e-12):
         raise ValueError(f"CFL violation: dt={dt} exceeds {cfl} * dr = {cfl * g.dr}")
-    p = p or KernelParams()
-    profile = profile or CutoffProfile()
-    cut = kernels.cutoff_arrays(g.r, profile)
     v, vt = _rk4(state.f.values, state.f_t.values, state.time, dt,
-                 g, cut, sponge, p, mode, forcing)
+                 *_operator(g, p, profile, sponge, mode, forcing))
     return FieldState(RadialField(v, "even", g), RadialField(vt, "even", g),
                       state.time + dt)
+
+
+def _schedule(config: RunConfig):
+    """(nsteps, dt): the fixed step landing on t_end with dt <= cfl * dr."""
+    nsteps = max(1, math.ceil(config.t_end / (config.cfl * make_grid(config).dr)))
+    return nsteps, config.t_end / nsteps
+
+
+def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
+    """Yield (k, t, v, vt) for k = 0..nsteps of the fixed-step RK4 evolution.
+
+    state is the data at t = 0 (default initial_state(config)); its arrays
+    are copied. The sponge is dropped when it is zero everywhere, and
+    nonlinear=False drops F (free-wave path). Yielded arrays are never
+    modified afterwards, so a consumer may keep them.
+    """
+    g = make_grid(config)
+    state = state if state is not None else initial_state(config)
+    sig = sponge_sigma(g, config.sponge)
+    op = _operator(g, config.kernel_params, config.profile,
+                   sig if sig.any() else None, config.ghost_mode, forcing,
+                   nonlinear)
+    nsteps, dt = _schedule(config)
+    v, vt = state.f.values.copy(), state.f_t.values.copy()
+    yield 0, 0.0, v, vt
+    for k in range(1, nsteps + 1):
+        v, vt = _rk4(v, vt, (k - 1) * dt, dt, *op)
+        yield k, k * dt, v, vt
 
 
 def detect_blowup(state: FieldState, record, monitor_ceiling=1e6,
@@ -261,123 +383,53 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     """Advance to t_end or until detect_blowup fires; diagnostics at the
     configured cadence (plus the initial and final instants)."""
     g = make_grid(config)
-    state = initial_state(config)
-    p, profile = config.kernel_params, config.profile
-    cut = kernels.cutoff_arrays(g.r, profile)
-    sig = sponge_sigma(g, config.sponge)
-    if not sig.any():
-        sig = None
-
-    nsteps = max(1, math.ceil(config.t_end / (config.cfl * g.dr)))
-    dt = config.t_end / nsteps
-
+    nsteps, _ = _schedule(config)
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
-    if tracker is not None:
-        tracker.update(state.f, 0.0)
-    rec0 = _sample(state, config, None, tracker)
-    e0 = rec0.energy
-    records = [rec0]
-    snapshots = [
-        FieldState(state.f.copy(), state.f_t.copy(), state.time)
-    ] if config.snapshot_every else []
-
-    status = detect_blowup(state, rec0, config.monitor_ceiling, config.drift_ceiling)
-    if status is not None:
-        return RunResult(status[0], status[1], records, state, snapshots, e0, config)
-
-    v, vt = state.f.values.copy(), state.f_t.values.copy()
-    last_sample_t = 0.0
-    for k in range(1, nsteps + 1):
-        t_prev = (k - 1) * dt
-        v, vt = _rk4(v, vt, t_prev, dt, g, cut, sig, p, config.ghost_mode, forcing)
-        t = k * dt
+    records, snapshots, snapshot_steps = [], [], []
+    e0, verdict, last_sample_t = None, None, 0.0
+    for k, t, v, vt in trajectory(config, forcing):
         state = FieldState(RadialField(v, "even", g), RadialField(vt, "even", g), t)
         if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
-            snapshots.append(FieldState(state.f.copy(), state.f_t.copy(), t))
+            snapshots.append(state)
+            snapshot_steps.append(k)
         if k % config.output_every == 0 or k == nsteps:
             if tracker is not None:
                 tracker.update(state.f, t - last_sample_t)
             last_sample_t = t
-            if not np.all(np.isfinite(v)):
+            # the initial instant is always sampled: it defines e0
+            if k and not np.all(np.isfinite(v)):
                 verdict = ("blowup_nan", f"non-finite field values at t={t:.6g}")
             else:
-                rec = _sample(state, config, e0, tracker)
-                records.append(rec)
-                verdict = detect_blowup(state, rec, config.monitor_ceiling,
+                records.append(_sample(state, config, e0, tracker))
+                e0 = records[0].energy
+                verdict = detect_blowup(state, records[-1], config.monitor_ceiling,
                                         config.drift_ceiling)
             if verdict is not None:
-                return RunResult(verdict[0], verdict[1], records, state,
-                                 snapshots, e0, config)
-    return RunResult("completed", f"reached t_end={config.t_end:g}", records,
-                     state, snapshots, e0, config)
+                break
+    status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
+    return RunResult(status, reason, records, state, snapshots, e0, config, k,
+                     snapshot_steps)
 
 
 def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
                    forcing=None):
     """Evolve quietly and return n_levels consecutive per-step transform
     bundles centered near t_center (for the residual-identity evaluators)."""
-    from .transform import make_bundle
     g = make_grid(config)
-    state = initial_state(config)
-    p, profile = config.kernel_params, config.profile
-    cut = kernels.cutoff_arrays(g.r, profile)
-    sig = sponge_sigma(g, config.sponge)
-    if not sig.any():
-        sig = None
-    nsteps = max(1, math.ceil(config.t_end / (config.cfl * g.dr)))
-    dt = config.t_end / nsteps
+    _, dt = _schedule(config)
     first = max(0, round(t_center / dt) - n_levels // 2)
     bundles = []
-    v, vt = state.f.values.copy(), state.f_t.values.copy()
-    for k in range(nsteps + 1):
-        if first <= k < first + n_levels:
-            st = FieldState(RadialField(v.copy(), "even", g),
-                            RadialField(vt.copy(), "even", g), k * dt)
-            bundles.append(make_bundle(st, p, profile))
+    for k, t, v, vt in trajectory(config, forcing):
+        if k >= first:
+            st = FieldState(RadialField(v, "even", g), RadialField(vt, "even", g), t)
+            bundles.append(make_bundle(st, config.kernel_params, config.profile))
             if len(bundles) == n_levels:
                 break
-        if k < nsteps:
-            v, vt = _rk4(v, vt, k * dt, dt, g, cut, sig, p,
-                         config.ghost_mode, forcing)
     return bundles
-
-
-def config_items(config: RunConfig):
-    """Flatten a RunConfig into deterministic (section.key, value) pairs."""
-    items = []
-
-    def emit(section, obj, skip=()):
-        for f in dc_fields(obj):
-            if f.name in skip:
-                continue
-            items.append((f"{section}.{f.name}", getattr(obj, f.name)))
-
-    items.append(("grid.n_cells", config.n_cells))
-    items.append(("grid.r_max", config.r_max))
-    for key in ("t_end", "cfl", "integrator"):
-        items.append((f"integrator.{key}", getattr(config, key)))
-    items.append(("integrator.sponge_start", config.sponge.start))
-    items.append(("integrator.sponge_strength", config.sponge.strength))
-    emit("initial_data", config.initial)
-    emit("kernels", config.kernel_params)
-    items.append(("kernels.cutoff_order", config.profile.kind))
-    for key in ("output_every", "monitor_ceiling", "drift_ceiling",
-                "decay_s_proxy", "track_spacetime", "ghost_mode"):
-        items.append((f"diagnostics.{key}", getattr(config, key)))
-    items.append(("diagnostics.sobolev_orders",
-                  ",".join(str(s) for s in config.sobolev_orders)))
-    items.append(("output.snapshot_every", config.snapshot_every))
-    return items
-
-
-def config_fingerprint(config: RunConfig) -> str:
-    text = "\n".join(f"{k} = {v}" for k, v in config_items(config))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def write_checkpoint(state: FieldState, path_base, config: RunConfig, step_no: int):
     """CSV snapshot (r, v, v_t) plus a key=value metadata sidecar."""
-    from .grid import FLOAT_FMT
     g = state.grid
     with open(f"{path_base}.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldState, RadialField, d_r, laplacian, quadrature_1d
+from .grid import FieldState, RadialField, d_r, laplacian
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, eval_cutoff
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .evolve import RunConfig, InitialDataSpec, SpongeSpec, evolve_bundles, run, _rk4
-from .evolve import make_grid, sponge_sigma
+from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, evolve_bundles,
+                     make_grid, run, trajectory)
 from .grid import FieldState, RadialField, RadialGrid, sobolev_norm, FLOAT_FMT
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from .transform import (residual_Phi_t_wave, residual_Phi_tt_wave,
@@ -281,16 +281,9 @@ def linear_wave_study(base: RunConfig, ms: ManufacturedSolution, levels=3):
         g = make_grid(cfg)
         force = make_forcing(ms, g, cfg.kernel_params, cfg.profile,
                              include_nonlinearity=False)
-        sig = sponge_sigma(g, cfg.sponge)
-        if not sig.any():
-            sig = None
-        nsteps = max(1, math.ceil(cfg.t_end / (cfg.cfl * g.dr)))
-        dt = cfg.t_end / nsteps
-        v = ms.v(0.0, g.r)
-        vt = ms.v_t(0.0, g.r)
-        for k in range(nsteps):
-            v, vt = _rk4(v, vt, k * dt, dt, g, None, sig, cfg.kernel_params,
-                         cfg.ghost_mode, force)
+        for _, _, v, vt in trajectory(cfg, force, manufactured_initial_state(ms, g),
+                                      nonlinear=False):
+            pass
         state = FieldState(RadialField(v, "even", g),
                            RadialField(vt, "even", g), cfg.t_end)
         ns.append(cfg.n_cells)

@@ -2,13 +2,17 @@
 
 import configparser
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from faddeevlab.cli import load_config, main
+from faddeevlab.cli import load_config, main, write_effective_config
+from faddeevlab.evolve import CONFIG_TABLE, RunConfig
 
-TINY = ["--set", "grid.n_cells=64", "--set", "grid.r_max=8",
-        "--set", "integrator.t_end=0.25", "--set", "diagnostics.output_every=16"]
+TINY_GRID = ["--set", "grid.n_cells=64", "--set", "grid.r_max=8",
+             "--set", "integrator.t_end=0.25"]
+TINY = TINY_GRID + ["--set", "diagnostics.output_every=16"]
 
 
 def run_dirs(tmp_path, name):
@@ -166,3 +170,90 @@ def test_kernels_table(tmp_path, capsys):
     cuts = open(os.path.join(out, "cutoffs.csv")).read().splitlines()
     assert cuts[0] == "r,phi,dphi,lt1,gt1,lap2_phi,A4_at_v1"
     assert len(cuts) == 1 + 601
+
+
+def read_meta(path):
+    return dict(line.split(" = ", 1) for line in open(path).read().splitlines())
+
+
+def test_checkpoints_record_the_step_index(tmp_path):
+    # dt = t_end / ceil(t_end / (cfl dr)) = 0.25 / 8: snapshots at steps 0, 4, 8
+    out = run_dirs(tmp_path, "snaps")
+    assert main(["run"] + TINY_GRID + ["--set", "output.snapshot_every=4",
+                                       "--out", out]) == 0
+    got = [(m["time"], m["step"]) for m in
+           (read_meta(os.path.join(out, f"snapshot_{i:04d}.meta")) for i in range(3))]
+    assert got == [("0", "0"), ("0.125", "4"), ("0.25", "8")]
+    final = read_meta(os.path.join(out, "final.meta"))
+    assert (final["time"], final["step"]) == ("0.25", "8")
+
+
+def test_halted_run_records_the_halting_step(tmp_path, capsys):
+    # the first sample after t = 0 (step 3) exceeds a drift ceiling of 1e-12
+    out = run_dirs(tmp_path, "halted")
+    rc = main(["run"] + TINY_GRID + ["--set", "diagnostics.output_every=3",
+                                     "--set", "diagnostics.drift_ceiling=1e-12",
+                                     "--out", out])
+    assert rc == 2
+    assert "status=scheme_breakdown" in capsys.readouterr().out
+    final = read_meta(os.path.join(out, "final.meta"))
+    assert (final["time"], final["step"]) == ("0.09375", "3")
+
+
+def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):
+    root = run_dirs(tmp_path, "sweep_err")
+    missing = ",".join(str(tmp_path / name) for name in ("a.csv", "b.csv"))
+    rc = main(["sweep", "--set", "initial_data.family=profile_u",
+               "--sweep", f"initial_data.profile_path={missing}",
+               "--jobs", "1", "--out", root])
+    assert rc == 4
+    assert "status=done runs=2 incomplete=2" in capsys.readouterr().out
+    rows = open(os.path.join(root, "summary.csv")).read().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["error", "error"]
+
+
+def test_readme_defaults_block_matches_the_dataclasses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "defaults.ini"
+    path.write_text(block)
+    assert load_config(str(path)) == (RunConfig(), "faddeev_out")
+
+
+# one valid non-default text per settable key; rk4 is the only integrator
+NON_DEFAULT = {
+    "grid.n_cells": "96", "grid.r_max": "8.5",
+    "integrator.t_end": "1.5", "integrator.cfl": "0.125",
+    "integrator.integrator": "rk4", "integrator.sponge_start": "7.0",
+    "integrator.sponge_strength": "2.5",
+    "initial_data.family": "profile_u", "initial_data.amplitude": "0.1",
+    "initial_data.center": "0.75", "initial_data.width": "0.3",
+    "initial_data.amplitude_t": "-0.2", "initial_data.center_t": "1.25",
+    "initial_data.width_t": "2.0", "initial_data.profile_path": "table.csv",
+    "kernels.alpha": "0.7", "kernels.x_switch": "0.02",
+    "kernels.series_terms": "6", "kernels.cutoff_order": "9",
+    "diagnostics.output_every": "5", "diagnostics.monitor_ceiling": "1e3",
+    "diagnostics.drift_ceiling": "0.5", "diagnostics.decay_s_proxy": "3",
+    "diagnostics.track_spacetime": "false", "diagnostics.ghost_mode": "order1",
+    "diagnostics.sobolev_orders": "", "output.snapshot_every": "7",
+    "output.dir": "elsewhere",
+}
+
+
+def test_config_table_lists_each_settable_key_once():
+    keys = [key for key, _, _ in CONFIG_TABLE]
+    assert len(keys) == len(set(keys)) == 28
+    assert set(keys) == set(NON_DEFAULT)
+
+
+@pytest.mark.parametrize("key", [key for key, _, _ in CONFIG_TABLE])
+def test_every_config_key_round_trips(tmp_path, key):
+    config, out_dir = load_config(None, [f"{key}={NON_DEFAULT[key]}"])
+    if key == "output.dir":
+        assert out_dir == "elsewhere"
+    elif key != "integrator.integrator":
+        assert config != RunConfig()
+    out_dir = out_dir or "faddeev_out"
+    path = tmp_path / "effective_config.ini"
+    write_effective_config(config, out_dir, path)
+    assert load_config(str(path)) == (config, out_dir)

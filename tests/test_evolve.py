@@ -87,6 +87,12 @@ def test_config_fingerprint_stability():
         assert config_fingerprint(other) != config_fingerprint(a)
 
 
+def test_default_fingerprint_is_pinned():
+    """The flattened key order and value text feed the fingerprint, so a
+    pinned default value guards both."""
+    assert config_fingerprint(RunConfig()) == "f3180fe1c671c994"
+
+
 def test_config_items_cover_every_section():
     keys = dict(config_items(RunConfig()))
     for key in ("grid.n_cells", "grid.r_max", "integrator.t_end",

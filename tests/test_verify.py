@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from faddeevlab.evolve import RunConfig, _rk4, initial_state, make_grid
+from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid,
+                               trajectory)
 from faddeevlab.grid import RadialGrid
-from faddeevlab.kernels import DEFAULT_PARAMS, eval_F_rhs, eval_Ftilde
+from faddeevlab.kernels import eval_F_rhs, eval_Ftilde
 from faddeevlab.verify import (
     ManufacturedSolution,
     convergence_study,
@@ -119,14 +120,13 @@ def test_broken_ghost_fill_is_detectable():
     (zero weight at the origin) but shows up as an O(dr) sup-norm error
     at r = 0; measured inflation 137x at n = 256."""
     def sup_origin_error(n, mode):
-        g = RadialGrid(n, 8.0, dim=4)
+        cfg = RunConfig(n_cells=n, r_max=8.0, t_end=0.5, ghost_mode=mode,
+                        sponge=SpongeSpec(strength=0.0))
+        g = make_grid(cfg)
         force = make_forcing(MS, g, include_nonlinearity=False)
-        nsteps = math.ceil(0.5 / (0.25 * g.dr))
-        dt = 0.5 / nsteps
-        v, vt = MS.v(0.0, g.r), MS.v_t(0.0, g.r)
-        for k in range(nsteps):
-            v, vt = _rk4(v, vt, k * dt, dt, g, None, None, DEFAULT_PARAMS,
-                         mode, force)
+        for _, _, v, _ in trajectory(cfg, force, manufactured_initial_state(MS, g),
+                                     nonlinear=False):
+            pass
         return float(np.max(np.abs(v - MS.v(0.5, g.r))))
 
     healthy = {n: sup_origin_error(n, "parity") for n in (128, 256)}
