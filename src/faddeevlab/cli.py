@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import itertools
 import math
 import os
@@ -23,7 +22,7 @@ from . import diagnostics as diag
 from . import kernels
 from .evolve import (CONFIG_TABLE, RunConfig, config_from_items, config_items,
                      initial_state, run, write_checkpoint)
-from .grid import FLOAT_FMT, FieldState, RadialField, RadialGrid
+from .grid import FieldState, RadialField, RadialGrid, write_csv
 from .transform import _grouped_line_integral, compute_Phi, compute_Phi_t, v_to_u
 from .verify import (ManufacturedSolution, convergence_study, kernel_limit,
                      kernel_series_oracle, manufactured_config, study_to_csv)
@@ -112,6 +111,17 @@ def _load(args):
     return config, out_dir
 
 
+def _write_run(result, out_dir):
+    """A run's files in out_dir: diagnostics.csv, effective_config.ini, the
+    snapshot_NNNN checkpoints and the final checkpoint."""
+    config = result.config
+    diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
+    write_effective_config(config, out_dir, os.path.join(out_dir, "effective_config.ini"))
+    for i, (k, snap) in enumerate(zip(result.snapshot_steps, result.snapshots)):
+        write_checkpoint(snap, os.path.join(out_dir, f"snapshot_{i:04d}"), config, k)
+    write_checkpoint(result.state, os.path.join(out_dir, "final"), config, result.step)
+
+
 def cmd_run(args) -> int:
     config, out_dir = _load(args)
     try:
@@ -119,11 +129,7 @@ def cmd_run(args) -> int:
     except (ValueError, FileNotFoundError, OSError) as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 1
-    diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
-    write_effective_config(config, out_dir, os.path.join(out_dir, "effective_config.ini"))
-    for i, (k, snap) in enumerate(zip(result.snapshot_steps, result.snapshots)):
-        write_checkpoint(snap, os.path.join(out_dir, f"snapshot_{i:04d}"), config, k)
-    write_checkpoint(result.state, os.path.join(out_dir, "final"), config, result.step)
+    _write_run(result, out_dir)
     print(f"status={result.status} t_final={result.state.time:.17g} "
           f"out={out_dir} reason={result.reason!r}")
     return 0 if result.status == "completed" else 2
@@ -286,11 +292,7 @@ def cmd_verify(args) -> int:
     rows = []
     _SUITES[args.suite](rows, config.kernel_params, config.profile)
     report = os.path.join(out_dir, f"verify_{args.suite}.csv")
-    with open(report, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["suite", "check", "value", "tolerance", "passed"])
-        for suite, check, value, tol, ok in rows:
-            w.writerow([suite, check, FLOAT_FMT % value, FLOAT_FMT % tol, ok])
+    write_csv(report, ["suite", "check", "value", "tolerance", "passed"], rows)
     failed = [row for row in rows if not row[4]]
     for suite, check, value, tol, ok in rows:
         print(f"{'PASS' if ok else 'FAIL'} {suite}.{check} value={value:.6g} "
@@ -314,11 +316,7 @@ def _sweep_one(packed):
                 "t_final": math.nan, "max_monitor_v": math.nan,
                 "max_monitor_vt": math.nan, "max_monitor_gradv": math.nan,
                 "max_drift": math.nan}
-    diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
-    write_effective_config(result.config, out_dir,
-                           os.path.join(out_dir, "effective_config.ini"))
-    write_checkpoint(result.state, os.path.join(out_dir, "final"), result.config,
-                     result.step)
+    _write_run(result, out_dir)
     recs = result.records
     return {"index": index, "status": result.status, "reason": result.reason,
             "t_final": result.state.time,
@@ -357,21 +355,12 @@ def cmd_sweep(args) -> int:
     else:
         summaries = [_sweep_one(item) for item in packed]
 
-    keys = [key for key, _ in axes]
+    columns = ["status", "reason", "t_final", "max_monitor_v", "max_monitor_vt",
+               "max_monitor_gradv", "max_drift"]
     path = os.path.join(out_root, "summary.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["run_dir"] + keys + ["status", "reason", "t_final",
-                                         "max_monitor_v", "max_monitor_vt",
-                                         "max_monitor_gradv", "max_drift"])
-        for (i, combo, _, _), summary in zip(jobs, summaries):
-            w.writerow([f"run_{i:03d}"] + list(combo)
-                       + [summary["status"], summary["reason"],
-                          FLOAT_FMT % summary["t_final"],
-                          FLOAT_FMT % summary["max_monitor_v"],
-                          FLOAT_FMT % summary["max_monitor_vt"],
-                          FLOAT_FMT % summary["max_monitor_gradv"],
-                          FLOAT_FMT % summary["max_drift"]])
+    write_csv(path, ["run_dir"] + [key for key, _ in axes] + columns,
+              ([f"run_{i:03d}"] + list(combo) + [summary[c] for c in columns]
+               for (i, combo, _, _), summary in zip(jobs, summaries)))
     n_bad = sum(1 for s in summaries if s["status"] != "completed")
     print(f"status=done runs={len(summaries)} incomplete={n_bad} summary={path}")
     return 4 if any(s["status"] == "error" for s in summaries) else 0
@@ -382,24 +371,14 @@ def cmd_kernels_table(args) -> int:
     p, profile = config.kernel_params, config.profile
     xs = np.linspace(-3.0, 3.0, 601)
     path_k = os.path.join(out_dir, "kernels.csv")
-    with open(path_k, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x"] + [f"Ftilde{j}" for j in range(5)])
-        cols = [kernels.eval_Ftilde(j, xs, p) for j in range(5)]
-        for i, x in enumerate(xs):
-            w.writerow([FLOAT_FMT % x] + [FLOAT_FMT % col[i] for col in cols])
+    write_csv(path_k, ["x"] + [f"Ftilde{j}" for j in range(5)],
+              zip(xs, *(kernels.eval_Ftilde(j, xs, p) for j in range(5))))
     rs = np.linspace(0.0, 3.0, 601)
     path_c = os.path.join(out_dir, "cutoffs.csv")
-    with open(path_c, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "phi", "dphi", "lt1", "gt1", "lap2_phi", "A4_at_v1"])
-        cut = kernels.cutoff_arrays(rs, profile)
-        a4 = kernels.eval_A(4, np.ones_like(rs), rs, p, profile)
-        for i, r in enumerate(rs):
-            w.writerow([FLOAT_FMT % r, FLOAT_FMT % cut["phi"][i],
-                        FLOAT_FMT % cut["dphi"][i], FLOAT_FMT % cut["lt1"][i],
-                        FLOAT_FMT % cut["gt1"][i], FLOAT_FMT % cut["lap2phi"][i],
-                        FLOAT_FMT % a4[i]])
+    cut = kernels.cutoff_arrays(rs, profile)
+    write_csv(path_c, ["r", "phi", "dphi", "lt1", "gt1", "lap2_phi", "A4_at_v1"],
+              zip(rs, cut["phi"], cut["dphi"], cut["lt1"], cut["gt1"], cut["lap2phi"],
+                  kernels.eval_A(4, np.ones_like(rs), rs, p, profile)))
     print(f"status=ok kernels={path_k} cutoffs={path_c}")
     return 0
 

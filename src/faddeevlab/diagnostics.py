@@ -7,13 +7,13 @@ report. Everything is a deterministic reduction over grid snapshots.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import FieldState, RadialField, d_r, integrate_radial, sobolev_norm
+from .grid import (FieldState, RadialField, d_r, integrate_radial, sobolev_norm,
+                   write_csv)
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 
@@ -204,7 +204,6 @@ class SpacetimeTracker:
 
 def write_diagnostics_csv(records, path):
     """One row per sample; stable column order; doubles written exactly."""
-    from .grid import FLOAT_FMT
     if not records:
         raise ValueError("no diagnostics records to write")
     sob_keys = sorted(records[0].sobolev)
@@ -214,13 +213,9 @@ def write_diagnostics_csv(records, path):
                "monitor_v", "monitor_vt", "monitor_gradv"]
               + [f"sobolev_s{s}" for s in sob_keys]
               + [f"decay_{k}" for k in decay_keys] + st_keys)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for rec in records:
-            row = [rec.time, rec.energy, rec.energy_drift, rec.energy_tail,
-                   rec.monitor_v, rec.monitor_vt, rec.monitor_gradv]
-            row += [rec.sobolev[s] for s in sob_keys]
-            row += [rec.decay_ratios[k] for k in decay_keys]
-            row += [rec.spacetime_norms[k] for k in st_keys]
-            w.writerow([FLOAT_FMT % x for x in row])
+    rows = ([rec.time, rec.energy, rec.energy_drift, rec.energy_tail,
+             rec.monitor_v, rec.monitor_vt, rec.monitor_gradv]
+            + [rec.sobolev[s] for s in sob_keys]
+            + [rec.decay_ratios[k] for k in decay_keys]
+            + [rec.spacetime_norms[k] for k in st_keys] for rec in records)
+    write_csv(path, header, rows)

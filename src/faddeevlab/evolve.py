@@ -9,7 +9,6 @@ Runs are deterministic: a fixed config reproduces diagnostics bit for bit.
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -17,8 +16,8 @@ from functools import reduce
 
 import numpy as np
 
-from .grid import (FLOAT_FMT, FieldState, RadialGrid, RadialField, _d1_values,
-                   _d2_values)
+from .grid import (FLOAT_FMT, FieldState, RadialGrid, RadialField,
+                   _d1_laplacian, write_csv)
 from . import diagnostics as diag
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile, KernelParams
@@ -255,11 +254,7 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
 
 def _rhs_arrays(v, vt, t, grid, cut, sig, p, mode, forcing):
     # cut=None drops the nonlinearity entirely (free-wave benchmark path).
-    vr = _d1_values(v, "even", grid, mode)
-    d2 = _d2_values(v, "even", grid, mode)
-    lap = np.empty_like(v)
-    lap[0] = 4.0 * d2[0]
-    lap[1:] = d2[1:] + 3.0 * vr[1:] / grid.r[1:]
+    vr, lap = _d1_laplacian(v, grid, mode)
     if cut is None:
         acc = lap
     else:
@@ -430,12 +425,8 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
 
 def write_checkpoint(state: FieldState, path_base, config: RunConfig, step_no: int):
     """CSV snapshot (r, v, v_t) plus a key=value metadata sidecar."""
-    g = state.grid
-    with open(f"{path_base}.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "v", "v_t"])
-        for r, a, b in zip(g.r, state.f.values, state.f_t.values):
-            w.writerow([FLOAT_FMT % r, FLOAT_FMT % a, FLOAT_FMT % b])
+    write_csv(f"{path_base}.csv", ["r", "v", "v_t"],
+              zip(state.grid.r, state.f.values, state.f_t.values))
     with open(f"{path_base}.meta", "w") as fh:
         fh.write(f"time = {FLOAT_FMT % state.time}\n")
         fh.write(f"step = {step_no}\n")

@@ -24,7 +24,7 @@ __all__ = [
     "integrate_radial",
     "quadrature_1d",
     "sobolev_norm",
-    "field_to_csv",
+    "write_csv",
 ]
 
 FLOAT_FMT = "%.17g"
@@ -174,6 +174,18 @@ def d_r(f: RadialField, order: int = 1, mode: str = "parity") -> RadialField:
     return RadialField(vals, parity, f.grid)
 
 
+def _d1_laplacian(values, grid, mode):
+    """(d1, lap) of even node values: the first derivative and the radial
+    Laplacian f'' + (dim-1) f'/r with the r=0 column replaced by its limit
+    dim*f''(0)."""
+    d1 = _d1_values(values, "even", grid, mode)
+    d2 = _d2_values(values, "even", grid, mode)
+    lap = np.empty_like(values)
+    lap[0] = grid.dim * d2[0]
+    lap[1:] = d2[1:] + (grid.dim - 1) * d1[1:] / grid.r[1:]
+    return d1, lap
+
+
 def laplacian(f: RadialField, mode: str = "parity") -> RadialField:
     """Radial Laplacian f'' + (dim-1) f'/r with the r=0 column replaced by
     its limit dim*f''(0). Defined on even fields only."""
@@ -181,13 +193,7 @@ def laplacian(f: RadialField, mode: str = "parity") -> RadialField:
         raise ValueError("laplacian is only evaluated on even-parity fields")
     if f.grid.n_nodes < 7:
         raise ValueError("grid too small for 4th-order stencils")
-    g = f.grid
-    d1 = _d1_values(f.values, f.parity, g, mode)
-    d2 = _d2_values(f.values, f.parity, g, mode)
-    out = np.empty_like(f.values)
-    out[0] = g.dim * d2[0]
-    out[1:] = d2[1:] + (g.dim - 1) * d1[1:] / g.r[1:]
-    return RadialField(out, "even", g)
+    return RadialField(_d1_laplacian(f.values, f.grid, mode)[1], "even", f.grid)
 
 
 def _simpson(y, h):
@@ -249,10 +255,12 @@ def sobolev_norm(f: RadialField, s: int) -> float:
     return float(np.sqrt(total))
 
 
-def field_to_csv(f: RadialField, path):
-    """Write an `r,value` snapshot with doubles preserved exactly."""
+def write_csv(path, header, rows):
+    """Write a header row and data rows. Floats (numpy float64 included) are
+    written as FLOAT_FMT, so doubles survive exactly; any other value is
+    written as str() writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "value"])
-        for r, val in zip(f.grid.r, f.values):
-            w.writerow([FLOAT_FMT % r, FLOAT_FMT % val])
+        w.writerow(header)
+        w.writerows([FLOAT_FMT % x if isinstance(x, float) else x for x in row]
+                    for row in rows)

@@ -23,7 +23,6 @@ __all__ = [
     "CutoffProfile",
     "eval_Ftilde",
     "eval_cutoff",
-    "laplacian_phi_4d",
     "laplacian_phi_2d",
     "eval_A",
     "eval_N",
@@ -48,8 +47,9 @@ class KernelParams:
             raise ValueError("alpha must be positive")
         if not self.x_switch > 0:
             raise ValueError("x_switch must be positive")
-        if self.series_terms < 4:
-            raise ValueError("series_terms must be >= 4")
+        if not 4 <= self.series_terms <= len(_SERIES[0]):
+            raise ValueError(f"series_terms must lie in 4..{len(_SERIES[0])}, "
+                             f"got {self.series_terms}")
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,6 @@ class CutoffProfile:
         if self.kind < 5 or self.kind % 2 == 0:
             raise ValueError("smoothstep order must be odd and >= 5")
 
-
-DEFAULT_PARAMS = KernelParams()
-DEFAULT_PROFILE = CutoffProfile()
 
 # Taylor coefficients in w = x^2 about x = 0 for the alpha-independent part
 # of each kernel (Ftilde_1 carries no alpha; the others scale by alpha^2).
@@ -112,6 +109,23 @@ _SERIES = {
         1.9968346608439335e-18]),
 }
 
+DEFAULT_PARAMS = KernelParams()
+DEFAULT_PROFILE = CutoffProfile()
+
+
+def _pointwise(fn, *args):
+    """fn applied to float64, at least 1-d broadcasts of args; a Python
+    float when every argument is 0-d. The scalar/array adapter of the
+    public evaluators."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    if len(arrays) > 1:
+        arrays = np.broadcast_arrays(*arrays)
+    scalar = arrays[0].ndim == 0  # broadcast arrays share one shape
+    if scalar:
+        arrays = [a.reshape(1) for a in arrays]
+    out = fn(*arrays)
+    return float(out[0]) if scalar else out
+
 
 def _ftilde_direct(j, x):
     """Direct-formula branch, arranged to avoid cancellation near the seam."""
@@ -143,24 +157,24 @@ def eval_Ftilde(j, x, p=DEFAULT_PARAMS):
     """
     if j not in _SERIES:
         raise ValueError(f"kernel index must be 0..4, got {j}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
     switch = max(p.x_switch, 0.1) if j in (1, 2, 4) else p.x_switch
-    small = np.abs(x) < switch
-    if small.any():
-        w = x[small] ** 2
-        acc = np.zeros_like(w)
-        for c in _SERIES[j][: p.series_terms][::-1]:
-            acc = acc * w + c
-        out[small] = acc
-    big = ~small
-    if big.any():
-        out[big] = _ftilde_direct(j, x[big])
-    if j != 1:
-        out *= p.alpha ** 2
-    return float(out[0]) if scalar else out
+
+    def kernel(x):
+        out = np.empty_like(x)
+        small = np.abs(x) < switch
+        if small.any():
+            w = x[small] ** 2
+            acc = np.zeros_like(w)
+            for c in _SERIES[j][: p.series_terms][::-1]:
+                acc = acc * w + c
+            out[small] = acc
+        big = ~small
+        if big.any():
+            out[big] = _ftilde_direct(j, x[big])
+        if j != 1:
+            out *= p.alpha ** 2
+        return out
+    return _pointwise(kernel, x)
 
 
 @lru_cache(maxsize=None)
@@ -199,39 +213,43 @@ def eval_cutoff(which, r, order=0, profile=DEFAULT_PROFILE):
         raise ValueError(f"unknown cutoff {which!r}")
     a, width, lo, hi = _CUTOFF_GEOMETRY[which]
     polys = _smoothstep_coeffs(profile.kind)
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    s = np.clip((r - a) / width, 0.0, 1.0)
-    inside = (r > a) & (r < a + width)
-    ramp = np.polynomial.polynomial.polyval(s, polys[order])
-    if order == 0:
-        out = lo + (hi - lo) * np.where(inside, ramp, (r >= a + width) * 1.0)
-    else:
-        out = np.where(inside, (hi - lo) / width ** order * ramp, 0.0)
-    return float(out[0]) if scalar else out
 
-
-def _laplacian_phi(r, radial_weight, profile):
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    d1 = eval_cutoff("phi", r, 1, profile)
-    d2 = eval_cutoff("phi", r, 2, profile)
-    out = d2 + radial_weight * d1 / np.where(r > 0, r, 1.0)
-    return float(out[0]) if scalar else out
-
-
-def laplacian_phi_4d(r, profile=DEFAULT_PROFILE):
-    """4D radial Laplacian of phi: phi'' + 3 phi'/r; identically 0 outside
-    the transition shell [1, 2]."""
-    return _laplacian_phi(r, 3.0, profile)
+    def cutoff(r):
+        s = np.clip((r - a) / width, 0.0, 1.0)
+        inside = (r > a) & (r < a + width)
+        ramp = np.polynomial.polynomial.polyval(s, polys[order])
+        if order == 0:
+            return lo + (hi - lo) * np.where(inside, ramp, (r >= a + width) * 1.0)
+        return np.where(inside, (hi - lo) / width ** order * ramp, 0.0)
+    return _pointwise(cutoff, r)
 
 
 def laplacian_phi_2d(r, profile=DEFAULT_PROFILE):
-    """2D radial Laplacian of phi: phi'' + phi'/r. This is the Laplacian
-    that enters the lifted right-hand side F(v)."""
-    return _laplacian_phi(r, 1.0, profile)
+    """2D radial Laplacian of phi: phi'' + phi'/r, identically 0 outside the
+    transition shell [1, 2]. This is the Laplacian that enters the lifted
+    right-hand side F(v)."""
+    def lap(r):
+        d1 = eval_cutoff("phi", r, 1, profile)
+        d2 = eval_cutoff("phi", r, 2, profile)
+        return d2 + d1 / np.where(r > 0, r, 1.0)
+    return _pointwise(lap, r)
+
+
+def _a3(y, r, p):
+    """A_3(y, r) = 1 + alpha^2 sin^2(y) / r^2 (A_1 at y = u); needs r > 0."""
+    return 1.0 + (p.alpha * np.sin(y) / r) ** 2
+
+
+def _a4(y, r, p):
+    """A_4(y, r) = 1 + y^2 Ftilde_0(r y), smooth through r = 0."""
+    return 1.0 + y * y * eval_Ftilde(0, r * y, p)
+
+
+def _u_chart(v, r, profile):
+    """(far, u): the mask r > 1, where the coefficients switch back to the
+    u chart, and u = r v + phi on those nodes."""
+    far = r > 1.0
+    return far, r[far] * v[far] + eval_cutoff("phi", r[far], 0, profile)
 
 
 def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
@@ -245,25 +263,20 @@ def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     A_5 evaluated on (v, r) equals A_1 evaluated on the reconstructed
     u = r v + phi at every radius, with the r -> 0 limit built in.
     """
-    y = np.asarray(y, dtype=float)
-    r = np.asarray(r, dtype=float)
-    scalar = y.ndim == 0 and r.ndim == 0
-    y, r = np.atleast_1d(y * np.ones_like(r)), np.atleast_1d(r * np.ones_like(y))
-    if which in (1, 3):
-        if np.any(r <= 0):
-            raise ValueError("A_1/A_3 require r > 0; use A_4/A_5 at the origin")
-        out = 1.0 + (p.alpha * np.sin(y) / r) ** 2
-    elif which == 4:
-        out = 1.0 + y * y * eval_Ftilde(0, r * y, p)
-    elif which == 5:
-        out = 1.0 + y * y * eval_Ftilde(0, r * y, p)
-        far = r > 1.0
-        if far.any():
-            u = r[far] * y[far] + eval_cutoff("phi", r[far], 0, profile)
-            out[far] = 1.0 + (p.alpha * np.sin(u) / r[far]) ** 2
-    else:
+    if which not in (1, 3, 4, 5):
         raise ValueError(f"A-index must be 1, 3, 4 or 5, got {which}")
-    return float(out[0]) if scalar else out
+
+    def coefficient(y, r):
+        if which in (1, 3):
+            if np.any(r <= 0):
+                raise ValueError("A_1/A_3 require r > 0; use A_4/A_5 at the origin")
+            return _a3(y, r, p)
+        out = _a4(y, r, p)
+        if which == 5:
+            far, u = _u_chart(y, r, profile)
+            out[far] = _a3(u, r[far], p)
+        return out
+    return _pointwise(coefficient, y, r)
 
 
 def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
@@ -276,7 +289,7 @@ def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
     if np.any(r <= 0):
         raise ValueError("N(u) requires r > 0; the v-form covers the origin")
     u = np.asarray(u, dtype=float)
-    a1 = 1.0 + (p.alpha * np.sin(u) / r) ** 2
+    a1 = _a3(u, r, p)
     return (-2.0 / r * (1.0 - 1.0 / a1) * u_r
             - (p.alpha ** 2 * (np.asarray(u_t) ** 2 - np.asarray(u_r) ** 2) + 1.0)
             * np.sin(u) * np.cos(u) / (r * r * a1))
@@ -329,14 +342,9 @@ def eval_F_rhs(v, v_t, v_r, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     Total function of (v, v_t, v_r, r >= 0); both cutoff branches blended
     exactly, finite at r = 0 where only the inner kernel sum survives.
     """
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    v = np.atleast_1d(np.asarray(v, dtype=float) * np.ones_like(r))
-    v_t = np.atleast_1d(np.asarray(v_t, dtype=float) * np.ones_like(r))
-    v_r = np.atleast_1d(np.asarray(v_r, dtype=float) * np.ones_like(r))
-    out = eval_F_given_cutoffs(v, v_t, v_r, r, cutoff_arrays(r, profile), p)
-    return float(out[0]) if scalar else out
+    def rhs(v, v_t, v_r, r):
+        return eval_F_given_cutoffs(v, v_t, v_r, r, cutoff_arrays(r, profile), p)
+    return _pointwise(rhs, v, v_t, v_r, r)
 
 
 def dA1_dt(v, v_t, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
@@ -345,28 +353,21 @@ def dA1_dt(v, v_t, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     dA_1/dt = alpha^2 r^-2 sin(2u) u_t with u = r v + phi, u_t = r v_t;
     on r <= 1 this reduces exactly to -2 v v_t Ftilde_3(r v).
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float)) * np.ones_like(r)
-    v_t = np.atleast_1d(np.asarray(v_t, dtype=float)) * np.ones_like(r)
-    out = -2.0 * v * v_t * eval_Ftilde(3, r * v, p)
-    far = r > 1.0
-    if far.any():
-        u = r[far] * v[far] + eval_cutoff("phi", r[far], 0, profile)
+    def rate(v, v_t, r):
+        out = -2.0 * v * v_t * eval_Ftilde(3, r * v, p)
+        far, u = _u_chart(v, r, profile)
         out[far] = p.alpha ** 2 * np.sin(2.0 * u) * v_t[far] / r[far]
-    return out
+        return out
+    return _pointwise(rate, v, v_t, r)
 
 
 def dA1_dtt(v, v_t, v_tt, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     """Second time derivative of A_1; v_tt supplied by the caller."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float)) * np.ones_like(r)
-    v_t = np.atleast_1d(np.asarray(v_t, dtype=float)) * np.ones_like(r)
-    v_tt = np.atleast_1d(np.asarray(v_tt, dtype=float)) * np.ones_like(r)
-    out = (2.0 * p.alpha ** 2 * v_t * v_t * np.cos(2.0 * r * v)
-           - 2.0 * v * v_tt * eval_Ftilde(3, r * v, p))
-    far = r > 1.0
-    if far.any():
-        u = r[far] * v[far] + eval_cutoff("phi", r[far], 0, profile)
+    def rate(v, v_t, v_tt, r):
+        out = (2.0 * p.alpha ** 2 * v_t * v_t * np.cos(2.0 * r * v)
+               - 2.0 * v * v_tt * eval_Ftilde(3, r * v, p))
+        far, u = _u_chart(v, r, profile)
         out[far] = p.alpha ** 2 * (2.0 * np.cos(2.0 * u) * v_t[far] ** 2
                                    + np.sin(2.0 * u) * v_tt[far] / r[far])
-    return out
+        return out
+    return _pointwise(rate, v, v_t, v_tt, r)

@@ -9,7 +9,6 @@ Phi_tt and Phi_ttt identities respectively.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ __all__ = [
     "residual_Phi_tt_wave",
     "residual_Phi_ttt_wave",
     "phi_correction_integral",
-    "bundle_to_csv",
 ]
 
 # Weights reconstructing the node-0 value of a smooth even field from nodes
@@ -136,8 +134,7 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     pts, wts = _unit_samples(_panels_for(math.pi))
     y = math.pi * pts
-    a3 = 1.0 + (p.alpha * np.sin(y)[None, :] / r[:, None]) ** 2
-    return math.pi * (a3 ** -1.5 @ wts)
+    return math.pi * (kernels._a3(y[None, :], r[:, None], p) ** -1.5 @ wts)
 
 
 def compute_Phi(u_state: FieldState, v_state: FieldState,
@@ -160,8 +157,7 @@ def compute_Phi(u_state: FieldState, v_state: FieldState,
         r_in = r[idx_in]
 
         def a4_sqrt(y, sel):
-            rr = r_in[sel][:, None]
-            return np.sqrt(1.0 + y * y * kernels.eval_Ftilde(0, rr * y, p))
+            return np.sqrt(kernels._a4(y, r_in[sel][:, None], p))
 
         out[idx_in] = _grouped_line_integral(v[idx_in], a4_sqrt)
 
@@ -171,9 +167,7 @@ def compute_Phi(u_state: FieldState, v_state: FieldState,
 
         def a3_sqrt(s, sel):
             # y runs from pi toward u along y = pi + s
-            y = math.pi + s
-            rr = r_out[sel][:, None]
-            return np.sqrt(1.0 + (p.alpha * np.sin(y) / rr) ** 2)
+            return np.sqrt(kernels._a3(math.pi + s, r_out[sel][:, None], p))
 
         line = _grouped_line_integral(u[idx_out] - math.pi, a3_sqrt)
         gt1 = eval_cutoff("gt1", r_out, 0, profile)
@@ -241,8 +235,7 @@ def residual_Phi_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> Rad
     r_in = g.r[idx]
 
     def a4_m32(y, sel):
-        rr = r_in[sel][:, None]
-        return (1.0 + y * y * kernels.eval_Ftilde(0, rr * y, p)) ** -1.5
+        return kernels._a4(y, r_in[sel][:, None], p) ** -1.5
 
     correction = np.zeros_like(v)
     correction[idx] = _grouped_line_integral(v[idx], a4_m32)
@@ -301,16 +294,3 @@ def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) ->
            + 4.0 * a1 ** -3 * da1 * ptt[2]
            + (1.0 - a1 ** -2) * pttt[1]) / p.alpha ** 2
     return RadialField(pttt_tt - lap - rhs, "even", g)
-
-
-def bundle_to_csv(bundle: TransformBundle, path):
-    """Multi-column export `r,u,u_t,v,v_t,Phi,Phi_t` (doubles exact)."""
-    from .grid import FLOAT_FMT
-    g = bundle.v.grid
-    cols = [g.r, bundle.u.f.values, bundle.u.f_t.values, bundle.v.f.values,
-            bundle.v.f_t.values, bundle.phi_field.values, bundle.phi_t_field.values]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["r", "u", "u_t", "v", "v_t", "Phi", "Phi_t"])
-        for row in zip(*cols):
-            w.writerow([FLOAT_FMT % x for x in row])

@@ -8,7 +8,6 @@ every derivative the residual operators need has a short closed form.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -17,7 +16,7 @@ import numpy as np
 from . import kernels
 from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, evolve_bundles,
                      make_grid, run, trajectory)
-from .grid import FieldState, RadialField, RadialGrid, sobolev_norm, FLOAT_FMT
+from .grid import FieldState, RadialField, RadialGrid, sobolev_norm, write_csv
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from .transform import (residual_Phi_t_wave, residual_Phi_tt_wave,
                         residual_Phi_ttt_wave, residual_Phi_wave,
@@ -333,14 +332,9 @@ def kernel_series_oracle(j: int, xs, p=DEFAULT_PARAMS) -> np.ndarray:
 
 def study_to_csv(results: dict, path):
     """Flat CSV of (observable, level, n_cells, dr, error, order, ls_order)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["observable", "level", "n_cells", "dr", "error",
-                    "order", "ls_order"])
-        for name in sorted(results):
-            res = results[name]
-            for lev, row in enumerate(res.rows):
-                w.writerow([name, lev, row.n_cells, FLOAT_FMT % row.dr,
-                            FLOAT_FMT % row.error,
-                            "" if math.isnan(row.order) else FLOAT_FMT % row.order,
-                            FLOAT_FMT % res.ls_order])
+    write_csv(path, ["observable", "level", "n_cells", "dr", "error", "order",
+                     "ls_order"],
+              ([name, lev, row.n_cells, row.dr, row.error,
+                "" if math.isnan(row.order) else row.order, results[name].ls_order]
+               for name in sorted(results)
+               for lev, row in enumerate(results[name].rows)))

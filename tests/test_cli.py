@@ -144,6 +144,29 @@ def test_sweep_single_point_matches_plain_run(tmp_path):
     assert a == b
 
 
+def test_sweep_run_writes_what_run_writes(tmp_path):
+    snaps = TINY_GRID + ["--set", "output.snapshot_every=4"]
+    plain = run_dirs(tmp_path, "plain")
+    assert main(["run"] + snaps + ["--out", plain]) == 0
+    sweep_root = run_dirs(tmp_path, "sweep1")
+    assert main(["sweep"] + snaps + ["--sweep", "initial_data.amplitude=0.5",
+                                     "--jobs", "1", "--out", sweep_root]) == 0
+    swept = os.path.join(sweep_root, "run_000")
+    names = sorted(os.listdir(plain))
+    assert sorted(os.listdir(swept)) == names
+    snapshot_files = [n for n in names if n.startswith("snapshot_")]
+    assert len(snapshot_files) == 6  # steps 0, 4, 8: .csv and .meta each
+    for name in snapshot_files:
+        assert (open(os.path.join(plain, name), "rb").read()
+                == open(os.path.join(swept, name), "rb").read())
+
+
+def test_series_terms_above_the_stored_series_is_a_config_error(capsys):
+    rc = main(["run", "--set", "kernels.series_terms=40"])
+    assert rc == 1
+    assert "series_terms must lie in 4..12" in capsys.readouterr().err
+
+
 def test_sweep_grid(tmp_path, capsys):
     root = run_dirs(tmp_path, "sweep2")
     rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",

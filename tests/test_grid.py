@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from faddeevlab.grid import (FieldState, RadialField, RadialGrid, d_r,
-                             field_to_csv, fill_ghosts, integrate_radial,
-                             laplacian, quadrature_1d, sobolev_norm)
+                             fill_ghosts, integrate_radial, laplacian,
+                             quadrature_1d, sobolev_norm, write_csv)
 
 # frozen by a high-precision pre-build quadrature pass
 A3_INTEGRAL_R2 = 2.6636668886261405693
@@ -160,9 +160,12 @@ def test_field_csv_roundtrip(tmp_path):
     g = RadialGrid(32, 4.0)
     f = RadialField(np.sin(g.r) * math.pi, "even", g)
     path = tmp_path / "snap.csv"
-    field_to_csv(f, path)
+    write_csv(path, ["r", "value"], zip(g.r, f.values))
     header = path.read_text().splitlines()[0]
     assert header == "r,value"
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], g.r)
     assert np.array_equal(table[:, 1], f.values)
+    # non-floats pass through as str() writes them; floats keep every digit
+    write_csv(path, ["a", "b", "c", "d", "e"], [["x", 3, True, math.nan, 0.1]])
+    assert path.read_text() == "a,b,c,d,e\nx,3,True,nan,0.10000000000000001\n"

@@ -1,5 +1,6 @@
 """Removable-singularity kernels, cutoffs and the pointwise nonlinearity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile,
                                 KernelParams, cutoff_arrays, dA1_dt, dA1_dtt,
                                 eval_A, eval_cutoff, eval_F_rhs, eval_Ftilde,
-                                eval_N, laplacian_phi_2d, laplacian_phi_4d)
+                                eval_N, laplacian_phi_2d)
+from faddeevlab.grid import FieldState, RadialField, RadialGrid
+from faddeevlab.transform import (compute_Phi, compute_Phi_t, make_bundle,
+                                  residual_Phi_t_wave, residual_Phi_tt_wave,
+                                  residual_Phi_ttt_wave, residual_Phi_wave,
+                                  v_to_u)
 
 LIMITS = {
     0: lambda a: a ** 2,
@@ -68,6 +74,10 @@ def test_kernel_params_validation():
         KernelParams(x_switch=0.0)
     with pytest.raises(ValueError):
         KernelParams(series_terms=3)
+    # 12 Taylor terms are stored: more cannot be honoured
+    assert KernelParams(series_terms=12).series_terms == 12
+    with pytest.raises(ValueError, match="series_terms must lie in 4..12"):
+        KernelParams(series_terms=13)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +139,10 @@ def test_cutoff_derivatives_match_finite_differences(which, rs, profile):
 def test_laplacian_phi_supported_on_transition_shell(profile):
     r = np.array([0.0, 0.5, 0.999, 2.001, 4.0])
     assert np.array_equal(laplacian_phi_2d(r, profile), np.zeros(5))
-    assert np.array_equal(laplacian_phi_4d(r, profile), np.zeros(5))
     r = 1.5
     d1 = _fd4(lambda x: eval_cutoff("phi", x, 0, profile), r, 1e-3)
     d2 = _fd4(lambda x: eval_cutoff("phi", x, 1, profile), r, 1e-3)
     assert laplacian_phi_2d(r, profile) == pytest.approx(d2 + d1 / r, abs=1e-8)
-    assert laplacian_phi_4d(r, profile) == pytest.approx(d2 + 3 * d1 / r, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +263,84 @@ def test_F_hot_path_matches_wrapper(params, profile):
     cut = cutoff_arrays(r, profile)
     assert np.array_equal(eval_F_given_cutoffs(v, vt, vr, r, cut, params),
                           eval_F_rhs(v, vt, vr, r, params, profile))
+
+
+# ---------------------------------------------------------------------------
+# bitwise guards: refactors of the evaluators must keep every byte
+
+
+# sha256 of the float64 bytes of each output below (numpy 2.4 on x86-64).
+# A refactor of the evaluators keeps every one; a change here is a change
+# of numerics and needs its own argued entry in CHANGES.md.
+BITWISE_PINS = {
+    "eval_A1": "d54c3f8fce46a9ebf2e8ca3d82b95b7c77369050c3ddd2a212f379765c140b60",
+    "eval_A3": "d54c3f8fce46a9ebf2e8ca3d82b95b7c77369050c3ddd2a212f379765c140b60",
+    "eval_A4": "0b03bbaf0dac0cd0f8c8bcdb4ce29ced9aaf199db7fc8354ad6121a0d11a4e28",
+    "eval_A5": "8ca99f5bdc37d442a7d7d58b756398b3bf464b67a770cffc6cb20059a13937cd",
+    "eval_N": "7a2241b88da4f2c169256af9804e100f85ec66ce8ba51f85a8bec1627093a765",
+    "dA1_dt": "a0c41d813c617ca390527b148a1bd04654597fc8d24b765114313658b24517d0",
+    "dA1_dtt": "863d9b7d5b650e4e6a35d7eef0a6df48f79cf36cbf9ce69e1904c35711d9121b",
+    "eval_F_rhs": "628acd584ae9c9351a22274d891f5b541e590d7425cfa36f9581761389258742",
+    "laplacian_phi_2d": "1822f01a3f4357da5f9bb87e6bbc32c9f5aee399c7616637e51815e866b9db47",
+    "cutoff_phi": "5d188424b57c277647f0d2139c5217413ab97a848137c9a6b3fd17e337366081",
+    "cutoff_dphi": "a03c8025680cd089ab4e807aaa1680c9e284db2eb8cca8a84b3a25d041a30c20",
+    "cutoff_lt1": "45c20247771924c6ae35c26cc5c0344146a6d380d96cf9e598176b2a2456fc98",
+    "cutoff_gt1": "dca3821bd022671296c3bda5b8b30dbd2c632ebc7ddfb5fc493576c5dfc28f10",
+    "cutoff_lap2phi": "1822f01a3f4357da5f9bb87e6bbc32c9f5aee399c7616637e51815e866b9db47",
+    "compute_Phi": "2ca6dfdc0a47dba09c721cb877b0f692594953e8a5ae26b38a98614004a88fa4",
+    "compute_Phi_t": "00be72e352009164fabd0950598bba526940cc79282042141e81949b56e6f271",
+    "residual_Phi": "8a1472ccc1898fc22be58a0345f5b562037242b7cffbaf0e4abc1f0dbd3403b7",
+    "residual_Phi_t": "b71f4ec5bed1f89bacc71a63df042d481b18d5ccbe944b6b5c9e6c694a1e770e",
+    "residual_Phi_tt": "0b580e88f548f5931e097bfbd15a05c2713715385f41045cb4dfaf30d771314b",
+    "residual_Phi_ttt": "50698a1061158896c63e6e1fff0101069c082eac38c79ae5b08796315ae9f138",
+}
+
+
+def _bitwise_outputs():
+    # r spans the origin-safe chart (r <= 1), the u chart (r > 1) and the
+    # shell; alpha != 1 so that the placement of alpha shows in the bytes
+    rng = np.random.default_rng(0)
+    n = 257
+    r = np.sort(rng.uniform(0.01, 3.0, n))
+    y, vt, vr, vtt = (rng.uniform(-2.0, 2.0, n) for _ in range(4))
+    p = KernelParams(alpha=0.7)
+    out = {f"eval_A{w}": eval_A(w, y, r, p) for w in (1, 3, 4, 5)}
+    out["eval_N"] = eval_N(y, vt, vr, r, p)
+    out["dA1_dt"] = dA1_dt(y, vt, r, p)
+    out["dA1_dtt"] = dA1_dtt(y, vt, vtt, r, p)
+    out["eval_F_rhs"] = eval_F_rhs(y, vt, vr, r, p)
+    out["laplacian_phi_2d"] = laplacian_phi_2d(r)
+    for key, col in cutoff_arrays(r).items():
+        out[f"cutoff_{key}"] = col
+    # seven equally spaced time levels of a Gaussian drifting in amplitude
+    g = RadialGrid(64, 4.0)
+    env = np.exp(-g.r ** 2)
+    a, b = rng.uniform(0.2, 0.4), rng.uniform(-0.3, 0.3)
+    dt = 0.01
+    bundles = [make_bundle(FieldState(RadialField((a + b * k * dt) * env, "even", g),
+                                      RadialField(b * env, "even", g), k * dt), p)
+               for k in range(7)]
+    st = bundles[3].v
+    out["compute_Phi"] = compute_Phi(v_to_u(st), st, p).values
+    out["compute_Phi_t"] = compute_Phi_t(v_to_u(st), p, v_state=st).values
+    out["residual_Phi"] = residual_Phi_wave(bundles[2:5], p).values
+    out["residual_Phi_t"] = residual_Phi_t_wave(bundles[2:5], p).values
+    out["residual_Phi_tt"] = residual_Phi_tt_wave(bundles[1:6], p).values
+    out["residual_Phi_ttt"] = residual_Phi_ttt_wave(bundles, p).values
+    return out
+
+
+def test_evaluators_are_bitwise_pinned():
+    got = {key: hashlib.sha256(np.asarray(val, dtype=np.float64).tobytes()).hexdigest()
+           for key, val in _bitwise_outputs().items()}
+    assert got == BITWISE_PINS
+
+
+def test_scalar_input_gives_a_python_float(params, profile):
+    values = [eval_Ftilde(j, 0.3, params) for j in range(5)]
+    values += [eval_cutoff(which, 1.3, order, profile)
+               for which in ("phi", "lt1", "gt1") for order in (0, 1, 2)]
+    values += [laplacian_phi_2d(1.5, profile), laplacian_phi_2d(0.0, profile)]
+    values += [eval_A(which, 0.4, 1.5, params, profile) for which in (1, 3, 4, 5)]
+    values += [eval_F_rhs(0.4, 0.3, -0.2, r, params, profile) for r in (0.0, 0.7, 1.5)]
+    assert all(type(v) is float for v in values)

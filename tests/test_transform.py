@@ -10,7 +10,7 @@ from faddeevlab.grid import (FieldState, RadialField, RadialGrid,
                              quadrature_1d)
 from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, eval_A,
                                 eval_cutoff)
-from faddeevlab.transform import (bundle_to_csv, compute_Phi, compute_Phi_t,
+from faddeevlab.transform import (compute_Phi, compute_Phi_t,
                                   make_bundle, residual_Phi_t_wave,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
                                   residual_Phi_wave, residual_v_equation,
@@ -243,16 +243,3 @@ def test_tt_residual_is_time_derivative_of_t_residual(grid128):
 
     m1, m2 = mismatch(2e-3), mismatch(1e-3)
     assert m1 / m2 >= 3.0
-
-
-def test_bundle_csv_export(tmp_path, grid128):
-    b = make_bundle(gaussian_v_state(grid128, amp=0.2, amp_t=0.1),
-                    DEFAULT_PARAMS, DEFAULT_PROFILE)
-    path = tmp_path / "bundle.csv"
-    bundle_to_csv(b, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,u,u_t,v,v_t,Phi,Phi_t"
-    assert len(lines) == grid128.n_nodes + 1
-    table = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(table[:, 3], b.v.f.values)
-    assert np.array_equal(table[:, 5], b.phi_field.values)
