@@ -10,11 +10,11 @@ peak continuation monitors.
 """
 
 import argparse
-import csv
 import math
 from dataclasses import replace
 
 from faddeevlab.evolve import InitialDataSpec, RunConfig, run
+from faddeevlab.grid import write_csv
 from faddeevlab.verify import pairwise_orders
 
 
@@ -74,10 +74,8 @@ def main():
               f"{r['peak_monitor_vt']:.3e} {r['peak_monitor_gradv']:.3e}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
+        header = list(rows[0])
+        write_csv(args.out, header, ([r[k] for k in header] for r in rows))
         print(f"wrote {args.out}")
 
 

@@ -25,7 +25,7 @@ from .evolve import (CONFIG_TABLE, RunConfig, config_from_items, config_items,
 from .grid import FieldState, RadialField, RadialGrid, write_csv
 from .transform import _grouped_line_integral, compute_Phi, compute_Phi_t, v_to_u
 from .verify import (ManufacturedSolution, convergence_study, kernel_limit,
-                     kernel_series_oracle, manufactured_config, study_to_csv)
+                     kernel_series_oracle, manufactured_config)
 
 __all__ = ["main", "load_config", "write_effective_config", "ConfigError"]
 

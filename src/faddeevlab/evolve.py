@@ -89,7 +89,6 @@ class RunConfig:
     r_max: float = 16.0
     t_end: float = 5.0
     cfl: float = 0.25
-    integrator: str = "rk4"
     sponge: SpongeSpec = field(default_factory=SpongeSpec)
     initial: InitialDataSpec = field(default_factory=InitialDataSpec)
     kernel_params: KernelParams = field(default_factory=KernelParams)
@@ -101,19 +100,20 @@ class RunConfig:
     sobolev_orders: tuple = (1, 2, 3, 4)
     track_spacetime: bool = True
     decay_s_proxy: int = 2
-    ghost_mode: str = "parity"
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.integrator != "rk4":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.sponge.start >= self.r_max:
             raise ValueError("sponge start must lie inside the domain")
         if self.output_every < 1:
             raise ValueError("output cadence must be >= 1 step")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be >= 0 (0 writes no snapshots)")
+        if any(s not in (0, 1, 2, 3, 4) for s in self.sobolev_orders):
+            raise ValueError(f"sobolev_orders must lie in 0..4, got {self.sobolev_orders}")
 
 
 @dataclass
@@ -153,7 +153,6 @@ CONFIG_TABLE = (
     ("grid.r_max", "r_max", float),
     ("integrator.t_end", "t_end", float),
     ("integrator.cfl", "cfl", float),
-    ("integrator.integrator", "integrator", str),
     ("integrator.sponge_start", "sponge.start", float),
     ("integrator.sponge_strength", "sponge.strength", float),
     ("initial_data.family", "initial.family", str),
@@ -173,7 +172,6 @@ CONFIG_TABLE = (
     ("diagnostics.drift_ceiling", "drift_ceiling", float),
     ("diagnostics.decay_s_proxy", "decay_s_proxy", int),
     ("diagnostics.track_spacetime", "track_spacetime", _bool),
-    ("diagnostics.ghost_mode", "ghost_mode", str),
     ("diagnostics.sobolev_orders", "sobolev_orders", _orders),
     ("output.snapshot_every", "snapshot_every", int),
     ("output.dir", None, str),
@@ -252,58 +250,54 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
     return sig
 
 
-def _rhs_arrays(v, vt, t, grid, cut, sig, p, mode, forcing):
-    # cut=None drops the nonlinearity entirely (free-wave benchmark path).
-    vr, lap = _d1_laplacian(v, grid, mode)
-    if cut is None:
-        acc = lap
-    else:
-        acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, grid.r, cut, p)
-    if sig is not None:
-        acc -= sig * vt
-    if forcing is not None:
-        acc += forcing(t)
-    return vt, acc
-
-
-def _operator(grid, p, profile, sig, mode, forcing, nonlinear=True):
-    """The arguments after (v, vt, t[, dt]) of _rhs_arrays and _rk4 on one
-    grid; nonlinear=False passes cut=None."""
+def _operator(grid, p, profile, sig, forcing, nonlinear=True):
+    """The right-hand side f(v, vt, t) -> (vt, acc) of the lifted equation on
+    one grid; nonlinear=False drops F (free-wave benchmark path)."""
     cut = (kernels.cutoff_arrays(grid.r, profile or DEFAULT_PROFILE)
            if nonlinear else None)
-    return grid, cut, sig, p or DEFAULT_PARAMS, mode, forcing
+    p = p or DEFAULT_PARAMS
+
+    def f(v, vt, t):
+        vr, lap = _d1_laplacian(v, grid)
+        if cut is None:
+            acc = lap
+        else:
+            acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, grid.r, cut, p)
+        if sig is not None:
+            acc -= sig * vt
+        if forcing is not None:
+            acc += forcing(t)
+        return vt, acc
+
+    return f
 
 
-def rhs(state: FieldState, p=None, profile=None, sponge=None,
-        mode="parity", forcing=None):
+def rhs(state: FieldState, p=None, profile=None, sponge=None, forcing=None):
     """(dv/dt, dv_t/dt) for the lifted equation; returns a pair of arrays."""
-    dv, dvt = _rhs_arrays(state.f.values, state.f_t.values, state.time,
-                          *_operator(state.grid, p, profile, sponge, mode, forcing))
+    f = _operator(state.grid, p, profile, sponge, forcing)
+    dv, dvt = f(state.f.values, state.f_t.values, state.time)
     if not (np.all(np.isfinite(dvt)) and np.all(np.isfinite(dv))):
         raise FloatingPointError("non-finite right-hand side (blow-up candidate)")
     return dv, dvt
 
 
-def _rk4(v, vt, t, dt, grid, cut, sig, p, mode, forcing):
-    k1v, k1a = _rhs_arrays(v, vt, t, grid, cut, sig, p, mode, forcing)
-    k2v, k2a = _rhs_arrays(v + 0.5 * dt * k1v, vt + 0.5 * dt * k1a,
-                           t + 0.5 * dt, grid, cut, sig, p, mode, forcing)
-    k3v, k3a = _rhs_arrays(v + 0.5 * dt * k2v, vt + 0.5 * dt * k2a,
-                           t + 0.5 * dt, grid, cut, sig, p, mode, forcing)
-    k4v, k4a = _rhs_arrays(v + dt * k3v, vt + dt * k3a,
-                           t + dt, grid, cut, sig, p, mode, forcing)
+def _rk4(f, v, vt, t, dt):
+    k1v, k1a = f(v, vt, t)
+    k2v, k2a = f(v + 0.5 * dt * k1v, vt + 0.5 * dt * k1a, t + 0.5 * dt)
+    k3v, k3a = f(v + 0.5 * dt * k2v, vt + 0.5 * dt * k2a, t + 0.5 * dt)
+    k4v, k4a = f(v + dt * k3v, vt + dt * k3a, t + dt)
     return (v + dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
             vt + dt / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a))
 
 
 def step(state: FieldState, dt: float, p=None, profile=None, cfl=0.25,
-         sponge=None, mode="parity", forcing=None) -> FieldState:
+         sponge=None, forcing=None) -> FieldState:
     """One RK4 step; rejects dt above the CFL bound cfl * dr."""
     g = state.grid
     if dt > cfl * g.dr * (1.0 + 1e-12):
         raise ValueError(f"CFL violation: dt={dt} exceeds {cfl} * dr = {cfl * g.dr}")
-    v, vt = _rk4(state.f.values, state.f_t.values, state.time, dt,
-                 *_operator(g, p, profile, sponge, mode, forcing))
+    v, vt = _rk4(_operator(g, p, profile, sponge, forcing),
+                 state.f.values, state.f_t.values, state.time, dt)
     return FieldState(RadialField(v, "even", g), RadialField(vt, "even", g),
                       state.time + dt)
 
@@ -325,14 +319,13 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     g = make_grid(config)
     state = state if state is not None else initial_state(config)
     sig = sponge_sigma(g, config.sponge)
-    op = _operator(g, config.kernel_params, config.profile,
-                   sig if sig.any() else None, config.ghost_mode, forcing,
-                   nonlinear)
+    f = _operator(g, config.kernel_params, config.profile,
+                  sig if sig.any() else None, forcing, nonlinear)
     nsteps, dt = _schedule(config)
     v, vt = state.f.values.copy(), state.f_t.values.copy()
     yield 0, 0.0, v, vt
     for k in range(1, nsteps + 1):
-        v, vt = _rk4(v, vt, (k - 1) * dt, dt, *op)
+        v, vt = _rk4(f, v, vt, (k - 1) * dt, dt)
         yield k, k * dt, v, vt
 
 

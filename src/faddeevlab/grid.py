@@ -9,7 +9,7 @@ r^(dim-1) dr with dim 2 or 4.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -104,22 +104,11 @@ class FieldState:
         return self.f.grid
 
 
-def fill_ghosts(values, parity, grid, mode="parity"):
-    """Extend node values through the origin by parity reflection.
-
-    mode="order1" is a verification fixture: it perturbs the k-th ghost by
-    (k*dr)^3, which makes the fill only first-order consistent so that
-    convergence studies can detect a deliberately broken scheme.
-    """
+def fill_ghosts(values, parity, grid):
+    """Extend node values through the origin by parity reflection."""
     g = grid.ghost
     sign = 1.0 if parity == "even" else -1.0
-    ext = np.concatenate((sign * values[g:0:-1], values))
-    if mode == "order1":
-        k = np.arange(g, 0, -1)
-        ext[:g] = ext[:g] + (k * grid.dr) ** 3
-    elif mode != "parity":
-        raise ValueError(f"unknown ghost mode {mode!r}")
-    return ext
+    return np.concatenate((sign * values[g:0:-1], values))
 
 
 # One-sided 4th-order rows for the outer edge, applied to the last nodes in
@@ -134,10 +123,10 @@ _D2_EDGE = np.array([
 ]) / 12.0
 
 
-def _d1_values(values, parity, grid, mode):
+def _d1_values(values, parity, grid):
     g, h = grid.ghost, grid.dr
     n = grid.n_cells
-    ext = fill_ghosts(values, parity, grid, mode)
+    ext = fill_ghosts(values, parity, grid)
     out = np.empty_like(values)
     out[: n - 1] = (ext[g - 2:g + n - 3] - 8.0 * ext[g - 1:g + n - 2]
                     + 8.0 * ext[g + 1:g + n] - ext[g + 2:g + n + 1]) / (12.0 * h)
@@ -146,10 +135,10 @@ def _d1_values(values, parity, grid, mode):
     return out
 
 
-def _d2_values(values, parity, grid, mode):
+def _d2_values(values, parity, grid):
     g, h = grid.ghost, grid.dr
     n = grid.n_cells
-    ext = fill_ghosts(values, parity, grid, mode)
+    ext = fill_ghosts(values, parity, grid)
     out = np.empty_like(values)
     out[: n - 1] = (-ext[g - 2:g + n - 3] + 16.0 * ext[g - 1:g + n - 2]
                     - 30.0 * ext[g:g + n - 1] + 16.0 * ext[g + 1:g + n]
@@ -159,41 +148,41 @@ def _d2_values(values, parity, grid, mode):
     return out
 
 
-def d_r(f: RadialField, order: int = 1, mode: str = "parity") -> RadialField:
+def d_r(f: RadialField, order: int = 1) -> RadialField:
     """4th-order radial derivative (order 1 or 2) with parity ghosts."""
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
     if f.grid.n_nodes < 7:
         raise ValueError("grid too small for 4th-order stencils")
     if order == 1:
-        vals = _d1_values(f.values, f.parity, f.grid, mode)
+        vals = _d1_values(f.values, f.parity, f.grid)
         parity = "odd" if f.parity == "even" else "even"
     else:
-        vals = _d2_values(f.values, f.parity, f.grid, mode)
+        vals = _d2_values(f.values, f.parity, f.grid)
         parity = f.parity
     return RadialField(vals, parity, f.grid)
 
 
-def _d1_laplacian(values, grid, mode):
+def _d1_laplacian(values, grid):
     """(d1, lap) of even node values: the first derivative and the radial
     Laplacian f'' + (dim-1) f'/r with the r=0 column replaced by its limit
     dim*f''(0)."""
-    d1 = _d1_values(values, "even", grid, mode)
-    d2 = _d2_values(values, "even", grid, mode)
+    d1 = _d1_values(values, "even", grid)
+    d2 = _d2_values(values, "even", grid)
     lap = np.empty_like(values)
     lap[0] = grid.dim * d2[0]
     lap[1:] = d2[1:] + (grid.dim - 1) * d1[1:] / grid.r[1:]
     return d1, lap
 
 
-def laplacian(f: RadialField, mode: str = "parity") -> RadialField:
+def laplacian(f: RadialField) -> RadialField:
     """Radial Laplacian f'' + (dim-1) f'/r with the r=0 column replaced by
     its limit dim*f''(0). Defined on even fields only."""
     if f.parity != "even":
         raise ValueError("laplacian is only evaluated on even-parity fields")
     if f.grid.n_nodes < 7:
         raise ValueError("grid too small for 4th-order stencils")
-    return RadialField(_d1_laplacian(f.values, f.grid, mode)[1], "even", f.grid)
+    return RadialField(_d1_laplacian(f.values, f.grid)[1], "even", f.grid)
 
 
 def _simpson(y, h):

@@ -198,12 +198,12 @@ def make_bundle(v_state: FieldState, p=DEFAULT_PARAMS,
 
 
 def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
-                        profile=DEFAULT_PROFILE, mode="parity") -> RadialField:
+                        profile=DEFAULT_PROFILE) -> RadialField:
     """Nodewise v_tt - lap4 v - F(v); v_tt supplied by caller (array or field)."""
     g = v_state.grid
     vtt = v_tt.values if isinstance(v_tt, RadialField) else np.asarray(v_tt, dtype=float)
-    lap = laplacian(v_state.f, mode).values
-    vr = d_r(v_state.f, 1, mode).values
+    lap = laplacian(v_state.f).values
+    vr = d_r(v_state.f, 1).values
     f = kernels.eval_F_given_cutoffs(v_state.f.values, v_state.f_t.values, vr,
                                      g.r, kernels.cutoff_arrays(g.r, profile), p)
     return RadialField(vtt - lap - f, "even", g)

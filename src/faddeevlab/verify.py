@@ -72,10 +72,6 @@ class ManufacturedSolution:
         r = np.asarray(r, dtype=float)
         return -2.0 * r / self.sigma ** 2 * self.v(t, r)
 
-    def v_rr(self, t, r):
-        r = np.asarray(r, dtype=float)
-        return (4.0 * r ** 2 / self.sigma ** 4 - 2.0 / self.sigma ** 2) * self.v(t, r)
-
     def lap4(self, t, r):
         """4D radial Laplacian of v, exact: (4r^2/s^4 - 8/s^2) v."""
         r = np.asarray(r, dtype=float)
@@ -185,12 +181,6 @@ def _build_result(observable, ns, drs, errors) -> StudyResult:
     return StudyResult(observable, rows, fit_order(drs, errors), mono)
 
 
-def _sup_interior(res_field: RadialField, frac=0.9) -> float:
-    g = res_field.grid
-    m = g.r <= frac * g.r_max
-    return float(np.max(np.abs(res_field.values[m])))
-
-
 def _res_norm(res_field: RadialField) -> float:
     """Residual size as L2 with the radial measure r^3 dr. The origin weight
     matters: evolved trajectories carry slowly-decaying grid-scale ringing
@@ -201,7 +191,6 @@ def _res_norm(res_field: RadialField) -> float:
 
 
 _RESIDUAL_EVALUATORS = {
-    "residual_v": None,  # handled separately (operator on exact states)
     "residual_Phi": (residual_Phi_wave, 3),
     "residual_Phi_t": (residual_Phi_t_wave, 3),
     "residual_Phi_tt": (residual_Phi_tt_wave, 5),
@@ -223,15 +212,14 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     Non-monotone error sequences are flagged on the result, not raised."""
     if levels < 3:
         raise ValueError("a refinement study needs at least 3 nested levels")
-    known = {"solution", "drift"} | set(_RESIDUAL_EVALUATORS)
+    known = {"solution", "drift", "residual_v"} | set(_RESIDUAL_EVALUATORS)
     unknown = [o for o in observables if o not in known]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; choose from {sorted(known)}")
     wants_run = any(o in ("solution", "drift") for o in observables)
     if ms is None and ("solution" in observables or "residual_v" in observables):
         raise ValueError("solution/residual_v errors need a manufactured reference")
-    window_obs = [o for o in observables if o in _RESIDUAL_EVALUATORS and
-                  o != "residual_v"]
+    window_obs = [o for o in observables if o in _RESIDUAL_EVALUATORS]
     errs = {o: [] for o in observables}
     ns, drs = [], []
     for lev in range(levels):

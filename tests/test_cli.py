@@ -167,6 +167,21 @@ def test_series_terms_above_the_stored_series_is_a_config_error(capsys):
     assert "series_terms must lie in 4..12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,setting,message", [
+    (["run"], "output.snapshot_every=-4", "snapshot_every must be >= 0"),
+    (["run"], "diagnostics.sobolev_orders=1,5", "sobolev_orders must lie in 0..4"),
+    (["sweep", "--sweep", "initial_data.amplitude=0.1,0.3"],
+     "diagnostics.sobolev_orders=1,5", "sobolev_orders must lie in 0..4"),
+])
+def test_out_of_range_setting_fails_before_the_run(tmp_path, capsys, command,
+                                                   setting, message):
+    out = tmp_path / "out"
+    rc = main(command + TINY + ["--set", setting, "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_grid(tmp_path, capsys):
     root = run_dirs(tmp_path, "sweep2")
     rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",
@@ -243,12 +258,11 @@ def test_readme_defaults_block_matches_the_dataclasses(tmp_path):
     assert load_config(str(path)) == (RunConfig(), "faddeev_out")
 
 
-# one valid non-default text per settable key; rk4 is the only integrator
+# one valid non-default text per settable key
 NON_DEFAULT = {
     "grid.n_cells": "96", "grid.r_max": "8.5",
     "integrator.t_end": "1.5", "integrator.cfl": "0.125",
-    "integrator.integrator": "rk4", "integrator.sponge_start": "7.0",
-    "integrator.sponge_strength": "2.5",
+    "integrator.sponge_start": "7.0", "integrator.sponge_strength": "2.5",
     "initial_data.family": "profile_u", "initial_data.amplitude": "0.1",
     "initial_data.center": "0.75", "initial_data.width": "0.3",
     "initial_data.amplitude_t": "-0.2", "initial_data.center_t": "1.25",
@@ -257,15 +271,15 @@ NON_DEFAULT = {
     "kernels.series_terms": "6", "kernels.cutoff_order": "9",
     "diagnostics.output_every": "5", "diagnostics.monitor_ceiling": "1e3",
     "diagnostics.drift_ceiling": "0.5", "diagnostics.decay_s_proxy": "3",
-    "diagnostics.track_spacetime": "false", "diagnostics.ghost_mode": "order1",
-    "diagnostics.sobolev_orders": "", "output.snapshot_every": "7",
+    "diagnostics.track_spacetime": "false", "diagnostics.sobolev_orders": "",
+    "output.snapshot_every": "7",
     "output.dir": "elsewhere",
 }
 
 
 def test_config_table_lists_each_settable_key_once():
     keys = [key for key, _, _ in CONFIG_TABLE]
-    assert len(keys) == len(set(keys)) == 28
+    assert len(keys) == len(set(keys)) == 26
     assert set(keys) == set(NON_DEFAULT)
 
 
@@ -274,7 +288,7 @@ def test_every_config_key_round_trips(tmp_path, key):
     config, out_dir = load_config(None, [f"{key}={NON_DEFAULT[key]}"])
     if key == "output.dir":
         assert out_dir == "elsewhere"
-    elif key != "integrator.integrator":
+    else:
         assert config != RunConfig()
     out_dir = out_dir or "faddeev_out"
     path = tmp_path / "effective_config.ini"

@@ -54,9 +54,10 @@ def lean(**kw):
     dict(cfl=0.0),
     dict(t_end=0.0),
     dict(t_end=-1.0),
-    dict(integrator="euler"),
+    dict(snapshot_every=-4),
     dict(sponge=SpongeSpec(start=20.0), r_max=16.0),
     dict(output_every=0),
+    dict(sobolev_orders=(1, 5)),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ValueError):
@@ -90,7 +91,7 @@ def test_config_fingerprint_stability():
 def test_default_fingerprint_is_pinned():
     """The flattened key order and value text feed the fingerprint, so a
     pinned default value guards both."""
-    assert config_fingerprint(RunConfig()) == "f3180fe1c671c994"
+    assert config_fingerprint(RunConfig()) == "90d300e33c89a79d"
 
 
 def test_config_items_cover_every_section():

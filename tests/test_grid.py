@@ -55,17 +55,6 @@ def test_ghost_fill_is_exact_parity():
     ext = fill_ghosts(s, "odd", g)
     for k in range(1, g.ghost + 1):
         assert ext[g.ghost - k] == -ext[g.ghost + k]
-    with pytest.raises(ValueError):
-        fill_ghosts(f, "even", g, mode="cubic")
-
-
-def test_ghost_fill_order1_fixture_perturbs():
-    g = RadialGrid(16, 2.0)
-    f = np.cos(g.r)
-    clean = fill_ghosts(f, "even", g, mode="parity")
-    broken = fill_ghosts(f, "even", g, mode="order1")
-    assert np.any(broken[:g.ghost] != clean[:g.ghost])
-    assert np.array_equal(broken[g.ghost:], clean[g.ghost:])
 
 
 def test_d_r_polynomial_exactness():

@@ -7,6 +7,7 @@ import pytest
 
 from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid,
                                trajectory)
+from faddeevlab import grid
 from faddeevlab.grid import RadialGrid
 from faddeevlab.kernels import eval_F_rhs, eval_Ftilde
 from faddeevlab.verify import (
@@ -115,12 +116,21 @@ def test_linear_wave_study_is_fourth_order():
     assert lin.rows[0].error < 1e-4
 
 
-def test_broken_ghost_fill_is_detectable():
-    """The order1 fixture leaves the r^3-weighted L2 error almost alone
+def test_broken_ghost_fill_is_detectable(monkeypatch):
+    """A ghost fill perturbed by (k*dr)^3 at the k-th ghost is only
+    first-order consistent. It leaves the r^3-weighted L2 error almost alone
     (zero weight at the origin) but shows up as an O(dr) sup-norm error
     at r = 0; measured inflation 137x at n = 256."""
-    def sup_origin_error(n, mode):
-        cfg = RunConfig(n_cells=n, r_max=8.0, t_end=0.5, ghost_mode=mode,
+    parity_fill = grid.fill_ghosts
+
+    def first_order_fill(values, parity, g):
+        ext = parity_fill(values, parity, g)
+        k = np.arange(g.ghost, 0, -1)
+        ext[:g.ghost] = ext[:g.ghost] + (k * g.dr) ** 3
+        return ext
+
+    def sup_origin_error(n):
+        cfg = RunConfig(n_cells=n, r_max=8.0, t_end=0.5,
                         sponge=SpongeSpec(strength=0.0))
         g = make_grid(cfg)
         force = make_forcing(MS, g, include_nonlinearity=False)
@@ -129,8 +139,9 @@ def test_broken_ghost_fill_is_detectable():
             pass
         return float(np.max(np.abs(v - MS.v(0.5, g.r))))
 
-    healthy = {n: sup_origin_error(n, "parity") for n in (128, 256)}
-    broken = {n: sup_origin_error(n, "order1") for n in (128, 256)}
+    healthy = {n: sup_origin_error(n) for n in (128, 256)}
+    monkeypatch.setattr(grid, "fill_ghosts", first_order_fill)
+    broken = {n: sup_origin_error(n) for n in (128, 256)}
     assert broken[256] / healthy[256] >= 50.0
     order_healthy = math.log2(healthy[128] / healthy[256])
     order_broken = math.log2(broken[128] / broken[256])
