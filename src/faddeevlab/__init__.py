@@ -18,8 +18,8 @@ from .diagnostics import (DiagnosticsRecord, energy, energy_drift,
                           spacetime_norm, SpacetimeTracker,
                           write_diagnostics_csv)
 from .evolve import (InitialDataSpec, SpongeSpec, RunConfig, RunResult,
-                     make_grid, initial_state, sponge_sigma, rhs, step,
-                     trajectory, run, evolve_bundles, detect_blowup,
+                     make_grid, initial_state, sponge_sigma, trajectory, run,
+                     evolve_bundles, detect_blowup,
                      config_fingerprint, write_checkpoint)
 from .verify import (ManufacturedSolution, manufactured_initial_state,
                      manufactured_config, make_forcing, solution_error,

@@ -23,7 +23,8 @@ from . import kernels
 from .evolve import (CONFIG_TABLE, RunConfig, config_from_items, config_items,
                      initial_state, run, write_checkpoint)
 from .grid import FieldState, RadialField, RadialGrid, write_csv
-from .transform import _grouped_line_integral, compute_Phi, compute_Phi_t, v_to_u
+from .transform import (_grouped_line_integral, compute_Phi, compute_Phi_t,
+                        u_to_v, v_to_u)
 from .verify import (ManufacturedSolution, convergence_study, kernel_limit,
                      kernel_series_oracle, manufactured_config)
 
@@ -126,7 +127,7 @@ def cmd_run(args) -> int:
     config, out_dir = _load(args)
     try:
         result = run(config)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 1
     _write_run(result, out_dir)
@@ -204,15 +205,14 @@ def _suite_transforms(rows, p, profile):
     err = float(np.max(np.abs(inner - outer)))
     rows.append(("transforms", "phi_branch_seam", err, 1e-10, err <= 1e-10))
 
-    from .transform import u_to_v, v_to_u as _v2u
     gv = RadialGrid(256, 8.0, dim=4)
     state = FieldState(RadialField(0.2 * np.exp(-gv.r ** 2), "even", gv),
                        RadialField(0.1 * np.exp(-gv.r ** 2), "even", gv), 0.0)
-    back = u_to_v(_v2u(state, profile), profile)
+    back = u_to_v(v_to_u(state, profile), profile)
     err = float(np.max(np.abs(back.f.values - state.f.values)))
     rows.append(("transforms", "chart_roundtrip", err, 1e-9, err <= 1e-9))
 
-    u_state = _v2u(state, profile)
+    u_state = v_to_u(state, profile)
     phi_t = compute_Phi_t(u_state, p, profile, state)
     errs = []
     for dt in (1e-3, 5e-4):
@@ -220,8 +220,8 @@ def _suite_transforms(rows, p, profile):
                           state.f_t, dt)
         minus = FieldState(state.f.with_values(state.f.values - dt * state.f_t.values),
                            state.f_t, -dt)
-        pp = compute_Phi(_v2u(plus, profile), plus, p, profile)
-        pm = compute_Phi(_v2u(minus, profile), minus, p, profile)
+        pp = compute_Phi(v_to_u(plus, profile), plus, p, profile)
+        pm = compute_Phi(v_to_u(minus, profile), minus, p, profile)
         fd = (pp.values - pm.values) / (2 * dt)
         errs.append(float(np.max(np.abs(fd - phi_t.values))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0) if errs[1] > 0 else float("nan")

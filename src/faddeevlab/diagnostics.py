@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FieldState, RadialField, d_r, integrate_radial, sobolev_norm,
-                   write_csv)
+from .grid import (FieldState, RadialField, _simpson, d_r, integrate_radial,
+                   sobolev_norm, write_csv)
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
+from .transform import u_to_v
 
 __all__ = [
     "DiagnosticsRecord",
@@ -59,7 +60,6 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     field v; differencing u directly across the C^3 cutoff seams costs two
     orders there and shows up as an O(h^3) energy bias.
     """
-    from .transform import u_to_v
     if v_state is None:
         v_state = u_to_v(u_state, profile)
         u_r = d_r(u_state.f, 1).values
@@ -85,10 +85,7 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     if not return_tail:
         return total
     k = max(4, g.n_cells // 10)
-    tail_field = RadialField(np.abs(density), "even", g)
-    tail_vals = tail_field.values * r
-    from .grid import _simpson
-    tail = _simpson(tail_vals[-(k + 1):], g.dr)
+    tail = _simpson((np.abs(density) * r)[-(k + 1):], g.dr)
     denom = abs(total) if total != 0.0 else 1.0
     return total, tail / denom
 

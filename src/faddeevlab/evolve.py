@@ -33,8 +33,6 @@ __all__ = [
     "make_grid",
     "initial_state",
     "sponge_sigma",
-    "rhs",
-    "step",
     "trajectory",
     "run",
     "evolve_bundles",
@@ -102,6 +100,9 @@ class RunConfig:
     decay_s_proxy: int = 2
 
     def __post_init__(self):
+        for key, value in config_items(self):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.t_end <= 0.0:
@@ -114,6 +115,7 @@ class RunConfig:
             raise ValueError("snapshot_every must be >= 0 (0 writes no snapshots)")
         if any(s not in (0, 1, 2, 3, 4) for s in self.sobolev_orders):
             raise ValueError(f"sobolev_orders must lie in 0..4, got {self.sobolev_orders}")
+        make_grid(self)  # the grid's own rules: n_cells >= 6, r_max > 0
 
 
 @dataclass
@@ -123,7 +125,6 @@ class RunResult:
     records: list
     state: FieldState
     snapshots: list
-    e0: float
     config: RunConfig
     step: int                 # step index of state: nsteps, or where the run halted
     snapshot_steps: list      # step index of each snapshot
@@ -232,6 +233,8 @@ def initial_state(config: RunConfig) -> FieldState:
     table = np.loadtxt(spec.profile_path, delimiter=",", skiprows=1)
     if table.shape != (g.n_nodes, 3):
         raise ValueError("tabulated profile does not match the run grid")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("tabulated profile holds a non-finite value")
     if not np.allclose(table[:, 0], g.r, rtol=0.0, atol=1e-12 * g.r_max):
         raise ValueError("tabulated radii do not match the run grid nodes")
     g2 = g.with_dim(2)
@@ -272,15 +275,6 @@ def _operator(grid, p, profile, sig, forcing, nonlinear=True):
     return f
 
 
-def rhs(state: FieldState, p=None, profile=None, sponge=None, forcing=None):
-    """(dv/dt, dv_t/dt) for the lifted equation; returns a pair of arrays."""
-    f = _operator(state.grid, p, profile, sponge, forcing)
-    dv, dvt = f(state.f.values, state.f_t.values, state.time)
-    if not (np.all(np.isfinite(dvt)) and np.all(np.isfinite(dv))):
-        raise FloatingPointError("non-finite right-hand side (blow-up candidate)")
-    return dv, dvt
-
-
 def _rk4(f, v, vt, t, dt):
     k1v, k1a = f(v, vt, t)
     k2v, k2a = f(v + 0.5 * dt * k1v, vt + 0.5 * dt * k1a, t + 0.5 * dt)
@@ -288,18 +282,6 @@ def _rk4(f, v, vt, t, dt):
     k4v, k4a = f(v + dt * k3v, vt + dt * k3a, t + dt)
     return (v + dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
             vt + dt / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a))
-
-
-def step(state: FieldState, dt: float, p=None, profile=None, cfl=0.25,
-         sponge=None, forcing=None) -> FieldState:
-    """One RK4 step; rejects dt above the CFL bound cfl * dr."""
-    g = state.grid
-    if dt > cfl * g.dr * (1.0 + 1e-12):
-        raise ValueError(f"CFL violation: dt={dt} exceeds {cfl} * dr = {cfl * g.dr}")
-    v, vt = _rk4(_operator(g, p, profile, sponge, forcing),
-                 state.f.values, state.f_t.values, state.time, dt)
-    return FieldState(RadialField(v, "even", g), RadialField(vt, "even", g),
-                      state.time + dt)
 
 
 def _schedule(config: RunConfig):
@@ -329,30 +311,29 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
         yield k, k * dt, v, vt
 
 
-def detect_blowup(state: FieldState, record, monitor_ceiling=1e6,
-                  drift_ceiling=1e-2):
-    """(status, reason) when a stop condition fires, else None.
+def detect_blowup(record, monitor_ceiling=1e6, drift_ceiling=1e-2):
+    """(status, reason) when a sample's stop condition fires, else None.
 
-    NaN/Inf anywhere, a continuation monitor above its ceiling, or energy
-    drift above the breakdown threshold (scheme failure, reported
-    separately from physical growth).
+    A continuation monitor at or above its ceiling, or energy drift above
+    the breakdown threshold (scheme failure, reported separately from
+    physical growth). Non-finite fields never reach a sample: run halts on
+    the step that produces them.
     """
-    if not (np.all(np.isfinite(state.f.values))
-            and np.all(np.isfinite(state.f_t.values))):
-        return "blowup_nan", f"non-finite field values at t={state.time:.6g}"
     worst = max(record.monitor_v, record.monitor_vt, record.monitor_gradv)
     if worst >= monitor_ceiling:
         return ("blowup_monitor",
                 f"continuation monitor {worst:.6g} at ceiling {monitor_ceiling:.6g} "
-                f"at t={state.time:.6g}")
+                f"at t={record.time:.6g}")
     if record.energy_drift > drift_ceiling:
         return ("scheme_breakdown",
                 f"energy drift {record.energy_drift:.6g} exceeds "
-                f"{drift_ceiling:.6g} at t={state.time:.6g}")
+                f"{drift_ceiling:.6g} at t={record.time:.6g}")
     return None
 
 
-def _sample(state, config, e0, tracker):
+def _sample(state, config, records, tracker):
+    """The diagnostics record of state; its drift is taken against the
+    energy of records[0], or is 0 for the first record."""
     p, profile = config.kernel_params, config.profile
     u_state = v_to_u(state, profile)
     e, tail = diag.energy(u_state, p, state, profile, return_tail=True)
@@ -362,21 +343,29 @@ def _sample(state, config, e0, tracker):
     st = tracker.values() if tracker is not None else {}
     return diag.DiagnosticsRecord(
         time=state.time, energy=e,
-        energy_drift=diag.energy_drift(e, e0 if e0 is not None else e),
+        energy_drift=diag.energy_drift(e, records[0].energy if records else e),
         energy_tail=tail, monitor_v=mv, monitor_vt=mvt, monitor_gradv=mgv,
         sobolev=sob, decay_ratios=decay, spacetime_norms=st)
 
 
 def run(config: RunConfig, forcing=None) -> RunResult:
-    """Advance to t_end or until detect_blowup fires; diagnostics at the
-    configured cadence (plus the initial and final instants)."""
+    """Advance to t_end, or until a step yields a non-finite value or a
+    sample fires detect_blowup; diagnostics at the configured cadence (plus
+    the initial and final instants)."""
     g = make_grid(config)
     nsteps, _ = _schedule(config)
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
     records, snapshots, snapshot_steps = [], [], []
-    e0, verdict, last_sample_t = None, None, 0.0
+    verdict, last_sample_t = None, 0.0
     for k, t, v, vt in trajectory(config, forcing):
         state = FieldState(RadialField(v, "even", g), RadialField(vt, "even", g), t)
+        # the initial data is not stepped: its first sample judges it
+        finite = np.isfinite(v) & np.isfinite(vt)
+        if k and not finite.all():
+            bad = g.r[np.argmin(finite)]
+            verdict = ("blowup_nan",
+                       f"non-finite field values at step {k}, t={t:.6g}, r={bad:.6g}")
+            break
         if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
             snapshots.append(state)
             snapshot_steps.append(k)
@@ -384,18 +373,13 @@ def run(config: RunConfig, forcing=None) -> RunResult:
             if tracker is not None:
                 tracker.update(state.f, t - last_sample_t)
             last_sample_t = t
-            # the initial instant is always sampled: it defines e0
-            if k and not np.all(np.isfinite(v)):
-                verdict = ("blowup_nan", f"non-finite field values at t={t:.6g}")
-            else:
-                records.append(_sample(state, config, e0, tracker))
-                e0 = records[0].energy
-                verdict = detect_blowup(state, records[-1], config.monitor_ceiling,
-                                        config.drift_ceiling)
+            records.append(_sample(state, config, records, tracker))
+            verdict = detect_blowup(records[-1], config.monitor_ceiling,
+                                    config.drift_ceiling)
             if verdict is not None:
                 break
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
-    return RunResult(status, reason, records, state, snapshots, e0, config, k,
+    return RunResult(status, reason, records, state, snapshots, config, k,
                      snapshot_steps)
 
 

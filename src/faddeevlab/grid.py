@@ -40,8 +40,9 @@ class RadialGrid:
     def __post_init__(self):
         if self.dim not in (2, 4):
             raise ValueError("dim must be 2 or 4")
-        if self.n_cells < 3:
-            raise ValueError("need at least 3 cells")
+        if self.n_cells < 6:
+            raise ValueError(f"n_cells must be >= 6, the smallest mesh the "
+                             f"4th-order stencils accept, got {self.n_cells}")
         if not self.r_max > 0:
             raise ValueError("r_max must be positive")
         if self.ghost < 2:
@@ -152,8 +153,6 @@ def d_r(f: RadialField, order: int = 1) -> RadialField:
     """4th-order radial derivative (order 1 or 2) with parity ghosts."""
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
-    if f.grid.n_nodes < 7:
-        raise ValueError("grid too small for 4th-order stencils")
     if order == 1:
         vals = _d1_values(f.values, f.parity, f.grid)
         parity = "odd" if f.parity == "even" else "even"
@@ -180,8 +179,6 @@ def laplacian(f: RadialField) -> RadialField:
     its limit dim*f''(0). Defined on even fields only."""
     if f.parity != "even":
         raise ValueError("laplacian is only evaluated on even-parity fields")
-    if f.grid.n_nodes < 7:
-        raise ValueError("grid too small for 4th-order stencils")
     return RadialField(_d1_laplacian(f.values, f.grid)[1], "even", f.grid)
 
 

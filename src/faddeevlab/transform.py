@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldState, RadialField, d_r, laplacian
+from .grid import (FieldState, RadialField, _GL_NODES, _GL_WEIGHTS, d_r,
+                   laplacian)
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, eval_cutoff
 
@@ -59,8 +60,6 @@ def _extrapolate_origin(values):
 def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     """Lift u to v = (u - phi)/r, with v(0) by even-parity extrapolation."""
     g = u_state.grid
-    if g.n_nodes < 5:
-        raise ValueError("origin extrapolation needs at least 5 nodes")
     if abs(u_state.f.values[0] - math.pi) > _ORIGIN_TOL:
         raise ValueError(
             f"u(0) = {u_state.f.values[0]!r} violates the origin boundary "
@@ -103,7 +102,6 @@ def _unit_samples(panels):
     try:
         return _UNIT_CACHE[panels]
     except KeyError:
-        from .grid import _GL_NODES, _GL_WEIGHTS
         edges = np.linspace(0.0, 1.0, panels + 1)
         half = 0.5 / panels
         mid = 0.5 * (edges[:-1] + edges[1:])

@@ -167,12 +167,25 @@ def test_series_terms_above_the_stored_series_is_a_config_error(capsys):
     assert "series_terms must lie in 4..12" in capsys.readouterr().err
 
 
+# settings that RunConfig rejects, with the text the error must show
+BAD_SETTINGS = [
+    ("grid.n_cells=2", "n_cells must be >= 6"),
+    ("grid.n_cells=5", "n_cells must be >= 6"),
+    ("integrator.t_end=inf", "integrator.t_end must be finite"),
+    ("integrator.t_end=nan", "integrator.t_end must be finite"),
+    ("grid.r_max=inf", "grid.r_max must be finite"),
+    ("initial_data.amplitude=nan", "initial_data.amplitude must be finite"),
+    ("diagnostics.drift_ceiling=nan", "diagnostics.drift_ceiling must be finite"),
+]
+
+
 @pytest.mark.parametrize("command,setting,message", [
     (["run"], "output.snapshot_every=-4", "snapshot_every must be >= 0"),
     (["run"], "diagnostics.sobolev_orders=1,5", "sobolev_orders must lie in 0..4"),
     (["sweep", "--sweep", "initial_data.amplitude=0.1,0.3"],
      "diagnostics.sobolev_orders=1,5", "sobolev_orders must lie in 0..4"),
-])
+] + [(command, setting, message) for setting, message in BAD_SETTINGS
+     for command in (["run"], ["sweep", "--sweep", "initial_data.width=0.9,1.1"])])
 def test_out_of_range_setting_fails_before_the_run(tmp_path, capsys, command,
                                                    setting, message):
     out = tmp_path / "out"
@@ -236,6 +249,22 @@ def test_halted_run_records_the_halting_step(tmp_path, capsys):
     assert "status=scheme_breakdown" in capsys.readouterr().out
     final = read_meta(os.path.join(out, "final.meta"))
     assert (final["time"], final["step"]) == ("0.09375", "3")
+
+
+def test_non_finite_run_halts_on_its_first_bad_step(tmp_path, capsys):
+    # amplitude-16 data on the default grid (dt = 1/128) first goes
+    # non-finite at step 20, next to the origin; the first sample after
+    # t = 0 would be step 64
+    out = run_dirs(tmp_path, "nan")
+    rc = main(["run", "--set", "initial_data.amplitude=16",
+               "--set", "integrator.t_end=1", "--out", out])
+    assert rc == 2
+    assert ("status=blowup_nan t_final=0.15625 out=" + out + " reason="
+            "'non-finite field values at step 20, t=0.15625, r=0'"
+            ) in capsys.readouterr().out
+    final = read_meta(os.path.join(out, "final.meta"))
+    assert (final["time"], final["step"]) == ("0.15625", "20")
+    assert len(open(os.path.join(out, "diagnostics.csv")).readlines()) == 2
 
 
 def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):

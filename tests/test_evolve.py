@@ -11,6 +11,8 @@ from faddeevlab.evolve import (
     InitialDataSpec,
     RunConfig,
     SpongeSpec,
+    _operator,
+    _schedule,
     config_fingerprint,
     config_items,
     detect_blowup,
@@ -18,7 +20,7 @@ from faddeevlab.evolve import (
     initial_state,
     make_grid,
     run,
-    step,
+    trajectory,
     write_checkpoint,
 )
 from faddeevlab.grid import FLOAT_FMT, FieldState, RadialField, RadialGrid, d_r, integrate_radial
@@ -47,6 +49,16 @@ def lean(**kw):
     return RunConfig(**kw)
 
 
+def last_state(config, state):
+    """(t, v, vt) at t_end, stepped from state by trajectory."""
+    for _, t, v, vt in trajectory(config, state=state):
+        pass
+    return t, v, vt
+
+
+UNDAMPED = SpongeSpec(strength=0.0)
+
+
 # ---------------------------------------------------------------- configs
 
 @pytest.mark.parametrize("kw", [
@@ -58,6 +70,11 @@ def lean(**kw):
     dict(sponge=SpongeSpec(start=20.0), r_max=16.0),
     dict(output_every=0),
     dict(sobolev_orders=(1, 5)),
+    dict(n_cells=5),
+    dict(r_max=math.inf),
+    dict(t_end=math.nan),
+    dict(drift_ceiling=math.nan),
+    dict(initial=InitialDataSpec(amplitude=math.inf)),
 ])
 def test_config_validation_rejects(kw):
     with pytest.raises(ValueError):
@@ -154,13 +171,22 @@ def test_profile_table_rejects_mismatch(tmp_path):
     with pytest.raises(ValueError, match="radii"):
         initial_state(lean(n_cells=16, r_max=4.0, initial=spec))
 
+    holed = tmp_path / "holed.csv"
+    with open(holed, "w") as fh:
+        fh.write("r,u,u_t\n")
+        for r in g.r:
+            fh.write(f"{r},{math.pi},{'nan' if r == 2.0 else 0.0}\n")
+    spec = InitialDataSpec(family="profile_u", profile_path=str(holed))
+    with pytest.raises(ValueError, match="non-finite"):
+        initial_state(lean(n_cells=16, r_max=4.0, initial=spec))
 
-# ------------------------------------------------------------- rhs / step
+
+# ------------------------------------------------------ operator / stepping
 
 def test_zero_state_source_lives_on_the_shell(params, profile):
-    from faddeevlab.evolve import rhs
     g = RadialGrid(256, 8.0, dim=4)
-    dv, dvt = rhs(zero_state(g), params, profile)
+    z = np.zeros(g.n_nodes)
+    dv, dvt = _operator(g, params, profile, None, None)(z, z, 0.0)
     assert np.array_equal(dv, np.zeros(g.n_nodes))
     inner = g.r <= 0.4
     assert np.array_equal(dvt[inner], np.zeros(inner.sum()))
@@ -175,8 +201,8 @@ def test_zero_state_source_lives_on_the_shell(params, profile):
 
 def test_one_step_confinement():
     g = RadialGrid(256, 8.0, dim=4)
-    st = step(zero_state(g), 0.25 * g.dr)
-    v, vt = st.f.values, st.f_t.values
+    cfg = lean(n_cells=256, r_max=8.0, t_end=0.25 * g.dr, sponge=UNDAMPED)
+    t, v, vt = last_state(cfg, zero_state(g))
     # nothing escapes the shell plus a one-node stencil halo; measured
     # nonzeros live on [0.5 - dr, 2 + dr] and only roundoff below r = 1
     far = g.r >= 2.0 + 2 * g.dr
@@ -188,32 +214,32 @@ def test_one_step_confinement():
     assert np.max(np.abs(v[low])) <= 1e-16
     assert np.max(np.abs(v)) > 1e-4
     assert np.max(np.abs(vt)) > 0.05
-    assert st.time == 0.25 * g.dr
+    assert t == 0.25 * g.dr
 
 
-def test_step_rejects_cfl_violation():
-    g = RadialGrid(64, 8.0, dim=4)
-    st = zero_state(g)
-    with pytest.raises(ValueError, match="CFL"):
-        step(st, 4 * 0.25 * g.dr)
-    step(st, 0.25 * g.dr)  # at the bound: accepted
+def test_schedule_respects_cfl_and_lands_on_t_end():
+    cfg = lean(n_cells=64, r_max=8.0, t_end=0.7)  # 5.6 cells of dr = 0.125
+    nsteps, dt = _schedule(cfg)
+    bound = cfg.cfl * make_grid(cfg).dr
+    assert dt <= bound
+    assert (nsteps - 1) * bound < cfg.t_end  # no step count below nsteps fits
+    assert nsteps * dt == cfg.t_end
+    k, t = [(k, t) for k, t, _, _ in trajectory(cfg)][-1]
+    assert (k, t) == (nsteps, cfg.t_end)
 
 
 def test_time_reversal_recovers_initial_data():
     errs = {}
     for n in (128, 256):
-        g = RadialGrid(n, 8.0, dim=4)
+        cfg = lean(n_cells=n, r_max=8.0, t_end=0.5, sponge=UNDAMPED)
+        g = make_grid(cfg)
         v0 = 0.2 * np.exp(-g.r ** 2)
-        cur = FieldState(RadialField(v0.copy(), "even", g),
-                         RadialField(np.zeros(g.n_nodes), "even", g))
-        nsteps = math.ceil(0.5 / (0.25 * g.dr))
-        dt = 0.5 / nsteps
-        for _ in range(nsteps):
-            cur = step(cur, dt)
-        cur = FieldState(cur.f, cur.f_t.with_values(-cur.f_t.values))
-        for _ in range(nsteps):
-            cur = step(cur, dt)
-        errs[n] = np.max(np.abs(cur.f.values - v0))
+        zero = np.zeros(g.n_nodes)
+        _, v, vt = last_state(cfg, FieldState(RadialField(v0, "even", g),
+                                              RadialField(zero, "even", g)))
+        _, v, _ = last_state(cfg, FieldState(RadialField(v, "even", g),
+                                             RadialField(-vt, "even", g)))
+        errs[n] = np.max(np.abs(v - v0))
     # measured 2.95e-6 and 3.66e-7, ratio 8.05
     assert errs[128] <= 2e-5
     assert errs[256] <= 2e-6
@@ -249,26 +275,13 @@ def _record(**kw):
 
 
 def test_detect_blowup_cases():
-    g = RadialGrid(16, 4.0, dim=4)
-    st = zero_state(g)
-    assert detect_blowup(st, _record()) is None
+    assert detect_blowup(_record()) is None
 
-    bad = zero_state(g)
-    bad.f.values[3] = np.nan
-    status, reason = detect_blowup(bad, _record())
-    assert status == "blowup_nan" and "non-finite" in reason
+    status, reason = detect_blowup(_record(monitor_vt=2.0), monitor_ceiling=1.5)
+    assert status == "blowup_monitor" and "2" in reason and "t=1" in reason
 
-    status, reason = detect_blowup(st, _record(monitor_vt=2.0),
-                                   monitor_ceiling=1.5)
-    assert status == "blowup_monitor" and "2" in reason
-
-    status, reason = detect_blowup(st, _record(energy_drift=0.02),
-                                   drift_ceiling=0.01)
-    assert status == "scheme_breakdown" and "drift" in reason
-
-    # non-finite values win over any threshold check
-    status, _ = detect_blowup(bad, _record(monitor_v=np.inf))
-    assert status == "blowup_nan"
+    status, reason = detect_blowup(_record(energy_drift=0.02), drift_ceiling=0.01)
+    assert status == "scheme_breakdown" and "drift" in reason and "t=1" in reason
 
 
 def test_run_halts_immediately_at_zero_ceiling():
@@ -292,6 +305,32 @@ def test_run_reports_nan_from_forcing():
     assert "non-finite" in res.reason
     assert 0.0 < res.state.time <= 0.2
     assert len(res.records) == 1  # sampling short-circuits on bad values
+
+
+@pytest.mark.parametrize("bad_step", [6, 8])
+def test_run_halts_on_the_first_non_finite_step(bad_step):
+    """Non-finite values halt the run on the step that makes them, between
+    samples (step 6) as well as on a sample step (step 8), where they win
+    over the sample's threshold checks: no record is taken of them."""
+    cfg = lean(n_cells=32, r_max=4.0, t_end=1.0, output_every=4, drift_ceiling=1.0,
+               initial=InitialDataSpec(amplitude=0.1))
+    g = make_grid(cfg)
+    _, dt = _schedule(cfg)
+
+    def forcing(t):
+        # NaN at r = 5 dr, only in the last RK4 stage of bad_step
+        out = np.zeros(g.n_nodes)
+        if bad_step - 0.25 < t / dt < bad_step + 0.25:
+            out[5] = np.nan
+        return out
+
+    res = run(cfg, forcing)
+    assert res.status == "blowup_nan"
+    assert res.step == bad_step
+    assert res.state.time == bad_step * dt
+    assert (f"non-finite field values at step {bad_step}, "
+            f"t={bad_step * dt:.6g}, r=0.625") == res.reason
+    assert [rec.time for rec in res.records] == [0.0, 4 * dt]
 
 
 # ------------------------------------------------------------ run quality

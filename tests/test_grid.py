@@ -18,6 +18,12 @@ def test_grid_validation():
         RadialGrid(128, 8.0, dim=3)
     with pytest.raises(ValueError):
         RadialGrid(2, 8.0)
+    with pytest.raises(ValueError, match="n_cells must be >= 6"):
+        RadialGrid(5, 8.0)
+    g = RadialGrid(6, 8.0)  # the smallest mesh: every stencil applies
+    f = RadialField(np.exp(-g.r ** 2), "even", g)
+    assert d_r(f, 1).values.shape == d_r(f, 2).values.shape == (7,)
+    assert laplacian(f).values.shape == (7,)
     with pytest.raises(ValueError):
         RadialGrid(128, 0.0)
     with pytest.raises(ValueError):

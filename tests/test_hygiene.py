@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+imports only at module level."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for p in (ROOT / "src" / "faddeevlab").glob("*.py")
-                 if p.name != "__init__.py") + sorted((ROOT / "scripts").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "faddeevlab").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):
@@ -39,3 +40,27 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_imports(source):
+    """Line numbers of import statements inside a function body."""
+    return sorted({node.lineno
+                   for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_scan_sees_a_local_import():
+    src = ("import os\n"
+           "def f():\n"
+           "    from math import pi\n"
+           "    def g():\n"
+           "        import sys\n"
+           "    return pi\n")
+    assert local_imports(src) == [3, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_function_local_imports(path):
+    assert local_imports(path.read_text()) == []
