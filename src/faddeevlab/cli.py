@@ -105,17 +105,16 @@ def write_effective_config(config: RunConfig, out_dir, path):
 
 
 def _load(args):
-    """(config, out_dir) from the common options; out_dir is created."""
+    """(config, out_dir) from the common options; out_dir is made on write."""
     config, file_out = load_config(args.config, args.set or ())
-    out_dir = args.out or file_out or "faddeev_out"
-    os.makedirs(out_dir, exist_ok=True)
-    return config, out_dir
+    return config, args.out or file_out or "faddeev_out"
 
 
 def _write_run(result, out_dir):
     """A run's files in out_dir: diagnostics.csv, effective_config.ini, the
     snapshot_NNNN checkpoints and the final checkpoint."""
     config = result.config
+    os.makedirs(out_dir, exist_ok=True)
     diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
     write_effective_config(config, out_dir, os.path.join(out_dir, "effective_config.ini"))
     for i, (k, snap) in enumerate(zip(result.snapshot_steps, result.snapshots)):
@@ -291,6 +290,7 @@ def cmd_verify(args) -> int:
     config, out_dir = _load(args)
     rows = []
     _SUITES[args.suite](rows, config.kernel_params, config.profile)
+    os.makedirs(out_dir, exist_ok=True)
     report = os.path.join(out_dir, f"verify_{args.suite}.csv")
     write_csv(report, ["suite", "check", "value", "tolerance", "passed"], rows)
     failed = [row for row in rows if not row[4]]
@@ -308,7 +308,6 @@ def cmd_verify(args) -> int:
 
 def _sweep_one(packed):
     index, config, out_dir = packed
-    os.makedirs(out_dir, exist_ok=True)
     try:
         result = run(config)
     except Exception as exc:  # a failed run must not kill the sweep
@@ -370,6 +369,7 @@ def cmd_kernels_table(args) -> int:
     config, out_dir = _load(args)
     p, profile = config.kernel_params, config.profile
     xs = np.linspace(-3.0, 3.0, 601)
+    os.makedirs(out_dir, exist_ok=True)
     path_k = os.path.join(out_dir, "kernels.csv")
     write_csv(path_k, ["x"] + [f"Ftilde{j}" for j in range(5)],
               zip(xs, *(kernels.eval_Ftilde(j, xs, p) for j in range(5))))

@@ -20,7 +20,7 @@ from .grid import (FLOAT_FMT, FieldState, RadialGrid, RadialField,
                    _d1_laplacian, write_csv)
 from . import diagnostics as diag
 from . import kernels
-from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile, KernelParams
+from .kernels import CutoffProfile, KernelParams
 from .transform import make_bundle, u_to_v, v_to_u
 
 __all__ = [
@@ -229,6 +229,10 @@ def initial_state(config: RunConfig) -> FieldState:
     if spec.family == "gaussian_v":
         v0 = _bump(g.r, spec.amplitude, spec.center, spec.width)
         v1 = _bump(g.r, spec.amplitude_t, spec.center_t, spec.width_t)
+        for key, ok in (("amplitude", np.isfinite(v0)), ("amplitude_t", np.isfinite(v1))):
+            if not ok.all():
+                raise ValueError(f"initial_data.{key} gives a non-finite initial "
+                                 f"state at r={g.r[np.argmin(ok)]:.6g}")
         return FieldState(RadialField(v0, "even", g), RadialField(v1, "even", g), 0.0)
     table = np.loadtxt(spec.profile_path, delimiter=",", skiprows=1)
     if table.shape != (g.n_nodes, 3):
@@ -256,16 +260,15 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
 def _operator(grid, p, profile, sig, forcing, nonlinear=True):
     """The right-hand side f(v, vt, t) -> (vt, acc) of the lifted equation on
     one grid; nonlinear=False drops F (free-wave benchmark path)."""
-    cut = (kernels.cutoff_arrays(grid.r, profile or DEFAULT_PROFILE)
-           if nonlinear else None)
-    p = p or DEFAULT_PARAMS
+    cut = kernels.cutoff_arrays(grid.r, profile) if nonlinear else None
+    nodes = kernels.branch_nodes(cut) if nonlinear else None
 
     def f(v, vt, t):
         vr, lap = _d1_laplacian(v, grid)
         if cut is None:
             acc = lap
         else:
-            acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, grid.r, cut, p)
+            acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, grid.r, cut, p, nodes)
         if sig is not None:
             acc -= sig * vt
         if forcing is not None:

@@ -28,6 +28,7 @@ __all__ = [
     "eval_N",
     "eval_F_rhs",
     "cutoff_arrays",
+    "branch_nodes",
     "eval_F_given_cutoffs",
     "dA1_dt",
     "dA1_dtt",
@@ -127,19 +128,43 @@ def _pointwise(fn, *args):
     return float(out[0]) if scalar else out
 
 
-def _ftilde_direct(j, x):
-    """Direct-formula branch, arranged to avoid cancellation near the seam."""
-    s, c = np.sin(x), np.cos(x)
-    if j == 0:
-        t = s / x
-        return t * t
-    if j == 1:
-        return (2.0 * x - np.sin(2.0 * x)) / (2.0 * x ** 3)
-    if j == 2:
-        return (x * c - s) * s / x ** 4
-    if j == 3:
-        return -np.sin(2.0 * x) / (2.0 * x)
-    return 2.0 * (x * c - s) * s / x ** 4
+@lru_cache(maxsize=None)
+def _horner_table(js, terms):
+    """Series coefficients of the kernels js, highest order first: (terms,
+    len(js), 1) for one Horner pass over all, (terms,) for a single kernel."""
+    table = np.array([_SERIES[j][:terms][::-1] for j in js]).T
+    return table[:, :, None] if len(js) > 1 else table[:, 0]
+
+
+def _ftilde(x, p, js):
+    """[Ftilde_j(x) for j in js] from one pass over a float64 array x: one
+    mask per switch point, one Horner pass, one sin/cos and one sin(2x).
+    Ftilde_4 is returned as 2 * Ftilde_2, the same bytes as its own formula:
+    scaling by 2 is exact and _SERIES[4] == 2 * _SERIES[2] bitwise."""
+    base = sorted({2 if j == 4 else j for j in js})
+    switch = [max(p.x_switch, 0.1) if j in (1, 2) else p.x_switch for j in base]
+    ax = np.abs(x)
+    small = {sw: ax < sw for sw in switch}
+    near, far = small[max(switch)], ~small[min(switch)]
+    w = x[near] ** 2
+    table = _horner_table(tuple(base), p.series_terms)
+    acc = np.zeros(table.shape[1:2] + w.shape)
+    for coeffs in table:
+        acc = acc * w + coeffs
+    acc = acc.reshape(len(base), w.size)
+    # the direct formulas, arranged to avoid cancellation near the seam
+    xf = x[far]
+    s, c, x2 = np.sin(xf), np.cos(xf), 2.0 * xf
+    s2 = np.sin(x2) if {1, 3} & set(base) else None
+    direct = {0: lambda: (s / xf) ** 2, 1: lambda: (x2 - s2) / (2.0 * xf ** 3),
+              2: lambda: (xf * c - s) * s / xf ** 4, 3: lambda: -s2 / x2}
+    out = {}
+    for row, (j, sw) in enumerate(zip(base, switch)):
+        f = np.empty_like(x)
+        f[small[sw]] = acc[row] if sw == max(switch) else acc[row][small[sw][near]]
+        f[~small[sw]] = direct[j]() if sw == min(switch) else direct[j]()[~small[sw][far]]
+        out[j] = f if j == 1 else f * p.alpha ** 2
+    return [2.0 * out[2] if j == 4 else out[j] for j in js]
 
 
 def eval_Ftilde(j, x, p=DEFAULT_PARAMS):
@@ -153,28 +178,12 @@ def eval_Ftilde(j, x, p=DEFAULT_PARAMS):
     the series up to |x| = 0.1 regardless of a smaller x_switch: the direct
     formulas lose ~3/x^2 * eps there (a few 1e-12 relative at x ~ 1e-2,
     above the 1e-12 agreement budget), while the series is converged to
-    rounding for every admissible series_terms.
+    rounding for every admissible series_terms. One kernel of the one-pass
+    evaluator _ftilde, from which eval_F_given_cutoffs takes all five.
     """
     if j not in _SERIES:
         raise ValueError(f"kernel index must be 0..4, got {j}")
-    switch = max(p.x_switch, 0.1) if j in (1, 2, 4) else p.x_switch
-
-    def kernel(x):
-        out = np.empty_like(x)
-        small = np.abs(x) < switch
-        if small.any():
-            w = x[small] ** 2
-            acc = np.zeros_like(w)
-            for c in _SERIES[j][: p.series_terms][::-1]:
-                acc = acc * w + c
-            out[small] = acc
-        big = ~small
-        if big.any():
-            out[big] = _ftilde_direct(j, x[big])
-        if j != 1:
-            out *= p.alpha ** 2
-        return out
-    return _pointwise(kernel, x)
+    return _pointwise(lambda x: _ftilde(x, p, (j,))[0], x)
 
 
 @lru_cache(maxsize=None)
@@ -235,9 +244,9 @@ def laplacian_phi_2d(r, profile=DEFAULT_PROFILE):
     return _pointwise(lap, r)
 
 
-def _a3(y, r, p):
+def _a3(sin_y, r, p):
     """A_3(y, r) = 1 + alpha^2 sin^2(y) / r^2 (A_1 at y = u); needs r > 0."""
-    return 1.0 + (p.alpha * np.sin(y) / r) ** 2
+    return 1.0 + (p.alpha * sin_y / r) ** 2
 
 
 def _a4(y, r, p):
@@ -270,11 +279,11 @@ def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
         if which in (1, 3):
             if np.any(r <= 0):
                 raise ValueError("A_1/A_3 require r > 0; use A_4/A_5 at the origin")
-            return _a3(y, r, p)
+            return _a3(np.sin(y), r, p)
         out = _a4(y, r, p)
         if which == 5:
             far, u = _u_chart(y, r, profile)
-            out[far] = _a3(u, r[far], p)
+            out[far] = _a3(np.sin(u), r[far], p)
         return out
     return _pointwise(coefficient, y, r)
 
@@ -289,10 +298,11 @@ def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
     if np.any(r <= 0):
         raise ValueError("N(u) requires r > 0; the v-form covers the origin")
     u = np.asarray(u, dtype=float)
-    a1 = _a3(u, r, p)
+    sin_u = np.sin(u)
+    a1 = _a3(sin_u, r, p)
     return (-2.0 / r * (1.0 - 1.0 / a1) * u_r
             - (p.alpha ** 2 * (np.asarray(u_t) ** 2 - np.asarray(u_r) ** 2) + 1.0)
-            * np.sin(u) * np.cos(u) / (r * r * a1))
+            * sin_u * np.cos(u) / (r * r * a1))
 
 
 def cutoff_arrays(r, profile=DEFAULT_PROFILE):
@@ -307,32 +317,44 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     }
 
 
-def eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS):
+def branch_nodes(cut):
+    """(inner, outer): the nodes where lt1 > 0 and where gt1 > 0, as slices
+    when contiguous (always so on a sorted mesh), else as index arrays."""
+    def nodes(mask):
+        idx = np.flatnonzero(mask)
+        whole = idx.size and idx[-1] - idx[0] == idx.size - 1
+        return slice(idx[0], idx[-1] + 1) if whole else idx
+    return nodes(cut["lt1"] > 0.0), nodes(cut["gt1"] > 0.0)
+
+
+def eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS, nodes=None):
     """F(v) with the cutoff samples supplied (the evolver's hot path).
 
-    Inner branch (active where lt1 > 0):
+    Inner branch, only on the nodes where lt1 > 0 (r < 1), all five kernels
+    from one pass with the series/direct seam of eval_Ftilde:
         lt1/A_1 * [Ft_1 v^3 + Ft_2 v^5 + Ft_3 v (v_t^2 - v_r^2)
                    + Ft_4 r v^4 v_r]
-    Outer branch (active where gt1 > 0, so r >= 1/2 and division is safe):
-        gt1 * (v/r^2 + N(r v + phi)/r)
+    Outer branch, added only where gt1 > 0 (r > 1/2, so division is safe),
+    sin(u) taken once for A_1 and N:  gt1 * (v/r^2 + N(r v + phi)/r)
     plus the shell source (2D Laplacian of phi)/r on the transition shell.
+    nodes = branch_nodes(cut); the evolver computes it once per grid.
+    A non-finite inner value at r >= 1 (lt1 = 0) no longer spreads into F
+    through 0 * inf; evolve.run checks (v, v_t) after every step, so it
+    still halts the run on the step that makes it.
     """
+    inner, outer = branch_nodes(cut) if nodes is None else nodes
     v = np.asarray(v, dtype=float)
-    x = r * v
-    a1 = 1.0 + eval_Ftilde(0, x, p) * v * v
-    s = (eval_Ftilde(1, x, p) * v ** 3
-         + eval_Ftilde(2, x, p) * v ** 5
-         + eval_Ftilde(3, x, p) * v * (np.asarray(v_t) ** 2 - np.asarray(v_r) ** 2)
-         + eval_Ftilde(4, x, p) * r * v ** 4 * v_r)
-    out = cut["lt1"] * s / a1
-    m = cut["gt1"] > 0.0
-    if m.any():
-        rm = r[m]
-        um = rm * v[m] + cut["phi"][m]
-        utm = rm * np.asarray(v_t)[m]
-        urm = v[m] + rm * np.asarray(v_r)[m] + cut["dphi"][m]
-        out[m] += (cut["gt1"][m] * (v[m] / rm ** 2 + eval_N(um, utm, urm, rm, p) / rm)
-                   + cut["lap2phi"][m] / rm)
+    out = np.zeros_like(v)
+    vi, ri, vri = v[inner], r[inner], v_r[inner]
+    ft0, ft1, ft2, ft3, ft4 = _ftilde(ri * vi, p, range(5))
+    a1 = 1.0 + ft0 * vi * vi
+    s = (ft1 * vi ** 3 + ft2 * vi ** 5 + ft3 * vi * (v_t[inner] ** 2 - vri ** 2)
+         + ft4 * ri * vi ** 4 * vri)
+    out[inner] = cut["lt1"][inner] * s / a1
+    ro, vo = r[outer], v[outer]
+    u = ro * vo + cut["phi"][outer]
+    n = eval_N(u, ro * v_t[outer], vo + ro * v_r[outer] + cut["dphi"][outer], ro, p)
+    out[outer] += cut["gt1"][outer] * (vo / ro ** 2 + n / ro) + cut["lap2phi"][outer] / ro
     return out
 
 

@@ -132,7 +132,7 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     pts, wts = _unit_samples(_panels_for(math.pi))
     y = math.pi * pts
-    return math.pi * (kernels._a3(y[None, :], r[:, None], p) ** -1.5 @ wts)
+    return math.pi * (kernels._a3(np.sin(y[None, :]), r[:, None], p) ** -1.5 @ wts)
 
 
 def compute_Phi(u_state: FieldState, v_state: FieldState,
@@ -165,7 +165,7 @@ def compute_Phi(u_state: FieldState, v_state: FieldState,
 
         def a3_sqrt(s, sel):
             # y runs from pi toward u along y = pi + s
-            return np.sqrt(kernels._a3(math.pi + s, r_out[sel][:, None], p))
+            return np.sqrt(kernels._a3(np.sin(math.pi + s), r_out[sel][:, None], p))
 
         line = _grouped_line_integral(u[idx_out] - math.pi, a3_sqrt)
         gt1 = eval_cutoff("gt1", r_out, 0, profile)

@@ -279,6 +279,25 @@ def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):
     assert [row.split(",")[2] for row in rows[1:]] == ["error", "error"]
 
 
+def test_errored_sweep_runs_leave_no_run_directory(tmp_path):
+    root = tmp_path / "sweep_err"
+    missing = ",".join(str(tmp_path / name) for name in ("a.csv", "b.csv"))
+    assert main(["sweep", "--set", "initial_data.family=profile_u",
+                 "--sweep", f"initial_data.profile_path={missing}",
+                 "--jobs", "1", "--out", str(root)]) == 4
+    assert sorted(os.listdir(root)) == ["summary.csv"]
+
+
+def test_overflowing_initial_data_is_a_config_error_without_output(tmp_path, capsys):
+    out = tmp_path / "overflow"
+    rc = main(["run"] + TINY + ["--set", "initial_data.amplitude=1e308",
+                                "--out", str(out)])
+    assert rc == 1
+    assert ("config-error: initial_data.amplitude gives a non-finite initial "
+            "state at r=0") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_defaults_block_matches_the_dataclasses(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

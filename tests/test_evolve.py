@@ -151,6 +151,14 @@ def test_profile_table_matches_direct_transform(tmp_path):
     assert np.array_equal(st.f_t.values, direct.f_t.values)
 
 
+def test_overflowing_gaussian_names_its_setting_and_radius():
+    cfg = lean(n_cells=64, r_max=8.0, initial=InitialDataSpec(amplitude=1e308))
+    with pytest.raises(ValueError, match=r"^initial_data\.amplitude gives a "
+                                         r"non-finite initial state at r=0$"):
+        with np.errstate(over="ignore"):
+            initial_state(cfg)
+
+
 def test_profile_table_rejects_mismatch(tmp_path):
     g = RadialGrid(16, 4.0, dim=2)
     path = tmp_path / "short.csv"
@@ -226,6 +234,20 @@ def test_schedule_respects_cfl_and_lands_on_t_end():
     assert nsteps * dt == cfg.t_end
     k, t = [(k, t) for k, t, _, _ in trajectory(cfg)][-1]
     assert (k, t) == (nsteps, cfg.t_end)
+
+
+def test_trajectory_yields_fresh_arrays():
+    # 39 steps of dt = 0.03125: every yielded pair is its own memory and
+    # keeps its values while the evolution goes on
+    cfg = lean(n_cells=64, r_max=8.0, t_end=39 * 0.03125)
+    kept, copies = [], []
+    for _, _, v, vt in trajectory(cfg):
+        kept += [v, vt]
+        copies += [v.copy(), vt.copy()]
+    assert len(kept) == 2 * 40
+    for i, a in enumerate(kept):
+        assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
+    assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
 def test_time_reversal_recovers_initial_data():

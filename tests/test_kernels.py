@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile,
-                                KernelParams, cutoff_arrays, dA1_dt, dA1_dtt,
-                                eval_A, eval_cutoff, eval_F_rhs, eval_Ftilde,
-                                eval_N, laplacian_phi_2d)
+from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
+                                CutoffProfile, KernelParams, _ftilde,
+                                branch_nodes, cutoff_arrays, dA1_dt, dA1_dtt,
+                                eval_A, eval_cutoff, eval_F_given_cutoffs,
+                                eval_F_rhs, eval_Ftilde, eval_N,
+                                laplacian_phi_2d)
 from faddeevlab.grid import FieldState, RadialField, RadialGrid
 from faddeevlab.transform import (compute_Phi, compute_Phi_t, make_bundle,
                                   residual_Phi_t_wave, residual_Phi_tt_wave,
@@ -256,13 +258,123 @@ def test_F_origin_limit_closed_form(params, profile):
 
 
 def test_F_hot_path_matches_wrapper(params, profile):
-    from faddeevlab.kernels import eval_F_given_cutoffs
     rng = np.random.default_rng(3)
     r = np.sort(rng.uniform(0.0, 5.0, 64))
     v, vt, vr = (rng.uniform(-1.0, 1.0, 64) for _ in range(3))
     cut = cutoff_arrays(r, profile)
     assert np.array_equal(eval_F_given_cutoffs(v, vt, vr, r, cut, params),
                           eval_F_rhs(v, vt, vr, r, params, profile))
+
+
+# ---------------------------------------------------------------------------
+# the right-hand side as it stood before the one-pass kernels and the sliced
+# branches, kept verbatim as an oracle: the hot path must match it byte for
+# byte
+
+
+def _old_ftilde_direct(j, x):
+    """Direct-formula branch, arranged to avoid cancellation near the seam."""
+    s, c = np.sin(x), np.cos(x)
+    if j == 0:
+        t = s / x
+        return t * t
+    if j == 1:
+        return (2.0 * x - np.sin(2.0 * x)) / (2.0 * x ** 3)
+    if j == 2:
+        return (x * c - s) * s / x ** 4
+    if j == 3:
+        return -np.sin(2.0 * x) / (2.0 * x)
+    return 2.0 * (x * c - s) * s / x ** 4
+
+
+def _old_eval_Ftilde(j, x, p):
+    """eval_Ftilde on a float64 array, one kernel per call."""
+    switch = max(p.x_switch, 0.1) if j in (1, 2, 4) else p.x_switch
+
+    def kernel(x):
+        out = np.empty_like(x)
+        small = np.abs(x) < switch
+        if small.any():
+            w = x[small] ** 2
+            acc = np.zeros_like(w)
+            for c in _SERIES[j][: p.series_terms][::-1]:
+                acc = acc * w + c
+            out[small] = acc
+        big = ~small
+        if big.any():
+            out[big] = _old_ftilde_direct(j, x[big])
+        if j != 1:
+            out *= p.alpha ** 2
+        return out
+    return kernel(x)
+
+
+def _old_eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS):
+    """eval_F_given_cutoffs: both branches on every node, five kernel calls."""
+    eval_Ftilde = _old_eval_Ftilde
+    v = np.asarray(v, dtype=float)
+    x = r * v
+    a1 = 1.0 + eval_Ftilde(0, x, p) * v * v
+    s = (eval_Ftilde(1, x, p) * v ** 3
+         + eval_Ftilde(2, x, p) * v ** 5
+         + eval_Ftilde(3, x, p) * v * (np.asarray(v_t) ** 2 - np.asarray(v_r) ** 2)
+         + eval_Ftilde(4, x, p) * r * v ** 4 * v_r)
+    out = cut["lt1"] * s / a1
+    m = cut["gt1"] > 0.0
+    if m.any():
+        rm = r[m]
+        um = rm * v[m] + cut["phi"][m]
+        utm = rm * np.asarray(v_t)[m]
+        urm = v[m] + rm * np.asarray(v_r)[m] + cut["dphi"][m]
+        out[m] += (cut["gt1"][m] * (v[m] / rm ** 2 + eval_N(um, utm, urm, rm, p) / rm)
+                   + cut["lap2phi"][m] / rm)
+    return out
+
+
+def _switch_probes(p):
+    """0, both neighbours of each switch point and the point itself, a sweep
+    across the seams, and large arguments; every value with both signs."""
+    pts = [0.0, 1e3, 12345.678, 1e8]
+    for sw in (p.x_switch, 0.1):
+        pts += [np.nextafter(sw, 0.0), sw, np.nextafter(sw, 1.0), 0.9 * sw, 1.1 * sw]
+    half = np.concatenate([pts, np.linspace(1e-4, 4.0, 97)])
+    return np.concatenate([half, -half])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("x_switch", [1e-3, 1e-2, 0.2])
+def test_fused_kernels_match_single_kernels(x_switch, alpha):
+    p = KernelParams(alpha=alpha, x_switch=x_switch)
+    x = _switch_probes(p)
+    fused = _ftilde(x, p, range(5))
+    for j in range(5):
+        single = eval_Ftilde(j, x, p)
+        assert fused[j].tobytes() == single.tobytes()
+        assert single.tobytes() == _old_eval_Ftilde(j, x, p).tobytes()
+
+
+F_ORACLE_RADII = {
+    "mesh_from_origin": lambda rng: RadialGrid(128, 4.0).r,
+    "unsorted": lambda rng: rng.uniform(0.0, 3.0, 97),
+    "below_one_half": lambda rng: np.sort(rng.uniform(0.0, 0.45, 64)),
+    "above_one": lambda rng: np.sort(rng.uniform(1.01, 6.0, 64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(F_ORACLE_RADII))
+def test_F_matches_its_old_formula(case, profile):
+    rng = np.random.default_rng(11)
+    r = F_ORACLE_RADII[case](rng)
+    v, vt, vr = (rng.uniform(-1.5, 1.5, r.size) for _ in range(3))
+    p = KernelParams(alpha=0.7)
+    cut = cutoff_arrays(r, profile)
+    old = _old_eval_F_given_cutoffs(v, vt, vr, r, cut, p).tobytes()
+    assert eval_F_given_cutoffs(v, vt, vr, r, cut, p).tobytes() == old
+    nodes = branch_nodes(cut)
+    assert eval_F_given_cutoffs(v, vt, vr, r, cut, p, nodes).tobytes() == old
+    # a mesh gives two slices; scattered nodes fall back to index arrays
+    if case in ("mesh_from_origin", "unsorted"):
+        assert all(isinstance(n, slice) for n in nodes) == (case != "unsorted")
 
 
 # ---------------------------------------------------------------------------
