@@ -81,7 +81,9 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     dens_field = RadialField(density, "even", g)
     total = integrate_radial(dens_field, 1)
     if not np.isfinite(total):
-        raise ValueError("non-finite energy integrand")
+        ok = np.isfinite(density * r)
+        where = "" if ok.all() else f" at r={r[np.argmin(ok)]:.6g}"
+        raise ValueError(f"non-finite energy integrand{where}")
     if not return_tail:
         return total
     k = max(4, g.n_cells // 10)
@@ -104,16 +106,15 @@ def continuation_monitor(v_state: FieldState):
             float(np.max(jb * np.abs(vr))))
 
 
-def decay_report(f: RadialField, s_proxy: int) -> dict:
-    """Soft decay ratios (reported, never asserted): the outer row weights
-    by r^(3/2), the inner row by r^max(0, 2-s_proxy)."""
+def decay_report(f: RadialField) -> dict:
+    """Soft decay ratios (reported, never asserted): max |v| r^(3/2) on
+    r >= 1 and max |v| on 0 < r <= 1."""
     r = f.grid.r
     av = np.abs(f.values)
     outer_mask = r >= 1.0
     outer = float(np.max(av[outer_mask] * r[outer_mask] ** 1.5)) if outer_mask.any() else 0.0
-    e = max(0, 2 - s_proxy)
     inner_mask = (r > 0.0) & (r <= 1.0)
-    inner = float(np.max(av[inner_mask] * r[inner_mask] ** e)) if inner_mask.any() else 0.0
+    inner = float(np.max(av[inner_mask])) if inner_mask.any() else 0.0
     return {"outer": outer, "inner": inner}
 
 
@@ -142,8 +143,6 @@ def ys_norm(fields, dt: float, s: int) -> float:
 
 
 def _spatial_lq(f: RadialField, q) -> float:
-    if q == math.inf:
-        return float(np.max(np.abs(f.values)))
     if q == 2:
         return sobolev_norm(f, 0)
     w = f.grid.dim - 1
@@ -152,7 +151,7 @@ def _spatial_lq(f: RadialField, q) -> float:
 
 def spacetime_norm(fields, dt: float, p, q) -> float:
     """Discrete L^p-in-time of L^q-in-space over a sampled window
-    (trapezoid in time; p or q may be math.inf)."""
+    (trapezoid in time; p may be math.inf)."""
     g = np.array([_spatial_lq(f, q) for f in fields])
     if p == math.inf:
         return float(np.max(g))
@@ -160,43 +159,26 @@ def spacetime_norm(fields, dt: float, p, q) -> float:
     return float((dt * (np.sum(gp) - 0.5 * (gp[0] + gp[-1]))) ** (1.0 / p))
 
 
-def _pair_key(p, q) -> str:
-    def one(x):
-        return "inf" if x == math.inf else ("%g" % x)
-    return f"L{one(p)}_L{one(q)}"
-
-
 class SpacetimeTracker:
-    """Running space-time norms over an evolving trajectory.
+    """Running space-time norms of a sampled trajectory: Linf_L2, the energy
+    pair, as a running max, and L2_L8, the p = 2 endpoint of the admissible
+    L^p L^(4p/(p-1)) family in four spatial dimensions, by the trapezoid
+    rule in time."""
 
-    Default pairs: (inf, 2), the energy pair, and (2, 8), the p = 2 endpoint
-    of the admissible L^p L^(4p/(p-1)) family in four spatial dimensions.
-    """
-
-    def __init__(self, pairs=((math.inf, 2), (2, 8))):
-        self.pairs = tuple(pairs)
-        self._running = {pq: 0.0 for pq in self.pairs}
-        self._last = {pq: None for pq in self.pairs}
+    def __init__(self):
+        self._linf_l2 = 0.0
+        self._l2_l8 = 0.0
+        self._last_l8 = None
 
     def update(self, f: RadialField, dt_since_last: float):
-        for pq in self.pairs:
-            p, q = pq
-            gq = _spatial_lq(f, q)
-            if p == math.inf:
-                self._running[pq] = max(self._running[pq], gq)
-            else:
-                prev = self._last[pq]
-                if prev is not None:
-                    self._running[pq] += 0.5 * dt_since_last * (prev ** p + gq ** p)
-                self._last[pq] = gq
+        self._linf_l2 = max(self._linf_l2, _spatial_lq(f, 2))
+        g = _spatial_lq(f, 8)
+        if self._last_l8 is not None:
+            self._l2_l8 += 0.5 * dt_since_last * (self._last_l8 ** 2 + g ** 2)
+        self._last_l8 = g
 
     def values(self) -> dict:
-        out = {}
-        for pq in self.pairs:
-            p, _ = pq
-            acc = self._running[pq]
-            out[_pair_key(*pq)] = acc if p == math.inf else acc ** (1.0 / p)
-        return out
+        return {"Linf_L2": self._linf_l2, "L2_L8": self._l2_l8 ** (1.0 / 2)}
 
 
 def write_diagnostics_csv(records, path):

@@ -2,7 +2,7 @@
 
 Everything here is a pure function of its arguments: the cutoff profiles
 (phi and the inner/outer partition pair), the coefficient functions
-A_1/A_3/A_4/A_5, the even analytic kernels Ftilde_0..Ftilde_4 with their
+A_1/A_4/A_5, the even analytic kernels Ftilde_0..Ftilde_4 with their
 removable singularities at argument 0, the 2D nonlinearity N(u), and the
 assembled right-hand side F(v) of the lifted 4D semilinear wave equation.
 
@@ -37,20 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Coupling constant and removable-singularity evaluation policy."""
+    """The coupling constant alpha in front of the quartic term."""
 
     alpha: float = 1.0
-    x_switch: float = 1e-2
-    series_terms: int = 8
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if not self.x_switch > 0:
-            raise ValueError("x_switch must be positive")
-        if not 4 <= self.series_terms <= len(_SERIES[0]):
-            raise ValueError(f"series_terms must lie in 4..{len(_SERIES[0])}, "
-                             f"got {self.series_terms}")
 
 
 @dataclass(frozen=True)
@@ -70,45 +63,41 @@ class CutoffProfile:
 
 # Taylor coefficients in w = x^2 about x = 0 for the alpha-independent part
 # of each kernel (Ftilde_1 carries no alpha; the others scale by alpha^2).
-# Frozen from a 50-digit pre-build expansion; 12 terms kept, the evaluator
-# uses the first KernelParams.series_terms of them.
+# Frozen from a 50-digit pre-build expansion; 8 terms, converged to
+# rounding below every seam in _SEAM.
 _SERIES = {
     0: np.array([
         1.0, -0.3333333333333333, 0.044444444444444446,
         -0.0031746031746031746, 0.00014109347442680775,
         -4.275559831115387e-06, 9.39683479366019e-08,
-        -1.5661391322766984e-09, 2.0472406957865337e-11,
-        -2.1549902060910883e-13, 1.8657923862260506e-15,
-        -1.3520234682797467e-17]),
+        -1.5661391322766984e-09]),
     1: np.array([
         0.6666666666666666, -0.13333333333333333, 0.012698412698412698,
         -0.0007054673721340388, 2.565335898669232e-05,
         -6.577784355562133e-07, 1.2529113058213587e-08,
-        -1.8425166262078804e-10, 2.1549902060910882e-12,
-        -2.0523716248486557e-14, 1.622428161935696e-16,
-        -1.0816187746237974e-18]),
+        -1.8425166262078804e-10]),
     2: np.array([
         -0.3333333333333333, 0.08888888888888889, -0.009523809523809525,
         0.000564373897707231, -2.1377799155576935e-05,
         5.638100876196114e-07, -1.0962973925936889e-08,
-        1.637792556629227e-10, -1.9394911854819795e-12,
-        1.8657923862260504e-14, -1.4872258151077213e-16,
-        9.984173304219668e-19]),
+        1.637792556629227e-10]),
     3: np.array([
         -1.0, 0.6666666666666666, -0.13333333333333333,
         0.012698412698412698, -0.0007054673721340388,
         2.565335898669232e-05, -6.577784355562133e-07,
-        1.2529113058213587e-08, -1.8425166262078804e-10,
-        2.1549902060910882e-12, -2.0523716248486557e-14,
-        1.622428161935696e-16]),
+        1.2529113058213587e-08]),
     4: np.array([
         -0.6666666666666666, 0.17777777777777778, -0.01904761904761905,
         0.001128747795414462, -4.275559831115387e-05,
         1.1276201752392229e-06, -2.1925947851873777e-08,
-        3.275585113258454e-10, -3.878982370963959e-12,
-        3.731584772452101e-14, -2.9744516302154426e-16,
-        1.9968346608439335e-18]),
+        3.275585113258454e-10]),
 }
+
+# |x| below _SEAM[j] takes the series, the rest the direct formula. The
+# kernels with a leading x^3-order cancellation (j = 1, 2, 4) keep the series
+# up to 0.1: their direct formulas lose ~3/x^2 * eps there (a few 1e-12
+# relative at x ~ 1e-2, above the 1e-12 agreement budget at the seam).
+_SEAM = {0: 1e-2, 1: 0.1, 2: 0.1, 3: 1e-2, 4: 0.1}
 
 DEFAULT_PARAMS = KernelParams()
 DEFAULT_PROFILE = CutoffProfile()
@@ -129,25 +118,25 @@ def _pointwise(fn, *args):
 
 
 @lru_cache(maxsize=None)
-def _horner_table(js, terms):
-    """Series coefficients of the kernels js, highest order first: (terms,
-    len(js), 1) for one Horner pass over all, (terms,) for a single kernel."""
-    table = np.array([_SERIES[j][:terms][::-1] for j in js]).T
+def _horner_table(js):
+    """Series coefficients of the kernels js, highest order first: (8,
+    len(js), 1) for one Horner pass over all, (8,) for a single kernel."""
+    table = np.array([_SERIES[j][::-1] for j in js]).T
     return table[:, :, None] if len(js) > 1 else table[:, 0]
 
 
 def _ftilde(x, p, js):
     """[Ftilde_j(x) for j in js] from one pass over a float64 array x: one
-    mask per switch point, one Horner pass, one sin/cos and one sin(2x).
+    mask per seam, one Horner pass, one sin/cos and one sin(2x).
     Ftilde_4 is returned as 2 * Ftilde_2, the same bytes as its own formula:
     scaling by 2 is exact and _SERIES[4] == 2 * _SERIES[2] bitwise."""
     base = sorted({2 if j == 4 else j for j in js})
-    switch = [max(p.x_switch, 0.1) if j in (1, 2) else p.x_switch for j in base]
+    seams = [_SEAM[j] for j in base]
     ax = np.abs(x)
-    small = {sw: ax < sw for sw in switch}
-    near, far = small[max(switch)], ~small[min(switch)]
+    small = {sw: ax < sw for sw in seams}
+    near, far = small[max(seams)], ~small[min(seams)]
     w = x[near] ** 2
-    table = _horner_table(tuple(base), p.series_terms)
+    table = _horner_table(tuple(base))
     acc = np.zeros(table.shape[1:2] + w.shape)
     for coeffs in table:
         acc = acc * w + coeffs
@@ -159,10 +148,10 @@ def _ftilde(x, p, js):
     direct = {0: lambda: (s / xf) ** 2, 1: lambda: (x2 - s2) / (2.0 * xf ** 3),
               2: lambda: (xf * c - s) * s / xf ** 4, 3: lambda: -s2 / x2}
     out = {}
-    for row, (j, sw) in enumerate(zip(base, switch)):
+    for row, (j, sw) in enumerate(zip(base, seams)):
         f = np.empty_like(x)
-        f[small[sw]] = acc[row] if sw == max(switch) else acc[row][small[sw][near]]
-        f[~small[sw]] = direct[j]() if sw == min(switch) else direct[j]()[~small[sw][far]]
+        f[small[sw]] = acc[row] if sw == max(seams) else acc[row][small[sw][near]]
+        f[~small[sw]] = direct[j]() if sw == min(seams) else direct[j]()[~small[sw][far]]
         out[j] = f if j == 1 else f * p.alpha ** 2
     return [2.0 * out[2] if j == 4 else out[j] for j in js]
 
@@ -170,16 +159,11 @@ def _ftilde(x, p, js):
 def eval_Ftilde(j, x, p=DEFAULT_PARAMS):
     """Evaluate the even analytic kernel Ftilde_j at x (scalar or array).
 
-    For |x| below p.x_switch the truncated Taylor series (Horner in x^2)
-    takes over; both branches agree to better than 1e-12 relative at the
-    seam. Ftilde_1 is alpha-free, the other four scale by alpha^2.
-
-    The kernels with a leading x^3-order cancellation (j = 1, 2, 4) keep
-    the series up to |x| = 0.1 regardless of a smaller x_switch: the direct
-    formulas lose ~3/x^2 * eps there (a few 1e-12 relative at x ~ 1e-2,
-    above the 1e-12 agreement budget), while the series is converged to
-    rounding for every admissible series_terms. One kernel of the one-pass
-    evaluator _ftilde, from which eval_F_given_cutoffs takes all five.
+    For |x| below the seam _SEAM[j] (1e-2 for j = 0, 3; 0.1 for j = 1, 2,
+    4) the 8-term Taylor series (Horner in x^2) takes over; both branches
+    agree to better than 1e-12 relative at the seam. Ftilde_1 is alpha-free,
+    the other four scale by alpha^2. One kernel of the one-pass evaluator
+    _ftilde, from which eval_F_given_cutoffs takes all five.
     """
     if j not in _SERIES:
         raise ValueError(f"kernel index must be 0..4, got {j}")
@@ -265,20 +249,19 @@ def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     """The quasilinear coefficient functions, all >= 1.
 
     which=1: A_1(u=y, r) = 1 + alpha^2 sin^2(y)/r^2           (needs r > 0)
-    which=3: A_3(y, r), same formula with free argument y     (needs r > 0)
     which=4: A_4(y, r) = 1 + y^2 Ftilde_0(r y), smooth through r = 0
     which=5: A_5(y, r) = A_4(y, r) on r <= 1, else A_1(r y + phi(r), r).
 
     A_5 evaluated on (v, r) equals A_1 evaluated on the reconstructed
     u = r v + phi at every radius, with the r -> 0 limit built in.
     """
-    if which not in (1, 3, 4, 5):
-        raise ValueError(f"A-index must be 1, 3, 4 or 5, got {which}")
+    if which not in (1, 4, 5):
+        raise ValueError(f"A-index must be 1, 4 or 5, got {which}")
 
     def coefficient(y, r):
-        if which in (1, 3):
+        if which == 1:
             if np.any(r <= 0):
-                raise ValueError("A_1/A_3 require r > 0; use A_4/A_5 at the origin")
+                raise ValueError("A_1 requires r > 0; use A_4/A_5 at the origin")
             return _a3(np.sin(y), r, p)
         out = _a4(y, r, p)
         if which == 5:

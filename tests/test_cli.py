@@ -46,7 +46,7 @@ def test_tiny_run_artifacts(tmp_path, capsys):
     assert "status=completed" in stdout
 
     diag_path = os.path.join(out, "diagnostics.csv")
-    rows = open(diag_path).read().splitlines()
+    rows = Path(diag_path).read_text().splitlines()
     assert rows[0].startswith("time,energy,energy_drift,energy_tail,monitor_v")
     assert len(rows) >= 3
 
@@ -67,8 +67,8 @@ def test_run_is_byte_reproducible(tmp_path):
         out = run_dirs(tmp_path, name)
         assert main(["run"] + TINY + ["--out", out]) == 0
         outs.append(out)
-    a = open(os.path.join(outs[0], "diagnostics.csv"), "rb").read()
-    b = open(os.path.join(outs[1], "diagnostics.csv"), "rb").read()
+    a = Path(outs[0], "diagnostics.csv").read_bytes()
+    b = Path(outs[1], "diagnostics.csv").read_bytes()
     assert a == b
 
 
@@ -125,7 +125,7 @@ def test_verify_suites_pass(tmp_path, capsys, suite, n_checks):
     assert "FAIL" not in stdout
     assert f"status=ok suite={suite} checks={n_checks} failures=0" in stdout
     report = os.path.join(out, f"verify_{suite}.csv")
-    rows = open(report).read().splitlines()
+    rows = Path(report).read_text().splitlines()
     assert rows[0] == "suite,check,value,tolerance,passed"
     assert len(rows) == 1 + n_checks
     assert all(row.endswith("True") for row in rows[1:])
@@ -139,8 +139,8 @@ def test_sweep_single_point_matches_plain_run(tmp_path):
     rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.3",
                                   "--jobs", "1", "--out", sweep_root])
     assert rc == 0
-    a = open(os.path.join(plain, "diagnostics.csv"), "rb").read()
-    b = open(os.path.join(sweep_root, "run_000", "diagnostics.csv"), "rb").read()
+    a = Path(plain, "diagnostics.csv").read_bytes()
+    b = Path(sweep_root, "run_000", "diagnostics.csv").read_bytes()
     assert a == b
 
 
@@ -157,14 +157,33 @@ def test_sweep_run_writes_what_run_writes(tmp_path):
     snapshot_files = [n for n in names if n.startswith("snapshot_")]
     assert len(snapshot_files) == 6  # steps 0, 4, 8: .csv and .meta each
     for name in snapshot_files:
-        assert (open(os.path.join(plain, name), "rb").read()
-                == open(os.path.join(swept, name), "rb").read())
+        assert (Path(plain, name).read_bytes()
+                == Path(swept, name).read_bytes())
 
 
-def test_series_terms_above_the_stored_series_is_a_config_error(capsys):
-    rc = main(["run", "--set", "kernels.series_terms=40"])
+# retired settings, each with the value older effective_config.ini files hold
+RETIRED = {"kernels.x_switch": "0.01", "kernels.series_terms": "8",
+           "diagnostics.decay_s_proxy": "2", "integrator.integrator": "rk4",
+           "diagnostics.ghost_mode": "reflect"}
+
+
+@pytest.mark.parametrize("key", sorted(RETIRED))
+def test_retired_key_is_an_unknown_key(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    rc = main(["run"] + TINY + ["--set", f"{key}={RETIRED[key]}", "--out", str(out)])
     assert rc == 1
-    assert "series_terms must lie in 4..12" in capsys.readouterr().err
+    assert f"config-error: unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_series_terms_above_the_stored_series_is_a_config_error(tmp_path, capsys):
+    # the series length is fixed at the 8 stored terms; asking for more is
+    # rejected before any output, now as a key that is not a setting
+    out = tmp_path / "out"
+    rc = main(["run", "--set", "kernels.series_terms=40", "--out", str(out)])
+    assert rc == 1
+    assert "config-error: unknown key 'kernels.series_terms'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # settings that RunConfig rejects, with the text the error must show
@@ -201,7 +220,7 @@ def test_sweep_grid(tmp_path, capsys):
                                   "--jobs", "1", "--out", root])
     assert rc == 0
     assert "status=done runs=2 incomplete=0" in capsys.readouterr().out
-    rows = open(os.path.join(root, "summary.csv")).read().splitlines()
+    rows = Path(root, "summary.csv").read_text().splitlines()
     assert rows[0].startswith("run_dir,initial_data.amplitude,status")
     assert len(rows) == 3
     assert rows[1].startswith("run_000,0.1,completed")
@@ -215,16 +234,16 @@ def test_kernels_table(tmp_path, capsys):
     rc = main(["kernels-table", "--out", out])
     assert rc == 0
     assert "status=ok" in capsys.readouterr().out
-    kern = open(os.path.join(out, "kernels.csv")).read().splitlines()
+    kern = Path(out, "kernels.csv").read_text().splitlines()
     assert kern[0] == "x,Ftilde0,Ftilde1,Ftilde2,Ftilde3,Ftilde4"
     assert len(kern) == 1 + 601
-    cuts = open(os.path.join(out, "cutoffs.csv")).read().splitlines()
+    cuts = Path(out, "cutoffs.csv").read_text().splitlines()
     assert cuts[0] == "r,phi,dphi,lt1,gt1,lap2_phi,A4_at_v1"
     assert len(cuts) == 1 + 601
 
 
 def read_meta(path):
-    return dict(line.split(" = ", 1) for line in open(path).read().splitlines())
+    return dict(line.split(" = ", 1) for line in Path(path).read_text().splitlines())
 
 
 def test_checkpoints_record_the_step_index(tmp_path):
@@ -264,7 +283,7 @@ def test_non_finite_run_halts_on_its_first_bad_step(tmp_path, capsys):
             ) in capsys.readouterr().out
     final = read_meta(os.path.join(out, "final.meta"))
     assert (final["time"], final["step"]) == ("0.15625", "20")
-    assert len(open(os.path.join(out, "diagnostics.csv")).readlines()) == 2
+    assert len(Path(out, "diagnostics.csv").read_text().splitlines()) == 2
 
 
 def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):
@@ -275,7 +294,7 @@ def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):
                "--jobs", "1", "--out", root])
     assert rc == 4
     assert "status=done runs=2 incomplete=2" in capsys.readouterr().out
-    rows = open(os.path.join(root, "summary.csv")).read().splitlines()
+    rows = Path(root, "summary.csv").read_text().splitlines()
     assert [row.split(",")[2] for row in rows[1:]] == ["error", "error"]
 
 
@@ -298,12 +317,30 @@ def test_overflowing_initial_data_is_a_config_error_without_output(tmp_path, cap
     assert not out.exists()
 
 
+def test_overflowing_velocity_names_its_setting_and_radius(tmp_path, capsys):
+    # v_t peaks near -1e308 at r = 3; u_t = r v_t overflows from r = 2.5 on
+    out = tmp_path / "overflow_t"
+    rc = main(["run"] + TINY + ["--set", "initial_data.amplitude_t=-1e308",
+                                "--set", "initial_data.center_t=3",
+                                "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config-error: initial_data.amplitude_t gives a non-finite initial "
+        "state at r=2.5\n")
+    assert not out.exists()
+
+
 def test_readme_defaults_block_matches_the_dataclasses(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     path = tmp_path / "defaults.ini"
     path.write_text(block)
     assert load_config(str(path)) == (RunConfig(), "faddeev_out")
+    # and it documents every settable key, each once
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp.read_string(block)
+    listed = [f"{section}.{key}" for section in cp.sections() for key in cp[section]]
+    assert sorted(listed) == sorted(key for key, _, _ in CONFIG_TABLE)
 
 
 # one valid non-default text per settable key
@@ -315,10 +352,9 @@ NON_DEFAULT = {
     "initial_data.center": "0.75", "initial_data.width": "0.3",
     "initial_data.amplitude_t": "-0.2", "initial_data.center_t": "1.25",
     "initial_data.width_t": "2.0", "initial_data.profile_path": "table.csv",
-    "kernels.alpha": "0.7", "kernels.x_switch": "0.02",
-    "kernels.series_terms": "6", "kernels.cutoff_order": "9",
+    "kernels.alpha": "0.7", "kernels.cutoff_order": "9",
     "diagnostics.output_every": "5", "diagnostics.monitor_ceiling": "1e3",
-    "diagnostics.drift_ceiling": "0.5", "diagnostics.decay_s_proxy": "3",
+    "diagnostics.drift_ceiling": "0.5",
     "diagnostics.track_spacetime": "false", "diagnostics.sobolev_orders": "",
     "output.snapshot_every": "7",
     "output.dir": "elsewhere",
@@ -327,7 +363,7 @@ NON_DEFAULT = {
 
 def test_config_table_lists_each_settable_key_once():
     keys = [key for key, _, _ in CONFIG_TABLE]
-    assert len(keys) == len(set(keys)) == 26
+    assert len(keys) == len(set(keys)) == 23
     assert set(keys) == set(NON_DEFAULT)
 
 

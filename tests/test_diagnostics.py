@@ -11,7 +11,7 @@ from faddeevlab import diagnostics as diag
 from faddeevlab.diagnostics import DiagnosticsRecord
 from faddeevlab.grid import FieldState, RadialField, RadialGrid, sobolev_norm
 from faddeevlab.kernels import KernelParams
-from faddeevlab.transform import u_to_v
+from faddeevlab.transform import u_to_v, v_to_u
 
 from conftest import gaussian_v_state
 
@@ -83,6 +83,19 @@ def test_energy_tail_vanishes_for_compact_data(params, profile):
     assert 0.0 <= tail <= 1e-50
 
 
+def test_non_finite_energy_names_its_first_radius(params, profile):
+    # a velocity spike at r = 3 whose u_t^2 = (r v_t)^2 overflows there
+    g = RadialGrid(64, 8.0, dim=4)
+    vs = gaussian_v_state(g, amp=0.3)
+    i = int(np.searchsorted(g.r, 3.0))
+    vt = np.zeros(g.n_nodes)
+    vt[i] = 1e200
+    vs = FieldState(vs.f, vs.f_t.with_values(vt))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^non-finite energy integrand at r=3$"):
+        diag.energy(v_to_u(vs, profile), params, vs, profile)
+
+
 def test_energy_drift_definition():
     assert diag.energy_drift(1.02, 1.0) == pytest.approx(0.02)
     assert diag.energy_drift(0.5, 0.0) == 0.5  # absolute when e0 = 0
@@ -127,7 +140,7 @@ def test_monitor_homogeneity(lam):
 
 def test_decay_report_zero_field(grid128):
     rep = diag.decay_report(RadialField(np.zeros(grid128.n_nodes), "even",
-                                        grid128), 2)
+                                        grid128))
     assert rep == {"outer": 0.0, "inner": 0.0}
 
 
@@ -135,12 +148,11 @@ def test_decay_report_critical_profile():
     """(1+r^2)^(-3/4) saturates the r^(-3/2) outer envelope."""
     g = RadialGrid(640, 40.0, dim=4)
     f = RadialField((1.0 + g.r ** 2) ** (-0.75), "even", g)
-    rep = diag.decay_report(f, 2)
+    rep = diag.decay_report(f)
     assert 0.999 <= rep["outer"] <= 1.0
-    assert 0.99 <= rep["inner"] <= 1.0  # exponent clamps to zero at s = 2
-    rep0 = diag.decay_report(f, 0)
-    assert abs(rep0["inner"] - 2.0 ** (-0.75)) <= 1e-14  # max sits at r = 1
-    assert diag.decay_report(f, 3) == rep  # clamp: s >= 2 all alike
+    inner = (g.r > 0.0) & (g.r <= 1.0)
+    assert rep["inner"] == np.max(f.values[inner])  # max |v| on 0 < r <= 1
+    assert 0.99 <= rep["inner"] <= 1.0
 
 
 # ------------------------------------------------------------ window norms
@@ -212,6 +224,7 @@ def test_spacetime_tracker_matches_batch():
     for i, f in enumerate(fields):
         tracker.update(f, 0.0 if i == 0 else dt)
     vals = tracker.values()
+    assert list(vals) == ["Linf_L2", "L2_L8"]  # the diagnostics.csv column order
     assert vals["L2_L8"] == pytest.approx(
         diag.spacetime_norm(fields, dt, 2, 8), rel=1e-13)
     assert vals["Linf_L2"] == pytest.approx(

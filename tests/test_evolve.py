@@ -108,7 +108,7 @@ def test_config_fingerprint_stability():
 def test_default_fingerprint_is_pinned():
     """The flattened key order and value text feed the fingerprint, so a
     pinned default value guards both."""
-    assert config_fingerprint(RunConfig()) == "90d300e33c89a79d"
+    assert config_fingerprint(RunConfig()) == "05168c3e940751a8"
 
 
 def test_config_items_cover_every_section():

@@ -1,5 +1,6 @@
 """Removable-singularity kernels, cutoffs and the pointwise nonlinearity."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -42,14 +43,15 @@ def test_kernel_limit_at_zero(j, alpha):
 
 @pytest.mark.parametrize("j", range(5))
 def test_series_and_direct_branches_agree(j):
-    # Widening x_switch flips the evaluator to the series branch on points
-    # the default parameters evaluate directly; the two must coincide.
-    p_narrow = KernelParams(x_switch=1e-2)
-    p_wide = KernelParams(x_switch=0.45)
+    # Past its seam (1e-2 or 0.1) the evaluator takes the direct formula;
+    # the 8-term series it uses below the seam must agree with it there.
+    assert len(_SERIES[j]) == 8
     xs = np.linspace(0.02, 0.4, 77)
-    a = eval_Ftilde(j, xs, p_narrow)
-    b = eval_Ftilde(j, xs, p_wide)
-    assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-12
+    series = np.zeros_like(xs)
+    for c in _SERIES[j][::-1]:
+        series = series * xs ** 2 + c
+    got = eval_Ftilde(j, xs, DEFAULT_PARAMS)
+    assert np.max(np.abs(got - series) / np.abs(series)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -72,14 +74,8 @@ def test_far_field_envelope_decays(j):
 def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        KernelParams(x_switch=0.0)
-    with pytest.raises(ValueError):
-        KernelParams(series_terms=3)
-    # 12 Taylor terms are stored: more cannot be honoured
-    assert KernelParams(series_terms=12).series_terms == 12
-    with pytest.raises(ValueError, match="series_terms must lie in 4..12"):
-        KernelParams(series_terms=13)
+    # the series seams and length are constants: alpha is the only setting
+    assert [f.name for f in dataclasses.fields(KernelParams)] == ["alpha"]
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +158,11 @@ def test_A1_A3_require_positive_radius():
     with pytest.raises(ValueError):
         eval_A(1, 0.3, 0.0)
     with pytest.raises(ValueError):
-        eval_A(3, 0.3, -1.0)
+        eval_A(1, 0.3, -1.0)
     with pytest.raises(ValueError):
         eval_A(2, 0.3, 1.0)
+    with pytest.raises(ValueError):  # A_3 is A_1 with a free argument
+        eval_A(3, 0.3, 1.0)
 
 
 def test_A5_matches_A1_on_reconstructed_u(params, profile):
@@ -268,8 +266,8 @@ def test_F_hot_path_matches_wrapper(params, profile):
 
 # ---------------------------------------------------------------------------
 # the right-hand side as it stood before the one-pass kernels and the sliced
-# branches, kept verbatim as an oracle: the hot path must match it byte for
-# byte
+# branches, kept as an oracle (with the series seams and length now fixed):
+# the hot path must match it byte for byte
 
 
 def _old_ftilde_direct(j, x):
@@ -289,7 +287,7 @@ def _old_ftilde_direct(j, x):
 
 def _old_eval_Ftilde(j, x, p):
     """eval_Ftilde on a float64 array, one kernel per call."""
-    switch = max(p.x_switch, 0.1) if j in (1, 2, 4) else p.x_switch
+    switch = 0.1 if j in (1, 2, 4) else 1e-2
 
     def kernel(x):
         out = np.empty_like(x)
@@ -297,7 +295,7 @@ def _old_eval_Ftilde(j, x, p):
         if small.any():
             w = x[small] ** 2
             acc = np.zeros_like(w)
-            for c in _SERIES[j][: p.series_terms][::-1]:
+            for c in _SERIES[j][:8][::-1]:
                 acc = acc * w + c
             out[small] = acc
         big = ~small
@@ -331,21 +329,20 @@ def _old_eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS):
     return out
 
 
-def _switch_probes(p):
-    """0, both neighbours of each switch point and the point itself, a sweep
-    across the seams, and large arguments; every value with both signs."""
+def _switch_probes():
+    """0, both neighbours of each seam and the seam itself, a sweep across
+    the seams, and large arguments; every value with both signs."""
     pts = [0.0, 1e3, 12345.678, 1e8]
-    for sw in (p.x_switch, 0.1):
+    for sw in (1e-2, 0.1):
         pts += [np.nextafter(sw, 0.0), sw, np.nextafter(sw, 1.0), 0.9 * sw, 1.1 * sw]
     half = np.concatenate([pts, np.linspace(1e-4, 4.0, 97)])
     return np.concatenate([half, -half])
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.7])
-@pytest.mark.parametrize("x_switch", [1e-3, 1e-2, 0.2])
-def test_fused_kernels_match_single_kernels(x_switch, alpha):
-    p = KernelParams(alpha=alpha, x_switch=x_switch)
-    x = _switch_probes(p)
+def test_fused_kernels_match_single_kernels(alpha):
+    p = KernelParams(alpha=alpha)
+    x = _switch_probes()
     fused = _ftilde(x, p, range(5))
     for j in range(5):
         single = eval_Ftilde(j, x, p)
@@ -386,7 +383,6 @@ def test_F_matches_its_old_formula(case, profile):
 # of numerics and needs its own argued entry in CHANGES.md.
 BITWISE_PINS = {
     "eval_A1": "d54c3f8fce46a9ebf2e8ca3d82b95b7c77369050c3ddd2a212f379765c140b60",
-    "eval_A3": "d54c3f8fce46a9ebf2e8ca3d82b95b7c77369050c3ddd2a212f379765c140b60",
     "eval_A4": "0b03bbaf0dac0cd0f8c8bcdb4ce29ced9aaf199db7fc8354ad6121a0d11a4e28",
     "eval_A5": "8ca99f5bdc37d442a7d7d58b756398b3bf464b67a770cffc6cb20059a13937cd",
     "eval_N": "7a2241b88da4f2c169256af9804e100f85ec66ce8ba51f85a8bec1627093a765",
@@ -416,7 +412,7 @@ def _bitwise_outputs():
     r = np.sort(rng.uniform(0.01, 3.0, n))
     y, vt, vr, vtt = (rng.uniform(-2.0, 2.0, n) for _ in range(4))
     p = KernelParams(alpha=0.7)
-    out = {f"eval_A{w}": eval_A(w, y, r, p) for w in (1, 3, 4, 5)}
+    out = {f"eval_A{w}": eval_A(w, y, r, p) for w in (1, 4, 5)}
     out["eval_N"] = eval_N(y, vt, vr, r, p)
     out["dA1_dt"] = dA1_dt(y, vt, r, p)
     out["dA1_dtt"] = dA1_dtt(y, vt, vtt, r, p)
@@ -453,6 +449,6 @@ def test_scalar_input_gives_a_python_float(params, profile):
     values += [eval_cutoff(which, 1.3, order, profile)
                for which in ("phi", "lt1", "gt1") for order in (0, 1, 2)]
     values += [laplacian_phi_2d(1.5, profile), laplacian_phi_2d(0.0, profile)]
-    values += [eval_A(which, 0.4, 1.5, params, profile) for which in (1, 3, 4, 5)]
+    values += [eval_A(which, 0.4, 1.5, params, profile) for which in (1, 4, 5)]
     values += [eval_F_rhs(0.4, 0.3, -0.2, r, params, profile) for r in (0.0, 0.7, 1.5)]
     assert all(type(v) is float for v in values)

@@ -104,7 +104,7 @@ def test_phi_branch_formulas_agree_on_seam_strip():
     for i in np.nonzero((g.r >= 0.4) & (g.r <= 0.5))[0]:
         r = g.r[i]
         outer = quadrature_1d(
-            lambda y: np.sqrt(eval_A(3, y, r, DEFAULT_PARAMS)),
+            lambda y: np.sqrt(eval_A(1, y, r, DEFAULT_PARAMS)),
             math.pi, u.f.values[i], 64) / r
         assert abs(outer - phi.values[i]) <= 1e-10
 
