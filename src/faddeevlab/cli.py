@@ -183,7 +183,7 @@ def _suite_kernels(rows, p, profile):
 
 
 def _suite_transforms(rows, p, profile):
-    g = RadialGrid(400, 2.0, dim=4)
+    g = RadialGrid(400, 2.0)
     v = 0.3 * np.exp(-g.r ** 2)
     seam = (g.r >= 0.4) & (g.r <= 0.5)
     idx = np.nonzero(seam)[0]
@@ -204,9 +204,9 @@ def _suite_transforms(rows, p, profile):
     err = float(np.max(np.abs(inner - outer)))
     rows.append(("transforms", "phi_branch_seam", err, 1e-10, err <= 1e-10))
 
-    gv = RadialGrid(256, 8.0, dim=4)
-    state = FieldState(RadialField(0.2 * np.exp(-gv.r ** 2), "even", gv),
-                       RadialField(0.1 * np.exp(-gv.r ** 2), "even", gv), 0.0)
+    gv = RadialGrid(256, 8.0)
+    state = FieldState(RadialField(0.2 * np.exp(-gv.r ** 2), gv),
+                       RadialField(0.1 * np.exp(-gv.r ** 2), gv), 0.0)
     back = u_to_v(v_to_u(state, profile), profile)
     err = float(np.max(np.abs(back.f.values - state.f.values)))
     rows.append(("transforms", "chart_roundtrip", err, 1e-9, err <= 1e-9))
@@ -252,10 +252,9 @@ def _suite_convergence(rows, p, profile):
 
 
 def _suite_energy(rows, p, profile):
-    g = RadialGrid(2048, 12.0, dim=2)
+    g = RadialGrid(2048, 12.0)
     u0 = math.pi * np.exp(-g.r ** 2)
-    u_state = FieldState(RadialField(u0, "even", g),
-                         RadialField(np.zeros(g.n_nodes), "even", g), 0.0)
+    u_state = FieldState(RadialField(u0, g), RadialField(np.zeros(g.n_nodes), g), 0.0)
     e = diag.energy(u_state, p, profile=profile)
     ref = 5.3665119245489741967
     err = abs(e - ref) / ref
@@ -326,6 +325,8 @@ def _sweep_one(packed):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     axes = []
     for spec in args.sweep:
         if "=" not in spec:
@@ -348,8 +349,10 @@ def cmd_sweep(args) -> int:
 
     packed = [(i, config, os.path.join(out_root, f"run_{i:03d}"))
               for i, _, config, _ in jobs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the fork start method starts every worker at once: no more than runs
+    workers = min(args.jobs, len(packed))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_sweep_one, packed))
     else:
         summaries = [_sweep_one(item) for item in packed]
@@ -409,7 +412,8 @@ def main(argv=None) -> int:
     sp.add_argument("--sweep", action="append", required=True,
                     metavar="SECTION.KEY=V1,V2,...",
                     help="sweep axis (repeatable; cartesian product)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (>= 1; at most one per run)")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("kernels-table", help="dump kernel and cutoff samples")

@@ -62,12 +62,10 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     """
     if v_state is None:
         v_state = u_to_v(u_state, profile)
-        u_r = d_r(u_state.f, 1).values
+        u_r = d_r(u_state.f)
     else:
-        g4 = v_state.grid
-        v_r = d_r(v_state.f, 1).values
-        u_r = (v_state.f.values + g4.r * v_r
-               + kernels.eval_cutoff("phi", g4.r, 1, profile))
+        u_r = (v_state.f.values + v_state.grid.r * d_r(v_state.f)
+               + kernels.eval_cutoff("phi", v_state.grid.r, 1, profile))
     g = u_state.grid
     r = g.r
     v = v_state.f.values
@@ -78,7 +76,7 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     far = r > 1.0
     sin2_over_r2[far] = (np.sin(u[far]) / r[far]) ** 2
     density = 0.5 * (a1 * (u_t ** 2 + u_r ** 2) + sin2_over_r2)
-    dens_field = RadialField(density, "even", g)
+    dens_field = RadialField(density, g)
     total = integrate_radial(dens_field, 1)
     if not np.isfinite(total):
         ok = np.isfinite(density * r)
@@ -100,7 +98,7 @@ def energy_drift(e: float, e0: float) -> float:
 def continuation_monitor(v_state: FieldState):
     """Grid maxima of <r>|v|, <r>|v_t|, <r>|d_r v| with <r> = (1+r^2)^(1/2)."""
     jb = np.sqrt(1.0 + v_state.grid.r ** 2)
-    vr = d_r(v_state.f, 1).values
+    vr = d_r(v_state.f)
     return (float(np.max(jb * np.abs(v_state.f.values))),
             float(np.max(jb * np.abs(v_state.f_t.values))),
             float(np.max(jb * np.abs(vr))))
@@ -145,8 +143,7 @@ def ys_norm(fields, dt: float, s: int) -> float:
 def _spatial_lq(f: RadialField, q) -> float:
     if q == 2:
         return sobolev_norm(f, 0)
-    w = f.grid.dim - 1
-    return float(integrate_radial(f.with_values(np.abs(f.values) ** q), w) ** (1.0 / q))
+    return float(integrate_radial(f.with_values(np.abs(f.values) ** q), 3) ** (1.0 / q))
 
 
 def spacetime_norm(fields, dt: float, p, q) -> float:

@@ -1,6 +1,6 @@
 """Time evolution of (v, v_t) for v_tt = lap4 v + F(v) on the radial mesh.
 
-Classical RK4 in time, 4th-order parity stencils in space, a Maxwellian
+Classical RK4 in time, 4th-order centered stencils in space, a Maxwellian
 sponge layer (-sigma(r) v_t with a quadratic ramp over the outer part of
 the domain) standing in for the unbounded domain, and blow-up/breakdown
 detection that separates monitored field growth from scheme failure.
@@ -108,6 +108,9 @@ class RunConfig:
             raise ValueError("t_end must be positive")
         if self.sponge.start >= self.r_max:
             raise ValueError("sponge start must lie inside the domain")
+        if self.sponge.strength < 0.0:
+            raise ValueError(f"integrator.sponge_strength must be >= 0, "
+                             f"got {self.sponge.strength}")
         if self.output_every < 1:
             raise ValueError("output cadence must be >= 1 step")
         if self.snapshot_every < 0:
@@ -210,7 +213,7 @@ def config_fingerprint(config: RunConfig) -> str:
 
 
 def make_grid(config: RunConfig) -> RadialGrid:
-    return RadialGrid(config.n_cells, config.r_max, dim=4)
+    return RadialGrid(config.n_cells, config.r_max)
 
 
 def _bump(r, a, center, width):
@@ -223,17 +226,19 @@ def initial_state(config: RunConfig) -> FieldState:
     g = make_grid(config)
     spec = config.initial
     if spec.family == "gaussian_v":
-        # an overflow is reported below, by setting and radius; the u chart
-        # (v_to_u) takes r v0 and r v1, so those must be finite too
+        # an overflow is reported below, by setting and radius: first where
+        # v or its u chart r v overflows, else where the square of r v that
+        # the energy takes (u_t = r v1) does
         with np.errstate(over="ignore", invalid="ignore"):
             v0 = _bump(g.r, spec.amplitude, spec.center, spec.width)
             v1 = _bump(g.r, spec.amplitude_t, spec.center_t, spec.width_t)
             for key, v in (("amplitude", v0), ("amplitude_t", v1)):
-                ok = np.isfinite(v) & np.isfinite(g.r * v)
-                if not ok.all():
-                    raise ValueError(f"initial_data.{key} gives a non-finite initial "
-                                     f"state at r={g.r[np.argmin(ok)]:.6g}")
-        return FieldState(RadialField(v0, "even", g), RadialField(v1, "even", g), 0.0)
+                for ok in (np.isfinite(v) & np.isfinite(g.r * v),
+                           np.isfinite((g.r * v) ** 2)):
+                    if not ok.all():
+                        raise ValueError(f"initial_data.{key} gives a non-finite "
+                                         f"initial state at r={g.r[np.argmin(ok)]:.6g}")
+        return FieldState(RadialField(v0, g), RadialField(v1, g), 0.0)
     table = np.loadtxt(spec.profile_path, delimiter=",", skiprows=1)
     if table.shape != (g.n_nodes, 3):
         raise ValueError("tabulated profile does not match the run grid")
@@ -241,9 +246,7 @@ def initial_state(config: RunConfig) -> FieldState:
         raise ValueError("tabulated profile holds a non-finite value")
     if not np.allclose(table[:, 0], g.r, rtol=0.0, atol=1e-12 * g.r_max):
         raise ValueError("tabulated radii do not match the run grid nodes")
-    g2 = g.with_dim(2)
-    u_state = FieldState(RadialField(table[:, 1], "even", g2),
-                         RadialField(table[:, 2], "even", g2), 0.0)
+    u_state = FieldState(RadialField(table[:, 1], g), RadialField(table[:, 2], g), 0.0)
     return u_to_v(u_state, config.profile)
 
 
@@ -363,7 +366,7 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     # overflow and NaN are checked on every step and reported as the halt
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t, v, vt in trajectory(config, forcing):
-            state = FieldState(RadialField(v, "even", g), RadialField(vt, "even", g), t)
+            state = FieldState(RadialField(v, g), RadialField(vt, g), t)
             # the initial data is not stepped: its first sample judges it
             finite = np.isfinite(v) & np.isfinite(vt)
             if k and not finite.all():
@@ -398,7 +401,7 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
     bundles = []
     for k, t, v, vt in trajectory(config, forcing):
         if k >= first:
-            st = FieldState(RadialField(v, "even", g), RadialField(vt, "even", g), t)
+            st = FieldState(RadialField(v, g), RadialField(vt, g), t)
             bundles.append(make_bundle(st, config.kernel_params, config.profile))
             if len(bundles) == n_levels:
                 break

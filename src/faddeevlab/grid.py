@@ -1,15 +1,16 @@
-"""Radial meshes, parity-aware finite differences, quadrature and norms.
+"""The radial mesh, finite differences, quadrature and norms.
 
-Uniform nodes r_i = i*dr on [0, r_max]. Fields carry a parity tag that
-controls the ghost fill through the origin (even: f(-r) = f(r), odd:
-f(-r) = -f(r)); derivatives use 4th-order centered stencils inside and
-one-sided 4th-order stencils at the outer edge. The radial measure is
-r^(dim-1) dr with dim 2 or 4.
+Uniform nodes r_i = i*dr on [0, r_max]. Every field is even in r: the
+ghost fill through the origin is the reflection f(-r) = f(r).
+Derivatives use 4th-order centered stencils inside and one-sided
+4th-order stencils at the outer edge. Laplacian and Sobolev norms are
+those of the 4D radial measure r^3 dr, the space the lifted field v
+lives in.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,24 +30,21 @@ __all__ = [
 
 FLOAT_FMT = "%.17g"
 
+# Ghost nodes through the origin: the 5-point stencils read two.
+GHOST = 2
+
 
 @dataclass(frozen=True)
 class RadialGrid:
     n_cells: int
     r_max: float
-    dim: int = 4
-    ghost: int = 3
 
     def __post_init__(self):
-        if self.dim not in (2, 4):
-            raise ValueError("dim must be 2 or 4")
         if self.n_cells < 6:
             raise ValueError(f"n_cells must be >= 6, the smallest mesh the "
                              f"4th-order stencils accept, got {self.n_cells}")
         if not self.r_max > 0:
             raise ValueError("r_max must be positive")
-        if self.ghost < 2:
-            raise ValueError("stencils need at least 2 ghosts")
 
     @property
     def dr(self) -> float:
@@ -60,30 +58,22 @@ class RadialGrid:
     def n_nodes(self) -> int:
         return self.n_cells + 1
 
-    def with_dim(self, dim: int) -> "RadialGrid":
-        return replace(self, dim=dim)
-
 
 @dataclass
 class RadialField:
     values: np.ndarray
-    parity: str
     grid: RadialGrid
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity!r}")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_nodes,):
             raise ValueError("field values not aligned to grid nodes")
-        if self.parity == "odd":
-            self.values[0] = 0.0
 
     def with_values(self, values) -> "RadialField":
-        return RadialField(np.asarray(values, dtype=float), self.parity, self.grid)
+        return RadialField(np.asarray(values, dtype=float), self.grid)
 
     def copy(self) -> "RadialField":
-        return RadialField(self.values.copy(), self.parity, self.grid)
+        return RadialField(self.values.copy(), self.grid)
 
 
 @dataclass
@@ -97,19 +87,15 @@ class FieldState:
     def __post_init__(self):
         if self.f.grid != self.f_t.grid:
             raise ValueError("f and f_t must share a grid")
-        if self.f.parity != self.f_t.parity:
-            raise ValueError("f and f_t must share a parity")
 
     @property
     def grid(self) -> RadialGrid:
         return self.f.grid
 
 
-def fill_ghosts(values, parity, grid):
-    """Extend node values through the origin by parity reflection."""
-    g = grid.ghost
-    sign = 1.0 if parity == "even" else -1.0
-    return np.concatenate((sign * values[g:0:-1], values))
+def fill_ghosts(values, grid):
+    """Extend node values through the origin by even reflection."""
+    return np.concatenate((values[GHOST:0:-1], values))
 
 
 # One-sided 4th-order rows for the outer edge, applied to the last nodes in
@@ -124,10 +110,10 @@ _D2_EDGE = np.array([
 ]) / 12.0
 
 
-def _d1_values(values, parity, grid):
-    g, h = grid.ghost, grid.dr
+def _d1_values(values, grid):
+    g, h = GHOST, grid.dr
     n = grid.n_cells
-    ext = fill_ghosts(values, parity, grid)
+    ext = fill_ghosts(values, grid)
     out = np.empty_like(values)
     out[: n - 1] = (ext[g - 2:g + n - 3] - 8.0 * ext[g - 1:g + n - 2]
                     + 8.0 * ext[g + 1:g + n] - ext[g + 2:g + n + 1]) / (12.0 * h)
@@ -136,10 +122,10 @@ def _d1_values(values, parity, grid):
     return out
 
 
-def _d2_values(values, parity, grid):
-    g, h = grid.ghost, grid.dr
+def _d2_values(values, grid):
+    g, h = GHOST, grid.dr
     n = grid.n_cells
-    ext = fill_ghosts(values, parity, grid)
+    ext = fill_ghosts(values, grid)
     out = np.empty_like(values)
     out[: n - 1] = (-ext[g - 2:g + n - 3] + 16.0 * ext[g - 1:g + n - 2]
                     - 30.0 * ext[g:g + n - 1] + 16.0 * ext[g + 1:g + n]
@@ -149,37 +135,31 @@ def _d2_values(values, parity, grid):
     return out
 
 
-def d_r(f: RadialField, order: int = 1) -> RadialField:
-    """4th-order radial derivative (order 1 or 2) with parity ghosts."""
-    if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    if order == 1:
-        vals = _d1_values(f.values, f.parity, f.grid)
-        parity = "odd" if f.parity == "even" else "even"
-    else:
-        vals = _d2_values(f.values, f.parity, f.grid)
-        parity = f.parity
-    return RadialField(vals, parity, f.grid)
+def d_r(f: RadialField) -> np.ndarray:
+    """4th-order first radial derivative at the nodes. The derivative of an
+    even field vanishes at the origin, so node 0 is exactly 0.0 (the raw
+    stencil leaves roundoff there)."""
+    out = _d1_values(f.values, f.grid)
+    out[0] = 0.0
+    return out
 
 
 def _d1_laplacian(values, grid):
-    """(d1, lap) of even node values: the first derivative and the radial
-    Laplacian f'' + (dim-1) f'/r with the r=0 column replaced by its limit
-    dim*f''(0)."""
-    d1 = _d1_values(values, "even", grid)
-    d2 = _d2_values(values, "even", grid)
+    """(d1, lap): the raw first-derivative stencil (node 0 included) and the
+    4D radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its
+    limit 4 f''(0)."""
+    d1 = _d1_values(values, grid)
+    d2 = _d2_values(values, grid)
     lap = np.empty_like(values)
-    lap[0] = grid.dim * d2[0]
-    lap[1:] = d2[1:] + (grid.dim - 1) * d1[1:] / grid.r[1:]
+    lap[0] = 4 * d2[0]
+    lap[1:] = d2[1:] + 3 * d1[1:] / grid.r[1:]
     return d1, lap
 
 
 def laplacian(f: RadialField) -> RadialField:
-    """Radial Laplacian f'' + (dim-1) f'/r with the r=0 column replaced by
-    its limit dim*f''(0). Defined on even fields only."""
-    if f.parity != "even":
-        raise ValueError("laplacian is only evaluated on even-parity fields")
-    return RadialField(_d1_laplacian(f.values, f.grid)[1], "even", f.grid)
+    """4D radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its
+    limit 4 f''(0)."""
+    return RadialField(_d1_laplacian(f.values, f.grid)[1], f.grid)
 
 
 def _simpson(y, h):
@@ -221,23 +201,20 @@ def quadrature_1d(integrand, lower, upper, panels):
 
 
 def sobolev_norm(f: RadialField, s: int) -> float:
-    """Integer Sobolev norm via Laplacian powers against r^(dim-1) dr:
+    """Integer Sobolev norm via Laplacian powers against r^3 dr:
 
         ( sum_{2k <= s} ||lap^k f||^2 + sum_{2k+1 <= s} ||d_r lap^k f||^2 )^(1/2)
     """
     if s not in (0, 1, 2, 3, 4):
         raise ValueError("s must be an integer 0..4")
-    w = f.grid.dim - 1
     total = 0.0
     g = f
     for k in range(0, s // 2 + 1):
         if k > 0:
             g = laplacian(g)
-        sq = g.with_values(g.values ** 2)
-        total += integrate_radial(sq, w)
+        total += integrate_radial(g.with_values(g.values ** 2), 3)
         if 2 * k + 1 <= s:
-            dg = d_r(g, 1)
-            total += integrate_radial(dg.with_values(dg.values ** 2), w)
+            total += integrate_radial(g.with_values(d_r(g) ** 2), 3)
     return float(np.sqrt(total))
 
 

@@ -58,7 +58,7 @@ def _extrapolate_origin(values):
 
 
 def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
-    """Lift u to v = (u - phi)/r, with v(0) by even-parity extrapolation."""
+    """Lift u to v = (u - phi)/r, with v(0) by even extrapolation."""
     g = u_state.grid
     if abs(u_state.f.values[0] - math.pi) > _ORIGIN_TOL:
         raise ValueError(
@@ -66,15 +66,13 @@ def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
             "condition u(0) = pi")
     r = g.r
     phi = eval_cutoff("phi", r, 0, profile)
-    g4 = g.with_dim(4)
     v = np.empty_like(u_state.f.values)
     v[1:] = (u_state.f.values[1:] - phi[1:]) / r[1:]
     v[0] = _extrapolate_origin(v)
     vt = np.empty_like(v)
     vt[1:] = u_state.f_t.values[1:] / r[1:]
     vt[0] = _extrapolate_origin(vt)
-    return FieldState(RadialField(v, "even", g4), RadialField(vt, "even", g4),
-                      u_state.time)
+    return FieldState(RadialField(v, g), RadialField(vt, g), u_state.time)
 
 
 def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
@@ -82,11 +80,9 @@ def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     g = v_state.grid
     r = g.r
     phi = eval_cutoff("phi", r, 0, profile)
-    g2 = g.with_dim(2)
     u = r * v_state.f.values + phi
     ut = r * v_state.f_t.values
-    return FieldState(RadialField(u, "even", g2), RadialField(ut, "even", g2),
-                      v_state.time)
+    return FieldState(RadialField(u, g), RadialField(ut, g), v_state.time)
 
 
 def _panels_for(length):
@@ -170,7 +166,7 @@ def compute_Phi(u_state: FieldState, v_state: FieldState,
         line = _grouped_line_integral(u[idx_out] - math.pi, a3_sqrt)
         gt1 = eval_cutoff("gt1", r_out, 0, profile)
         out[idx_out] = (line + gt1 * phi_correction_integral(r_out, p)) / r_out
-    return RadialField(out, "even", g)
+    return RadialField(out, g)
 
 
 def compute_Phi_t(u_state: FieldState, p=DEFAULT_PARAMS,
@@ -181,7 +177,7 @@ def compute_Phi_t(u_state: FieldState, p=DEFAULT_PARAMS,
         v_state = u_to_v(u_state, profile)
     g = v_state.grid
     a = kernels.eval_A(5, v_state.f.values, g.r, p, profile)
-    return RadialField(np.sqrt(a) * v_state.f_t.values, "even", g)
+    return RadialField(np.sqrt(a) * v_state.f_t.values, g)
 
 
 def make_bundle(v_state: FieldState, p=DEFAULT_PARAMS,
@@ -201,10 +197,10 @@ def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
     g = v_state.grid
     vtt = v_tt.values if isinstance(v_tt, RadialField) else np.asarray(v_tt, dtype=float)
     lap = laplacian(v_state.f).values
-    vr = d_r(v_state.f, 1).values
+    vr = d_r(v_state.f)
     f = kernels.eval_F_given_cutoffs(v_state.f.values, v_state.f_t.values, vr,
                                      g.r, kernels.cutoff_arrays(g.r, profile), p)
-    return RadialField(vtt - lap - f, "even", g)
+    return RadialField(vtt - lap - f, g)
 
 
 def _window(bundles, need):
@@ -238,7 +234,7 @@ def residual_Phi_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> Rad
     correction = np.zeros_like(v)
     correction[idx] = _grouped_line_integral(v[idx], a4_m32)
     res = phi_tt - lap - (bundles[mid].phi_field.values - correction) / p.alpha ** 2
-    return RadialField(np.where(region, res, 0.0), "even", g)
+    return RadialField(np.where(region, res, 0.0), g)
 
 
 def residual_Phi_t_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
@@ -250,7 +246,7 @@ def residual_Phi_t_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> R
     lap = laplacian(bundles[mid].phi_t_field).values
     a1 = kernels.eval_A(5, bundles[mid].v.f.values, g.r, p, profile)
     rhs = (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
-    return RadialField(pt_tt - lap - rhs, "even", g)
+    return RadialField(pt_tt - lap - rhs, g)
 
 
 def residual_Phi_tt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
@@ -261,13 +257,13 @@ def residual_Phi_tt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> 
     pt = [b.phi_t_field.values for b in bundles[mid - 2:mid + 3]]
     ptt = [(pt[k + 2] - pt[k]) / (2.0 * dt) for k in range(3)]
     ptt_tt = (ptt[0] - 2.0 * ptt[1] + ptt[2]) / dt ** 2
-    lap = laplacian(RadialField(ptt[1], "even", g)).values
+    lap = laplacian(RadialField(ptt[1], g)).values
     v = bundles[mid].v.f.values
     vt = bundles[mid].v.f_t.values
     a1 = kernels.eval_A(5, v, g.r, p, profile)
     da1 = kernels.dA1_dt(v, vt, g.r, p, profile)
     rhs = (2.0 * a1 ** -3 * da1 * pt[2] + (1.0 - a1 ** -2) * ptt[1]) / p.alpha ** 2
-    return RadialField(ptt_tt - lap - rhs, "even", g)
+    return RadialField(ptt_tt - lap - rhs, g)
 
 
 def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
@@ -280,7 +276,7 @@ def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) ->
     ptt = [(pt[k + 2] - pt[k]) / (2.0 * dt) for k in range(5)]
     pttt = [(ptt[k + 2] - ptt[k]) / (2.0 * dt) for k in range(3)]
     pttt_tt = (pttt[0] - 2.0 * pttt[1] + pttt[2]) / dt ** 2
-    lap = laplacian(RadialField(pttt[1], "even", g)).values
+    lap = laplacian(RadialField(pttt[1], g)).values
     v = bundles[mid].v.f.values
     vt = bundles[mid].v.f_t.values
     vtt = (bundles[mid + 1].v.f_t.values - bundles[mid - 1].v.f_t.values) / (2.0 * dt)
@@ -291,4 +287,4 @@ def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) ->
            + 2.0 * a1 ** -3 * dda1 * pt[3]
            + 4.0 * a1 ** -3 * da1 * ptt[2]
            + (1.0 - a1 ** -2) * pttt[1]) / p.alpha ** 2
-    return RadialField(pttt_tt - lap - rhs, "even", g)
+    return RadialField(pttt_tt - lap - rhs, g)

@@ -84,8 +84,8 @@ class ManufacturedSolution:
 
 def manufactured_initial_state(ms: ManufacturedSolution, grid: RadialGrid,
                                t: float = 0.0) -> FieldState:
-    return FieldState(RadialField(ms.v(t, grid.r), "even", grid),
-                      RadialField(ms.v_t(t, grid.r), "even", grid), t)
+    return FieldState(RadialField(ms.v(t, grid.r), grid),
+                      RadialField(ms.v_t(t, grid.r), grid), t)
 
 
 def manufactured_config(ms: ManufacturedSolution, base: RunConfig) -> RunConfig:
@@ -126,7 +126,7 @@ def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
 def solution_error(state: FieldState, ms: ManufacturedSolution) -> float:
     """L2 distance (radial measure r^3 dr) between a state and ms at its time."""
     diff = state.f.values - ms.v(state.time, state.grid.r)
-    return sobolev_norm(RadialField(diff, "even", state.grid), 0)
+    return sobolev_norm(RadialField(diff, state.grid), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                                       cfg.kernel_params, cfg.profile)
             gprobe = make_forcing(ms, g, cfg.kernel_params, cfg.profile)(t_probe)
             errs["residual_v"].append(_res_norm(
-                RadialField(res.values - gprobe, "even", g)))
+                RadialField(res.values - gprobe, g)))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
             need = max(_RESIDUAL_EVALUATORS[o][1] for o in window_obs)
@@ -271,8 +271,8 @@ def linear_wave_study(base: RunConfig, ms: ManufacturedSolution, levels=3):
         for _, _, v, vt in trajectory(cfg, force, manufactured_initial_state(ms, g),
                                       nonlinear=False):
             pass
-        state = FieldState(RadialField(v, "even", g),
-                           RadialField(vt, "even", g), cfg.t_end)
+        state = FieldState(RadialField(v, g),
+                           RadialField(vt, g), cfg.t_end)
         ns.append(cfg.n_cells)
         drs.append(g.dr)
         errors.append(solution_error(state, ms))

@@ -41,5 +41,5 @@ def grid256():
 def gaussian_v_state(grid, amp=0.2, width=1.0, amp_t=0.0, t=0.0):
     """An even Gaussian Cauchy pair in the lifted chart."""
     env = np.exp(-((grid.r / width) ** 2))
-    return FieldState(RadialField(amp * env, "even", grid),
-                      RadialField(amp_t * env, "even", grid), t)
+    return FieldState(RadialField(amp * env, grid),
+                      RadialField(amp_t * env, grid), t)

@@ -8,6 +8,7 @@ failure is deliberate; loosening the bound here would hide a real property
 of the scheme.
 """
 
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -149,9 +150,9 @@ def test_criterion_5_residual_orders():
 
 
 def test_criterion_6_phi_t_identity_order():
-    g = RadialGrid(256, 8.0, dim=4)
-    state = FieldState(RadialField(0.2 * np.exp(-g.r ** 2), "even", g),
-                       RadialField(0.1 * np.exp(-g.r ** 2), "even", g))
+    g = RadialGrid(256, 8.0)
+    state = FieldState(RadialField(0.2 * np.exp(-g.r ** 2), g),
+                       RadialField(0.1 * np.exp(-g.r ** 2), g))
     phi_t = compute_Phi_t(v_to_u(state, PROF), P, PROF, state)
     errs = []
     for dt in (1e-3, 5e-4):
@@ -172,10 +173,10 @@ def test_criterion_6_phi_t_identity_order():
 
 
 def test_criterion_7_far_field_phi():
-    g = RadialGrid(512, 16.0, dim=4)
+    g = RadialGrid(512, 16.0)
     zeros = np.zeros(g.n_nodes)
-    v_state = FieldState(RadialField(zeros.copy(), "even", g),
-                         RadialField(zeros.copy(), "even", g))
+    v_state = FieldState(RadialField(zeros.copy(), g),
+                         RadialField(zeros.copy(), g))
     phi = compute_Phi(v_to_u(v_state, PROF), v_state, P, PROF)
     i10 = int(round(10.0 / g.dr))
     expected = -math.pi * P.alpha ** 2 / 10.0 ** 3
@@ -227,3 +228,15 @@ def test_criterion_9_deterministic_diagnostics(tmp_path):
     verdict(9, ok, f"identical configs give byte-identical diagnostics "
                    f"({len(blobs[0])} bytes)")
     assert ok
+
+
+# sha256 of the benchmark run's diagnostics.csv (numpy 2.4.6, x86-64): a
+# change that means to leave the numerics alone must leave these bytes alone
+BENCHMARK_DIAGNOSTICS_SHA256 = (
+    "2ffce262fd3bbc44dd59360e0f37e3bd786e6817af78582057caaa77afa3d512")
+
+
+def test_benchmark_diagnostics_bytes_are_pinned(benchmark_run, tmp_path):
+    path = tmp_path / "diagnostics.csv"
+    diag.write_diagnostics_csv(benchmark_run.records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCHMARK_DIAGNOSTICS_SHA256

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from faddeevlab import cli
 from faddeevlab.cli import load_config, main, write_effective_config
 from faddeevlab.evolve import CONFIG_TABLE, RunConfig
 
@@ -195,6 +196,7 @@ BAD_SETTINGS = [
     ("grid.r_max=inf", "grid.r_max must be finite"),
     ("initial_data.amplitude=nan", "initial_data.amplitude must be finite"),
     ("diagnostics.drift_ceiling=nan", "diagnostics.drift_ceiling must be finite"),
+    ("integrator.sponge_strength=-50", "integrator.sponge_strength must be >= 0"),
 ]
 
 
@@ -328,6 +330,54 @@ def test_overflowing_velocity_names_its_setting_and_radius(tmp_path, capsys):
         "config-error: initial_data.amplitude_t gives a non-finite initial "
         "state at r=2.5\n")
     assert not out.exists()
+
+
+def test_overflowing_energy_density_names_its_setting_and_radius(tmp_path, capsys):
+    # r v_t stays finite, but the energy's u_t^2 = (r v_t)^2 overflows at the
+    # first node past the origin (dr = 0.03125 on the default grid)
+    out = tmp_path / "overflow_e"
+    rc = main(["run", "--set", "initial_data.amplitude_t=1e200", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config-error: initial_data.amplitude_t gives a non-finite initial "
+        "state at r=0.03125\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep_jobs"
+    rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",
+                                  "--jobs", jobs, "--out", str(out)])
+    assert rc == 1
+    assert f"config-error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
+    """A pool that records its size and maps serially: no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out = str(tmp_path / "sweep_pool")
+    rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",
+                                  "--jobs", "1000", "--out", out])
+    assert rc == 0
+    assert "status=done runs=2 incomplete=0" in capsys.readouterr().out
+    assert sizes == [2]
 
 
 def test_readme_defaults_block_matches_the_dataclasses(tmp_path):

@@ -21,10 +21,10 @@ ENERGY_GAUSSIAN_U = 5.3665119245489741967
 
 
 def gaussian_u_state(n=2048, r_max=12.0):
-    g = RadialGrid(n, r_max, dim=2)
+    g = RadialGrid(n, r_max)
     u0 = np.pi * np.exp(-g.r ** 2)
-    return FieldState(RadialField(u0, "even", g),
-                      RadialField(np.zeros(g.n_nodes), "even", g))
+    return FieldState(RadialField(u0, g),
+                      RadialField(np.zeros(g.n_nodes), g))
 
 
 # ----------------------------------------------------------------- energy
@@ -45,9 +45,9 @@ def test_energy_u_r_assembly_paths_agree(params, profile):
 
 
 def test_energy_of_constant_pi_vanishes(params, profile):
-    g = RadialGrid(512, 8.0, dim=2)
-    us = FieldState(RadialField(np.full(g.n_nodes, np.pi), "even", g),
-                    RadialField(np.zeros(g.n_nodes), "even", g))
+    g = RadialGrid(512, 8.0)
+    us = FieldState(RadialField(np.full(g.n_nodes, np.pi), g),
+                    RadialField(np.zeros(g.n_nodes), g))
     assert abs(diag.energy(us, params, profile=profile)) <= 1e-20
 
 
@@ -85,7 +85,7 @@ def test_energy_tail_vanishes_for_compact_data(params, profile):
 
 def test_non_finite_energy_names_its_first_radius(params, profile):
     # a velocity spike at r = 3 whose u_t^2 = (r v_t)^2 overflows there
-    g = RadialGrid(64, 8.0, dim=4)
+    g = RadialGrid(64, 8.0)
     vs = gaussian_v_state(g, amp=0.3)
     i = int(np.searchsorted(g.r, 3.0))
     vt = np.zeros(g.n_nodes)
@@ -104,9 +104,9 @@ def test_energy_drift_definition():
 # --------------------------------------------------------------- monitors
 
 def test_monitor_peak_of_unit_gaussian_is_one():
-    g = RadialGrid(4096, 6.0, dim=4)
-    st_v = FieldState(RadialField(np.exp(-g.r ** 2), "even", g),
-                      RadialField(np.zeros(g.n_nodes), "even", g))
+    g = RadialGrid(4096, 6.0)
+    st_v = FieldState(RadialField(np.exp(-g.r ** 2), g),
+                      RadialField(np.zeros(g.n_nodes), g))
     mv, mvt, mgv = diag.continuation_monitor(st_v)
     assert mv == 1.0  # <r>|v| is maximal at the origin for this profile
     assert mvt == 0.0
@@ -127,7 +127,7 @@ def test_monitor_doubling_is_exact(grid128):
 @given(lam=st.floats(min_value=1e-3, max_value=1e3,
                      allow_nan=False, allow_infinity=False))
 def test_monitor_homogeneity(lam):
-    g = RadialGrid(64, 8.0, dim=4)
+    g = RadialGrid(64, 8.0)
     vs = gaussian_v_state(g, amp=0.3, amp_t=-0.2)
     scaled = FieldState(vs.f.with_values(lam * vs.f.values),
                         vs.f_t.with_values(lam * vs.f_t.values))
@@ -139,15 +139,14 @@ def test_monitor_homogeneity(lam):
 # ------------------------------------------------------------------ decay
 
 def test_decay_report_zero_field(grid128):
-    rep = diag.decay_report(RadialField(np.zeros(grid128.n_nodes), "even",
-                                        grid128))
+    rep = diag.decay_report(RadialField(np.zeros(grid128.n_nodes), grid128))
     assert rep == {"outer": 0.0, "inner": 0.0}
 
 
 def test_decay_report_critical_profile():
     """(1+r^2)^(-3/4) saturates the r^(-3/2) outer envelope."""
-    g = RadialGrid(640, 40.0, dim=4)
-    f = RadialField((1.0 + g.r ** 2) ** (-0.75), "even", g)
+    g = RadialGrid(640, 40.0)
+    f = RadialField((1.0 + g.r ** 2) ** (-0.75), g)
     rep = diag.decay_report(f)
     assert 0.999 <= rep["outer"] <= 1.0
     inner = (g.r > 0.0) & (g.r <= 1.0)
@@ -159,11 +158,11 @@ def test_decay_report_critical_profile():
 
 def _window_fields(grid, ts, coeff):
     prof_r = np.exp(-grid.r ** 2)
-    return [RadialField(coeff(t) * prof_r, "even", grid) for t in ts]
+    return [RadialField(coeff(t) * prof_r, grid) for t in ts]
 
 
 def test_ys_zero_window(grid128):
-    fields = [RadialField(np.zeros(grid128.n_nodes), "even", grid128)
+    fields = [RadialField(np.zeros(grid128.n_nodes), grid128)
               for _ in range(5)]
     for s in (0, 1, 2):
         assert diag.ys_norm(fields, 0.01, s) == 0.0
@@ -177,11 +176,11 @@ def test_ys_s0_is_max_l2(grid128):
 
 
 def test_ys_closed_form_window():
-    g = RadialGrid(512, 8.0, dim=4)
+    g = RadialGrid(512, 8.0)
     dt = 0.01
     ts = np.arange(0.0, 2.5 + dt / 2, dt)
     fields = _window_fields(g, ts, lambda t: 1.0 + 0.5 * math.sin(3 * t))
-    prof_f = RadialField(np.exp(-g.r ** 2), "even", g)
+    prof_f = RadialField(np.exp(-g.r ** 2), g)
     n0, n1 = sobolev_norm(prof_f, 0), sobolev_norm(prof_f, 1)
     tt = np.linspace(dt, 2.5 - dt, 200_001)
     oracle = np.max(np.abs(1.0 + 0.5 * np.sin(3 * tt)) * n1
@@ -192,7 +191,7 @@ def test_ys_closed_form_window():
 
 
 def test_ys_validation(grid128):
-    fields = [RadialField(np.zeros(grid128.n_nodes), "even", grid128)
+    fields = [RadialField(np.zeros(grid128.n_nodes), grid128)
               for _ in range(4)]
     with pytest.raises(ValueError, match="at least 5"):
         diag.ys_norm(fields, 0.01, 2)
@@ -201,7 +200,7 @@ def test_ys_validation(grid128):
 
 
 def test_spacetime_norm_separable_oracle():
-    g = RadialGrid(512, 8.0, dim=4)
+    g = RadialGrid(512, 8.0)
     ts = np.linspace(0.0, math.pi, 401)
     dt = ts[1] - ts[0]
     fields = _window_fields(g, ts, math.sin)
@@ -216,7 +215,7 @@ def test_spacetime_norm_separable_oracle():
 
 
 def test_spacetime_tracker_matches_batch():
-    g = RadialGrid(256, 8.0, dim=4)
+    g = RadialGrid(256, 8.0)
     ts = np.linspace(0.0, math.pi, 101)
     dt = ts[1] - ts[0]
     fields = _window_fields(g, ts, math.sin)

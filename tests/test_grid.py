@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from faddeevlab.grid import (FieldState, RadialField, RadialGrid, d_r,
-                             fill_ghosts, integrate_radial, laplacian,
-                             quadrature_1d, sobolev_norm, write_csv)
+from faddeevlab.grid import (GHOST, FieldState, RadialField, RadialGrid,
+                             _d1_laplacian, _d1_values, d_r, fill_ghosts,
+                             integrate_radial, laplacian, quadrature_1d,
+                             sobolev_norm, write_csv)
 
 # frozen by a high-precision pre-build quadrature pass
 A3_INTEGRAL_R2 = 2.6636668886261405693
@@ -15,19 +16,14 @@ A3_INTEGRAL_R2 = 2.6636668886261405693
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        RadialGrid(128, 8.0, dim=3)
-    with pytest.raises(ValueError):
         RadialGrid(2, 8.0)
     with pytest.raises(ValueError, match="n_cells must be >= 6"):
         RadialGrid(5, 8.0)
     g = RadialGrid(6, 8.0)  # the smallest mesh: every stencil applies
-    f = RadialField(np.exp(-g.r ** 2), "even", g)
-    assert d_r(f, 1).values.shape == d_r(f, 2).values.shape == (7,)
-    assert laplacian(f).values.shape == (7,)
+    f = RadialField(np.exp(-g.r ** 2), g)
+    assert d_r(f).shape == laplacian(f).values.shape == (7,)
     with pytest.raises(ValueError):
         RadialGrid(128, 0.0)
-    with pytest.raises(ValueError):
-        RadialGrid(128, 8.0, ghost=1)
 
 
 def test_grid_nodes():
@@ -35,65 +31,67 @@ def test_grid_nodes():
     assert g.dr == 0.0625
     assert g.n_nodes == 129
     assert g.r[0] == 0.0 and g.r[-1] == 8.0
-    assert g.with_dim(2).dim == 2 and g.with_dim(2).n_cells == 128
 
 
 def test_field_validation():
     g = RadialGrid(16, 1.0)
-    odd = RadialField(np.ones(g.n_nodes), "odd", g)
-    assert odd.values[0] == 0.0
     with pytest.raises(ValueError):
-        RadialField(np.ones(g.n_nodes), "mixed", g)
-    with pytest.raises(ValueError):
-        RadialField(np.ones(g.n_nodes - 1), "even", g)
-    with pytest.raises(ValueError):
-        FieldState(RadialField(np.ones(g.n_nodes), "even", g),
-                   RadialField(np.ones(g.n_nodes), "odd", g))
+        RadialField(np.ones(g.n_nodes - 1), g)
+    other = RadialGrid(32, 1.0)
+    with pytest.raises(ValueError, match="share a grid"):
+        FieldState(RadialField(np.ones(g.n_nodes), g),
+                   RadialField(np.ones(other.n_nodes), other))
 
 
 def test_ghost_fill_is_exact_parity():
     g = RadialGrid(16, 2.0)
     f = np.cos(g.r)
-    ext = fill_ghosts(f, "even", g)
-    for k in range(1, g.ghost + 1):
-        assert ext[g.ghost - k] == ext[g.ghost + k]
-    s = np.sin(g.r)
-    ext = fill_ghosts(s, "odd", g)
-    for k in range(1, g.ghost + 1):
-        assert ext[g.ghost - k] == -ext[g.ghost + k]
+    ext = fill_ghosts(f, g)
+    for k in range(1, GHOST + 1):
+        assert ext[GHOST - k] == ext[GHOST + k]
 
 
 def test_d_r_polynomial_exactness():
     g = RadialGrid(128, 8.0)
-    const = RadialField(np.full(g.n_nodes, math.pi), "even", g)
-    assert np.max(np.abs(d_r(const).values)) <= 1e-13
-    quad = RadialField(g.r ** 2, "even", g)
-    assert np.max(np.abs(d_r(quad).values - 2.0 * g.r)) <= 1e-12
+    const = RadialField(np.full(g.n_nodes, math.pi), g)
+    assert np.max(np.abs(d_r(const))) <= 1e-13
+    quad = RadialField(g.r ** 2, g)
+    assert np.max(np.abs(d_r(quad) - 2.0 * g.r)) <= 1e-12
 
 
 def test_d_r_fourth_order_on_sine():
+    """d_r of the even cos(r) converges to -sin(r) at 4th order."""
     errs = []
     for n in (128, 256):
         g = RadialGrid(n, 8.0)
-        f = RadialField(np.sin(g.r), "odd", g)
-        errs.append(np.max(np.abs(d_r(f).values - np.cos(g.r))))
+        f = RadialField(np.cos(g.r), g)
+        errs.append(np.max(np.abs(d_r(f) + np.sin(g.r))))
     assert 3.8 <= math.log2(errs[0] / errs[1]) <= 4.2
+
+
+def test_d_r_is_exactly_zero_at_the_origin():
+    """d_r zeroes node 0, where the raw stencil leaves roundoff; the
+    right-hand side reads that raw value through _d1_laplacian."""
+    g = RadialGrid(64, 8.0)
+    f = RadialField(0.3 * np.exp(-g.r ** 2), g)
+    raw = _d1_values(f.values, g)
+    assert raw[0] != 0.0  # 3.7e-17
+    assert d_r(f)[0] == 0.0
+    assert np.array_equal(d_r(f)[1:], raw[1:])
+    assert _d1_laplacian(f.values, g)[0][0] == raw[0]
 
 
 def test_laplacian_exact_on_quadratic():
     g = RadialGrid(64, 8.0)
-    assert np.max(np.abs(laplacian(RadialField(g.r ** 2, "even", g)).values
+    assert np.max(np.abs(laplacian(RadialField(g.r ** 2, g)).values
                          - 8.0)) <= 1e-10
-    g2 = g.with_dim(2)
-    assert np.max(np.abs(laplacian(RadialField(g2.r ** 2, "even", g2)).values
-                         - 4.0)) <= 1e-10
 
 
 def test_laplacian_fourth_order_on_gaussian():
     errs = []
     for n in (128, 256):
         g = RadialGrid(n, 8.0)
-        f = RadialField(np.exp(-g.r ** 2), "even", g)
+        f = RadialField(np.exp(-g.r ** 2), g)
         exact = (4.0 * g.r ** 2 - 8.0) * np.exp(-g.r ** 2)
         errs.append(np.max(np.abs(laplacian(f).values - exact)))
     assert 3.7 <= math.log2(errs[0] / errs[1]) <= 4.3
@@ -102,10 +100,10 @@ def test_laplacian_fourth_order_on_gaussian():
 def test_integrate_radial_examples():
     for n in (64, 65):  # even and odd interval counts (3/8-rule tail)
         g = RadialGrid(n, 1.0)
-        one = RadialField(np.ones(g.n_nodes), "even", g)
+        one = RadialField(np.ones(g.n_nodes), g)
         assert integrate_radial(one, 1) == pytest.approx(0.5, abs=1e-10)
     g = RadialGrid(4096, 12.0)
-    gauss = RadialField(np.exp(-g.r ** 2), "even", g)
+    gauss = RadialField(np.exp(-g.r ** 2), g)
     assert integrate_radial(gauss, 1) == pytest.approx(0.5, abs=1e-10)
     assert integrate_radial(gauss, 3) == pytest.approx(0.5, abs=1e-10)
 
@@ -140,10 +138,10 @@ def test_quadrature_rejects_bad_input():
 
 def test_sobolev_norms():
     g = RadialGrid(2048, 10.0)
-    zero = RadialField(np.zeros(g.n_nodes), "even", g)
+    zero = RadialField(np.zeros(g.n_nodes), g)
     assert sobolev_norm(zero, 2) == 0.0
-    f = RadialField(np.exp(-g.r ** 2), "even", g)
-    l2 = math.sqrt(integrate_radial(RadialField(f.values ** 2, "even", g), 3))
+    f = RadialField(np.exp(-g.r ** 2), g)
+    l2 = math.sqrt(integrate_radial(RadialField(f.values ** 2, g), 3))
     assert sobolev_norm(f, 0) == pytest.approx(l2, rel=1e-14)
     # |f|_{L2}^2 = 1/8 and |f'|_{L2}^2 = 1/2 against r^3 dr
     assert sobolev_norm(f, 1) == pytest.approx(math.sqrt(0.625), abs=1e-6)
@@ -153,7 +151,7 @@ def test_sobolev_norms():
 
 def test_field_csv_roundtrip(tmp_path):
     g = RadialGrid(32, 4.0)
-    f = RadialField(np.sin(g.r) * math.pi, "even", g)
+    f = RadialField(np.sin(g.r) * math.pi, g)
     path = tmp_path / "snap.csv"
     write_csv(path, ["r", "value"], zip(g.r, f.values))
     header = path.read_text().splitlines()[0]

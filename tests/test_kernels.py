@@ -425,8 +425,8 @@ def _bitwise_outputs():
     env = np.exp(-g.r ** 2)
     a, b = rng.uniform(0.2, 0.4), rng.uniform(-0.3, 0.3)
     dt = 0.01
-    bundles = [make_bundle(FieldState(RadialField((a + b * k * dt) * env, "even", g),
-                                      RadialField(b * env, "even", g), k * dt), p)
+    bundles = [make_bundle(FieldState(RadialField((a + b * k * dt) * env, g),
+                                      RadialField(b * env, g), k * dt), p)
                for k in range(7)]
     st = bundles[3].v
     out["compute_Phi"] = compute_Phi(v_to_u(st), st, p).values

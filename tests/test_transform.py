@@ -27,8 +27,8 @@ PHI_AT_03_SMALL_GAUSSIAN = 0.18379843046460643621
 
 def zero_state(grid):
     z = np.zeros(grid.n_nodes)
-    return FieldState(RadialField(z, "even", grid),
-                      RadialField(z.copy(), "even", grid))
+    return FieldState(RadialField(z, grid),
+                      RadialField(z.copy(), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_roundtrip_v_u_v(grid256):
     back = u_to_v(v_to_u(v, DEFAULT_PROFILE), DEFAULT_PROFILE)
     assert np.max(np.abs(back.f.values[1:] - v.f.values[1:])) <= 1e-13
     assert np.max(np.abs(back.f_t.values[1:] - v.f_t.values[1:])) <= 1e-13
-    # node 0 is rebuilt by even-parity extrapolation, not divided out
+    # node 0 is rebuilt by even extrapolation, not divided out
     assert abs(back.f.values[0] - v.f.values[0]) <= 1e-9
 
 
@@ -117,8 +117,8 @@ def test_phi_t_closed_forms(grid256):
     assert np.array_equal(pt.values, np.zeros(g.n_nodes))
     # u identically pi has A_1 = 1, so Phi_t collapses to u_t / r
     gr = np.exp(-g.r ** 2)
-    u = FieldState(RadialField(np.full(g.n_nodes, math.pi), "even", g),
-                   RadialField(g.r * gr, "even", g))
+    u = FieldState(RadialField(np.full(g.n_nodes, math.pi), g),
+                   RadialField(g.r * gr, g))
     pt = compute_Phi_t(u, DEFAULT_PARAMS, DEFAULT_PROFILE)
     assert np.max(np.abs(pt.values[1:] - gr[1:])) <= 1e-13
 
@@ -175,7 +175,7 @@ def test_residual_v_minus_forcing_refines_at_stencil_order():
         res = residual_v_equation(st, ms.v_tt(0.7, g.r), DEFAULT_PARAMS,
                                   DEFAULT_PROFILE)
         gf = make_forcing(ms, g, DEFAULT_PARAMS, DEFAULT_PROFILE)(0.7)
-        errs.append(_res_norm(RadialField(res.values - gf, "even", g)))
+        errs.append(_res_norm(RadialField(res.values - gf, g)))
     # measured ratios approach 2^4 from below (15.94, 15.99)
     assert errs[0] / errs[1] >= 2.0 ** 3.8
     assert errs[1] / errs[2] >= 2.0 ** 3.8
@@ -239,7 +239,7 @@ def test_tt_residual_is_time_derivative_of_t_residual(grid128):
         ra = residual_Phi_t_wave(bs[1:4])
         rb = residual_Phi_t_wave(bs[3:6])
         dres = (rb.values - ra.values) / (2.0 * dt)
-        return _res_norm(RadialField(res_tt.values - dres, "even", grid128))
+        return _res_norm(RadialField(res_tt.values - dres, grid128))
 
     m1, m2 = mismatch(2e-3), mismatch(1e-3)
     assert m1 / m2 >= 3.0

@@ -40,7 +40,7 @@ def lean_base(**kw):
 def test_forcing_matches_finite_difference_assembly(params, profile):
     """g = v_tt - lap4 v - F(v) rebuilt from 5-point stencils on the
     closed-form solution samples; measured gap 5.2e-12."""
-    g = RadialGrid(128, 8.0, dim=4)
+    g = RadialGrid(128, 8.0)
     force = make_forcing(MS, g, params, profile)
     i = int(round(1.0 / g.dr))
     r0 = g.r[i]
@@ -58,7 +58,7 @@ def test_forcing_matches_finite_difference_assembly(params, profile):
 
 def test_vacuum_forcing_supported_on_the_shell(params, profile):
     """a0 = a1 = 0 collapses the forcing to minus the static shell source."""
-    g = RadialGrid(256, 8.0, dim=4)
+    g = RadialGrid(256, 8.0)
     vac = ManufacturedSolution(a0=0.0, a1=0.0)
     gvals = make_forcing(vac, g, params, profile)(0.7)
     inner = g.r <= 0.4
@@ -121,12 +121,12 @@ def test_broken_ghost_fill_is_detectable(monkeypatch):
     first-order consistent. It leaves the r^3-weighted L2 error almost alone
     (zero weight at the origin) but shows up as an O(dr) sup-norm error
     at r = 0; measured inflation 137x at n = 256."""
-    parity_fill = grid.fill_ghosts
+    even_fill = grid.fill_ghosts
 
-    def first_order_fill(values, parity, g):
-        ext = parity_fill(values, parity, g)
-        k = np.arange(g.ghost, 0, -1)
-        ext[:g.ghost] = ext[:g.ghost] + (k * g.dr) ** 3
+    def first_order_fill(values, g):
+        ext = even_fill(values, g)
+        k = np.arange(grid.GHOST, 0, -1)
+        ext[:grid.GHOST] = ext[:grid.GHOST] + (k * g.dr) ** 3
         return ext
 
     def sup_origin_error(n):
