@@ -104,10 +104,21 @@ def write_effective_config(config: RunConfig, out_dir, path):
         cp.write(fh)
 
 
+def _out_dir(path):
+    """path, once os.makedirs could make it: ConfigError when path, or its
+    nearest existing ancestor, is not a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"output dir {path!r}: {probe!r} is not a directory")
+    return path
+
+
 def _load(args):
     """(config, out_dir) from the common options; out_dir is made on write."""
     config, file_out = load_config(args.config, args.set or ())
-    return config, args.out or file_out or "faddeev_out"
+    return config, _out_dir(args.out or file_out or "faddeev_out")
 
 
 def _write_run(result, out_dir):
@@ -211,16 +222,15 @@ def _suite_transforms(rows, p, profile):
     err = float(np.max(np.abs(back.f.values - state.f.values)))
     rows.append(("transforms", "chart_roundtrip", err, 1e-9, err <= 1e-9))
 
-    u_state = v_to_u(state, profile)
-    phi_t = compute_Phi_t(u_state, p, profile, state)
+    phi_t = compute_Phi_t(state, p, profile)
     errs = []
     for dt in (1e-3, 5e-4):
         plus = FieldState(state.f.with_values(state.f.values + dt * state.f_t.values),
                           state.f_t, dt)
         minus = FieldState(state.f.with_values(state.f.values - dt * state.f_t.values),
                            state.f_t, -dt)
-        pp = compute_Phi(v_to_u(plus, profile), plus, p, profile)
-        pm = compute_Phi(v_to_u(minus, profile), minus, p, profile)
+        pp = compute_Phi(plus, p, profile)
+        pm = compute_Phi(minus, p, profile)
         fd = (pp.values - pm.values) / (2 * dt)
         errs.append(float(np.max(np.abs(fd - phi_t.values))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0) if errs[1] > 0 else float("nan")
@@ -344,7 +354,7 @@ def cmd_sweep(args) -> int:
         sets = base_sets + [f"{key}={val}" for (key, _), val in zip(axes, combo)]
         config, file_out = load_config(args.config, sets)
         jobs.append((i, combo, config, file_out))
-    out_root = args.out or jobs[0][3] or "faddeev_out"
+    out_root = _out_dir(args.out or jobs[0][3] or "faddeev_out")
     os.makedirs(out_root, exist_ok=True)
 
     packed = [(i, config, os.path.join(out_root, f"run_{i:03d}"))

@@ -264,14 +264,13 @@ def _operator(grid, p, profile, sig, forcing, nonlinear=True):
     """The right-hand side f(v, vt, t) -> (vt, acc) of the lifted equation on
     one grid; nonlinear=False drops F (free-wave benchmark path)."""
     cut = kernels.cutoff_arrays(grid.r, profile) if nonlinear else None
-    nodes = kernels.branch_nodes(cut) if nonlinear else None
 
     def f(v, vt, t):
         vr, lap = _d1_laplacian(v, grid)
         if cut is None:
             acc = lap
         else:
-            acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, grid.r, cut, p, nodes)
+            acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, cut, p)
         if sig is not None:
             acc -= sig * vt
         if forcing is not None:
@@ -317,7 +316,7 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
         yield k, k * dt, v, vt
 
 
-def detect_blowup(record, monitor_ceiling=1e6, drift_ceiling=1e-2):
+def detect_blowup(record, monitor_ceiling, drift_ceiling):
     """(status, reason) when a sample's stop condition fires, else None.
 
     A continuation monitor at or above its ceiling, or energy drift above

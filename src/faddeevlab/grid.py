@@ -93,7 +93,7 @@ class FieldState:
         return self.f.grid
 
 
-def fill_ghosts(values, grid):
+def fill_ghosts(values):
     """Extend node values through the origin by even reflection."""
     return np.concatenate((values[GHOST:0:-1], values))
 
@@ -113,7 +113,7 @@ _D2_EDGE = np.array([
 def _d1_values(values, grid):
     g, h = GHOST, grid.dr
     n = grid.n_cells
-    ext = fill_ghosts(values, grid)
+    ext = fill_ghosts(values)
     out = np.empty_like(values)
     out[: n - 1] = (ext[g - 2:g + n - 3] - 8.0 * ext[g - 1:g + n - 2]
                     + 8.0 * ext[g + 1:g + n] - ext[g + 2:g + n + 1]) / (12.0 * h)
@@ -125,7 +125,7 @@ def _d1_values(values, grid):
 def _d2_values(values, grid):
     g, h = GHOST, grid.dr
     n = grid.n_cells
-    ext = fill_ghosts(values, grid)
+    ext = fill_ghosts(values)
     out = np.empty_like(values)
     out[: n - 1] = (-ext[g - 2:g + n - 3] + 16.0 * ext[g - 1:g + n - 2]
                     - 30.0 * ext[g:g + n - 1] + 16.0 * ext[g + 1:g + n]

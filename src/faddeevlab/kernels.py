@@ -28,7 +28,6 @@ __all__ = [
     "eval_N",
     "eval_F_rhs",
     "cutoff_arrays",
-    "branch_nodes",
     "eval_F_given_cutoffs",
     "dA1_dt",
     "dA1_dtt",
@@ -288,30 +287,34 @@ def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
             * sin_u * np.cos(u) / (r * r * a1))
 
 
+def _nodes(mask):
+    """The nodes where mask holds, as a slice when contiguous (always so on a
+    sorted mesh), else as an index array."""
+    idx = np.flatnonzero(mask)
+    whole = idx.size and idx[-1] - idx[0] == idx.size - 1
+    return slice(idx[0], idx[-1] + 1) if whole else idx
+
+
 def cutoff_arrays(r, profile=DEFAULT_PROFILE):
-    """Precompute every cutoff sample eval_F_given_cutoffs needs on a mesh."""
+    """The per-mesh table eval_F_given_cutoffs reads: the radii "r", every
+    cutoff sample, and the branch nodes "inner" (lt1 > 0) and "outer"
+    (gt1 > 0)."""
     r = np.asarray(r, dtype=float)
-    return {
+    cut = {
+        "r": r,
         "phi": eval_cutoff("phi", r, 0, profile),
         "dphi": eval_cutoff("phi", r, 1, profile),
         "lt1": eval_cutoff("lt1", r, 0, profile),
         "gt1": eval_cutoff("gt1", r, 0, profile),
         "lap2phi": laplacian_phi_2d(r, profile),
     }
+    cut["inner"], cut["outer"] = _nodes(cut["lt1"] > 0.0), _nodes(cut["gt1"] > 0.0)
+    return cut
 
 
-def branch_nodes(cut):
-    """(inner, outer): the nodes where lt1 > 0 and where gt1 > 0, as slices
-    when contiguous (always so on a sorted mesh), else as index arrays."""
-    def nodes(mask):
-        idx = np.flatnonzero(mask)
-        whole = idx.size and idx[-1] - idx[0] == idx.size - 1
-        return slice(idx[0], idx[-1] + 1) if whole else idx
-    return nodes(cut["lt1"] > 0.0), nodes(cut["gt1"] > 0.0)
-
-
-def eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS, nodes=None):
-    """F(v) with the cutoff samples supplied (the evolver's hot path).
+def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
+    """F(v) on the mesh of cut = cutoff_arrays(r, profile), built once per
+    mesh (the evolver's hot path).
 
     Inner branch, only on the nodes where lt1 > 0 (r < 1), all five kernels
     from one pass with the series/direct seam of eval_Ftilde:
@@ -320,12 +323,11 @@ def eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS, nodes=None):
     Outer branch, added only where gt1 > 0 (r > 1/2, so division is safe),
     sin(u) taken once for A_1 and N:  gt1 * (v/r^2 + N(r v + phi)/r)
     plus the shell source (2D Laplacian of phi)/r on the transition shell.
-    nodes = branch_nodes(cut); the evolver computes it once per grid.
     A non-finite inner value at r >= 1 (lt1 = 0) no longer spreads into F
     through 0 * inf; evolve.run checks (v, v_t) after every step, so it
     still halts the run on the step that makes it.
     """
-    inner, outer = branch_nodes(cut) if nodes is None else nodes
+    r, inner, outer = cut["r"], cut["inner"], cut["outer"]
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     vi, ri, vri = v[inner], r[inner], v_r[inner]
@@ -348,7 +350,7 @@ def eval_F_rhs(v, v_t, v_r, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     exactly, finite at r = 0 where only the inner kernel sum survives.
     """
     def rhs(v, v_t, v_r, r):
-        return eval_F_given_cutoffs(v, v_t, v_r, r, cutoff_arrays(r, profile), p)
+        return eval_F_given_cutoffs(v, v_t, v_r, cutoff_arrays(r, profile), p)
     return _pointwise(rhs, v, v_t, v_r, r)
 
 

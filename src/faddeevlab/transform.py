@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +44,6 @@ _ORIGIN_TOL = 1e-10
 
 @dataclass
 class TransformBundle:
-    u: FieldState
     v: FieldState
     phi_field: RadialField
     phi_t_field: RadialField
@@ -89,22 +89,15 @@ def _panels_for(length):
     return max(8, math.ceil(16.0 * abs(length)))
 
 
-_UNIT_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _unit_samples(panels):
     """5-point Gauss-Legendre abscissae/weights on [0,1] with `panels` panels,
     flattened; weights sum to 1."""
-    try:
-        return _UNIT_CACHE[panels]
-    except KeyError:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        half = 0.5 / panels
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-        wts = np.tile(half * _GL_WEIGHTS, panels)
-        _UNIT_CACHE[panels] = (pts, wts)
-        return pts, wts
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 / panels
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    pts = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    return pts, np.tile(half * _GL_WEIGHTS, panels)
 
 
 def _grouped_line_integral(lengths, integrand):
@@ -131,18 +124,18 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
     return math.pi * (kernels._a3(np.sin(y[None, :]), r[:, None], p) ** -1.5 @ wts)
 
 
-def compute_Phi(u_state: FieldState, v_state: FieldState,
-                p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
+def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
+                profile=DEFAULT_PROFILE) -> RadialField:
     """The integrated field Phi on the mesh.
 
     r <= 1/2:  integral_0^v sqrt(A_4(y, r)) dy  (origin-safe kernel form)
     r  > 1/2:  r^-1 integral_pi^u sqrt(A_3(y, r)) dy
-               + gt1(r) r^-1 integral_0^pi A_3^(-3/2)(y, r) dy.
+               + gt1(r) r^-1 integral_0^pi A_3^(-3/2)(y, r) dy,
+    with u = r v + phi formed on those nodes (the bytes v_to_u gives there).
     """
     g = v_state.grid
     r = g.r
     v = v_state.f.values
-    u = u_state.f.values
     out = np.empty_like(v)
 
     inner = r <= 0.5
@@ -163,18 +156,17 @@ def compute_Phi(u_state: FieldState, v_state: FieldState,
             # y runs from pi toward u along y = pi + s
             return np.sqrt(kernels._a3(np.sin(math.pi + s), r_out[sel][:, None], p))
 
-        line = _grouped_line_integral(u[idx_out] - math.pi, a3_sqrt)
+        u = r_out * v[idx_out] + eval_cutoff("phi", r_out, 0, profile)
+        line = _grouped_line_integral(u - math.pi, a3_sqrt)
         gt1 = eval_cutoff("gt1", r_out, 0, profile)
         out[idx_out] = (line + gt1 * phi_correction_integral(r_out, p)) / r_out
     return RadialField(out, g)
 
 
-def compute_Phi_t(u_state: FieldState, p=DEFAULT_PARAMS,
-                  profile=DEFAULT_PROFILE, v_state: FieldState = None) -> RadialField:
+def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS,
+                  profile=DEFAULT_PROFILE) -> RadialField:
     """Phi_t = r^-1 A_1^(1/2) u_t, evaluated through the singularity-safe
     identity Phi_t = A_5(v, r)^(1/2) v_t (exact at every node)."""
-    if v_state is None:
-        v_state = u_to_v(u_state, profile)
     g = v_state.grid
     a = kernels.eval_A(5, v_state.f.values, g.r, p, profile)
     return RadialField(np.sqrt(a) * v_state.f_t.values, g)
@@ -182,12 +174,10 @@ def compute_Phi_t(u_state: FieldState, p=DEFAULT_PARAMS,
 
 def make_bundle(v_state: FieldState, p=DEFAULT_PARAMS,
                 profile=DEFAULT_PROFILE) -> TransformBundle:
-    u_state = v_to_u(v_state, profile)
     return TransformBundle(
-        u=u_state,
         v=v_state,
-        phi_field=compute_Phi(u_state, v_state, p, profile),
-        phi_t_field=compute_Phi_t(u_state, p, profile, v_state),
+        phi_field=compute_Phi(v_state, p, profile),
+        phi_t_field=compute_Phi_t(v_state, p, profile),
     )
 
 
@@ -199,7 +189,7 @@ def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
     lap = laplacian(v_state.f).values
     vr = d_r(v_state.f)
     f = kernels.eval_F_given_cutoffs(v_state.f.values, v_state.f_t.values, vr,
-                                     g.r, kernels.cutoff_arrays(g.r, profile), p)
+                                     kernels.cutoff_arrays(g.r, profile), p)
     return RadialField(vtt - lap - f, g)
 
 

@@ -72,15 +72,6 @@ class ManufacturedSolution:
         r = np.asarray(r, dtype=float)
         return -2.0 * r / self.sigma ** 2 * self.v(t, r)
 
-    def lap4(self, t, r):
-        """4D radial Laplacian of v, exact: (4r^2/s^4 - 8/s^2) v."""
-        r = np.asarray(r, dtype=float)
-        return (4.0 * r ** 2 / self.sigma ** 4 - 8.0 / self.sigma ** 2) * self.v(t, r)
-
-    def u(self, t, r, profile=DEFAULT_PROFILE):
-        r = np.asarray(r, dtype=float)
-        return kernels.eval_cutoff("phi", r, 0, profile) + r * self.v(t, r)
-
 
 def manufactured_initial_state(ms: ManufacturedSolution, grid: RadialGrid,
                                t: float = 0.0) -> FieldState:
@@ -115,7 +106,7 @@ def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
         out = ms._amp_tt(t) * env - lap_factor * v
         if include_nonlinearity:
             vt = ms._amp_t(t) * env
-            out = out - kernels.eval_F_given_cutoffs(v, vt, dlog * v, r, cut, p)
+            out = out - kernels.eval_F_given_cutoffs(v, vt, dlog * v, cut, p)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite manufactured forcing")
         return out

@@ -21,7 +21,7 @@ from faddeevlab import kernels
 from faddeevlab.evolve import InitialDataSpec, RunConfig, run
 from faddeevlab.grid import FieldState, RadialField, RadialGrid
 from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
-from faddeevlab.transform import compute_Phi, compute_Phi_t, v_to_u
+from faddeevlab.transform import compute_Phi, compute_Phi_t
 from faddeevlab.verify import (
     ManufacturedSolution,
     convergence_study,
@@ -153,7 +153,7 @@ def test_criterion_6_phi_t_identity_order():
     g = RadialGrid(256, 8.0)
     state = FieldState(RadialField(0.2 * np.exp(-g.r ** 2), g),
                        RadialField(0.1 * np.exp(-g.r ** 2), g))
-    phi_t = compute_Phi_t(v_to_u(state, PROF), P, PROF, state)
+    phi_t = compute_Phi_t(state, P, PROF)
     errs = []
     for dt in (1e-3, 5e-4):
         shifted = []
@@ -162,7 +162,7 @@ def test_criterion_6_phi_t_identity_order():
                 state.f.with_values(state.f.values
                                     + sign * dt * state.f_t.values),
                 state.f_t, sign * dt)
-            shifted.append(compute_Phi(v_to_u(st, PROF), st, P, PROF))
+            shifted.append(compute_Phi(st, P, PROF))
         fd = (shifted[0].values - shifted[1].values) / (2.0 * dt)
         errs.append(float(np.max(np.abs(fd - phi_t.values))))
     order = math.log2(errs[0] / errs[1])
@@ -177,7 +177,7 @@ def test_criterion_7_far_field_phi():
     zeros = np.zeros(g.n_nodes)
     v_state = FieldState(RadialField(zeros.copy(), g),
                          RadialField(zeros.copy(), g))
-    phi = compute_Phi(v_to_u(v_state, PROF), v_state, P, PROF)
+    phi = compute_Phi(v_state, P, PROF)
     i10 = int(round(10.0 / g.dr))
     expected = -math.pi * P.alpha ** 2 / 10.0 ** 3
     rel = abs(phi.values[i10] - expected) / abs(expected)

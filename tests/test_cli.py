@@ -1,6 +1,7 @@
 """Command-line interface: config plumbing, exit codes, artifacts."""
 
 import configparser
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -111,6 +112,15 @@ def test_config_file_loading(tmp_path):
     assert out_dir == "from_file"
 
 
+# sha256 of each suite's report (numpy 2.4 on x86-64): a refactor keeps them
+VERIFY_CSV_SHA256 = {
+    "kernels": "1b33d6a61ee0e063b25f561d3b9c2d3b8f62cedf081dc99e4bcb46364b03d979",
+    "transforms": "2c771d1dd3bfe47ca1711d5b748a8bd7b083f97a9877fe7b9b99a00a02874f92",
+    "convergence": "5d448f96057dea28eb57d490f4cd4d096e452ead6a337a7627dd0e8f0d2132a9",
+    "energy": "88cdd022eaaac9118565236fd53fa807f3c13cae0e5ce8bfd0f7e1633d07d93f",
+}
+
+
 @pytest.mark.parametrize("suite,n_checks", [
     ("kernels", 14),
     ("transforms", 3),
@@ -130,6 +140,8 @@ def test_verify_suites_pass(tmp_path, capsys, suite, n_checks):
     assert rows[0] == "suite,check,value,tolerance,passed"
     assert len(rows) == 1 + n_checks
     assert all(row.endswith("True") for row in rows[1:])
+    digest = hashlib.sha256(Path(report).read_bytes()).hexdigest()
+    assert digest == VERIFY_CSV_SHA256[suite]
 
 
 def test_sweep_single_point_matches_plain_run(tmp_path):
@@ -214,6 +226,27 @@ def test_out_of_range_setting_fails_before_the_run(tmp_path, capsys, command,
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--sweep", "initial_data.amplitude=0.1,0.3"]])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_path_through_a_file_fails_before_the_run(tmp_path, capsys,
+                                                      monkeypatch, command, out):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+
+    def no_run(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    rc = main(command + TINY + ["--out", str(tmp_path / out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config-error: output dir ")
+    assert err.rstrip().endswith("is not a directory")
+    assert afile.read_text() == "keep"
+    assert sorted(os.listdir(tmp_path)) == ["afile"]
 
 
 def test_sweep_grid(tmp_path, capsys):
@@ -391,6 +424,15 @@ def test_readme_defaults_block_matches_the_dataclasses(tmp_path):
     cp.read_string(block)
     listed = [f"{section}.{key}" for section in cp.sections() for key in cp[section]]
     assert sorted(listed) == sorted(key for key, _, _ in CONFIG_TABLE)
+
+
+def test_readme_library_use_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    status, energy, drift = capsys.readouterr().out.split()
+    assert status == "completed"
+    assert float(energy) > 0.0 and float(drift) < 1e-2
 
 
 # one valid non-default text per settable key

@@ -282,10 +282,9 @@ def test_evolve_bundles_cadence_and_reconstruction(params):
     assert abs(times[2] - 0.25) <= dts[0] / 2 + 1e-12
     g = make_grid(cfg)
     phi = eval_cutoff("phi", g.r, 0, cfg.profile)
-    mid = bundles[2]
-    assert mid.u.f.values[0] == np.pi
-    assert np.array_equal(mid.u.f.values[1:],
-                          g.r[1:] * mid.v.f.values[1:] + phi[1:])
+    u = v_to_u(bundles[2].v, cfg.profile).f.values
+    assert u[0] == np.pi
+    assert np.array_equal(u[1:], g.r[1:] * bundles[2].v.f.values[1:] + phi[1:])
 
 
 # ------------------------------------------------------------------ halts
@@ -298,12 +297,12 @@ def _record(**kw):
 
 
 def test_detect_blowup_cases():
-    assert detect_blowup(_record()) is None
+    assert detect_blowup(_record(), 1e6, 1e-2) is None
 
-    status, reason = detect_blowup(_record(monitor_vt=2.0), monitor_ceiling=1.5)
+    status, reason = detect_blowup(_record(monitor_vt=2.0), 1.5, 1e-2)
     assert status == "blowup_monitor" and "2" in reason and "t=1" in reason
 
-    status, reason = detect_blowup(_record(energy_drift=0.02), drift_ceiling=0.01)
+    status, reason = detect_blowup(_record(energy_drift=0.02), 1e6, 0.01)
     assert status == "scheme_breakdown" and "drift" in reason and "t=1" in reason
 
 

@@ -46,7 +46,7 @@ def test_field_validation():
 def test_ghost_fill_is_exact_parity():
     g = RadialGrid(16, 2.0)
     f = np.cos(g.r)
-    ext = fill_ghosts(f, g)
+    ext = fill_ghosts(f)
     for k in range(1, GHOST + 1):
         assert ext[GHOST - k] == ext[GHOST + k]
 

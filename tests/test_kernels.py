@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
                                 CutoffProfile, KernelParams, _ftilde,
-                                branch_nodes, cutoff_arrays, dA1_dt, dA1_dtt,
+                                cutoff_arrays, dA1_dt, dA1_dtt,
                                 eval_A, eval_cutoff, eval_F_given_cutoffs,
                                 eval_F_rhs, eval_Ftilde, eval_N,
                                 laplacian_phi_2d)
 from faddeevlab.grid import FieldState, RadialField, RadialGrid
 from faddeevlab.transform import (compute_Phi, compute_Phi_t, make_bundle,
                                   residual_Phi_t_wave, residual_Phi_tt_wave,
-                                  residual_Phi_ttt_wave, residual_Phi_wave,
-                                  v_to_u)
+                                  residual_Phi_ttt_wave, residual_Phi_wave)
 
 LIMITS = {
     0: lambda a: a ** 2,
@@ -260,7 +259,7 @@ def test_F_hot_path_matches_wrapper(params, profile):
     r = np.sort(rng.uniform(0.0, 5.0, 64))
     v, vt, vr = (rng.uniform(-1.0, 1.0, 64) for _ in range(3))
     cut = cutoff_arrays(r, profile)
-    assert np.array_equal(eval_F_given_cutoffs(v, vt, vr, r, cut, params),
+    assert np.array_equal(eval_F_given_cutoffs(v, vt, vr, cut, params),
                           eval_F_rhs(v, vt, vr, r, params, profile))
 
 
@@ -366,11 +365,10 @@ def test_F_matches_its_old_formula(case, profile):
     p = KernelParams(alpha=0.7)
     cut = cutoff_arrays(r, profile)
     old = _old_eval_F_given_cutoffs(v, vt, vr, r, cut, p).tobytes()
-    assert eval_F_given_cutoffs(v, vt, vr, r, cut, p).tobytes() == old
-    nodes = branch_nodes(cut)
-    assert eval_F_given_cutoffs(v, vt, vr, r, cut, p, nodes).tobytes() == old
+    assert eval_F_given_cutoffs(v, vt, vr, cut, p).tobytes() == old
     # a mesh gives two slices; scattered nodes fall back to index arrays
     if case in ("mesh_from_origin", "unsorted"):
+        nodes = (cut["inner"], cut["outer"])
         assert all(isinstance(n, slice) for n in nodes) == (case != "unsorted")
 
 
@@ -418,8 +416,9 @@ def _bitwise_outputs():
     out["dA1_dtt"] = dA1_dtt(y, vt, vtt, r, p)
     out["eval_F_rhs"] = eval_F_rhs(y, vt, vr, r, p)
     out["laplacian_phi_2d"] = laplacian_phi_2d(r)
-    for key, col in cutoff_arrays(r).items():
-        out[f"cutoff_{key}"] = col
+    cut = cutoff_arrays(r)
+    for key in ("phi", "dphi", "lt1", "gt1", "lap2phi"):
+        out[f"cutoff_{key}"] = cut[key]
     # seven equally spaced time levels of a Gaussian drifting in amplitude
     g = RadialGrid(64, 4.0)
     env = np.exp(-g.r ** 2)
@@ -429,8 +428,8 @@ def _bitwise_outputs():
                                       RadialField(b * env, g), k * dt), p)
                for k in range(7)]
     st = bundles[3].v
-    out["compute_Phi"] = compute_Phi(v_to_u(st), st, p).values
-    out["compute_Phi_t"] = compute_Phi_t(v_to_u(st), p, v_state=st).values
+    out["compute_Phi"] = compute_Phi(st, p).values
+    out["compute_Phi_t"] = compute_Phi_t(st, p).values
     out["residual_Phi"] = residual_Phi_wave(bundles[2:5], p).values
     out["residual_Phi_t"] = residual_Phi_t_wave(bundles[2:5], p).values
     out["residual_Phi_tt"] = residual_Phi_tt_wave(bundles[1:6], p).values

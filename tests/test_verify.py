@@ -123,11 +123,13 @@ def test_broken_ghost_fill_is_detectable(monkeypatch):
     at r = 0; measured inflation 137x at n = 256."""
     even_fill = grid.fill_ghosts
 
-    def first_order_fill(values, g):
-        ext = even_fill(values, g)
-        k = np.arange(grid.GHOST, 0, -1)
-        ext[:grid.GHOST] = ext[:grid.GHOST] + (k * g.dr) ** 3
-        return ext
+    def first_order_fill(dr):
+        def fill(values):
+            ext = even_fill(values)
+            k = np.arange(grid.GHOST, 0, -1)
+            ext[:grid.GHOST] = ext[:grid.GHOST] + (k * dr) ** 3
+            return ext
+        return fill
 
     def sup_origin_error(n):
         cfg = RunConfig(n_cells=n, r_max=8.0, t_end=0.5,
@@ -140,8 +142,10 @@ def test_broken_ghost_fill_is_detectable(monkeypatch):
         return float(np.max(np.abs(v - MS.v(0.5, g.r))))
 
     healthy = {n: sup_origin_error(n) for n in (128, 256)}
-    monkeypatch.setattr(grid, "fill_ghosts", first_order_fill)
-    broken = {n: sup_origin_error(n) for n in (128, 256)}
+    broken = {}
+    for n in (128, 256):
+        monkeypatch.setattr(grid, "fill_ghosts", first_order_fill(8.0 / n))
+        broken[n] = sup_origin_error(n)
     assert broken[256] / healthy[256] >= 50.0
     order_healthy = math.log2(healthy[128] / healthy[256])
     order_broken = math.log2(broken[128] / broken[256])
