@@ -8,15 +8,14 @@ from .kernels import (KernelParams, CutoffProfile, DEFAULT_PARAMS,
                       DEFAULT_PROFILE, eval_Ftilde, eval_cutoff, eval_A,
                       eval_N, eval_F_rhs, laplacian_phi_2d)
 from .grid import (RadialGrid, RadialField, FieldState, d_r, laplacian,
-                   integrate_radial, quadrature_1d, sobolev_norm, fill_ghosts)
+                   integrate_radial, sobolev_norm, fill_ghosts)
 from .transform import (TransformBundle, u_to_v, v_to_u, compute_Phi,
                         compute_Phi_t, make_bundle, residual_v_equation,
                         residual_Phi_wave, residual_Phi_t_wave,
                         residual_Phi_tt_wave, residual_Phi_ttt_wave)
 from .diagnostics import (DiagnosticsRecord, energy, energy_drift,
-                          continuation_monitor, decay_report, ys_norm,
-                          spacetime_norm, SpacetimeTracker,
-                          write_diagnostics_csv)
+                          continuation_monitor, decay_report,
+                          SpacetimeTracker, write_diagnostics_csv)
 from .evolve import (InitialDataSpec, SpongeSpec, RunConfig, RunResult,
                      make_grid, initial_state, sponge_sigma, trajectory, run,
                      evolve_bundles, detect_blowup,

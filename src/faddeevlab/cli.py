@@ -342,23 +342,26 @@ def cmd_sweep(args) -> int:
         if "=" not in spec:
             raise ConfigError(f"sweep axis {spec!r} is not of the form "
                               "section.key=v1,v2,...")
-        dotted, values = spec.split("=", 1)
+        dotted, values = (part.strip() for part in spec.split("=", 1))
         vals = [tok.strip() for tok in values.split(",") if tok.strip()]
         if not vals:
             raise ConfigError(f"sweep axis {dotted!r} has no values")
-        axes.append((dotted.strip(), vals))
+        if dotted == "output.dir":
+            raise ConfigError("sweep axis 'output.dir': every run of a sweep "
+                              "writes under one output directory; set it with --out")
+        axes.append((dotted, vals))
     base_sets = list(args.set or ())
     combos = list(itertools.product(*[vals for _, vals in axes]))
     jobs = []
     for i, combo in enumerate(combos):
         sets = base_sets + [f"{key}={val}" for (key, _), val in zip(axes, combo)]
         config, file_out = load_config(args.config, sets)
-        jobs.append((i, combo, config, file_out))
-    out_root = _out_dir(args.out or jobs[0][3] or "faddeev_out")
+        jobs.append((i, combo, config))
+    out_root = _out_dir(args.out or file_out or "faddeev_out")
     os.makedirs(out_root, exist_ok=True)
 
     packed = [(i, config, os.path.join(out_root, f"run_{i:03d}"))
-              for i, _, config, _ in jobs]
+              for i, _, config in jobs]
     # the fork start method starts every worker at once: no more than runs
     workers = min(args.jobs, len(packed))
     if workers > 1:
@@ -372,7 +375,7 @@ def cmd_sweep(args) -> int:
     path = os.path.join(out_root, "summary.csv")
     write_csv(path, ["run_dir"] + [key for key, _ in axes] + columns,
               ([f"run_{i:03d}"] + list(combo) + [summary[c] for c in columns]
-               for (i, combo, _, _), summary in zip(jobs, summaries)))
+               for (i, combo, _), summary in zip(jobs, summaries)))
     n_bad = sum(1 for s in summaries if s["status"] != "completed")
     print(f"status=done runs={len(summaries)} incomplete={n_bad} summary={path}")
     return 4 if any(s["status"] == "error" for s in summaries) else 0

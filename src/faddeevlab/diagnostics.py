@@ -2,30 +2,29 @@
 
 Energy and drift, the three continuation monitors (Japanese-bracket
 weighted sup norms whose boundedness certifies continuation), integer
-Sobolev norms, discrete Y_s and space-time norms, and the soft decay-ratio
-report. Everything is a deterministic reduction over grid snapshots.
+Sobolev norms, running space-time norms, and the soft decay-ratio report.
+Everything is a deterministic reduction over grid snapshots; a run builds
+the per-run constants of its samples once, as a SampleContext.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FieldState, RadialField, _simpson, d_r, integrate_radial,
-                   sobolev_norm, write_csv)
+from .grid import (FieldState, RadialField, RadialGrid, _simpson, d_r,
+                   integrate_radial, sobolev_norm, write_csv)
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from .transform import u_to_v
 
 __all__ = [
     "DiagnosticsRecord",
+    "SampleContext",
     "energy",
     "energy_drift",
     "continuation_monitor",
     "decay_report",
-    "ys_norm",
-    "spacetime_norm",
     "SpacetimeTracker",
     "write_diagnostics_csv",
 ]
@@ -45,39 +44,56 @@ class DiagnosticsRecord:
     spacetime_norms: dict = field(default_factory=dict)
 
 
+class SampleContext:
+    """The per-run constants of a diagnostics sample on one grid: the cutoff
+    phi and phi', split = the first node with r > 1 (where the energy takes
+    the u chart), the Japanese bracket jb = (1 + r^2)^(1/2), and outer = the
+    first node with r >= 1, with the decay weight r[outer:]^(3/2)."""
+
+    def __init__(self, grid: RadialGrid, profile=DEFAULT_PROFILE):
+        r = grid.r
+        self.grid = grid
+        self.phi = kernels.eval_cutoff("phi", r, 0, profile)
+        self.dphi = kernels.eval_cutoff("phi", r, 1, profile)
+        self.split = int(np.searchsorted(r, 1.0, side="right"))
+        self.jb = np.sqrt(1.0 + r ** 2)
+        self.outer = int(np.searchsorted(r, 1.0))
+        self.outer_weight = r[self.outer:] ** 1.5
+
+
 def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
-           profile=DEFAULT_PROFILE, return_tail=False):
+           profile=DEFAULT_PROFILE, return_tail=False, v_r=None, ctx=None):
     """Conserved energy (1/2) * integral [A_1(u_t^2 + u_r^2) + r^-2 sin^2 u] r dr.
 
-    The r^-2 sin^2 u term is evaluated in the v chart on r <= 1
-    (sin^2 u = sin^2(r v), so the integrand is v^2 * Ftilde_0(r v)/alpha^2
-    with no 0/0), and A_1 comes from the singularity-safe A_5 form.
-    With return_tail=True also returns the fraction of |integrand| mass in
-    the outer tenth of the domain, a truncation-quality report.
+    On r <= 1 the r^-2 sin^2 u term is v^2 Ftilde_0(r v)/alpha^2 (no 0/0)
+    and A_1 the singularity-safe A_5 = 1 + v^2 Ftilde_0(r v), one product
+    for both; beyond r = 1 both take one sin u of u_state. With
+    return_tail=True also returns the fraction of |integrand| mass in the
+    outer tenth of the domain, a truncation-quality report.
 
     When v_state is available, u_r is assembled as v + r v_r + phi' with
     the cutoff derivative analytic, so stencils only ever touch the smooth
     field v; differencing u directly across the C^3 cutoff seams costs two
-    orders there and shows up as an O(h^3) energy bias.
+    orders there and shows up as an O(h^3) energy bias. v_r = d_r(v) and
+    ctx, the run's SampleContext, are computed here when not given.
     """
+    g = u_state.grid
+    ctx = ctx if ctx is not None else SampleContext(g, profile)
     if v_state is None:
         v_state = u_to_v(u_state, profile)
         u_r = d_r(u_state.f)
     else:
-        u_r = (v_state.f.values + v_state.grid.r * d_r(v_state.f)
-               + kernels.eval_cutoff("phi", v_state.grid.r, 1, profile))
-    g = u_state.grid
-    r = g.r
+        v_r = d_r(v_state.f) if v_r is None else v_r
+        u_r = v_state.f.values + g.r * v_r + ctx.dphi
+    r, n = g.r, ctx.split
     v = v_state.f.values
-    u = u_state.f.values
-    u_t = u_state.f_t.values
-    a1 = kernels.eval_A(5, v, r, p, profile)
-    sin2_over_r2 = v * v * kernels.eval_Ftilde(0, r * v, p) / p.alpha ** 2
-    far = r > 1.0
-    sin2_over_r2[far] = (np.sin(u[far]) / r[far]) ** 2
-    density = 0.5 * (a1 * (u_t ** 2 + u_r ** 2) + sin2_over_r2)
-    dens_field = RadialField(density, g)
-    total = integrate_radial(dens_field, 1)
+    q = v[:n] * v[:n] * kernels.eval_Ftilde(0, r[:n] * v[:n], p)
+    # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
+    r_far, sin_far = r[n:], np.sin(u_state.f.values[n:])
+    a1 = np.concatenate((1.0 + q, 1.0 + (p.alpha * sin_far / r_far) ** 2))
+    sin2_over_r2 = np.concatenate((q / p.alpha ** 2, (sin_far / r_far) ** 2))
+    density = 0.5 * (a1 * (u_state.f_t.values ** 2 + u_r ** 2) + sin2_over_r2)
+    total = integrate_radial(RadialField(density, g), 1)
     if not np.isfinite(total):
         ok = np.isfinite(density * r)
         where = "" if ok.all() else f" at r={r[np.argmin(ok)]:.6g}"
@@ -95,65 +111,24 @@ def energy_drift(e: float, e0: float) -> float:
     return abs(e - e0) / abs(e0) if e0 != 0.0 else abs(e - e0)
 
 
-def continuation_monitor(v_state: FieldState):
-    """Grid maxima of <r>|v|, <r>|v_t|, <r>|d_r v| with <r> = (1+r^2)^(1/2)."""
-    jb = np.sqrt(1.0 + v_state.grid.r ** 2)
-    vr = d_r(v_state.f)
+def continuation_monitor(v_state: FieldState, v_r=None, ctx=None):
+    """Grid maxima of <r>|v|, <r>|v_t|, <r>|d_r v| with <r> = (1+r^2)^(1/2);
+    v_r and ctx as in energy."""
+    jb = (ctx if ctx is not None else SampleContext(v_state.grid)).jb
+    vr = d_r(v_state.f) if v_r is None else v_r
     return (float(np.max(jb * np.abs(v_state.f.values))),
             float(np.max(jb * np.abs(v_state.f_t.values))),
             float(np.max(jb * np.abs(vr))))
 
 
-def decay_report(f: RadialField) -> dict:
+def decay_report(f: RadialField, ctx=None) -> dict:
     """Soft decay ratios (reported, never asserted): max |v| r^(3/2) on
-    r >= 1 and max |v| on 0 < r <= 1."""
-    r = f.grid.r
+    r >= 1 and max |v| on 0 < r <= 1; ctx as in energy."""
+    ctx = ctx if ctx is not None else SampleContext(f.grid)
     av = np.abs(f.values)
-    outer_mask = r >= 1.0
-    outer = float(np.max(av[outer_mask] * r[outer_mask] ** 1.5)) if outer_mask.any() else 0.0
-    inner_mask = (r > 0.0) & (r <= 1.0)
-    inner = float(np.max(av[inner_mask])) if inner_mask.any() else 0.0
+    outer = float(np.max(av[ctx.outer:] * ctx.outer_weight)) if ctx.outer_weight.size else 0.0
+    inner = float(np.max(av[1:ctx.split])) if ctx.split > 1 else 0.0
     return {"outer": outer, "inner": inner}
-
-
-def ys_norm(fields, dt: float, s: int) -> float:
-    """Discrete Y_s over a uniformly sampled window: sup over interior
-    samples of sum_{j<=s} ||d_t^j w||_{H^(s-j)}, time derivatives by
-    centered differences. Needs at least 2s+1 snapshots; s <= 2."""
-    if s not in (0, 1, 2):
-        raise ValueError("ys_norm supports s in {0, 1, 2}")
-    if len(fields) < 2 * s + 1:
-        raise ValueError(f"need at least {2 * s + 1} snapshots for s={s}")
-    best = 0.0
-    for j in range(s, len(fields) - s):
-        total = sobolev_norm(fields[j], s)
-        if s >= 1:
-            dt1 = fields[j].with_values(
-                (fields[j + 1].values - fields[j - 1].values) / (2.0 * dt))
-            total += sobolev_norm(dt1, s - 1)
-        if s >= 2:
-            dt2 = fields[j].with_values(
-                (fields[j - 1].values - 2.0 * fields[j].values
-                 + fields[j + 1].values) / dt ** 2)
-            total += sobolev_norm(dt2, s - 2)
-        best = max(best, total)
-    return best
-
-
-def _spatial_lq(f: RadialField, q) -> float:
-    if q == 2:
-        return sobolev_norm(f, 0)
-    return float(integrate_radial(f.with_values(np.abs(f.values) ** q), 3) ** (1.0 / q))
-
-
-def spacetime_norm(fields, dt: float, p, q) -> float:
-    """Discrete L^p-in-time of L^q-in-space over a sampled window
-    (trapezoid in time; p may be math.inf)."""
-    g = np.array([_spatial_lq(f, q) for f in fields])
-    if p == math.inf:
-        return float(np.max(g))
-    gp = g ** p
-    return float((dt * (np.sum(gp) - 0.5 * (gp[0] + gp[-1]))) ** (1.0 / p))
 
 
 class SpacetimeTracker:
@@ -167,9 +142,10 @@ class SpacetimeTracker:
         self._l2_l8 = 0.0
         self._last_l8 = None
 
-    def update(self, f: RadialField, dt_since_last: float):
-        self._linf_l2 = max(self._linf_l2, _spatial_lq(f, 2))
-        g = _spatial_lq(f, 8)
+    def update(self, f: RadialField, dt_since_last: float, l2=None):
+        """Add the sample f; l2 = sobolev_norm(f, s)[0] when the caller holds it."""
+        self._linf_l2 = max(self._linf_l2, sobolev_norm(f, 0)[0] if l2 is None else l2)
+        g = integrate_radial(f.with_values(np.abs(f.values) ** 8), 3) ** (1.0 / 8)
         if self._last_l8 is not None:
             self._l2_l8 += 0.5 * dt_since_last * (self._last_l8 ** 2 + g ** 2)
         self._last_l8 = g

@@ -12,12 +12,12 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .grid import (FLOAT_FMT, FieldState, RadialGrid, RadialField,
-                   _d1_laplacian, write_csv)
+                   _d1_laplacian, d_r, write_csv)
 from . import diagnostics as diag
 from . import kernels
 from .kernels import CutoffProfile, KernelParams
@@ -336,21 +336,30 @@ def detect_blowup(record, monitor_ceiling, drift_ceiling):
     return None
 
 
-def _sample(state, config, records, tracker):
-    """The diagnostics record of state; its drift is taken against the
-    energy of records[0], or is 0 for the first record."""
-    p, profile = config.kernel_params, config.profile
-    u_state = v_to_u(state, profile)
-    e, tail = diag.energy(u_state, p, state, profile, return_tail=True)
-    mv, mvt, mgv = diag.continuation_monitor(state)
-    sob = {s: diag.sobolev_norm(state.f, s) for s in config.sobolev_orders}
-    decay = diag.decay_report(state.f)
+def _sample(t, v, vt, ctx, config, records, tracker):
+    """The diagnostics record of (v, v_t) at time t. ctx is the run's
+    diag.SampleContext; one v_r serves the energy, the monitors and the
+    Sobolev ladder, which runs once up to the highest order the record or
+    the tracker reads. The drift is taken against the energy of
+    records[0], or is 0 for the first record."""
+    p, profile, orders = config.kernel_params, config.profile, config.sobolev_orders
+    state = FieldState(RadialField(v, ctx.grid), RadialField(vt, ctx.grid), t)
+    vr = d_r(state.f)
+    e, tail = diag.energy(v_to_u(state, profile, ctx.phi), p, state, profile,
+                          return_tail=True, v_r=vr, ctx=ctx)
+    mv, mvt, mgv = diag.continuation_monitor(state, vr, ctx)
+    ladder = (diag.sobolev_norm(state.f, max(orders, default=0), vr)
+              if orders or tracker is not None else [])
+    decay = diag.decay_report(state.f, ctx)
+    if tracker is not None:
+        tracker.update(state.f, t - records[-1].time if records else 0.0, ladder[0])
     st = tracker.values() if tracker is not None else {}
     return diag.DiagnosticsRecord(
-        time=state.time, energy=e,
+        time=t, energy=e,
         energy_drift=diag.energy_drift(e, records[0].energy if records else e),
         energy_tail=tail, monitor_v=mv, monitor_vt=mvt, monitor_gradv=mgv,
-        sobolev=sob, decay_ratios=decay, spacetime_norms=st)
+        sobolev={s: ladder[s] for s in orders}, decay_ratios=decay,
+        spacetime_norms=st)
 
 
 def run(config: RunConfig, forcing=None) -> RunResult:
@@ -359,13 +368,13 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     the initial and final instants)."""
     g = make_grid(config)
     nsteps, _ = _schedule(config)
+    ctx = diag.SampleContext(g, config.profile)
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
     records, snapshots, snapshot_steps = [], [], []
-    verdict, last_sample_t = None, 0.0
+    verdict = None
     # overflow and NaN are checked on every step and reported as the halt
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t, v, vt in trajectory(config, forcing):
-            state = FieldState(RadialField(v, g), RadialField(vt, g), t)
             # the initial data is not stepped: its first sample judges it
             finite = np.isfinite(v) & np.isfinite(vt)
             if k and not finite.all():
@@ -374,18 +383,16 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                                          f"t={t:.6g}, r={bad:.6g}")
                 break
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
-                snapshots.append(state)
+                snapshots.append(FieldState(RadialField(v, g), RadialField(vt, g), t))
                 snapshot_steps.append(k)
             if k % config.output_every == 0 or k == nsteps:
-                if tracker is not None:
-                    tracker.update(state.f, t - last_sample_t)
-                last_sample_t = t
-                records.append(_sample(state, config, records, tracker))
+                records.append(_sample(t, v, vt, ctx, config, records, tracker))
                 verdict = detect_blowup(records[-1], config.monitor_ceiling,
                                         config.drift_ceiling)
                 if verdict is not None:
                     break
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
+    state = FieldState(RadialField(v, g), RadialField(vt, g), t)
     return RunResult(status, reason, records, state, snapshots, config, k,
                      snapshot_steps)
 
@@ -407,13 +414,18 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
     return bundles
 
 
+@lru_cache(maxsize=1)
+def _meta_text(config: RunConfig) -> str:
+    """The config lines every .meta file of a run carries, fingerprint first;
+    formatted once per run."""
+    items = [("config_hash", config_fingerprint(config))] + config_items(config)
+    return "".join(f"{k} = {v}\n" for k, v in items)
+
+
 def write_checkpoint(state: FieldState, path_base, config: RunConfig, step_no: int):
     """CSV snapshot (r, v, v_t) plus a key=value metadata sidecar."""
     write_csv(f"{path_base}.csv", ["r", "v", "v_t"],
-              zip(state.grid.r, state.f.values, state.f_t.values))
+              np.column_stack((state.grid.r, state.f.values, state.f_t.values)))
     with open(f"{path_base}.meta", "w") as fh:
-        fh.write(f"time = {FLOAT_FMT % state.time}\n")
-        fh.write(f"step = {step_no}\n")
-        fh.write(f"config_hash = {config_fingerprint(config)}\n")
-        for k, v in config_items(config):
-            fh.write(f"{k} = {v}\n")
+        fh.write(f"time = {FLOAT_FMT % state.time}\nstep = {step_no}\n"
+                 + _meta_text(config))

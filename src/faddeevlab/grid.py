@@ -23,7 +23,6 @@ __all__ = [
     "d_r",
     "laplacian",
     "integrate_radial",
-    "quadrature_1d",
     "sobolev_norm",
     "write_csv",
 ]
@@ -71,9 +70,6 @@ class RadialField:
 
     def with_values(self, values) -> "RadialField":
         return RadialField(np.asarray(values, dtype=float), self.grid)
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.values.copy(), self.grid)
 
 
 @dataclass
@@ -144,11 +140,13 @@ def d_r(f: RadialField) -> np.ndarray:
     return out
 
 
-def _d1_laplacian(values, grid):
-    """(d1, lap): the raw first-derivative stencil (node 0 included) and the
-    4D radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its
-    limit 4 f''(0)."""
-    d1 = _d1_values(values, grid)
+def _d1_laplacian(values, grid, d1=None):
+    """(d1, lap): the raw first-derivative stencil (node 0 included, unless
+    the caller passes d1: lap reads it only off the origin) and the 4D
+    radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its limit
+    4 f''(0)."""
+    if d1 is None:
+        d1 = _d1_values(values, grid)
     d2 = _d2_values(values, grid)
     lap = np.empty_like(values)
     lap[0] = 4 * d2[0]
@@ -183,47 +181,45 @@ def integrate_radial(f: RadialField, weight_power: int = 0) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-def quadrature_1d(integrand, lower, upper, panels):
-    """Composite 5-point Gauss-Legendre quadrature of a vectorizable
-    callable over [lower, upper]."""
-    if upper == lower:
-        return 0.0
-    if panels < 1:
-        raise ValueError("need at least one panel")
-    edges = np.linspace(lower, upper, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = mid[:, None] + half * _GL_NODES[None, :]
-    vals = np.asarray(integrand(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite integrand sample")
-    return float(half * np.sum(vals @ _GL_WEIGHTS))
+def sobolev_norm(f: RadialField, s: int, d1=None) -> list:
+    """The integer Sobolev norms of orders 0..s via Laplacian powers against
+    r^3 dr, in one pass up the ladder; entry k is
 
+        ( sum_{2j <= k} ||lap^j f||^2 + sum_{2j+1 <= k} ||d_r lap^j f||^2 )^(1/2)
 
-def sobolev_norm(f: RadialField, s: int) -> float:
-    """Integer Sobolev norm via Laplacian powers against r^3 dr:
-
-        ( sum_{2k <= s} ||lap^k f||^2 + sum_{2k+1 <= s} ||d_r lap^k f||^2 )^(1/2)
+    as a running sum, one term per order. d1 = d_r(f) when the caller has it.
     """
     if s not in (0, 1, 2, 3, 4):
         raise ValueError("s must be an integer 0..4")
-    total = 0.0
-    g = f
-    for k in range(0, s // 2 + 1):
-        if k > 0:
-            g = laplacian(g)
-        total += integrate_radial(g.with_values(g.values ** 2), 3)
-        if 2 * k + 1 <= s:
-            total += integrate_radial(g.with_values(d_r(g) ** 2), 3)
-    return float(np.sqrt(total))
+    grid, r3 = f.grid, f.grid.r ** 3
+    g, total, norms = f.values, 0.0, []
+    for order in range(s + 1):
+        if order % 2:
+            if d1 is None:
+                d1 = _d1_values(g, grid)
+                d1[0] = 0.0  # as in d_r
+            y = d1 ** 2
+        else:
+            if order:
+                g, d1 = _d1_laplacian(g, grid, d1)[1], None
+            y = g ** 2
+        total += float(_simpson(y * r3, grid.dr))
+        norms.append(float(np.sqrt(total)))
+    return norms
 
 
 def write_csv(path, header, rows):
-    """Write a header row and data rows. Floats (numpy float64 included) are
-    written as FLOAT_FMT, so doubles survive exactly; any other value is
-    written as str() writes it."""
+    """Write a header row and data rows. rows is an iterable of rows, or a
+    2-D float array, formatted as one table by a single % operation. Floats
+    (numpy float64 included) are written as FLOAT_FMT, so doubles survive
+    exactly; any other value is written as str() writes it. Both forms give
+    the same bytes for the same floats: no formatted float needs quoting."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows([FLOAT_FMT % x if isinstance(x, float) else x for x in row]
-                    for row in rows)
+        if isinstance(rows, np.ndarray):
+            line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+        else:
+            w.writerows([FLOAT_FMT % x if isinstance(x, float) else x for x in row]
+                        for row in rows)

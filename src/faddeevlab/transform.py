@@ -75,11 +75,12 @@ def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     return FieldState(RadialField(v, g), RadialField(vt, g), u_state.time)
 
 
-def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
-    """Reconstruct u = r v + phi (exact; u(0) = pi by construction)."""
+def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE, phi=None) -> FieldState:
+    """Reconstruct u = r v + phi (exact; u(0) = pi by construction). phi,
+    the cutoff on the grid, is computed from profile when not given."""
     g = v_state.grid
     r = g.r
-    phi = eval_cutoff("phi", r, 0, profile)
+    phi = eval_cutoff("phi", r, 0, profile) if phi is None else phi
     u = r * v_state.f.values + phi
     ut = r * v_state.f_t.values
     return FieldState(RadialField(u, g), RadialField(ut, g), v_state.time)

@@ -117,7 +117,7 @@ def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
 def solution_error(state: FieldState, ms: ManufacturedSolution) -> float:
     """L2 distance (radial measure r^3 dr) between a state and ms at its time."""
     diff = state.f.values - ms.v(state.time, state.grid.r)
-    return sobolev_norm(RadialField(diff, state.grid), 0)
+    return sobolev_norm(RadialField(diff, state.grid), 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _res_norm(res_field: RadialField) -> float:
     where the focused shell wave passed through r=0, and its second time
     difference is amplified by dt^-2; the r^3 weight keeps that localized
     noise from dominating the order measurement."""
-    return sobolev_norm(res_field, 0)
+    return sobolev_norm(res_field, 0)[0]
 
 
 _RESIDUAL_EVALUATORS = {

@@ -38,6 +38,26 @@ def grid256():
     return RadialGrid(256, 8.0)
 
 
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def quadrature_1d(integrand, lower, upper, panels):
+    """Composite 5-point Gauss-Legendre quadrature of a vectorizable
+    callable over [lower, upper]: the tests' reference integrator."""
+    if upper == lower:
+        return 0.0
+    if panels < 1:
+        raise ValueError("need at least one panel")
+    edges = np.linspace(lower, upper, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    pts = mid[:, None] + half * _GL_NODES[None, :]
+    vals = np.asarray(integrand(pts), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite integrand sample")
+    return float(half * np.sum(vals @ _GL_WEIGHTS))
+
+
 def gaussian_v_state(grid, amp=0.2, width=1.0, amp_t=0.0, t=0.0):
     """An even Gaussian Cauchy pair in the lifted chart."""
     env = np.exp(-((grid.r / width) ** 2))

@@ -293,6 +293,23 @@ def test_checkpoints_record_the_step_index(tmp_path):
     assert (final["time"], final["step"]) == ("0.25", "8")
 
 
+# sha256 of one snapshot pair of the run above, as the row-by-row csv
+# writer wrote it (numpy 2.4.6, x86-64)
+SNAPSHOT_0001_PINS = {
+    "snapshot_0001.csv": "217495e45584b3caeb30ece4ce4acb58f9ff06245b2f10df233b5a292958536a",
+    "snapshot_0001.meta": "a0729f78b645fdfe3d4bec2257d07feae38d698f533f66075c9eda8250d187b5",
+}
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    out = run_dirs(tmp_path, "snaps")
+    assert main(["run"] + TINY_GRID + ["--set", "output.snapshot_every=4",
+                                       "--out", out]) == 0
+    got = {name: hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
+           for name in SNAPSHOT_0001_PINS}
+    assert got == SNAPSHOT_0001_PINS
+
+
 def test_halted_run_records_the_halting_step(tmp_path, capsys):
     # the first sample after t = 0 (step 3) exceeds a drift ceiling of 1e-12
     out = run_dirs(tmp_path, "halted")
@@ -319,6 +336,20 @@ def test_non_finite_run_halts_on_its_first_bad_step(tmp_path, capsys):
     final = read_meta(os.path.join(out, "final.meta"))
     assert (final["time"], final["step"]) == ("0.15625", "20")
     assert len(Path(out, "diagnostics.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("out", [None, "root"])
+def test_sweep_over_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, out):
+    """Every run of a sweep writes under one directory, so output.dir is no
+    axis: refused before any directory is made, with or without --out."""
+    monkeypatch.chdir(tmp_path)
+    args = ["--out", str(tmp_path / out)] if out else []
+    rc = main(["sweep"] + TINY + ["--sweep", "output.dir=a,b", "--jobs", "1"] + args)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config-error: sweep axis 'output.dir': every run of a sweep writes "
+        "under one output directory; set it with --out\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):

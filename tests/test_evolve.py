@@ -1,5 +1,7 @@
 """Evolution loop: configs, initial data, stepping, halts, sponge."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -415,6 +417,31 @@ def test_checkpoint_roundtrip(tmp_path):
     assert "step = 17\n" in meta
     assert f"config_hash = {config_fingerprint(cfg)}\n" in meta
     assert "grid.n_cells = 48\n" in meta
+
+
+def test_checkpoint_csv_matches_a_row_by_row_csv_writer(tmp_path):
+    """The one-format table writer gives the bytes csv.writer gives for the
+    same rows at FLOAT_FMT, on awkward doubles included."""
+    cfg = lean(n_cells=48, r_max=6.0, t_end=0.2)
+    g = make_grid(cfg)
+    awkward = np.array([-0.0, 1e-300, 5e-324, -5e-324, 1e308, -1e308, 0.0,
+                        3.0, -7.0, 2.0 ** 53, 1e22, 0.1, 1.0 / 3.0,
+                        math.inf, -math.inf, math.nan])
+    v = np.resize(awkward, g.n_nodes)
+    vt = np.resize(-awkward[::-1], g.n_nodes)
+    state = FieldState(RadialField(v, g), RadialField(vt, g), 0.125)
+    write_checkpoint(state, tmp_path / "ck", cfg, step_no=3)
+    want = io.StringIO(newline="")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["r", "v", "v_t"])
+    writer.writerows([FLOAT_FMT % x for x in row] for row in zip(g.r, v, vt))
+    got = (tmp_path / "ck.csv").read_bytes()
+    assert got.splitlines(keepends=True) == want.getvalue().encode().splitlines(keepends=True)
+    assert got == want.getvalue().encode()
+    meta = (tmp_path / "ck.meta").read_text()
+    assert meta.startswith("time = 0.125\nstep = 3\n"
+                           f"config_hash = {config_fingerprint(cfg)}\n")
+    assert meta.endswith("".join(f"{k} = {val}\n" for k, val in config_items(cfg)))
 
 
 # -------------------------------------------------- wave-physics checks

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from faddeevlab.diagnostics import SpacetimeTracker
+from faddeevlab.evolve import RunConfig, trajectory
 from faddeevlab.grid import (GHOST, FieldState, RadialField, RadialGrid,
                              _d1_laplacian, _d1_values, d_r, fill_ghosts,
-                             integrate_radial, laplacian, quadrature_1d,
-                             sobolev_norm, write_csv)
+                             integrate_radial, laplacian, sobolev_norm,
+                             write_csv)
+
+from conftest import quadrature_1d
 
 # frozen by a high-precision pre-build quadrature pass
 A3_INTEGRAL_R2 = 2.6636668886261405693
@@ -139,14 +143,66 @@ def test_quadrature_rejects_bad_input():
 def test_sobolev_norms():
     g = RadialGrid(2048, 10.0)
     zero = RadialField(np.zeros(g.n_nodes), g)
-    assert sobolev_norm(zero, 2) == 0.0
+    assert sobolev_norm(zero, 2) == [0.0, 0.0, 0.0]
     f = RadialField(np.exp(-g.r ** 2), g)
     l2 = math.sqrt(integrate_radial(RadialField(f.values ** 2, g), 3))
-    assert sobolev_norm(f, 0) == pytest.approx(l2, rel=1e-14)
+    h0, h1 = sobolev_norm(f, 1)
+    assert h0 == pytest.approx(l2, rel=1e-14)
     # |f|_{L2}^2 = 1/8 and |f'|_{L2}^2 = 1/2 against r^3 dr
-    assert sobolev_norm(f, 1) == pytest.approx(math.sqrt(0.625), abs=1e-6)
+    assert h1 == pytest.approx(math.sqrt(0.625), abs=1e-6)
     with pytest.raises(ValueError):
         sobolev_norm(f, 5)
+
+
+def _sobolev_norm_of_order(f, s):
+    """The H^s norm as one call per order took it: its own pass up the
+    Laplacian ladder, the reference the one-pass ladder must reproduce."""
+    total = 0.0
+    g = f
+    for k in range(0, s // 2 + 1):
+        if k > 0:
+            g = laplacian(g)
+        total += integrate_radial(g.with_values(g.values ** 2), 3)
+        if 2 * k + 1 <= s:
+            total += integrate_radial(g.with_values(d_r(g) ** 2), 3)
+    return float(np.sqrt(total))
+
+
+def _ladder_fields():
+    """Random even fields (rough node values, and smooth random bumps) on
+    even and odd cell counts, and an evolved state of the default data."""
+    rng = np.random.default_rng(7)
+    fields = []
+    for n, r_max in ((64, 4.0), (255, 8.0), (512, 16.0)):
+        g = RadialGrid(n, r_max)
+        fields.append(RadialField(rng.standard_normal(g.n_nodes), g))
+        amps, widths = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.3, 2.0, 3)
+        fields.append(RadialField(sum(a * np.exp(-(g.r / w) ** 2)
+                                      for a, w in zip(amps, widths)), g))
+    cfg = RunConfig(n_cells=128, r_max=8.0, t_end=0.5)
+    *_, (_, _, v, vt) = trajectory(cfg)
+    g = RadialGrid(128, 8.0)
+    fields += [RadialField(v, g), RadialField(vt, g)]
+    return fields
+
+
+def test_sobolev_ladder_matches_one_pass_per_order_bitwise():
+    for f in _ladder_fields():
+        ladder = sobolev_norm(f, 4)
+        assert ladder == [_sobolev_norm_of_order(f, s) for s in range(5)]
+        for s in range(4):
+            assert sobolev_norm(f, s) == ladder[:s + 1]
+        # a caller's d_r(f) stands in for the ladder's own first derivative
+        assert sobolev_norm(f, 4, d_r(f)) == ladder
+
+
+def test_spacetime_tracker_l2_is_the_ladder_first_partial_sum():
+    for f in _ladder_fields():
+        own, given = SpacetimeTracker(), SpacetimeTracker()
+        own.update(f, 0.0)
+        given.update(f, 0.0, sobolev_norm(f, 4, d_r(f))[0])
+        assert own.values() == given.values()
+        assert own.values()["Linf_L2"] == _sobolev_norm_of_order(f, 0)
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from faddeevlab.grid import (FieldState, RadialField, RadialGrid,
-                             quadrature_1d)
+from faddeevlab.grid import FieldState, RadialField, RadialGrid
 from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, eval_A,
                                 eval_cutoff)
 from faddeevlab.transform import (compute_Phi, compute_Phi_t,
@@ -18,7 +17,7 @@ from faddeevlab.transform import (compute_Phi, compute_Phi_t,
 from faddeevlab.verify import (ManufacturedSolution, _res_norm, make_forcing,
                                manufactured_initial_state)
 
-from conftest import gaussian_v_state
+from conftest import gaussian_v_state, quadrature_1d
 
 # frozen by a high-precision pre-build quadrature pass
 PHI_AT_10_ZERO_STATE = -0.0031182494752811651744
@@ -203,7 +202,7 @@ def test_window_preconditions(grid128):
 def test_stationary_window_residuals_vanish(grid128):
     g = grid128
     still = gaussian_v_state(g, amp=0.2, amp_t=0.0)
-    bs = [make_bundle(FieldState(still.f.copy(), still.f_t.copy(), 0.1 * k),
+    bs = [make_bundle(FieldState(still.f, still.f_t, 0.1 * k),
                       DEFAULT_PARAMS, DEFAULT_PROFILE) for k in range(7)]
     zero = np.zeros(g.n_nodes)
     assert np.array_equal(residual_Phi_t_wave(bs[:3]).values, zero)
@@ -214,7 +213,7 @@ def test_stationary_window_residuals_vanish(grid128):
 def test_static_zero_state_phi_residual(grid128):
     g = grid128
     z = zero_state(g)
-    bs = [make_bundle(FieldState(z.f.copy(), z.f_t.copy(), 0.1 * k),
+    bs = [make_bundle(FieldState(z.f, z.f_t, 0.1 * k),
                       DEFAULT_PARAMS, DEFAULT_PROFILE) for k in range(3)]
     res = residual_Phi_wave(bs, DEFAULT_PARAMS, DEFAULT_PROFILE)
     # exact zero inside the region except the two-node stencil collar that
