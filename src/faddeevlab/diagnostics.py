@@ -165,9 +165,9 @@ def write_diagnostics_csv(records, path):
                "monitor_v", "monitor_vt", "monitor_gradv"]
               + [f"sobolev_s{s}" for s in sob_keys]
               + [f"decay_{k}" for k in decay_keys] + st_keys)
-    rows = ([rec.time, rec.energy, rec.energy_drift, rec.energy_tail,
-             rec.monitor_v, rec.monitor_vt, rec.monitor_gradv]
-            + [rec.sobolev[s] for s in sob_keys]
-            + [rec.decay_ratios[k] for k in decay_keys]
-            + [rec.spacetime_norms[k] for k in st_keys] for rec in records)
+    rows = np.array([[rec.time, rec.energy, rec.energy_drift, rec.energy_tail,
+                      rec.monitor_v, rec.monitor_vt, rec.monitor_gradv]
+                     + [rec.sobolev[s] for s in sob_keys]
+                     + [rec.decay_ratios[k] for k in decay_keys]
+                     + [rec.spacetime_norms[k] for k in st_keys] for rec in records])
     write_csv(path, header, rows)

@@ -61,9 +61,9 @@ class CutoffProfile:
 
 
 # Taylor coefficients in w = x^2 about x = 0 for the alpha-independent part
-# of each kernel (Ftilde_1 carries no alpha; the others scale by alpha^2).
-# Frozen from a 50-digit pre-build expansion; 8 terms, converged to
-# rounding below every seam in _SEAM.
+# of each kernel (Ftilde_1 carries no alpha; the others scale by alpha^2),
+# frozen from a 50-digit expansion: 8 terms, converged to rounding below
+# every seam. Ftilde_3 = -1 + x^2 Ftilde_1 and Ftilde_4 = 2 Ftilde_2 exactly.
 _SERIES = {
     0: np.array([
         1.0, -0.3333333333333333, 0.044444444444444446,
@@ -80,23 +80,15 @@ _SERIES = {
         0.000564373897707231, -2.1377799155576935e-05,
         5.638100876196114e-07, -1.0962973925936889e-08,
         1.637792556629227e-10]),
-    3: np.array([
-        -1.0, 0.6666666666666666, -0.13333333333333333,
-        0.012698412698412698, -0.0007054673721340388,
-        2.565335898669232e-05, -6.577784355562133e-07,
-        1.2529113058213587e-08]),
-    4: np.array([
-        -0.6666666666666666, 0.17777777777777778, -0.01904761904761905,
-        0.001128747795414462, -4.275559831115387e-05,
-        1.1276201752392229e-06, -2.1925947851873777e-08,
-        3.275585113258454e-10]),
 }
+_SERIES[3] = np.concatenate([[-1.0], _SERIES[1][:7]])
+_SERIES[4] = 2.0 * _SERIES[2]
 
-# |x| below _SEAM[j] takes the series, the rest the direct formula. The
-# kernels with a leading x^3-order cancellation (j = 1, 2, 4) keep the series
-# up to 0.1: their direct formulas lose ~3/x^2 * eps there (a few 1e-12
-# relative at x ~ 1e-2, above the 1e-12 agreement budget at the seam).
-_SEAM = {0: 1e-2, 1: 0.1, 2: 0.1, 3: 1e-2, 4: 0.1}
+# |x| below _SEAM[j] takes the series, the rest the direct formula; j = 4
+# takes j = 2's. Ftilde_1, _2 and _4 start with an x^3-order cancellation
+# and keep the series up to 0.1: their direct formulas lose ~3/x^2 * eps
+# there (a few 1e-12 relative at x ~ 1e-2, above the 1e-12 seam budget).
+_SEAM = np.array([1e-2, 0.1, 0.1, 1e-2])
 
 DEFAULT_PARAMS = KernelParams()
 DEFAULT_PROFILE = CutoffProfile()
@@ -117,52 +109,48 @@ def _pointwise(fn, *args):
 
 
 @lru_cache(maxsize=None)
-def _horner_table(js):
-    """Series coefficients of the kernels js, highest order first: (8,
-    len(js), 1) for one Horner pass over all, (8,) for a single kernel."""
-    table = np.array([_SERIES[j][::-1] for j in js]).T
-    return table[:, :, None] if len(js) > 1 else table[:, 0]
+def _series_rows(base):
+    """The Horner table (8, m, 1), seam column and smallest seam of base."""
+    seam = _SEAM[list(base), None]
+    return np.array([_SERIES[j][::-1] for j in base]).T[:, :, None], seam, seam.min()
 
 
 def _ftilde(x, p, js):
-    """[Ftilde_j(x) for j in js] from one pass over a float64 array x: one
-    mask per seam, one Horner pass, one sin/cos and one sin(2x).
-    Ftilde_4 is returned as 2 * Ftilde_2, the same bytes as its own formula:
-    scaling by 2 is exact and _SERIES[4] == 2 * _SERIES[2] bitwise."""
-    base = sorted({2 if j == 4 else j for j in js})
-    seams = [_SEAM[j] for j in base]
+    """[Ftilde_j(x) for j in js], each shaped like the float64 array x, with
+    Ftilde_4 as 2 * Ftilde_2 (the same bytes). Evaluates the m base kernels
+    0..3 that js needs on every node: one Horner pass over their (m, size)
+    stack (w = x^2 clamped at 0.1^2, which no node below a seam exceeds, so
+    an unused series stays finite at large |x|), one pass of their direct
+    formulas (x = 1.0 below the smallest seam, so x = 0 raises no warning)
+    and one np.where(|x| < seam column, series, direct)."""
+    base = tuple(sorted({2 if j == 4 else j for j in js}))
+    table, seam, smallest = _series_rows(base)
+    shape, x = x.shape, x.ravel()
     ax = np.abs(x)
-    small = {sw: ax < sw for sw in seams}
-    near, far = small[max(seams)], ~small[min(seams)]
-    w = x[near] ** 2
-    table = _horner_table(tuple(base))
-    acc = np.zeros(table.shape[1:2] + w.shape)
-    for coeffs in table:
+    w = np.minimum(x * x, 0.1 ** 2)
+    acc = table[0] * w + table[1]
+    for coeffs in table[2:]:
         acc = acc * w + coeffs
-    acc = acc.reshape(len(base), w.size)
     # the direct formulas, arranged to avoid cancellation near the seam
-    xf = x[far]
-    s, c, x2 = np.sin(xf), np.cos(xf), 2.0 * xf
-    s2 = np.sin(x2) if {1, 3} & set(base) else None
-    direct = {0: lambda: (s / xf) ** 2, 1: lambda: (x2 - s2) / (2.0 * xf ** 3),
-              2: lambda: (xf * c - s) * s / xf ** 4, 3: lambda: -s2 / x2}
-    out = {}
-    for row, (j, sw) in enumerate(zip(base, seams)):
-        f = np.empty_like(x)
-        f[small[sw]] = acc[row] if sw == max(seams) else acc[row][small[sw][near]]
-        f[~small[sw]] = direct[j]() if sw == min(seams) else direct[j]()[~small[sw][far]]
-        out[j] = f if j == 1 else f * p.alpha ** 2
+    xd = np.where(ax < smallest, 1.0, x)
+    s, x2 = np.sin(xd), 2.0 * xd
+    s2 = np.sin(x2) if 1 in base or 3 in base else None
+    direct = [(s / xd) ** 2 if j == 0 else
+              (x2 - s2) / (2.0 * xd ** 3) if j == 1 else
+              (xd * np.cos(xd) - s) * s / xd ** 4 if j == 2 else
+              -s2 / x2 for j in base]
+    f = np.where(ax < seam, acc, direct).reshape((len(base),) + shape)
+    out = {j: row if j == 1 else row * p.alpha ** 2 for j, row in zip(base, f)}
     return [2.0 * out[2] if j == 4 else out[j] for j in js]
 
 
 def eval_Ftilde(j, x, p=DEFAULT_PARAMS):
     """Evaluate the even analytic kernel Ftilde_j at x (scalar or array).
 
-    For |x| below the seam _SEAM[j] (1e-2 for j = 0, 3; 0.1 for j = 1, 2,
+    For |x| below its seam in _SEAM (1e-2 for j = 0, 3; 0.1 for j = 1, 2,
     4) the 8-term Taylor series (Horner in x^2) takes over; both branches
     agree to better than 1e-12 relative at the seam. Ftilde_1 is alpha-free,
-    the other four scale by alpha^2. One kernel of the one-pass evaluator
-    _ftilde, from which eval_F_given_cutoffs takes all five.
+    the other four scale by alpha^2.
     """
     if j not in _SERIES:
         raise ValueError(f"kernel index must be 0..4, got {j}")
@@ -262,10 +250,12 @@ def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
             if np.any(r <= 0):
                 raise ValueError("A_1 requires r > 0; use A_4/A_5 at the origin")
             return _a3(np.sin(y), r, p)
-        out = _a4(y, r, p)
-        if which == 5:
-            far, u = _u_chart(y, r, profile)
-            out[far] = _a3(np.sin(u), r[far], p)
+        if which == 4:
+            return _a4(y, r, p)
+        far, u = _u_chart(y, r, profile)
+        out = np.empty_like(y)
+        out[~far] = _a4(y[~far], r[~far], p)
+        out[far] = _a3(np.sin(u), r[far], p)
         return out
     return _pointwise(coefficient, y, r)
 
@@ -279,12 +269,17 @@ def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("N(u) requires r > 0; the v-form covers the origin")
-    u = np.asarray(u, dtype=float)
+    return _n(np.asarray(u, dtype=float), np.asarray(u_t), np.asarray(u_r), r,
+              -2.0 / r, r * r, p)
+
+
+def _n(u, u_t, u_r, r, neg2_r, r_sq, p):
+    """N(u) on arrays with r > 0, given -2/r and r*r."""
     sin_u = np.sin(u)
     a1 = _a3(sin_u, r, p)
-    return (-2.0 / r * (1.0 - 1.0 / a1) * u_r
-            - (p.alpha ** 2 * (np.asarray(u_t) ** 2 - np.asarray(u_r) ** 2) + 1.0)
-            * sin_u * np.cos(u) / (r * r * a1))
+    return (neg2_r * (1.0 - 1.0 / a1) * u_r
+            - (p.alpha ** 2 * (u_t ** 2 - u_r ** 2) + 1.0) * sin_u * np.cos(u)
+            / (r_sq * a1))
 
 
 def _nodes(mask):
@@ -296,19 +291,25 @@ def _nodes(mask):
 
 
 def cutoff_arrays(r, profile=DEFAULT_PROFILE):
-    """The per-mesh table eval_F_given_cutoffs reads: the radii "r", every
-    cutoff sample, and the branch nodes "inner" (lt1 > 0) and "outer"
-    (gt1 > 0)."""
+    """The per-mesh table eval_F_given_cutoffs reads: "phi", "dphi", "lt1",
+    "gt1" and "lap2phi" (the 2D Laplacian of phi) on every node; the branch
+    nodes "inner" (lt1 > 0) and "outer" (gt1 > 0); "r_in", "lt1_in" on the
+    inner ones; "r_out", "phi_out", "dphi_out", "gt1_out", "r2_out" (r ** 2
+    = r * r), "neg2_r_out" (-2 / r), "lap2phi_r_out" (lap2phi / r) on outer."""
     r = np.asarray(r, dtype=float)
     cut = {
-        "r": r,
         "phi": eval_cutoff("phi", r, 0, profile),
         "dphi": eval_cutoff("phi", r, 1, profile),
         "lt1": eval_cutoff("lt1", r, 0, profile),
         "gt1": eval_cutoff("gt1", r, 0, profile),
         "lap2phi": laplacian_phi_2d(r, profile),
     }
-    cut["inner"], cut["outer"] = _nodes(cut["lt1"] > 0.0), _nodes(cut["gt1"] > 0.0)
+    inner = cut["inner"] = _nodes(cut["lt1"] > 0.0)
+    outer = cut["outer"] = _nodes(cut["gt1"] > 0.0)
+    ro = r[outer]
+    cut.update({f"{key}_out": cut[key][outer] for key in ("phi", "dphi", "gt1")})
+    cut.update(r_in=r[inner], lt1_in=cut["lt1"][inner], r_out=ro, r2_out=ro ** 2,
+               neg2_r_out=-2.0 / ro, lap2phi_r_out=cut["lap2phi"][outer] / ro)
     return cut
 
 
@@ -316,30 +317,25 @@ def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
     """F(v) on the mesh of cut = cutoff_arrays(r, profile), built once per
     mesh (the evolver's hot path).
 
-    Inner branch, only on the nodes where lt1 > 0 (r < 1), all five kernels
-    from one pass with the series/direct seam of eval_Ftilde:
-        lt1/A_1 * [Ft_1 v^3 + Ft_2 v^5 + Ft_3 v (v_t^2 - v_r^2)
-                   + Ft_4 r v^4 v_r]
-    Outer branch, added only where gt1 > 0 (r > 1/2, so division is safe),
-    sin(u) taken once for A_1 and N:  gt1 * (v/r^2 + N(r v + phi)/r)
-    plus the shell source (2D Laplacian of phi)/r on the transition shell.
-    A non-finite inner value at r >= 1 (lt1 = 0) no longer spreads into F
-    through 0 * inf; evolve.run checks (v, v_t) after every step, so it
-    still halts the run on the step that makes it.
+    Inner branch, on cut["inner"] (lt1 > 0, r < 1) from "r_in" and "lt1_in",
+    all five kernels from one _ftilde pass:
+        lt1/A_1 * [Ft_1 v^3 + Ft_2 v^5 + Ft_3 v (v_t^2 - v_r^2) + Ft_4 r v^4 v_r]
+    Outer branch, added on cut["outer"] (gt1 > 0, r > 1/2) from the "*_out"
+    constants, sin(u) taken once for A_1 and N:
+        gt1 * (v/r^2 + N(r v + phi)/r) + (2D Laplacian of phi)/r.
     """
-    r, inner, outer = cut["r"], cut["inner"], cut["outer"]
-    v = np.asarray(v, dtype=float)
+    inner, outer = cut["inner"], cut["outer"]
     out = np.zeros_like(v)
-    vi, ri, vri = v[inner], r[inner], v_r[inner]
+    vi, ri, vri = v[inner], cut["r_in"], v_r[inner]
     ft0, ft1, ft2, ft3, ft4 = _ftilde(ri * vi, p, range(5))
     a1 = 1.0 + ft0 * vi * vi
     s = (ft1 * vi ** 3 + ft2 * vi ** 5 + ft3 * vi * (v_t[inner] ** 2 - vri ** 2)
          + ft4 * ri * vi ** 4 * vri)
-    out[inner] = cut["lt1"][inner] * s / a1
-    ro, vo = r[outer], v[outer]
-    u = ro * vo + cut["phi"][outer]
-    n = eval_N(u, ro * v_t[outer], vo + ro * v_r[outer] + cut["dphi"][outer], ro, p)
-    out[outer] += cut["gt1"][outer] * (vo / ro ** 2 + n / ro) + cut["lap2phi"][outer] / ro
+    out[inner] = cut["lt1_in"] * s / a1
+    ro, vo, r2 = cut["r_out"], v[outer], cut["r2_out"]
+    n = _n(ro * vo + cut["phi_out"], ro * v_t[outer],
+           vo + ro * v_r[outer] + cut["dphi_out"], ro, cut["neg2_r_out"], r2, p)
+    out[outer] += cut["gt1_out"] * (vo / r2 + n / ro) + cut["lap2phi_r_out"]
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,13 +94,15 @@ def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
                  include_nonlinearity=True):
     """g(t) -> nodewise array such that ms.v solves v_tt = lap4 v + F(v) + g
     exactly (F is pointwise in (v, v_t, v_r), so sampling closed-form
-    derivatives gives the exact nodal forcing up to roundoff)."""
+    derivatives gives the exact nodal forcing up to roundoff). A repeated t,
+    as at RK4's two midpoint stages, gets the same read-only array back."""
     r = grid.r
     cut = kernels.cutoff_arrays(r, profile)
     env = ms.envelope(r)
     dlog = -2.0 * r / ms.sigma ** 2
     lap_factor = 4.0 * r ** 2 / ms.sigma ** 4 - 8.0 / ms.sigma ** 2
 
+    @lru_cache(maxsize=1)
     def g(t):
         amp = ms._amp(t)
         v = amp * env
@@ -109,6 +112,7 @@ def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
             out = out - kernels.eval_F_given_cutoffs(v, vt, dlog * v, cut, p)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("non-finite manufactured forcing")
+        out.flags.writeable = False
         return out
 
     return g

@@ -331,7 +331,7 @@ def _old_eval_F_given_cutoffs(v, v_t, v_r, r, cut, p=DEFAULT_PARAMS):
 def _switch_probes():
     """0, both neighbours of each seam and the seam itself, a sweep across
     the seams, and large arguments; every value with both signs."""
-    pts = [0.0, 1e3, 12345.678, 1e8]
+    pts = [0.0, 1e3, 12345.678, 1e8, 1e30]
     for sw in (1e-2, 0.1):
         pts += [np.nextafter(sw, 0.0), sw, np.nextafter(sw, 1.0), 0.9 * sw, 1.1 * sw]
     half = np.concatenate([pts, np.linspace(1e-4, 4.0, 97)])

@@ -56,6 +56,18 @@ def test_forcing_matches_finite_difference_assembly(params, profile):
     assert abs(force(0.0)[i] - (v_tt - lap4 - f_val)) <= 1e-8
 
 
+def test_forcing_at_a_repeated_time_returns_its_read_only_array(params, profile):
+    """RK4's two midpoint stages share t: the second gets the first's array
+    back, bytes unchanged, and no caller can write to it."""
+    g = RadialGrid(64, 4.0)
+    force, fresh = (make_forcing(MS, g, params, profile) for _ in range(2))
+    first = force(0.3)
+    assert force(0.3) is first and not first.flags.writeable
+    assert force(0.45).tobytes() == fresh(0.45).tobytes()
+    again = force(0.3)
+    assert again is not first and again.tobytes() == first.tobytes()
+
+
 def test_vacuum_forcing_supported_on_the_shell(params, profile):
     """a0 = a1 = 0 collapses the forcing to minus the static shell source."""
     g = RadialGrid(256, 8.0)
