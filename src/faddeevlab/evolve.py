@@ -266,11 +266,9 @@ def _operator(grid, p, profile, sig, forcing, nonlinear=True):
     cut = kernels.cutoff_arrays(grid.r, profile) if nonlinear else None
 
     def f(v, vt, t):
-        vr, lap = _d1_laplacian(v, grid)
-        if cut is None:
-            acc = lap
-        else:
-            acc = lap + kernels.eval_F_given_cutoffs(v, vt, vr, cut, p)
+        vr, acc = _d1_laplacian(v, grid)
+        if cut is not None:
+            acc += kernels.eval_F_given_cutoffs(v, vt, vr, cut, p)
         if sig is not None:
             acc -= sig * vt
         if forcing is not None:

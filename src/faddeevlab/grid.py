@@ -106,28 +106,22 @@ _D2_EDGE = np.array([
 ]) / 12.0
 
 
-def _d1_values(values, grid):
-    g, h = GHOST, grid.dr
-    n = grid.n_cells
-    ext = fill_ghosts(values)
+def _d1_values(values, grid, ext=None, tmp=None):
+    """The raw first-derivative stencil: the centered body formed in place
+    from the ghost-filled values ext, with each scaled neighbour in tmp
+    (n_cells long; both made here when not passed), then the edge rows."""
+    h, n = grid.dr, grid.n_cells
+    ext = fill_ghosts(values) if ext is None else ext
+    t = (np.empty(n) if tmp is None else tmp)[:n - 1]
+    e0, e1, e3, e4 = ext[:n - 1], ext[1:n], ext[3:n + 2], ext[4:n + 3]  # nodes i-2..i+2
     out = np.empty_like(values)
-    out[: n - 1] = (ext[g - 2:g + n - 3] - 8.0 * ext[g - 1:g + n - 2]
-                    + 8.0 * ext[g + 1:g + n] - ext[g + 2:g + n + 1]) / (12.0 * h)
+    body = out[:n - 1]
+    np.subtract(e0, np.multiply(8.0, e1, out=t), out=body)
+    body += np.multiply(8.0, e3, out=t)
+    body -= e4
+    body /= 12.0 * h
     out[-2] = (_D1_EDGE[0] @ values[-1:-6:-1]) / h
     out[-1] = (_D1_EDGE[1] @ values[-1:-6:-1]) / h
-    return out
-
-
-def _d2_values(values, grid):
-    g, h = GHOST, grid.dr
-    n = grid.n_cells
-    ext = fill_ghosts(values)
-    out = np.empty_like(values)
-    out[: n - 1] = (-ext[g - 2:g + n - 3] + 16.0 * ext[g - 1:g + n - 2]
-                    - 30.0 * ext[g:g + n - 1] + 16.0 * ext[g + 1:g + n]
-                    - ext[g + 2:g + n + 1]) / (12.0 * h * h)
-    out[-2] = (_D2_EDGE[0] @ values[-1:-7:-1]) / (h * h)
-    out[-1] = (_D2_EDGE[1] @ values[-1:-7:-1]) / (h * h)
     return out
 
 
@@ -144,13 +138,25 @@ def _d1_laplacian(values, grid, d1=None):
     """(d1, lap): the raw first-derivative stencil (node 0 included, unless
     the caller passes d1: lap reads it only off the origin) and the 4D
     radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its limit
-    4 f''(0)."""
+    4 f''(0). One ghost fill serves both stencils, and f'' is formed in lap."""
+    h, n, ext = grid.dr, grid.n_cells, fill_ghosts(values)
+    tmp = np.empty(n)
     if d1 is None:
-        d1 = _d1_values(values, grid)
-    d2 = _d2_values(values, grid)
+        d1 = _d1_values(values, grid, ext, tmp)
+    e0, e1, e2, e3, e4 = ext[:n - 1], ext[1:n], ext[2:n + 1], ext[3:n + 2], ext[4:n + 3]
     lap = np.empty_like(values)
-    lap[0] = 4 * d2[0]
-    lap[1:] = d2[1:] + 3 * d1[1:] / grid.r[1:]
+    body, t = lap[:n - 1], tmp[:n - 1]  # (-e0 + 16 e1 - 30 e2 + 16 e3 - e4) / (12 h^2)
+    np.negative(e0, out=body)
+    body += np.multiply(16.0, e1, out=t)
+    body -= np.multiply(30.0, e2, out=t)
+    body += np.multiply(16.0, e3, out=t)
+    body -= e4
+    body /= 12.0 * h * h
+    lap[-2] = (_D2_EDGE[0] @ values[-1:-7:-1]) / (h * h)
+    lap[-1] = (_D2_EDGE[1] @ values[-1:-7:-1]) / (h * h)
+    np.multiply(3, d1[1:], out=tmp)
+    lap[1:] += np.divide(tmp, grid.r[1:], out=tmp)
+    lap[0] = 4 * lap[0]
     return d1, lap
 
 

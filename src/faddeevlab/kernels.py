@@ -216,8 +216,12 @@ def laplacian_phi_2d(r, profile=DEFAULT_PROFILE):
 
 
 def _a3(sin_y, r, p):
-    """A_3(y, r) = 1 + alpha^2 sin^2(y) / r^2 (A_1 at y = u); needs r > 0."""
-    return 1.0 + (p.alpha * sin_y / r) ** 2
+    """A_3(y, r) = 1 + alpha^2 sin^2(y) / r^2 (A_1 at y = u); needs r > 0.
+    Squared and shifted in place (x * x is x ** 2, x + 1.0 is 1.0 + x)."""
+    a = p.alpha * sin_y / r
+    a *= a
+    a += 1.0
+    return a
 
 
 def _a4(y, r, p):
@@ -266,20 +270,30 @@ def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
     N(u) = -2 r^-1 (1 - A_1^-1) u_r
            - r^-2 A_1^-1 [alpha^2 (u_t^2 - u_r^2) + 1] sin u cos u.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
+    if np.any(np.asarray(r) <= 0):
         raise ValueError("N(u) requires r > 0; the v-form covers the origin")
-    return _n(np.asarray(u, dtype=float), np.asarray(u_t), np.asarray(u_r), r,
-              -2.0 / r, r * r, p)
+    return _pointwise(lambda u, u_t, u_r, r: _n(u.copy(), u_t.copy(), u_r.copy(), r,
+                                                -2.0 / r, r * r, p), u, u_t, u_r, r)
 
 
 def _n(u, u_t, u_r, r, neg2_r, r_sq, p):
-    """N(u) on arrays with r > 0, given -2/r and r*r."""
+    """N(u) on float arrays with r > 0, given -2/r and r*r, in the operation
+    order of eval_N's formula. It overwrites u, u_t and u_r and returns N in
+    a fresh array."""
     sin_u = np.sin(u)
     a1 = _a3(sin_u, r, p)
-    return (neg2_r * (1.0 - 1.0 / a1) * u_r
-            - (p.alpha ** 2 * (u_t ** 2 - u_r ** 2) + 1.0) * sin_u * np.cos(u)
-            / (r_sq * a1))
+    n = np.divide(1.0, a1)
+    np.multiply(neg2_r, np.subtract(1.0, n, out=n), out=n)
+    n *= u_r
+    np.square(u_t, out=u_t)
+    u_t -= np.square(u_r, out=u_r)
+    np.multiply(p.alpha ** 2, u_t, out=u_t)
+    u_t += 1.0
+    u_t *= sin_u
+    u_t *= np.cos(u, out=u)
+    u_t /= np.multiply(r_sq, a1, out=a1)
+    n -= u_t
+    return n
 
 
 def _nodes(mask):
@@ -321,7 +335,7 @@ def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
     all five kernels from one _ftilde pass:
         lt1/A_1 * [Ft_1 v^3 + Ft_2 v^5 + Ft_3 v (v_t^2 - v_r^2) + Ft_4 r v^4 v_r]
     Outer branch, added on cut["outer"] (gt1 > 0, r > 1/2) from the "*_out"
-    constants, sin(u) taken once for A_1 and N:
+    constants, sin(u) taken once for A_1 and N, formed in place:
         gt1 * (v/r^2 + N(r v + phi)/r) + (2D Laplacian of phi)/r.
     """
     inner, outer = cut["inner"], cut["outer"]
@@ -333,9 +347,16 @@ def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
          + ft4 * ri * vi ** 4 * vri)
     out[inner] = cut["lt1_in"] * s / a1
     ro, vo, r2 = cut["r_out"], v[outer], cut["r2_out"]
-    n = _n(ro * vo + cut["phi_out"], ro * v_t[outer],
-           vo + ro * v_r[outer] + cut["dphi_out"], ro, cut["neg2_r_out"], r2, p)
-    out[outer] += cut["gt1_out"] * (vo / r2 + n / ro) + cut["lap2phi_r_out"]
+    u = ro * vo
+    u += cut["phi_out"]
+    u_r = ro * v_r[outer]
+    np.add(vo, u_r, out=u_r)
+    u_r += cut["dphi_out"]
+    n = _n(u, ro * v_t[outer], u_r, ro, cut["neg2_r_out"], r2, p)
+    n /= ro
+    np.add(np.divide(vo, r2, out=u), n, out=n)
+    np.multiply(cut["gt1_out"], n, out=n)
+    out[outer] += np.add(n, cut["lap2phi_r_out"], out=n)
     return out
 
 
@@ -357,8 +378,9 @@ def dA1_dt(v, v_t, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     on r <= 1 this reduces exactly to -2 v v_t Ftilde_3(r v).
     """
     def rate(v, v_t, r):
-        out = -2.0 * v * v_t * eval_Ftilde(3, r * v, p)
         far, u = _u_chart(v, r, profile)
+        near, out = ~far, np.empty_like(v)
+        out[near] = -2.0 * v[near] * v_t[near] * eval_Ftilde(3, r[near] * v[near], p)
         out[far] = p.alpha ** 2 * np.sin(2.0 * u) * v_t[far] / r[far]
         return out
     return _pointwise(rate, v, v_t, r)
@@ -367,9 +389,11 @@ def dA1_dt(v, v_t, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
 def dA1_dtt(v, v_t, v_tt, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     """Second time derivative of A_1; v_tt supplied by the caller."""
     def rate(v, v_t, v_tt, r):
-        out = (2.0 * p.alpha ** 2 * v_t * v_t * np.cos(2.0 * r * v)
-               - 2.0 * v * v_tt * eval_Ftilde(3, r * v, p))
         far, u = _u_chart(v, r, profile)
+        near, out = ~far, np.empty_like(v)
+        vn, vtn, rn = v[near], v_t[near], r[near]
+        out[near] = (2.0 * p.alpha ** 2 * vtn * vtn * np.cos(2.0 * rn * vn)
+                     - 2.0 * vn * v_tt[near] * eval_Ftilde(3, rn * vn, p))
         out[far] = p.alpha ** 2 * (2.0 * np.cos(2.0 * u) * v_t[far] ** 2
                                    + np.sin(2.0 * u) * v_tt[far] / r[far])
         return out

@@ -7,8 +7,8 @@ import pytest
 
 from faddeevlab.diagnostics import SpacetimeTracker
 from faddeevlab.evolve import RunConfig, trajectory
-from faddeevlab.grid import (GHOST, FieldState, RadialField, RadialGrid,
-                             _d1_laplacian, _d1_values, d_r, fill_ghosts,
+from faddeevlab.grid import (_D1_EDGE, _D2_EDGE, GHOST, FieldState, RadialField,
+                             RadialGrid, _d1_laplacian, _d1_values, d_r, fill_ghosts,
                              integrate_radial, laplacian, sobolev_norm,
                              write_csv)
 
@@ -83,6 +83,77 @@ def test_d_r_is_exactly_zero_at_the_origin():
     assert d_r(f)[0] == 0.0
     assert np.array_equal(d_r(f)[1:], raw[1:])
     assert _d1_laplacian(f.values, g)[0][0] == raw[0]
+
+
+# ---------------------------------------------------------------------------
+# the stencils as they stood before the shared ghost fill and the in-place
+# bodies, kept as an oracle: the same operations in the same order, one new
+# array per operation; the stencils must match them byte for byte
+
+
+def _old_d1_values(values, grid):
+    g, h = GHOST, grid.dr
+    n = grid.n_cells
+    ext = fill_ghosts(values)
+    out = np.empty_like(values)
+    out[: n - 1] = (ext[g - 2:g + n - 3] - 8.0 * ext[g - 1:g + n - 2]
+                    + 8.0 * ext[g + 1:g + n] - ext[g + 2:g + n + 1]) / (12.0 * h)
+    out[-2] = (_D1_EDGE[0] @ values[-1:-6:-1]) / h
+    out[-1] = (_D1_EDGE[1] @ values[-1:-6:-1]) / h
+    return out
+
+
+def _old_d2_values(values, grid):
+    g, h = GHOST, grid.dr
+    n = grid.n_cells
+    ext = fill_ghosts(values)
+    out = np.empty_like(values)
+    out[: n - 1] = (-ext[g - 2:g + n - 3] + 16.0 * ext[g - 1:g + n - 2]
+                    - 30.0 * ext[g:g + n - 1] + 16.0 * ext[g + 1:g + n]
+                    - ext[g + 2:g + n + 1]) / (12.0 * h * h)
+    out[-2] = (_D2_EDGE[0] @ values[-1:-7:-1]) / (h * h)
+    out[-1] = (_D2_EDGE[1] @ values[-1:-7:-1]) / (h * h)
+    return out
+
+
+def _old_d1_laplacian(values, grid, d1=None):
+    if d1 is None:
+        d1 = _old_d1_values(values, grid)
+    d2 = _old_d2_values(values, grid)
+    lap = np.empty_like(values)
+    lap[0] = 4 * d2[0]
+    lap[1:] = d2[1:] + 3 * d1[1:] / grid.r[1:]
+    return d1, lap
+
+
+def _stencil_cases():
+    """Rough random even fields, Gaussians, all 0.0, all -0.0, a subnormal
+    tail and +-1e300 values on the smallest meshes, an odd and an even
+    cell count, and the benchmark's n = 2048."""
+    rng = np.random.default_rng(5)
+    for n in (6, 7, 64, 255, 2048):
+        g = RadialGrid(n, 8.0)
+        yield g, rng.standard_normal(g.n_nodes)
+        yield g, rng.uniform(-1.0, 1.0) * np.exp(-(g.r / rng.uniform(0.3, 2.0)) ** 2)
+        yield g, np.zeros(g.n_nodes)
+        yield g, np.full(g.n_nodes, -0.0)
+        yield g, 5e-324 * rng.integers(-9, 10, g.n_nodes)
+        yield g, rng.choice([-1e300, 1e300], g.n_nodes)
+        wide = RadialGrid(n, 60.0)
+        yield wide, np.exp(-wide.r ** 2)  # exp(-r^2) reaches subnormals
+
+
+def test_stencils_match_their_old_expressions_bitwise():
+    for g, values in _stencil_cases():
+        f = RadialField(values, g)
+        old_d1, old_lap = _old_d1_laplacian(values, g)
+        assert d_r(f).tobytes() == np.where(g.r == 0.0, 0.0, old_d1).tobytes()
+        assert laplacian(f).values.tobytes() == old_lap.tobytes()
+        d1, lap = _d1_laplacian(values, g)
+        assert (d1.tobytes(), lap.tobytes()) == (old_d1.tobytes(), old_lap.tobytes())
+        given = d_r(f)  # node 0 zeroed, as sobolev_norm passes it
+        lap_given = _d1_laplacian(values, g, given)[1]
+        assert lap_given.tobytes() == _old_d1_laplacian(values, g, given)[1].tobytes()
 
 
 def test_laplacian_exact_on_quadratic():

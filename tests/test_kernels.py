@@ -449,5 +449,6 @@ def test_scalar_input_gives_a_python_float(params, profile):
                for which in ("phi", "lt1", "gt1") for order in (0, 1, 2)]
     values += [laplacian_phi_2d(1.5, profile), laplacian_phi_2d(0.0, profile)]
     values += [eval_A(which, 0.4, 1.5, params, profile) for which in (1, 4, 5)]
+    values += [eval_N(0.4, 0.3, -0.2, 1.5, params)]
     values += [eval_F_rhs(0.4, 0.3, -0.2, r, params, profile) for r in (0.0, 0.7, 1.5)]
     assert all(type(v) is float for v in values)
