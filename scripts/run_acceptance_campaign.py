@@ -20,6 +20,11 @@ def main():
     ap.add_argument("--output-every", type=int, default=64)
     ap.add_argument("--out", default="acceptance_out")
     args = ap.parse_args()
+    # the companion halves both, so its samples fall at the fine run's times
+    if args.output_every < 2 or args.output_every % 2:
+        ap.error(f"--output-every must be even and >= 2, got {args.output_every}")
+    if args.n_cells % 2:
+        ap.error(f"--n-cells must be even, got {args.n_cells}")
 
     cfg = RunConfig(n_cells=args.n_cells, r_max=args.r_max, t_end=args.t_end,
                     output_every=args.output_every,
@@ -43,6 +48,10 @@ def main():
     if any(res.status != "completed" for res in results.values()):
         print("warning: a run halted early; peak comparisons below cover "
               "different time ranges")
+    times = [[rec.time for rec in res.records] for res in results.values()]
+    if times[0] != times[1]:
+        print("warning: the two runs were sampled at different times; peak "
+              "comparisons below are not aligned")
     for name in ("monitor_v", "monitor_vt", "monitor_gradv"):
         a = max(getattr(r, name) for r in results["fine"].records)
         b = max(getattr(r, name) for r in results["coarse"].records)

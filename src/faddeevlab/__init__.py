@@ -7,8 +7,8 @@ identities, conservation laws, and continuation monitors numerically.
 from .kernels import (KernelParams, CutoffProfile, DEFAULT_PARAMS,
                       DEFAULT_PROFILE, eval_Ftilde, eval_cutoff, eval_A,
                       eval_N, eval_F_rhs, laplacian_phi_2d)
-from .grid import (RadialGrid, RadialField, FieldState, d_r, laplacian,
-                   integrate_radial, sobolev_norm, fill_ghosts)
+from .grid import (RadialGrid, FieldState, d_r, laplacian, integrate_radial,
+                   sobolev_norm, fill_ghosts)
 from .transform import (TransformBundle, u_to_v, v_to_u, compute_Phi,
                         compute_Phi_t, make_bundle, residual_v_equation,
                         residual_Phi_wave, residual_Phi_t_wave,

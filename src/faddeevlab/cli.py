@@ -22,7 +22,7 @@ from . import diagnostics as diag
 from . import kernels
 from .evolve import (CONFIG_TABLE, RunConfig, config_from_items, config_items,
                      initial_state, run, write_checkpoint)
-from .grid import FieldState, RadialField, RadialGrid, write_csv
+from .grid import FieldState, RadialGrid, write_csv
 from .transform import (_grouped_line_integral, compute_Phi, compute_Phi_t,
                         u_to_v, v_to_u)
 from .verify import (ManufacturedSolution, convergence_study, kernel_limit,
@@ -216,23 +216,18 @@ def _suite_transforms(rows, p, profile):
     rows.append(("transforms", "phi_branch_seam", err, 1e-10, err <= 1e-10))
 
     gv = RadialGrid(256, 8.0)
-    state = FieldState(RadialField(0.2 * np.exp(-gv.r ** 2), gv),
-                       RadialField(0.1 * np.exp(-gv.r ** 2), gv), 0.0)
+    state = FieldState(0.2 * np.exp(-gv.r ** 2), 0.1 * np.exp(-gv.r ** 2), gv)
     back = u_to_v(v_to_u(state, profile), profile)
-    err = float(np.max(np.abs(back.f.values - state.f.values)))
+    err = float(np.max(np.abs(back.f - state.f)))
     rows.append(("transforms", "chart_roundtrip", err, 1e-9, err <= 1e-9))
 
     phi_t = compute_Phi_t(state, p, profile)
     errs = []
     for dt in (1e-3, 5e-4):
-        plus = FieldState(state.f.with_values(state.f.values + dt * state.f_t.values),
-                          state.f_t, dt)
-        minus = FieldState(state.f.with_values(state.f.values - dt * state.f_t.values),
-                           state.f_t, -dt)
-        pp = compute_Phi(plus, p, profile)
-        pm = compute_Phi(minus, p, profile)
-        fd = (pp.values - pm.values) / (2 * dt)
-        errs.append(float(np.max(np.abs(fd - phi_t.values))))
+        plus = FieldState(state.f + dt * state.f_t, state.f_t, gv, dt)
+        minus = FieldState(state.f - dt * state.f_t, state.f_t, gv, -dt)
+        fd = (compute_Phi(plus, p, profile) - compute_Phi(minus, p, profile)) / (2 * dt)
+        errs.append(float(np.max(np.abs(fd - phi_t))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0) if errs[1] > 0 else float("nan")
     rows.append(("transforms", "phi_t_identity_order", order, 2.0,
                  abs(order - 2.0) <= 0.3))
@@ -264,7 +259,7 @@ def _suite_convergence(rows, p, profile):
 def _suite_energy(rows, p, profile):
     g = RadialGrid(2048, 12.0)
     u0 = math.pi * np.exp(-g.r ** 2)
-    u_state = FieldState(RadialField(u0, g), RadialField(np.zeros(g.n_nodes), g), 0.0)
+    u_state = FieldState(u0, np.zeros(g.n_nodes), g)
     e = diag.energy(u_state, p, profile=profile)
     ref = 5.3665119245489741967
     err = abs(e - ref) / ref

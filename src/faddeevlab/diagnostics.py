@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (FieldState, RadialField, RadialGrid, _simpson, d_r,
-                   integrate_radial, sobolev_norm, write_csv)
+from .grid import (FieldState, RadialGrid, _simpson, d_r, integrate_radial,
+                   sobolev_norm, write_csv)
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from .transform import u_to_v
@@ -74,26 +74,26 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     When v_state is available, u_r is assembled as v + r v_r + phi' with
     the cutoff derivative analytic, so stencils only ever touch the smooth
     field v; differencing u directly across the C^3 cutoff seams costs two
-    orders there and shows up as an O(h^3) energy bias. v_r = d_r(v) and
-    ctx, the run's SampleContext, are computed here when not given.
+    orders there and shows up as an O(h^3) energy bias. v_r = d_r(v, grid)
+    and ctx, the run's SampleContext, are computed here when not given.
     """
     g = u_state.grid
     ctx = ctx if ctx is not None else SampleContext(g, profile)
     if v_state is None:
         v_state = u_to_v(u_state, profile)
-        u_r = d_r(u_state.f)
+        u_r = d_r(u_state.f, g)
     else:
-        v_r = d_r(v_state.f) if v_r is None else v_r
-        u_r = v_state.f.values + g.r * v_r + ctx.dphi
+        v_r = d_r(v_state.f, g) if v_r is None else v_r
+        u_r = v_state.f + g.r * v_r + ctx.dphi
     r, n = g.r, ctx.split
-    v = v_state.f.values
+    v = v_state.f
     q = v[:n] * v[:n] * kernels.eval_Ftilde(0, r[:n] * v[:n], p)
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
-    r_far, sin_far = r[n:], np.sin(u_state.f.values[n:])
+    r_far, sin_far = r[n:], np.sin(u_state.f[n:])
     a1 = np.concatenate((1.0 + q, 1.0 + (p.alpha * sin_far / r_far) ** 2))
     sin2_over_r2 = np.concatenate((q / p.alpha ** 2, (sin_far / r_far) ** 2))
-    density = 0.5 * (a1 * (u_state.f_t.values ** 2 + u_r ** 2) + sin2_over_r2)
-    total = integrate_radial(RadialField(density, g), 1)
+    density = 0.5 * (a1 * (u_state.f_t ** 2 + u_r ** 2) + sin2_over_r2)
+    total = integrate_radial(density, g, 1)
     if not np.isfinite(total):
         ok = np.isfinite(density * r)
         where = "" if ok.all() else f" at r={r[np.argmin(ok)]:.6g}"
@@ -111,21 +111,16 @@ def energy_drift(e: float, e0: float) -> float:
     return abs(e - e0) / abs(e0) if e0 != 0.0 else abs(e - e0)
 
 
-def continuation_monitor(v_state: FieldState, v_r=None, ctx=None):
+def continuation_monitor(v_state: FieldState, v_r, ctx: SampleContext):
     """Grid maxima of <r>|v|, <r>|v_t|, <r>|d_r v| with <r> = (1+r^2)^(1/2);
-    v_r and ctx as in energy."""
-    jb = (ctx if ctx is not None else SampleContext(v_state.grid)).jb
-    vr = d_r(v_state.f) if v_r is None else v_r
-    return (float(np.max(jb * np.abs(v_state.f.values))),
-            float(np.max(jb * np.abs(v_state.f_t.values))),
-            float(np.max(jb * np.abs(vr))))
+    v_r = d_r(v, grid), ctx the run's SampleContext."""
+    return tuple(float(np.max(ctx.jb * np.abs(a))) for a in (v_state.f, v_state.f_t, v_r))
 
 
-def decay_report(f: RadialField, ctx=None) -> dict:
+def decay_report(values, ctx: SampleContext) -> dict:
     """Soft decay ratios (reported, never asserted): max |v| r^(3/2) on
-    r >= 1 and max |v| on 0 < r <= 1; ctx as in energy."""
-    ctx = ctx if ctx is not None else SampleContext(f.grid)
-    av = np.abs(f.values)
+    r >= 1 and max |v| on 0 < r <= 1; ctx the run's SampleContext."""
+    av = np.abs(values)
     outer = float(np.max(av[ctx.outer:] * ctx.outer_weight)) if ctx.outer_weight.size else 0.0
     inner = float(np.max(av[1:ctx.split])) if ctx.split > 1 else 0.0
     return {"outer": outer, "inner": inner}
@@ -142,10 +137,12 @@ class SpacetimeTracker:
         self._l2_l8 = 0.0
         self._last_l8 = None
 
-    def update(self, f: RadialField, dt_since_last: float, l2=None):
-        """Add the sample f; l2 = sobolev_norm(f, s)[0] when the caller holds it."""
-        self._linf_l2 = max(self._linf_l2, sobolev_norm(f, 0)[0] if l2 is None else l2)
-        g = integrate_radial(f.with_values(np.abs(f.values) ** 8), 3) ** (1.0 / 8)
+    def update(self, values, grid: RadialGrid, dt_since_last: float, l2=None):
+        """Add the sample values on grid; l2 = sobolev_norm(values, grid, s)[0]
+        when the caller holds it."""
+        self._linf_l2 = max(self._linf_l2,
+                            sobolev_norm(values, grid, 0)[0] if l2 is None else l2)
+        g = integrate_radial(np.abs(values) ** 8, grid, 3) ** (1.0 / 8)
         if self._last_l8 is not None:
             self._l2_l8 += 0.5 * dt_since_last * (self._last_l8 ** 2 + g ** 2)
         self._last_l8 = g

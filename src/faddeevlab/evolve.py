@@ -16,8 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .grid import (FLOAT_FMT, FieldState, RadialGrid, RadialField,
-                   _d1_laplacian, d_r, write_csv)
+from .grid import FLOAT_FMT, FieldState, RadialGrid, _d1_laplacian, d_r, write_csv
 from . import diagnostics as diag
 from . import kernels
 from .kernels import CutoffProfile, KernelParams
@@ -238,7 +237,7 @@ def initial_state(config: RunConfig) -> FieldState:
                     if not ok.all():
                         raise ValueError(f"initial_data.{key} gives a non-finite "
                                          f"initial state at r={g.r[np.argmin(ok)]:.6g}")
-        return FieldState(RadialField(v0, g), RadialField(v1, g), 0.0)
+        return FieldState(v0, v1, g)
     table = np.loadtxt(spec.profile_path, delimiter=",", skiprows=1)
     if table.shape != (g.n_nodes, 3):
         raise ValueError("tabulated profile does not match the run grid")
@@ -246,8 +245,7 @@ def initial_state(config: RunConfig) -> FieldState:
         raise ValueError("tabulated profile holds a non-finite value")
     if not np.allclose(table[:, 0], g.r, rtol=0.0, atol=1e-12 * g.r_max):
         raise ValueError("tabulated radii do not match the run grid nodes")
-    u_state = FieldState(RadialField(table[:, 1], g), RadialField(table[:, 2], g), 0.0)
-    return u_to_v(u_state, config.profile)
+    return u_to_v(FieldState(table[:, 1], table[:, 2], g), config.profile)
 
 
 def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
@@ -307,7 +305,7 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     f = _operator(g, config.kernel_params, config.profile,
                   sig if sig.any() else None, forcing, nonlinear)
     nsteps, dt = _schedule(config)
-    v, vt = state.f.values.copy(), state.f_t.values.copy()
+    v, vt = state.f.copy(), state.f_t.copy()
     yield 0, 0.0, v, vt
     for k in range(1, nsteps + 1):
         v, vt = _rk4(f, v, vt, (k - 1) * dt, dt)
@@ -341,16 +339,16 @@ def _sample(t, v, vt, ctx, config, records, tracker):
     the tracker reads. The drift is taken against the energy of
     records[0], or is 0 for the first record."""
     p, profile, orders = config.kernel_params, config.profile, config.sobolev_orders
-    state = FieldState(RadialField(v, ctx.grid), RadialField(vt, ctx.grid), t)
-    vr = d_r(state.f)
+    state = FieldState(v, vt, ctx.grid, t)
+    vr = d_r(v, ctx.grid)
     e, tail = diag.energy(v_to_u(state, profile, ctx.phi), p, state, profile,
                           return_tail=True, v_r=vr, ctx=ctx)
     mv, mvt, mgv = diag.continuation_monitor(state, vr, ctx)
-    ladder = (diag.sobolev_norm(state.f, max(orders, default=0), vr)
+    ladder = (diag.sobolev_norm(v, ctx.grid, max(orders, default=0), vr)
               if orders or tracker is not None else [])
-    decay = diag.decay_report(state.f, ctx)
+    decay = diag.decay_report(v, ctx)
     if tracker is not None:
-        tracker.update(state.f, t - records[-1].time if records else 0.0, ladder[0])
+        tracker.update(v, ctx.grid, t - records[-1].time if records else 0.0, ladder[0])
     st = tracker.values() if tracker is not None else {}
     return diag.DiagnosticsRecord(
         time=t, energy=e,
@@ -381,7 +379,7 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                                          f"t={t:.6g}, r={bad:.6g}")
                 break
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
-                snapshots.append(FieldState(RadialField(v, g), RadialField(vt, g), t))
+                snapshots.append(FieldState(v, vt, g, t))
                 snapshot_steps.append(k)
             if k % config.output_every == 0 or k == nsteps:
                 records.append(_sample(t, v, vt, ctx, config, records, tracker))
@@ -390,23 +388,28 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                 if verdict is not None:
                     break
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
-    state = FieldState(RadialField(v, g), RadialField(vt, g), t)
-    return RunResult(status, reason, records, state, snapshots, config, k,
-                     snapshot_steps)
+    return RunResult(status, reason, records, FieldState(v, vt, g, t), snapshots,
+                     config, k, snapshot_steps)
 
 
 def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
                    forcing=None):
     """Evolve quietly and return n_levels consecutive per-step transform
-    bundles centered near t_center (for the residual-identity evaluators)."""
+    bundles centered near t_center (for the residual-identity evaluators).
+    The window must lie inside steps 0..nsteps; that is checked before any
+    step is taken."""
     g = make_grid(config)
-    _, dt = _schedule(config)
-    first = max(0, round(t_center / dt) - n_levels // 2)
+    nsteps, dt = _schedule(config)
+    first = round(t_center / dt) - n_levels // 2
+    if first < 0 or first + n_levels - 1 > nsteps:
+        raise ValueError(f"a window of n_levels={n_levels} steps of dt={dt:.6g} "
+                         f"centred at t_center={t_center:g} does not lie inside "
+                         f"[0, t_end={config.t_end:g}]")
     bundles = []
     for k, t, v, vt in trajectory(config, forcing):
         if k >= first:
-            st = FieldState(RadialField(v, g), RadialField(vt, g), t)
-            bundles.append(make_bundle(st, config.kernel_params, config.profile))
+            bundles.append(make_bundle(FieldState(v, vt, g, t), config.kernel_params,
+                                       config.profile))
             if len(bundles) == n_levels:
                 break
     return bundles
@@ -423,7 +426,7 @@ def _meta_text(config: RunConfig) -> str:
 def write_checkpoint(state: FieldState, path_base, config: RunConfig, step_no: int):
     """CSV snapshot (r, v, v_t) plus a key=value metadata sidecar."""
     write_csv(f"{path_base}.csv", ["r", "v", "v_t"],
-              np.column_stack((state.grid.r, state.f.values, state.f_t.values)))
+              np.column_stack((state.grid.r, state.f, state.f_t)))
     with open(f"{path_base}.meta", "w") as fh:
         fh.write(f"time = {FLOAT_FMT % state.time}\nstep = {step_no}\n"
                  + _meta_text(config))

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "RadialGrid",
-    "RadialField",
     "FieldState",
     "fill_ghosts",
     "d_r",
@@ -59,34 +58,20 @@ class RadialGrid:
 
 
 @dataclass
-class RadialField:
-    values: np.ndarray
-    grid: RadialGrid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_nodes,):
-            raise ValueError("field values not aligned to grid nodes")
-
-    def with_values(self, values) -> "RadialField":
-        return RadialField(np.asarray(values, dtype=float), self.grid)
-
-
-@dataclass
 class FieldState:
-    """A Cauchy pair (f, f_t) at one instant."""
+    """A Cauchy pair (f, f_t) at one instant: two float arrays on the nodes
+    of one grid."""
 
-    f: RadialField
-    f_t: RadialField
+    f: np.ndarray
+    f_t: np.ndarray
+    grid: RadialGrid
     time: float = 0.0
 
     def __post_init__(self):
-        if self.f.grid != self.f_t.grid:
-            raise ValueError("f and f_t must share a grid")
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.f.grid
+        self.f = np.asarray(self.f, dtype=float)
+        self.f_t = np.asarray(self.f_t, dtype=float)
+        if not self.f.shape == self.f_t.shape == (self.grid.n_nodes,):
+            raise ValueError("field values not aligned to grid nodes")
 
 
 def fill_ghosts(values):
@@ -125,11 +110,11 @@ def _d1_values(values, grid, ext=None, tmp=None):
     return out
 
 
-def d_r(f: RadialField) -> np.ndarray:
+def d_r(values, grid) -> np.ndarray:
     """4th-order first radial derivative at the nodes. The derivative of an
     even field vanishes at the origin, so node 0 is exactly 0.0 (the raw
     stencil leaves roundoff there)."""
-    out = _d1_values(f.values, f.grid)
+    out = _d1_values(values, grid)
     out[0] = 0.0
     return out
 
@@ -160,10 +145,10 @@ def _d1_laplacian(values, grid, d1=None):
     return d1, lap
 
 
-def laplacian(f: RadialField) -> RadialField:
+def laplacian(values, grid) -> np.ndarray:
     """4D radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its
     limit 4 f''(0)."""
-    return RadialField(_d1_laplacian(f.values, f.grid)[1], f.grid)
+    return _d1_laplacian(values, grid)[1]
 
 
 def _simpson(y, h):
@@ -178,27 +163,28 @@ def _simpson(y, h):
     return head + 3.0 * h / 8.0 * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
 
 
-def integrate_radial(f: RadialField, weight_power: int = 0) -> float:
+def integrate_radial(values, grid, weight_power: int = 0) -> float:
     """Composite Simpson of f(r) * r^weight_power over the mesh."""
-    y = f.values * f.grid.r ** weight_power if weight_power else f.values
-    return float(_simpson(y, f.grid.dr))
+    y = values * grid.r ** weight_power if weight_power else values
+    return float(_simpson(y, grid.dr))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
-def sobolev_norm(f: RadialField, s: int, d1=None) -> list:
+def sobolev_norm(values, grid, s: int, d1=None) -> list:
     """The integer Sobolev norms of orders 0..s via Laplacian powers against
     r^3 dr, in one pass up the ladder; entry k is
 
         ( sum_{2j <= k} ||lap^j f||^2 + sum_{2j+1 <= k} ||d_r lap^j f||^2 )^(1/2)
 
-    as a running sum, one term per order. d1 = d_r(f) when the caller has it.
+    as a running sum, one term per order. d1 = d_r(values, grid) when the
+    caller has it.
     """
     if s not in (0, 1, 2, 3, 4):
         raise ValueError("s must be an integer 0..4")
-    grid, r3 = f.grid, f.grid.r ** 3
-    g, total, norms = f.values, 0.0, []
+    r3 = grid.r ** 3
+    g, total, norms = values, 0.0, []
     for order in range(s + 1):
         if order % 2:
             if d1 is None:

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (FieldState, RadialField, _GL_NODES, _GL_WEIGHTS, d_r,
-                   laplacian)
+from .grid import FieldState, _GL_NODES, _GL_WEIGHTS, d_r, laplacian
 from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, eval_cutoff
 
@@ -45,8 +44,8 @@ _ORIGIN_TOL = 1e-10
 @dataclass
 class TransformBundle:
     v: FieldState
-    phi_field: RadialField
-    phi_t_field: RadialField
+    phi_field: np.ndarray
+    phi_t_field: np.ndarray
 
     @property
     def time(self) -> float:
@@ -60,19 +59,19 @@ def _extrapolate_origin(values):
 def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     """Lift u to v = (u - phi)/r, with v(0) by even extrapolation."""
     g = u_state.grid
-    if abs(u_state.f.values[0] - math.pi) > _ORIGIN_TOL:
+    if abs(u_state.f[0] - math.pi) > _ORIGIN_TOL:
         raise ValueError(
-            f"u(0) = {u_state.f.values[0]!r} violates the origin boundary "
+            f"u(0) = {u_state.f[0]!r} violates the origin boundary "
             "condition u(0) = pi")
     r = g.r
     phi = eval_cutoff("phi", r, 0, profile)
-    v = np.empty_like(u_state.f.values)
-    v[1:] = (u_state.f.values[1:] - phi[1:]) / r[1:]
+    v = np.empty_like(u_state.f)
+    v[1:] = (u_state.f[1:] - phi[1:]) / r[1:]
     v[0] = _extrapolate_origin(v)
     vt = np.empty_like(v)
-    vt[1:] = u_state.f_t.values[1:] / r[1:]
+    vt[1:] = u_state.f_t[1:] / r[1:]
     vt[0] = _extrapolate_origin(vt)
-    return FieldState(RadialField(v, g), RadialField(vt, g), u_state.time)
+    return FieldState(v, vt, g, u_state.time)
 
 
 def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE, phi=None) -> FieldState:
@@ -81,9 +80,7 @@ def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE, phi=None) -> FieldState
     g = v_state.grid
     r = g.r
     phi = eval_cutoff("phi", r, 0, profile) if phi is None else phi
-    u = r * v_state.f.values + phi
-    ut = r * v_state.f_t.values
-    return FieldState(RadialField(u, g), RadialField(ut, g), v_state.time)
+    return FieldState(r * v_state.f + phi, r * v_state.f_t, g, v_state.time)
 
 
 def _panels_for(length):
@@ -126,7 +123,7 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
 
 
 def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
-                profile=DEFAULT_PROFILE) -> RadialField:
+                profile=DEFAULT_PROFILE) -> np.ndarray:
     """The integrated field Phi on the mesh.
 
     r <= 1/2:  integral_0^v sqrt(A_4(y, r)) dy  (origin-safe kernel form)
@@ -134,9 +131,8 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
                + gt1(r) r^-1 integral_0^pi A_3^(-3/2)(y, r) dy,
     with u = r v + phi formed on those nodes (the bytes v_to_u gives there).
     """
-    g = v_state.grid
-    r = g.r
-    v = v_state.f.values
+    r = v_state.grid.r
+    v = v_state.f
     out = np.empty_like(v)
 
     inner = r <= 0.5
@@ -161,16 +157,15 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
         line = _grouped_line_integral(u - math.pi, a3_sqrt)
         gt1 = eval_cutoff("gt1", r_out, 0, profile)
         out[idx_out] = (line + gt1 * phi_correction_integral(r_out, p)) / r_out
-    return RadialField(out, g)
+    return out
 
 
 def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS,
-                  profile=DEFAULT_PROFILE) -> RadialField:
+                  profile=DEFAULT_PROFILE) -> np.ndarray:
     """Phi_t = r^-1 A_1^(1/2) u_t, evaluated through the singularity-safe
     identity Phi_t = A_5(v, r)^(1/2) v_t (exact at every node)."""
-    g = v_state.grid
-    a = kernels.eval_A(5, v_state.f.values, g.r, p, profile)
-    return RadialField(np.sqrt(a) * v_state.f_t.values, g)
+    a = kernels.eval_A(5, v_state.f, v_state.grid.r, p, profile)
+    return np.sqrt(a) * v_state.f_t
 
 
 def make_bundle(v_state: FieldState, p=DEFAULT_PARAMS,
@@ -183,15 +178,14 @@ def make_bundle(v_state: FieldState, p=DEFAULT_PARAMS,
 
 
 def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
-                        profile=DEFAULT_PROFILE) -> RadialField:
-    """Nodewise v_tt - lap4 v - F(v); v_tt supplied by caller (array or field)."""
+                        profile=DEFAULT_PROFILE) -> np.ndarray:
+    """Nodewise v_tt - lap4 v - F(v); v_tt, an array, supplied by caller."""
     g = v_state.grid
-    vtt = v_tt.values if isinstance(v_tt, RadialField) else np.asarray(v_tt, dtype=float)
-    lap = laplacian(v_state.f).values
-    vr = d_r(v_state.f)
-    f = kernels.eval_F_given_cutoffs(v_state.f.values, v_state.f_t.values, vr,
+    lap = laplacian(v_state.f, g)
+    vr = d_r(v_state.f, g)
+    f = kernels.eval_F_given_cutoffs(v_state.f, v_state.f_t, vr,
                                      kernels.cutoff_arrays(g.r, profile), p)
-    return RadialField(vtt - lap - f, g)
+    return v_tt - lap - f
 
 
 def _window(bundles, need):
@@ -205,18 +199,18 @@ def _window(bundles, need):
     return len(bundles) // 2, float(dt)
 
 
-def residual_Phi_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
+def residual_Phi_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi = alpha^-2 (Phi - integral_0^v A_4^(-3/2) dy),
     asserted on r < 1/2 only (the cutoff corrections vanish there); values
     outside that region are returned as zero."""
     mid, dt = _window(bundles, 3)
     g = bundles[mid].v.grid
-    phi_l = [b.phi_field.values for b in bundles[mid - 1:mid + 2]]
+    phi_l = [b.phi_field for b in bundles[mid - 1:mid + 2]]
     phi_tt = (phi_l[0] - 2.0 * phi_l[1] + phi_l[2]) / dt ** 2
-    lap = laplacian(bundles[mid].phi_field).values
+    lap = laplacian(phi_l[1], g)
     region = g.r < 0.5
     idx = np.nonzero(region)[0]
-    v = bundles[mid].v.f.values
+    v = bundles[mid].v.f
     r_in = g.r[idx]
 
     def a4_m32(y, sel):
@@ -224,53 +218,53 @@ def residual_Phi_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> Rad
 
     correction = np.zeros_like(v)
     correction[idx] = _grouped_line_integral(v[idx], a4_m32)
-    res = phi_tt - lap - (bundles[mid].phi_field.values - correction) / p.alpha ** 2
-    return RadialField(np.where(region, res, 0.0), g)
+    res = phi_tt - lap - (phi_l[1] - correction) / p.alpha ** 2
+    return np.where(region, res, 0.0)
 
 
-def residual_Phi_t_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
+def residual_Phi_t_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi_t = alpha^-2 (1 - A_1^-2) Phi_t, valid at all radii."""
     mid, dt = _window(bundles, 3)
     g = bundles[mid].v.grid
-    pt = [b.phi_t_field.values for b in bundles[mid - 1:mid + 2]]
+    pt = [b.phi_t_field for b in bundles[mid - 1:mid + 2]]
     pt_tt = (pt[0] - 2.0 * pt[1] + pt[2]) / dt ** 2
-    lap = laplacian(bundles[mid].phi_t_field).values
-    a1 = kernels.eval_A(5, bundles[mid].v.f.values, g.r, p, profile)
+    lap = laplacian(pt[1], g)
+    a1 = kernels.eval_A(5, bundles[mid].v.f, g.r, p, profile)
     rhs = (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
-    return RadialField(pt_tt - lap - rhs, g)
+    return pt_tt - lap - rhs
 
 
-def residual_Phi_tt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
+def residual_Phi_tt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi_tt = alpha^-2 [2 A_1^-3 dA_1/dt Phi_t
     + (1 - A_1^-2) Phi_tt]; five time levels."""
     mid, dt = _window(bundles, 5)
     g = bundles[mid].v.grid
-    pt = [b.phi_t_field.values for b in bundles[mid - 2:mid + 3]]
+    pt = [b.phi_t_field for b in bundles[mid - 2:mid + 3]]
     ptt = [(pt[k + 2] - pt[k]) / (2.0 * dt) for k in range(3)]
     ptt_tt = (ptt[0] - 2.0 * ptt[1] + ptt[2]) / dt ** 2
-    lap = laplacian(RadialField(ptt[1], g)).values
-    v = bundles[mid].v.f.values
-    vt = bundles[mid].v.f_t.values
+    lap = laplacian(ptt[1], g)
+    v = bundles[mid].v.f
+    vt = bundles[mid].v.f_t
     a1 = kernels.eval_A(5, v, g.r, p, profile)
     da1 = kernels.dA1_dt(v, vt, g.r, p, profile)
     rhs = (2.0 * a1 ** -3 * da1 * pt[2] + (1.0 - a1 ** -2) * ptt[1]) / p.alpha ** 2
-    return RadialField(ptt_tt - lap - rhs, g)
+    return ptt_tt - lap - rhs
 
 
-def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> RadialField:
+def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi_ttt = alpha^-2 [-6 A_1^-4 (dA_1/dt)^2 Phi_t
     + 2 A_1^-3 d2A_1/dt2 Phi_t + 4 A_1^-3 dA_1/dt Phi_tt
     + (1 - A_1^-2) Phi_ttt]; seven time levels."""
     mid, dt = _window(bundles, 7)
     g = bundles[mid].v.grid
-    pt = [b.phi_t_field.values for b in bundles[mid - 3:mid + 4]]
+    pt = [b.phi_t_field for b in bundles[mid - 3:mid + 4]]
     ptt = [(pt[k + 2] - pt[k]) / (2.0 * dt) for k in range(5)]
     pttt = [(ptt[k + 2] - ptt[k]) / (2.0 * dt) for k in range(3)]
     pttt_tt = (pttt[0] - 2.0 * pttt[1] + pttt[2]) / dt ** 2
-    lap = laplacian(RadialField(pttt[1], g)).values
-    v = bundles[mid].v.f.values
-    vt = bundles[mid].v.f_t.values
-    vtt = (bundles[mid + 1].v.f_t.values - bundles[mid - 1].v.f_t.values) / (2.0 * dt)
+    lap = laplacian(pttt[1], g)
+    v = bundles[mid].v.f
+    vt = bundles[mid].v.f_t
+    vtt = (bundles[mid + 1].v.f_t - bundles[mid - 1].v.f_t) / (2.0 * dt)
     a1 = kernels.eval_A(5, v, g.r, p, profile)
     da1 = kernels.dA1_dt(v, vt, g.r, p, profile)
     dda1 = kernels.dA1_dtt(v, vt, vtt, g.r, p, profile)
@@ -278,4 +272,4 @@ def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) ->
            + 2.0 * a1 ** -3 * dda1 * pt[3]
            + 4.0 * a1 ** -3 * da1 * ptt[2]
            + (1.0 - a1 ** -2) * pttt[1]) / p.alpha ** 2
-    return RadialField(pttt_tt - lap - rhs, g)
+    return pttt_tt - lap - rhs

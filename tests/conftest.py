@@ -3,8 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from faddeevlab import (CutoffProfile, FieldState, KernelParams, RadialField,
-                        RadialGrid)
+from faddeevlab import CutoffProfile, FieldState, KernelParams, RadialGrid
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -61,5 +60,4 @@ def quadrature_1d(integrand, lower, upper, panels):
 def gaussian_v_state(grid, amp=0.2, width=1.0, amp_t=0.0, t=0.0):
     """An even Gaussian Cauchy pair in the lifted chart."""
     env = np.exp(-((grid.r / width) ** 2))
-    return FieldState(RadialField(amp * env, grid),
-                      RadialField(amp_t * env, grid), t)
+    return FieldState(amp * env, amp_t * env, grid, t)

@@ -19,7 +19,7 @@ import pytest
 from faddeevlab import diagnostics as diag
 from faddeevlab import kernels
 from faddeevlab.evolve import InitialDataSpec, RunConfig, run
-from faddeevlab.grid import FieldState, RadialField, RadialGrid
+from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from faddeevlab.transform import compute_Phi, compute_Phi_t
 from faddeevlab.verify import (
@@ -151,20 +151,16 @@ def test_criterion_5_residual_orders():
 
 def test_criterion_6_phi_t_identity_order():
     g = RadialGrid(256, 8.0)
-    state = FieldState(RadialField(0.2 * np.exp(-g.r ** 2), g),
-                       RadialField(0.1 * np.exp(-g.r ** 2), g))
+    state = FieldState(0.2 * np.exp(-g.r ** 2), 0.1 * np.exp(-g.r ** 2), g)
     phi_t = compute_Phi_t(state, P, PROF)
     errs = []
     for dt in (1e-3, 5e-4):
         shifted = []
         for sign in (1.0, -1.0):
-            st = FieldState(
-                state.f.with_values(state.f.values
-                                    + sign * dt * state.f_t.values),
-                state.f_t, sign * dt)
+            st = FieldState(state.f + sign * dt * state.f_t, state.f_t, g, sign * dt)
             shifted.append(compute_Phi(st, P, PROF))
-        fd = (shifted[0].values - shifted[1].values) / (2.0 * dt)
-        errs.append(float(np.max(np.abs(fd - phi_t.values))))
+        fd = (shifted[0] - shifted[1]) / (2.0 * dt)
+        errs.append(float(np.max(np.abs(fd - phi_t))))
     order = math.log2(errs[0] / errs[1])
     ok = abs(order - 2.0) <= 0.3
     verdict(6, ok, f"Phi_t finite-difference identity order {order:.4f} "
@@ -175,14 +171,13 @@ def test_criterion_6_phi_t_identity_order():
 def test_criterion_7_far_field_phi():
     g = RadialGrid(512, 16.0)
     zeros = np.zeros(g.n_nodes)
-    v_state = FieldState(RadialField(zeros.copy(), g),
-                         RadialField(zeros.copy(), g))
+    v_state = FieldState(zeros.copy(), zeros.copy(), g)
     phi = compute_Phi(v_state, P, PROF)
     i10 = int(round(10.0 / g.dr))
     expected = -math.pi * P.alpha ** 2 / 10.0 ** 3
-    rel = abs(phi.values[i10] - expected) / abs(expected)
+    rel = abs(phi[i10] - expected) / abs(expected)
     ok = rel <= 0.02
-    verdict(7, ok, f"Phi(10) = {phi.values[i10]:.6e} vs -pi alpha^2 r^-3 = "
+    verdict(7, ok, f"Phi(10) = {phi[i10]:.6e} vs -pi alpha^2 r^-3 = "
                    f"{expected:.6e}, rel {rel:.4f} (tol 0.02)")
     assert rel <= 0.02
 

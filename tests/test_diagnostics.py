@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
-from faddeevlab.diagnostics import DiagnosticsRecord
-from faddeevlab.grid import (FieldState, RadialField, RadialGrid, integrate_radial,
-                             sobolev_norm)
+from faddeevlab.diagnostics import DiagnosticsRecord, SampleContext
+from faddeevlab.grid import FieldState, RadialGrid, d_r, integrate_radial, sobolev_norm
 from faddeevlab.kernels import KernelParams
 from faddeevlab.transform import u_to_v, v_to_u
 
@@ -24,8 +23,7 @@ ENERGY_GAUSSIAN_U = 5.3665119245489741967
 def gaussian_u_state(n=2048, r_max=12.0):
     g = RadialGrid(n, r_max)
     u0 = np.pi * np.exp(-g.r ** 2)
-    return FieldState(RadialField(u0, g),
-                      RadialField(np.zeros(g.n_nodes), g))
+    return FieldState(u0, np.zeros(g.n_nodes), g)
 
 
 # ----------------------------------------------------------------- energy
@@ -47,8 +45,7 @@ def test_energy_u_r_assembly_paths_agree(params, profile):
 
 def test_energy_of_constant_pi_vanishes(params, profile):
     g = RadialGrid(512, 8.0)
-    us = FieldState(RadialField(np.full(g.n_nodes, np.pi), g),
-                    RadialField(np.zeros(g.n_nodes), g))
+    us = FieldState(np.full(g.n_nodes, np.pi), np.zeros(g.n_nodes), g)
     assert abs(diag.energy(us, params, profile=profile)) <= 1e-20
 
 
@@ -91,7 +88,7 @@ def test_non_finite_energy_names_its_first_radius(params, profile):
     i = int(np.searchsorted(g.r, 3.0))
     vt = np.zeros(g.n_nodes)
     vt[i] = 1e200
-    vs = FieldState(vs.f, vs.f_t.with_values(vt))
+    vs = FieldState(vs.f, vt, g)
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"^non-finite energy integrand at r=3$"):
         diag.energy(v_to_u(vs, profile), params, vs, profile)
@@ -104,11 +101,13 @@ def test_energy_drift_definition():
 
 # --------------------------------------------------------------- monitors
 
+def monitor(vs):
+    return diag.continuation_monitor(vs, d_r(vs.f, vs.grid), SampleContext(vs.grid))
+
+
 def test_monitor_peak_of_unit_gaussian_is_one():
     g = RadialGrid(4096, 6.0)
-    st_v = FieldState(RadialField(np.exp(-g.r ** 2), g),
-                      RadialField(np.zeros(g.n_nodes), g))
-    mv, mvt, mgv = diag.continuation_monitor(st_v)
+    mv, mvt, mgv = monitor(FieldState(np.exp(-g.r ** 2), np.zeros(g.n_nodes), g))
     assert mv == 1.0  # <r>|v| is maximal at the origin for this profile
     assert mvt == 0.0
     dense = np.linspace(0.0, 6.0, 400_001)
@@ -118,10 +117,8 @@ def test_monitor_peak_of_unit_gaussian_is_one():
 
 def test_monitor_doubling_is_exact(grid128):
     vs = gaussian_v_state(grid128, amp=0.25, amp_t=0.1)
-    doubled = FieldState(vs.f.with_values(2.0 * vs.f.values),
-                         vs.f_t.with_values(2.0 * vs.f_t.values))
-    assert diag.continuation_monitor(doubled) == tuple(
-        2.0 * m for m in diag.continuation_monitor(vs))
+    doubled = FieldState(2.0 * vs.f, 2.0 * vs.f_t, grid128)
+    assert monitor(doubled) == tuple(2.0 * m for m in monitor(vs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -130,28 +127,26 @@ def test_monitor_doubling_is_exact(grid128):
 def test_monitor_homogeneity(lam):
     g = RadialGrid(64, 8.0)
     vs = gaussian_v_state(g, amp=0.3, amp_t=-0.2)
-    scaled = FieldState(vs.f.with_values(lam * vs.f.values),
-                        vs.f_t.with_values(lam * vs.f_t.values))
-    for a, b in zip(diag.continuation_monitor(scaled),
-                    diag.continuation_monitor(vs)):
+    scaled = FieldState(lam * vs.f, lam * vs.f_t, g)
+    for a, b in zip(monitor(scaled), monitor(vs)):
         assert a == pytest.approx(lam * b, rel=1e-14)
 
 
 # ------------------------------------------------------------------ decay
 
 def test_decay_report_zero_field(grid128):
-    rep = diag.decay_report(RadialField(np.zeros(grid128.n_nodes), grid128))
+    rep = diag.decay_report(np.zeros(grid128.n_nodes), SampleContext(grid128))
     assert rep == {"outer": 0.0, "inner": 0.0}
 
 
 def test_decay_report_critical_profile():
     """(1+r^2)^(-3/4) saturates the r^(-3/2) outer envelope."""
     g = RadialGrid(640, 40.0)
-    f = RadialField((1.0 + g.r ** 2) ** (-0.75), g)
-    rep = diag.decay_report(f)
+    f = (1.0 + g.r ** 2) ** (-0.75)
+    rep = diag.decay_report(f, SampleContext(g))
     assert 0.999 <= rep["outer"] <= 1.0
     inner = (g.r > 0.0) & (g.r <= 1.0)
-    assert rep["inner"] == np.max(f.values[inner])  # max |v| on 0 < r <= 1
+    assert rep["inner"] == np.max(f[inner])  # max |v| on 0 < r <= 1
     assert 0.99 <= rep["inner"] <= 1.0
 
 
@@ -159,46 +154,43 @@ def test_decay_report_critical_profile():
 
 def _window_fields(grid, ts, coeff):
     prof_r = np.exp(-grid.r ** 2)
-    return [RadialField(coeff(t) * prof_r, grid) for t in ts]
+    return [coeff(t) * prof_r for t in ts]
 
 
-def ys_norm(fields, dt: float, s: int) -> float:
-    """Discrete Y_s over a uniformly sampled window: sup over interior
-    samples of sum_{j<=s} ||d_t^j w||_{H^(s-j)}, time derivatives by
-    centered differences. Needs at least 2s+1 snapshots; s <= 2. A window
-    norm built on sobolev_norm, checked against closed forms below."""
+def ys_norm(fields, grid, dt: float, s: int) -> float:
+    """Discrete Y_s over a uniformly sampled window of node values on grid:
+    sup over interior samples of sum_{j<=s} ||d_t^j w||_{H^(s-j)}, time
+    derivatives by centered differences. Needs at least 2s+1 snapshots;
+    s <= 2. A window norm built on sobolev_norm, checked against closed
+    forms below."""
     if s not in (0, 1, 2):
         raise ValueError("ys_norm supports s in {0, 1, 2}")
     if len(fields) < 2 * s + 1:
         raise ValueError(f"need at least {2 * s + 1} snapshots for s={s}")
     best = 0.0
     for j in range(s, len(fields) - s):
-        total = sobolev_norm(fields[j], s)[-1]
+        total = sobolev_norm(fields[j], grid, s)[-1]
         if s >= 1:
-            dt1 = fields[j].with_values(
-                (fields[j + 1].values - fields[j - 1].values) / (2.0 * dt))
-            total += sobolev_norm(dt1, s - 1)[-1]
+            dt1 = (fields[j + 1] - fields[j - 1]) / (2.0 * dt)
+            total += sobolev_norm(dt1, grid, s - 1)[-1]
         if s >= 2:
-            dt2 = fields[j].with_values(
-                (fields[j - 1].values - 2.0 * fields[j].values
-                 + fields[j + 1].values) / dt ** 2)
-            total += sobolev_norm(dt2, s - 2)[-1]
+            dt2 = (fields[j - 1] - 2.0 * fields[j] + fields[j + 1]) / dt ** 2
+            total += sobolev_norm(dt2, grid, s - 2)[-1]
         best = max(best, total)
     return best
 
 
 def test_ys_zero_window(grid128):
-    fields = [RadialField(np.zeros(grid128.n_nodes), grid128)
-              for _ in range(5)]
+    fields = [np.zeros(grid128.n_nodes) for _ in range(5)]
     for s in (0, 1, 2):
-        assert ys_norm(fields, 0.01, s) == 0.0
+        assert ys_norm(fields, grid128, 0.01, s) == 0.0
 
 
 def test_ys_s0_is_max_l2(grid128):
     ts = np.arange(0.0, 0.5, 0.05)
     fields = _window_fields(grid128, ts, lambda t: 1.0 + 0.5 * math.sin(3 * t))
-    assert ys_norm(fields, 0.05, 0) == max(
-        sobolev_norm(f, 0)[0] for f in fields)
+    assert ys_norm(fields, grid128, 0.05, 0) == max(
+        sobolev_norm(f, grid128, 0)[0] for f in fields)
 
 
 def test_ys_closed_form_window():
@@ -206,31 +198,29 @@ def test_ys_closed_form_window():
     dt = 0.01
     ts = np.arange(0.0, 2.5 + dt / 2, dt)
     fields = _window_fields(g, ts, lambda t: 1.0 + 0.5 * math.sin(3 * t))
-    prof_f = RadialField(np.exp(-g.r ** 2), g)
-    n0, n1 = sobolev_norm(prof_f, 1)
+    n0, n1 = sobolev_norm(np.exp(-g.r ** 2), g, 1)
     tt = np.linspace(dt, 2.5 - dt, 200_001)
     oracle = np.max(np.abs(1.0 + 0.5 * np.sin(3 * tt)) * n1
                     + np.abs(1.5 * np.cos(3 * tt)) * n0)
-    y1 = ys_norm(fields, dt, 1)
+    y1 = ys_norm(fields, g, dt, 1)
     assert abs(y1 - oracle) <= 1e-3 * oracle  # measured 5.3e-5
-    assert ys_norm(fields, dt, 2) >= y1 >= ys_norm(fields, dt, 0)
+    assert ys_norm(fields, g, dt, 2) >= y1 >= ys_norm(fields, g, dt, 0)
 
 
 def test_ys_validation(grid128):
-    fields = [RadialField(np.zeros(grid128.n_nodes), grid128)
-              for _ in range(4)]
+    fields = [np.zeros(grid128.n_nodes) for _ in range(4)]
     with pytest.raises(ValueError, match="at least 5"):
-        ys_norm(fields, 0.01, 2)
+        ys_norm(fields, grid128, 0.01, 2)
     with pytest.raises(ValueError, match="supports s"):
-        ys_norm(fields, 0.01, 3)
+        ys_norm(fields, grid128, 0.01, 3)
 
 
-def spacetime_norm(fields, dt, p, q):
-    """Discrete L^p-in-time of L^q-in-space over a sampled window
-    (trapezoid in time; p may be math.inf): the batch reference for
-    SpacetimeTracker."""
-    g = np.array([sobolev_norm(f, 0)[0] if q == 2 else
-                  integrate_radial(f.with_values(np.abs(f.values) ** q), 3) ** (1.0 / q)
+def spacetime_norm(fields, grid, dt, p, q):
+    """Discrete L^p-in-time of L^q-in-space over a sampled window of node
+    values on grid (trapezoid in time; p may be math.inf): the batch
+    reference for SpacetimeTracker."""
+    g = np.array([sobolev_norm(f, grid, 0)[0] if q == 2 else
+                  integrate_radial(np.abs(f) ** q, grid, 3) ** (1.0 / q)
                   for f in fields])
     if p == math.inf:
         return float(np.max(g))
@@ -243,14 +233,14 @@ def test_spacetime_norm_separable_oracle():
     ts = np.linspace(0.0, math.pi, 401)
     dt = ts[1] - ts[0]
     fields = _window_fields(g, ts, math.sin)
-    got = spacetime_norm(fields, dt, 2, 8)
+    got = spacetime_norm(fields, g, dt, 2, 8)
     oracle = math.sqrt(math.pi / 2.0) * (1.0 / 128.0) ** 0.125
     assert abs(got - oracle) <= 1e-6 * oracle
     # the (inf, 2) pair degenerates to the running max of the L2 norm
-    assert spacetime_norm(fields, dt, math.inf, 2) == max(
-        sobolev_norm(f, 0)[0] for f in fields)
-    zeros = [f.with_values(np.zeros_like(f.values)) for f in fields[:3]]
-    assert spacetime_norm(zeros, dt, 2, 8) == 0.0
+    assert spacetime_norm(fields, g, dt, math.inf, 2) == max(
+        sobolev_norm(f, g, 0)[0] for f in fields)
+    zeros = [np.zeros_like(f) for f in fields[:3]]
+    assert spacetime_norm(zeros, g, dt, 2, 8) == 0.0
 
 
 def test_spacetime_tracker_matches_batch():
@@ -260,13 +250,13 @@ def test_spacetime_tracker_matches_batch():
     fields = _window_fields(g, ts, math.sin)
     tracker = diag.SpacetimeTracker()
     for i, f in enumerate(fields):
-        tracker.update(f, 0.0 if i == 0 else dt)
+        tracker.update(f, g, 0.0 if i == 0 else dt)
     vals = tracker.values()
     assert list(vals) == ["Linf_L2", "L2_L8"]  # the diagnostics.csv column order
     assert vals["L2_L8"] == pytest.approx(
-        spacetime_norm(fields, dt, 2, 8), rel=1e-13)
+        spacetime_norm(fields, g, dt, 2, 8), rel=1e-13)
     assert vals["Linf_L2"] == pytest.approx(
-        spacetime_norm(fields, dt, math.inf, 2), rel=1e-13)
+        spacetime_norm(fields, g, dt, math.inf, 2), rel=1e-13)
 
 
 # -------------------------------------------------------------------- csv

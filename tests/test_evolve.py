@@ -27,8 +27,8 @@ from faddeevlab.evolve import (
     trajectory,
     write_checkpoint,
 )
-from faddeevlab.grid import (FLOAT_FMT, FieldState, RadialField, RadialGrid, _d1_laplacian,
-                             d_r, integrate_radial, sobolev_norm)
+from faddeevlab.grid import (FLOAT_FMT, FieldState, RadialGrid, _d1_laplacian, d_r,
+                             integrate_radial, sobolev_norm)
 from faddeevlab.kernels import eval_cutoff
 from faddeevlab.transform import u_to_v, v_to_u
 from faddeevlab.verify import ManufacturedSolution, make_forcing
@@ -36,8 +36,7 @@ from faddeevlab.verify import ManufacturedSolution, make_forcing
 
 def zero_state(grid):
     z = np.zeros(grid.n_nodes)
-    return FieldState(RadialField(z.copy(), grid),
-                      RadialField(z.copy(), grid))
+    return FieldState(z.copy(), z.copy(), grid)
 
 
 def quiet_forcing(config):
@@ -133,8 +132,8 @@ def test_gaussian_initial_peak_is_exact():
     cfg = lean(n_cells=64, r_max=8.0,
                initial=InitialDataSpec(amplitude=0.37))
     st = initial_state(cfg)
-    assert st.f.values[0] == 0.37
-    assert np.array_equal(st.f_t.values, np.zeros(65))
+    assert st.f[0] == 0.37
+    assert np.array_equal(st.f_t, np.zeros(65))
 
 
 def test_profile_table_matches_direct_transform(tmp_path):
@@ -150,11 +149,9 @@ def test_profile_table_matches_direct_transform(tmp_path):
                initial=InitialDataSpec(family="profile_u",
                                        profile_path=str(path)))
     st = initial_state(cfg)
-    u_state = FieldState(RadialField(u0, cfg_grid),
-                         RadialField(u1, cfg_grid))
-    direct = u_to_v(u_state, cfg.profile)
-    assert np.array_equal(st.f.values, direct.f.values)
-    assert np.array_equal(st.f_t.values, direct.f_t.values)
+    direct = u_to_v(FieldState(u0, u1, cfg_grid), cfg.profile)
+    assert np.array_equal(st.f, direct.f)
+    assert np.array_equal(st.f_t, direct.f_t)
 
 
 def test_overflowing_gaussian_names_its_setting_and_radius():
@@ -294,10 +291,8 @@ def test_time_reversal_recovers_initial_data():
         g = make_grid(cfg)
         v0 = 0.2 * np.exp(-g.r ** 2)
         zero = np.zeros(g.n_nodes)
-        _, v, vt = last_state(cfg, FieldState(RadialField(v0, g),
-                                              RadialField(zero, g)))
-        _, v, _ = last_state(cfg, FieldState(RadialField(v, g),
-                                             RadialField(-vt, g)))
+        _, v, vt = last_state(cfg, FieldState(v0, zero, g))
+        _, v, _ = last_state(cfg, FieldState(v, -vt, g))
         errs[n] = np.max(np.abs(v - v0))
     # measured 2.95e-6 and 3.66e-7, ratio 8.05
     assert errs[128] <= 2e-5
@@ -318,9 +313,35 @@ def test_evolve_bundles_cadence_and_reconstruction(params):
     assert abs(times[2] - 0.25) <= dts[0] / 2 + 1e-12
     g = make_grid(cfg)
     phi = eval_cutoff("phi", g.r, 0, cfg.profile)
-    u = v_to_u(bundles[2].v, cfg.profile).f.values
+    u = v_to_u(bundles[2].v, cfg.profile).f
     assert u[0] == np.pi
-    assert np.array_equal(u[1:], g.r[1:] * bundles[2].v.f.values[1:] + phi[1:])
+    assert np.array_equal(u[1:], g.r[1:] * bundles[2].v.f[1:] + phi[1:])
+
+
+@pytest.mark.parametrize("t_end,t_center,n_levels", [
+    (1.0, 2.0, 3),     # the window lies past t_end
+    (0.5, 0.0, 7),     # it would start three steps before t = 0
+    (0.5, 0.47, 5),    # its last level is one step past t_end (24 steps)
+])
+def test_evolve_bundles_rejects_a_window_outside_the_run(monkeypatch, t_end, t_center,
+                                                         n_levels):
+    """The window is checked before any step: trajectory is never entered,
+    and the error names every quantity that places the window."""
+    cfg = lean(n_cells=96, r_max=8.0, t_end=t_end)
+    monkeypatch.setattr("faddeevlab.evolve.trajectory",
+                        lambda *a, **k: pytest.fail("the evolution started"))
+    _, dt = _schedule(cfg)
+    with pytest.raises(ValueError) as err:
+        evolve_bundles(cfg, t_center=t_center, n_levels=n_levels)
+    for part in (f"t_center={t_center:g}", f"n_levels={n_levels}", f"dt={dt:.6g}",
+                 f"t_end={t_end:g}"):
+        assert part in str(err.value)
+
+
+def test_evolve_bundles_window_may_end_at_t_end():
+    cfg = lean(n_cells=96, r_max=8.0, t_end=0.5)
+    bundles = evolve_bundles(cfg, t_center=0.46, n_levels=5)  # steps 20..24 of 24
+    assert [round(b.time / _schedule(cfg)[1]) for b in bundles] == [20, 21, 22, 23, 24]
 
 
 # ------------------------------------------------------------------ halts
@@ -430,7 +451,7 @@ def test_unforced_run_self_converges_at_fourth_order():
     for n in (128, 256, 512):
         *_, (_, _, v, _) = trajectory(RunConfig(n_cells=n, r_max=8.0, t_end=1.0))
         finals.append(v[::n // 128])
-    e = [sobolev_norm(RadialField(a - b, coarse), 0)[0] for a, b in zip(finals, finals[1:])]
+    e = [sobolev_norm(a - b, coarse, 0)[0] for a, b in zip(finals, finals[1:])]
     assert math.log2(e[0] / e[1]) >= 3.5
 
 
@@ -458,8 +479,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert rows[0] == "r,v,v_t"
     assert len(rows) == 1 + 49
     table = np.loadtxt(tmp_path / "final.csv", delimiter=",", skiprows=1)
-    assert np.array_equal(table[:, 1], res.state.f.values)
-    assert np.array_equal(table[:, 2], res.state.f_t.values)
+    assert np.array_equal(table[:, 1], res.state.f)
+    assert np.array_equal(table[:, 2], res.state.f_t)
     meta = (tmp_path / "final.meta").read_text()
     assert "step = 17\n" in meta
     assert f"config_hash = {config_fingerprint(cfg)}\n" in meta
@@ -476,7 +497,7 @@ def test_checkpoint_csv_matches_a_row_by_row_csv_writer(tmp_path):
                         math.inf, -math.inf, math.nan])
     v = np.resize(awkward, g.n_nodes)
     vt = np.resize(-awkward[::-1], g.n_nodes)
-    state = FieldState(RadialField(v, g), RadialField(vt, g), 0.125)
+    state = FieldState(v, vt, g, 0.125)
     write_checkpoint(state, tmp_path / "ck", cfg, step_no=3)
     want = io.StringIO(newline="")
     writer = csv.writer(want, lineterminator="\n")
@@ -505,7 +526,7 @@ def test_pulse_travels_at_unit_speed():
     snaps = {round(s.time, 6): s for s in res.snapshots}
 
     def outgoing_peak(state, r_min):
-        a = np.abs(state.f.values)
+        a = np.abs(state.f)
         i = int(np.argmax(np.where(g.r > r_min, a, 0.0)))
         y0, y1, y2 = a[i - 1], a[i], a[i + 1]
         return g.r[i] + 0.5 * g.dr * (y0 - y2) / (y0 - 2 * y1 + y2)
@@ -517,8 +538,7 @@ def test_pulse_travels_at_unit_speed():
 
 
 def _pulse_energy(state):
-    dens = state.f_t.values ** 2 + d_r(state.f) ** 2
-    return integrate_radial(state.f.with_values(dens))
+    return integrate_radial(state.f_t ** 2 + d_r(state.f, state.grid) ** 2, state.grid)
 
 
 def test_sponge_absorbs_the_outgoing_pulse():
@@ -538,7 +558,7 @@ def test_sponge_absorbs_the_outgoing_pulse():
     res_big = run(big, quiet_forcing(big))
     g_big = make_grid(big)
     inner = g_big.r < 4.0
-    big_snap = {round(s.time, 4): s.f.values for s in res_big.snapshots}
+    big_snap = {round(s.time, 4): s.f for s in res_big.snapshots}
     i4 = int(round(4.0 / g_big.dr))
     outgoing = max(abs(v[i4]) for v in big_snap.values())
     assert 2e-4 <= outgoing <= 5e-4  # the pulse does reach r = 4
@@ -553,11 +573,11 @@ def test_sponge_absorbs_the_outgoing_pulse():
 
     on = results["on"]
     # transparent until the layer reflection can return (measured 2.1e-3)
-    early = np.max(np.abs(on[4.0].f.values[: inner.sum()] - big_snap[4.0][inner]))
+    early = np.max(np.abs(on[4.0].f[: inner.sum()] - big_snap[4.0][inner]))
     assert early <= 1e-2 * outgoing
     # the quadratic ramp reflects low-frequency content of a bump; the
     # measured band is 0.25 of the outgoing amplitude at strength 8
-    refl = max(np.max(np.abs(on[t].f.values[: inner.sum()] - big_snap[t][inner]))
+    refl = max(np.max(np.abs(on[t].f[: inner.sum()] - big_snap[t][inner]))
                for t in (5.0, 6.0, 7.0))
     assert refl <= 0.35 * outgoing
 

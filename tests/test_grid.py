@@ -7,10 +7,9 @@ import pytest
 
 from faddeevlab.diagnostics import SpacetimeTracker
 from faddeevlab.evolve import RunConfig, trajectory
-from faddeevlab.grid import (_D1_EDGE, _D2_EDGE, GHOST, FieldState, RadialField,
-                             RadialGrid, _d1_laplacian, _d1_values, d_r, fill_ghosts,
-                             integrate_radial, laplacian, sobolev_norm,
-                             write_csv)
+from faddeevlab.grid import (_D1_EDGE, _D2_EDGE, GHOST, FieldState, RadialGrid,
+                             _d1_laplacian, _d1_values, d_r, fill_ghosts,
+                             integrate_radial, laplacian, sobolev_norm, write_csv)
 
 from conftest import quadrature_1d
 
@@ -24,8 +23,8 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="n_cells must be >= 6"):
         RadialGrid(5, 8.0)
     g = RadialGrid(6, 8.0)  # the smallest mesh: every stencil applies
-    f = RadialField(np.exp(-g.r ** 2), g)
-    assert d_r(f).shape == laplacian(f).values.shape == (7,)
+    f = np.exp(-g.r ** 2)
+    assert d_r(f, g).shape == laplacian(f, g).shape == (7,)
     with pytest.raises(ValueError):
         RadialGrid(128, 0.0)
 
@@ -39,12 +38,13 @@ def test_grid_nodes():
 
 def test_field_validation():
     g = RadialGrid(16, 1.0)
-    with pytest.raises(ValueError):
-        RadialField(np.ones(g.n_nodes - 1), g)
+    with pytest.raises(ValueError, match="not aligned"):
+        FieldState(np.ones(g.n_nodes - 1), np.ones(g.n_nodes), g)
     other = RadialGrid(32, 1.0)
-    with pytest.raises(ValueError, match="share a grid"):
-        FieldState(RadialField(np.ones(g.n_nodes), g),
-                   RadialField(np.ones(other.n_nodes), other))
+    with pytest.raises(ValueError, match="not aligned"):
+        FieldState(np.ones(g.n_nodes), np.ones(other.n_nodes), g)
+    st = FieldState([1, 2, 3, 4, 5, 6, 7], range(7), RadialGrid(6, 1.0))
+    assert st.f.dtype == st.f_t.dtype == np.float64
 
 
 def test_ghost_fill_is_exact_parity():
@@ -57,10 +57,9 @@ def test_ghost_fill_is_exact_parity():
 
 def test_d_r_polynomial_exactness():
     g = RadialGrid(128, 8.0)
-    const = RadialField(np.full(g.n_nodes, math.pi), g)
-    assert np.max(np.abs(d_r(const))) <= 1e-13
-    quad = RadialField(g.r ** 2, g)
-    assert np.max(np.abs(d_r(quad) - 2.0 * g.r)) <= 1e-12
+    const = np.full(g.n_nodes, math.pi)
+    assert np.max(np.abs(d_r(const, g))) <= 1e-13
+    assert np.max(np.abs(d_r(g.r ** 2, g) - 2.0 * g.r)) <= 1e-12
 
 
 def test_d_r_fourth_order_on_sine():
@@ -68,8 +67,7 @@ def test_d_r_fourth_order_on_sine():
     errs = []
     for n in (128, 256):
         g = RadialGrid(n, 8.0)
-        f = RadialField(np.cos(g.r), g)
-        errs.append(np.max(np.abs(d_r(f) + np.sin(g.r))))
+        errs.append(np.max(np.abs(d_r(np.cos(g.r), g) + np.sin(g.r))))
     assert 3.8 <= math.log2(errs[0] / errs[1]) <= 4.2
 
 
@@ -77,12 +75,12 @@ def test_d_r_is_exactly_zero_at_the_origin():
     """d_r zeroes node 0, where the raw stencil leaves roundoff; the
     right-hand side reads that raw value through _d1_laplacian."""
     g = RadialGrid(64, 8.0)
-    f = RadialField(0.3 * np.exp(-g.r ** 2), g)
-    raw = _d1_values(f.values, g)
+    f = 0.3 * np.exp(-g.r ** 2)
+    raw = _d1_values(f, g)
     assert raw[0] != 0.0  # 3.7e-17
-    assert d_r(f)[0] == 0.0
-    assert np.array_equal(d_r(f)[1:], raw[1:])
-    assert _d1_laplacian(f.values, g)[0][0] == raw[0]
+    assert d_r(f, g)[0] == 0.0
+    assert np.array_equal(d_r(f, g)[1:], raw[1:])
+    assert _d1_laplacian(f, g)[0][0] == raw[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,42 +143,38 @@ def _stencil_cases():
 
 def test_stencils_match_their_old_expressions_bitwise():
     for g, values in _stencil_cases():
-        f = RadialField(values, g)
         old_d1, old_lap = _old_d1_laplacian(values, g)
-        assert d_r(f).tobytes() == np.where(g.r == 0.0, 0.0, old_d1).tobytes()
-        assert laplacian(f).values.tobytes() == old_lap.tobytes()
+        assert d_r(values, g).tobytes() == np.where(g.r == 0.0, 0.0, old_d1).tobytes()
+        assert laplacian(values, g).tobytes() == old_lap.tobytes()
         d1, lap = _d1_laplacian(values, g)
         assert (d1.tobytes(), lap.tobytes()) == (old_d1.tobytes(), old_lap.tobytes())
-        given = d_r(f)  # node 0 zeroed, as sobolev_norm passes it
+        given = d_r(values, g)  # node 0 zeroed, as sobolev_norm passes it
         lap_given = _d1_laplacian(values, g, given)[1]
         assert lap_given.tobytes() == _old_d1_laplacian(values, g, given)[1].tobytes()
 
 
 def test_laplacian_exact_on_quadratic():
     g = RadialGrid(64, 8.0)
-    assert np.max(np.abs(laplacian(RadialField(g.r ** 2, g)).values
-                         - 8.0)) <= 1e-10
+    assert np.max(np.abs(laplacian(g.r ** 2, g) - 8.0)) <= 1e-10
 
 
 def test_laplacian_fourth_order_on_gaussian():
     errs = []
     for n in (128, 256):
         g = RadialGrid(n, 8.0)
-        f = RadialField(np.exp(-g.r ** 2), g)
         exact = (4.0 * g.r ** 2 - 8.0) * np.exp(-g.r ** 2)
-        errs.append(np.max(np.abs(laplacian(f).values - exact)))
+        errs.append(np.max(np.abs(laplacian(np.exp(-g.r ** 2), g) - exact)))
     assert 3.7 <= math.log2(errs[0] / errs[1]) <= 4.3
 
 
 def test_integrate_radial_examples():
     for n in (64, 65):  # even and odd interval counts (3/8-rule tail)
         g = RadialGrid(n, 1.0)
-        one = RadialField(np.ones(g.n_nodes), g)
-        assert integrate_radial(one, 1) == pytest.approx(0.5, abs=1e-10)
+        assert integrate_radial(np.ones(g.n_nodes), g, 1) == pytest.approx(0.5, abs=1e-10)
     g = RadialGrid(4096, 12.0)
-    gauss = RadialField(np.exp(-g.r ** 2), g)
-    assert integrate_radial(gauss, 1) == pytest.approx(0.5, abs=1e-10)
-    assert integrate_radial(gauss, 3) == pytest.approx(0.5, abs=1e-10)
+    gauss = np.exp(-g.r ** 2)
+    assert integrate_radial(gauss, g, 1) == pytest.approx(0.5, abs=1e-10)
+    assert integrate_radial(gauss, g, 3) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_quadrature_examples():
@@ -213,79 +207,79 @@ def test_quadrature_rejects_bad_input():
 
 def test_sobolev_norms():
     g = RadialGrid(2048, 10.0)
-    zero = RadialField(np.zeros(g.n_nodes), g)
-    assert sobolev_norm(zero, 2) == [0.0, 0.0, 0.0]
-    f = RadialField(np.exp(-g.r ** 2), g)
-    l2 = math.sqrt(integrate_radial(RadialField(f.values ** 2, g), 3))
-    h0, h1 = sobolev_norm(f, 1)
+    assert sobolev_norm(np.zeros(g.n_nodes), g, 2) == [0.0, 0.0, 0.0]
+    f = np.exp(-g.r ** 2)
+    l2 = math.sqrt(integrate_radial(f ** 2, g, 3))
+    h0, h1 = sobolev_norm(f, g, 1)
     assert h0 == pytest.approx(l2, rel=1e-14)
     # |f|_{L2}^2 = 1/8 and |f'|_{L2}^2 = 1/2 against r^3 dr
     assert h1 == pytest.approx(math.sqrt(0.625), abs=1e-6)
     with pytest.raises(ValueError):
-        sobolev_norm(f, 5)
+        sobolev_norm(f, g, 5)
 
 
-def _sobolev_norm_of_order(f, s):
+def _sobolev_norm_of_order(f, grid, s):
     """The H^s norm as one call per order took it: its own pass up the
     Laplacian ladder, the reference the one-pass ladder must reproduce."""
     total = 0.0
     g = f
     for k in range(0, s // 2 + 1):
         if k > 0:
-            g = laplacian(g)
-        total += integrate_radial(g.with_values(g.values ** 2), 3)
+            g = laplacian(g, grid)
+        total += integrate_radial(g ** 2, grid, 3)
         if 2 * k + 1 <= s:
-            total += integrate_radial(g.with_values(d_r(g) ** 2), 3)
+            total += integrate_radial(d_r(g, grid) ** 2, grid, 3)
     return float(np.sqrt(total))
 
 
 def _ladder_fields():
-    """Random even fields (rough node values, and smooth random bumps) on
-    even and odd cell counts, and an evolved state of the default data."""
+    """(values, grid) pairs: random even fields (rough node values, and
+    smooth random bumps) on even and odd cell counts, and an evolved state
+    of the default data."""
     rng = np.random.default_rng(7)
     fields = []
     for n, r_max in ((64, 4.0), (255, 8.0), (512, 16.0)):
         g = RadialGrid(n, r_max)
-        fields.append(RadialField(rng.standard_normal(g.n_nodes), g))
+        fields.append((rng.standard_normal(g.n_nodes), g))
         amps, widths = rng.uniform(-1.0, 1.0, 3), rng.uniform(0.3, 2.0, 3)
-        fields.append(RadialField(sum(a * np.exp(-(g.r / w) ** 2)
-                                      for a, w in zip(amps, widths)), g))
+        fields.append((sum(a * np.exp(-(g.r / w) ** 2)
+                           for a, w in zip(amps, widths)), g))
     cfg = RunConfig(n_cells=128, r_max=8.0, t_end=0.5)
     *_, (_, _, v, vt) = trajectory(cfg)
     g = RadialGrid(128, 8.0)
-    fields += [RadialField(v, g), RadialField(vt, g)]
+    fields += [(v, g), (vt, g)]
     return fields
 
 
 def test_sobolev_ladder_matches_one_pass_per_order_bitwise():
-    for f in _ladder_fields():
-        ladder = sobolev_norm(f, 4)
-        assert ladder == [_sobolev_norm_of_order(f, s) for s in range(5)]
+    for f, g in _ladder_fields():
+        ladder = sobolev_norm(f, g, 4)
+        assert ladder == [_sobolev_norm_of_order(f, g, s) for s in range(5)]
         for s in range(4):
-            assert sobolev_norm(f, s) == ladder[:s + 1]
+            assert sobolev_norm(f, g, s) == ladder[:s + 1]
         # a caller's d_r(f) stands in for the ladder's own first derivative
-        assert sobolev_norm(f, 4, d_r(f)) == ladder
+        assert sobolev_norm(f, g, 4, d_r(f, g)) == ladder
 
 
 def test_spacetime_tracker_l2_is_the_ladder_first_partial_sum():
-    for f in _ladder_fields():
+    for f, g in _ladder_fields():
         own, given = SpacetimeTracker(), SpacetimeTracker()
-        own.update(f, 0.0)
-        given.update(f, 0.0, sobolev_norm(f, 4, d_r(f))[0])
+        own.update(f, g, 0.0)
+        given.update(f, g, 0.0, sobolev_norm(f, g, 4, d_r(f, g))[0])
         assert own.values() == given.values()
-        assert own.values()["Linf_L2"] == _sobolev_norm_of_order(f, 0)
+        assert own.values()["Linf_L2"] == _sobolev_norm_of_order(f, g, 0)
 
 
 def test_field_csv_roundtrip(tmp_path):
     g = RadialGrid(32, 4.0)
-    f = RadialField(np.sin(g.r) * math.pi, g)
+    f = np.sin(g.r) * math.pi
     path = tmp_path / "snap.csv"
-    write_csv(path, ["r", "value"], zip(g.r, f.values))
+    write_csv(path, ["r", "value"], zip(g.r, f))
     header = path.read_text().splitlines()[0]
     assert header == "r,value"
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.array_equal(table[:, 0], g.r)
-    assert np.array_equal(table[:, 1], f.values)
+    assert np.array_equal(table[:, 1], f)
     # non-floats pass through as str() writes them; floats keep every digit
     write_csv(path, ["a", "b", "c", "d", "e"], [["x", 3, True, math.nan, 0.1]])
     assert path.read_text() == "a,b,c,d,e\nx,3,True,nan,0.10000000000000001\n"

@@ -15,7 +15,7 @@ from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
                                 eval_A, eval_cutoff, eval_F_given_cutoffs,
                                 eval_F_rhs, eval_Ftilde, eval_N,
                                 laplacian_phi_2d)
-from faddeevlab.grid import FieldState, RadialField, RadialGrid
+from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.transform import (compute_Phi, compute_Phi_t, make_bundle,
                                   residual_Phi_t_wave, residual_Phi_tt_wave,
                                   residual_Phi_ttt_wave, residual_Phi_wave)
@@ -424,16 +424,15 @@ def _bitwise_outputs():
     env = np.exp(-g.r ** 2)
     a, b = rng.uniform(0.2, 0.4), rng.uniform(-0.3, 0.3)
     dt = 0.01
-    bundles = [make_bundle(FieldState(RadialField((a + b * k * dt) * env, g),
-                                      RadialField(b * env, g), k * dt), p)
+    bundles = [make_bundle(FieldState((a + b * k * dt) * env, b * env, g, k * dt), p)
                for k in range(7)]
     st = bundles[3].v
-    out["compute_Phi"] = compute_Phi(st, p).values
-    out["compute_Phi_t"] = compute_Phi_t(st, p).values
-    out["residual_Phi"] = residual_Phi_wave(bundles[2:5], p).values
-    out["residual_Phi_t"] = residual_Phi_t_wave(bundles[2:5], p).values
-    out["residual_Phi_tt"] = residual_Phi_tt_wave(bundles[1:6], p).values
-    out["residual_Phi_ttt"] = residual_Phi_ttt_wave(bundles, p).values
+    out["compute_Phi"] = compute_Phi(st, p)
+    out["compute_Phi_t"] = compute_Phi_t(st, p)
+    out["residual_Phi"] = residual_Phi_wave(bundles[2:5], p)
+    out["residual_Phi_t"] = residual_Phi_t_wave(bundles[2:5], p)
+    out["residual_Phi_tt"] = residual_Phi_tt_wave(bundles[1:6], p)
+    out["residual_Phi_ttt"] = residual_Phi_ttt_wave(bundles, p)
     return out
 
 

@@ -52,3 +52,41 @@ def test_shell_transient_table_round_trips(tmp_path, monkeypatch, capsys):
         assert cells[0] == str(row["n_cells"])
         assert [float(c) for c in cells[1:7]] == [row[k] for k in table[0][1:7]]
         assert cells[7] == row["floor_order"]
+
+
+def _campaign_main(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["run_acceptance_campaign.py"] + args)
+    return runpy.run_path(str(SCRIPTS / "run_acceptance_campaign.py"))["main"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--output-every", "1"], "--output-every must be even and >= 2, got 1"),
+    (["--output-every", "0"], "--output-every must be even and >= 2, got 0"),
+    (["--n-cells", "64", "--output-every", "3"], "--output-every must be even and >= 2, got 3"),
+    (["--n-cells", "65", "--output-every", "2"], "--n-cells must be even, got 65"),
+    (["--n-cells", "65", "--output-every", "3"], "--output-every must be even"),
+])
+def test_acceptance_campaign_rejects_unaligned_inputs(tmp_path, monkeypatch, capsys,
+                                                      args, message):
+    """A cadence or mesh the half-resolution companion cannot sample at the
+    fine run's times is refused before any run or directory is made."""
+    main = _campaign_main(tmp_path, monkeypatch, args)
+    monkeypatch.setitem(main.__globals__, "run", lambda c: pytest.fail("a run started"))
+    with pytest.raises(SystemExit):
+        main()
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_end,aligned", [("0.25", True), ("0.255", False)])
+def test_acceptance_campaign_warns_when_sample_times_differ(tmp_path, monkeypatch, capsys,
+                                                            t_end, aligned):
+    """At t_end 0.255 the fine run takes 33 steps and the companion 17, so
+    an even cadence still samples them at different times."""
+    main = _campaign_main(tmp_path, monkeypatch, ["--n-cells", "256", "--r-max", "8",
+                                                  "--t-end", t_end, "--output-every", "2"])
+    main()
+    out = capsys.readouterr().out
+    assert "status=completed" in out and "halted early" not in out
+    assert ("sampled at different times" in out) is not aligned

@@ -87,8 +87,8 @@ def test_manufactured_config_reproduces_initial_state():
     cfg = manufactured_config(MS, lean_base())
     st = initial_state(cfg)
     direct = manufactured_initial_state(MS, make_grid(cfg))
-    assert np.array_equal(st.f.values, direct.f.values)
-    assert np.array_equal(st.f_t.values, direct.f_t.values)
+    assert np.array_equal(st.f, direct.f)
+    assert np.array_equal(st.f_t, direct.f_t)
     assert cfg.sponge.strength == 0.0
     assert solution_error(direct, MS) == 0.0
 
