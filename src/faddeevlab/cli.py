@@ -176,19 +176,17 @@ def _suite_kernels(rows, p, profile):
     rows.append(("kernels", "two_path_identity", err, 1e-9, err <= 1e-9))
 
     h = 1e-3
+
+    def cutoff(which, r, order=0):
+        return kernels.eval_cutoff(which, r, order, profile)
     for which, r0 in (("phi", 1.5), ("lt1", 0.75)):
-        stencil = (8.0 * (kernels.eval_cutoff(which, r0 + h, 0, profile)
-                          - kernels.eval_cutoff(which, r0 - h, 0, profile))
-                   - (kernels.eval_cutoff(which, r0 + 2 * h, 0, profile)
-                      - kernels.eval_cutoff(which, r0 - 2 * h, 0, profile))) / (12 * h)
-        err = abs(kernels.eval_cutoff(which, r0, 1, profile) - stencil)
+        stencil = (8.0 * (cutoff(which, r0 + h) - cutoff(which, r0 - h))
+                   - (cutoff(which, r0 + 2 * h) - cutoff(which, r0 - 2 * h))) / (12 * h)
+        err = abs(cutoff(which, r0, 1) - stencil)
         rows.append(("kernels", f"cutoff_{which}_derivative_fd", err, 1e-8, err <= 1e-8))
-    lap_fd = ((-kernels.eval_cutoff("phi", 1.5 + 2 * h, 0, profile)
-               + 16 * kernels.eval_cutoff("phi", 1.5 + h, 0, profile)
-               - 30 * kernels.eval_cutoff("phi", 1.5, 0, profile)
-               + 16 * kernels.eval_cutoff("phi", 1.5 - h, 0, profile)
-               - kernels.eval_cutoff("phi", 1.5 - 2 * h, 0, profile)) / (12 * h * h)
-              + kernels.eval_cutoff("phi", 1.5, 1, profile) / 1.5)
+    lap_fd = ((-cutoff("phi", 1.5 + 2 * h) + 16 * cutoff("phi", 1.5 + h)
+               - 30 * cutoff("phi", 1.5) + 16 * cutoff("phi", 1.5 - h)
+               - cutoff("phi", 1.5 - 2 * h)) / (12 * h * h) + cutoff("phi", 1.5, 1) / 1.5)
     err = abs(kernels.laplacian_phi_2d(1.5, profile) - lap_fd)
     rows.append(("kernels", "laplacian_phi_2d_fd", err, 1e-8, err <= 1e-8))
 
@@ -235,11 +233,10 @@ def _suite_transforms(rows, p, profile):
 
 def _suite_convergence(rows, p, profile):
     ms = ManufacturedSolution()
-    base = manufactured_config(ms, RunConfig(
-        n_cells=128, r_max=8.0, t_end=1.0, output_every=32,
-        drift_ceiling=1.0, track_spacetime=False, sobolev_orders=(),
-        kernel_params=p, profile=profile))
-    forced = convergence_study(base, levels=3,
+    free_base = RunConfig(n_cells=128, r_max=8.0, t_end=1.0, output_every=32,
+                          drift_ceiling=1.0, track_spacetime=False,
+                          sobolev_orders=(), kernel_params=p, profile=profile)
+    forced = convergence_study(manufactured_config(ms, free_base), levels=3,
                                observables=("solution", "residual_v"),
                                ms=ms, t_probe=0.7)
     sol = forced["solution"].ls_order
@@ -248,9 +245,6 @@ def _suite_convergence(rows, p, profile):
     resv = forced["residual_v"].ls_order
     rows.append(("convergence", "residual_v_order", resv, 3.5, resv >= 3.2))
     # conservation drift only converges on the unforced equation
-    free_base = RunConfig(n_cells=128, r_max=8.0, t_end=1.0, output_every=32,
-                          drift_ceiling=1.0, track_spacetime=False,
-                          sobolev_orders=(), kernel_params=p, profile=profile)
     free = convergence_study(free_base, levels=3, observables=("drift",))
     drift = free["drift"].ls_order
     rows.append(("convergence", "drift_order", drift, 3.5, drift >= 3.2))
@@ -314,12 +308,12 @@ def _sweep_one(packed):
     index, config, out_dir = packed
     try:
         result = run(config)
-    except Exception as exc:  # a failed run must not kill the sweep
+        _write_run(result, out_dir)
+    except Exception as exc:  # a failed run or write must not kill the sweep
         return {"index": index, "status": "error", "reason": str(exc),
                 "t_final": math.nan, "max_monitor_v": math.nan,
                 "max_monitor_vt": math.nan, "max_monitor_gradv": math.nan,
                 "max_drift": math.nan}
-    _write_run(result, out_dir)
     recs = result.records
     return {"index": index, "status": result.status, "reason": result.reason,
             "t_final": result.state.time,
@@ -344,6 +338,8 @@ def cmd_sweep(args) -> int:
         if dotted == "output.dir":
             raise ConfigError("sweep axis 'output.dir': every run of a sweep "
                               "writes under one output directory; set it with --out")
+        if dotted in dict(axes):
+            raise ConfigError(f"sweep axis {dotted!r} is given twice")
         axes.append((dotted, vals))
     base_sets = list(args.set or ())
     combos = list(itertools.product(*[vals for _, vals in axes]))

@@ -4,7 +4,7 @@ Energy and drift, the three continuation monitors (Japanese-bracket
 weighted sup norms whose boundedness certifies continuation), integer
 Sobolev norms, running space-time norms, and the soft decay-ratio report.
 Everything is a deterministic reduction over grid snapshots; a run builds
-the per-run constants of its samples once, as a SampleContext.
+the per-run weights of its samples once, as a SampleContext.
 """
 from __future__ import annotations
 
@@ -45,24 +45,20 @@ class DiagnosticsRecord:
 
 
 class SampleContext:
-    """The per-run constants of a diagnostics sample on one grid: the cutoff
-    phi and phi', split = the first node with r > 1 (where the energy takes
-    the u chart), the Japanese bracket jb = (1 + r^2)^(1/2), and outer = the
-    first node with r >= 1, with the decay weight r[outer:]^(3/2)."""
+    """The per-run weights of a diagnostics sample on one grid: the Japanese
+    bracket jb = (1 + r^2)^(1/2), and outer = the first node with r >= 1,
+    with the decay weight r[outer:]^(3/2)."""
 
-    def __init__(self, grid: RadialGrid, profile=DEFAULT_PROFILE):
+    def __init__(self, grid: RadialGrid):
         r = grid.r
         self.grid = grid
-        self.phi = kernels.eval_cutoff("phi", r, 0, profile)
-        self.dphi = kernels.eval_cutoff("phi", r, 1, profile)
-        self.split = int(np.searchsorted(r, 1.0, side="right"))
         self.jb = np.sqrt(1.0 + r ** 2)
         self.outer = int(np.searchsorted(r, 1.0))
         self.outer_weight = r[self.outer:] ** 1.5
 
 
 def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
-           profile=DEFAULT_PROFILE, return_tail=False, v_r=None, ctx=None):
+           profile=DEFAULT_PROFILE, return_tail=False, v_r=None):
     """Conserved energy (1/2) * integral [A_1(u_t^2 + u_r^2) + r^-2 sin^2 u] r dr.
 
     On r <= 1 the r^-2 sin^2 u term is v^2 Ftilde_0(r v)/alpha^2 (no 0/0)
@@ -75,21 +71,22 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     the cutoff derivative analytic, so stencils only ever touch the smooth
     field v; differencing u directly across the C^3 cutoff seams costs two
     orders there and shows up as an O(h^3) energy bias. v_r = d_r(v, grid)
-    and ctx, the run's SampleContext, are computed here when not given.
+    is computed here when not given; phi' and the r = 1 split are read from
+    kernels.mesh_cutoffs(grid, profile).
     """
     g = u_state.grid
-    ctx = ctx if ctx is not None else SampleContext(g, profile)
+    cut = kernels.mesh_cutoffs(g, profile)
     if v_state is None:
         v_state = u_to_v(u_state, profile)
         u_r = d_r(u_state.f, g)
     else:
         v_r = d_r(v_state.f, g) if v_r is None else v_r
-        u_r = v_state.f + g.r * v_r + ctx.dphi
-    r, n = g.r, ctx.split
+        u_r = v_state.f + g.r * v_r + cut["dphi"]
+    r, near, far = g.r, cut["near"], cut["far"]
     v = v_state.f
-    q = v[:n] * v[:n] * kernels.eval_Ftilde(0, r[:n] * v[:n], p)
+    q = v[near] * v[near] * kernels.eval_Ftilde(0, r[near] * v[near], p)
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
-    r_far, sin_far = r[n:], np.sin(u_state.f[n:])
+    r_far, sin_far = r[far], np.sin(u_state.f[far])
     a1 = np.concatenate((1.0 + q, 1.0 + (p.alpha * sin_far / r_far) ** 2))
     sin2_over_r2 = np.concatenate((q / p.alpha ** 2, (sin_far / r_far) ** 2))
     density = 0.5 * (a1 * (u_state.f_t ** 2 + u_r ** 2) + sin2_over_r2)
@@ -117,13 +114,13 @@ def continuation_monitor(v_state: FieldState, v_r, ctx: SampleContext):
     return tuple(float(np.max(ctx.jb * np.abs(a))) for a in (v_state.f, v_state.f_t, v_r))
 
 
-def decay_report(values, ctx: SampleContext) -> dict:
+def decay_report(values, ctx: SampleContext, profile=DEFAULT_PROFILE) -> dict:
     """Soft decay ratios (reported, never asserted): max |v| r^(3/2) on
     r >= 1 and max |v| on 0 < r <= 1; ctx the run's SampleContext."""
     av = np.abs(values)
     outer = float(np.max(av[ctx.outer:] * ctx.outer_weight)) if ctx.outer_weight.size else 0.0
-    inner = float(np.max(av[1:ctx.split])) if ctx.split > 1 else 0.0
-    return {"outer": outer, "inner": inner}
+    near = av[kernels.mesh_cutoffs(ctx.grid, profile)["near"]][1:]
+    return {"outer": outer, "inner": float(np.max(near)) if near.size else 0.0}
 
 
 class SpacetimeTracker:

@@ -261,7 +261,7 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
 def _operator(grid, p, profile, sig, forcing, nonlinear=True):
     """The right-hand side f(v, vt, t) -> (vt, acc) of the lifted equation on
     one grid; nonlinear=False drops F (free-wave benchmark path)."""
-    cut = kernels.cutoff_arrays(grid.r, profile) if nonlinear else None
+    cut = kernels.mesh_cutoffs(grid, profile) if nonlinear else None
 
     def f(v, vt, t):
         vr, acc = _d1_laplacian(v, grid)
@@ -341,12 +341,12 @@ def _sample(t, v, vt, ctx, config, records, tracker):
     p, profile, orders = config.kernel_params, config.profile, config.sobolev_orders
     state = FieldState(v, vt, ctx.grid, t)
     vr = d_r(v, ctx.grid)
-    e, tail = diag.energy(v_to_u(state, profile, ctx.phi), p, state, profile,
-                          return_tail=True, v_r=vr, ctx=ctx)
+    e, tail = diag.energy(v_to_u(state, profile), p, state, profile,
+                          return_tail=True, v_r=vr)
     mv, mvt, mgv = diag.continuation_monitor(state, vr, ctx)
     ladder = (diag.sobolev_norm(v, ctx.grid, max(orders, default=0), vr)
               if orders or tracker is not None else [])
-    decay = diag.decay_report(v, ctx)
+    decay = diag.decay_report(v, ctx, profile)
     if tracker is not None:
         tracker.update(v, ctx.grid, t - records[-1].time if records else 0.0, ladder[0])
     st = tracker.values() if tracker is not None else {}
@@ -364,7 +364,7 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     the initial and final instants)."""
     g = make_grid(config)
     nsteps, _ = _schedule(config)
-    ctx = diag.SampleContext(g, config.profile)
+    ctx = diag.SampleContext(g)
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
     records, snapshots, snapshot_steps = [], [], []
     verdict = None
@@ -392,6 +392,18 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                      config, k, snapshot_steps)
 
 
+def _window_start(config: RunConfig, t_center: float, n_levels: int) -> int:
+    """The first step of the n_levels consecutive steps centred near
+    t_center; ValueError unless they all lie inside steps 0..nsteps."""
+    nsteps, dt = _schedule(config)
+    first = round(t_center / dt) - n_levels // 2
+    if first < 0 or first + n_levels - 1 > nsteps:
+        raise ValueError(f"a window of n_levels={n_levels} steps of dt={dt:.6g} "
+                         f"centred at t_center={t_center:g} does not lie inside "
+                         f"[0, t_end={config.t_end:g}]")
+    return first
+
+
 def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
                    forcing=None):
     """Evolve quietly and return n_levels consecutive per-step transform
@@ -399,12 +411,7 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
     The window must lie inside steps 0..nsteps; that is checked before any
     step is taken."""
     g = make_grid(config)
-    nsteps, dt = _schedule(config)
-    first = round(t_center / dt) - n_levels // 2
-    if first < 0 or first + n_levels - 1 > nsteps:
-        raise ValueError(f"a window of n_levels={n_levels} steps of dt={dt:.6g} "
-                         f"centred at t_center={t_center:g} does not lie inside "
-                         f"[0, t_end={config.t_end:g}]")
+    first = _window_start(config, t_center, n_levels)
     bundles = []
     for k, t, v, vt in trajectory(config, forcing):
         if k >= first:

@@ -28,6 +28,7 @@ __all__ = [
     "eval_N",
     "eval_F_rhs",
     "cutoff_arrays",
+    "mesh_cutoffs",
     "eval_F_given_cutoffs",
     "dA1_dt",
     "dA1_dtt",
@@ -45,19 +46,26 @@ class KernelParams:
             raise ValueError("alpha must be positive")
 
 
+# The smoothstep's alternating binomial coefficients cancel in float64: on
+# [1, 2], phi leaves [0, pi] by 7.0e-9 relative at order 21, 5.5e-8 at 23,
+# 2.9e-5 at 29 and spans [-10.3, 17.7] at 41; past ~1200 they overflow.
+MAX_CUTOFF_ORDER = 21
+
+
 @dataclass(frozen=True)
 class CutoffProfile:
     """Smoothstep order for the three radial cutoffs.
 
-    kind is the polynomial order of the smoothstep (odd, >= 5); the default
+    kind is the polynomial order of the smoothstep (odd, 5..21); the default
     7 is C^3 at the junctions, enough for 4th-order stencils applied twice.
     """
 
     kind: int = 7
 
     def __post_init__(self):
-        if self.kind < 5 or self.kind % 2 == 0:
-            raise ValueError("smoothstep order must be odd and >= 5")
+        if not 5 <= self.kind <= MAX_CUTOFF_ORDER or self.kind % 2 == 0:
+            raise ValueError(f"kernels.cutoff_order must be odd and in "
+                             f"5..{MAX_CUTOFF_ORDER}, got {self.kind}")
 
 
 # Taylor coefficients in w = x^2 about x = 0 for the alpha-independent part
@@ -229,13 +237,6 @@ def _a4(y, r, p):
     return 1.0 + y * y * eval_Ftilde(0, r * y, p)
 
 
-def _u_chart(v, r, profile):
-    """(far, u): the mask r > 1, where the coefficients switch back to the
-    u chart, and u = r v + phi on those nodes."""
-    far = r > 1.0
-    return far, r[far] * v[far] + eval_cutoff("phi", r[far], 0, profile)
-
-
 def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     """The quasilinear coefficient functions, all >= 1.
 
@@ -256,12 +257,17 @@ def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
             return _a3(np.sin(y), r, p)
         if which == 4:
             return _a4(y, r, p)
-        far, u = _u_chart(y, r, profile)
-        out = np.empty_like(y)
-        out[~far] = _a4(y[~far], r[~far], p)
-        out[far] = _a3(np.sin(u), r[far], p)
-        return out
+        return _a5(y, cutoff_arrays(r, profile), p)
     return _pointwise(coefficient, y, r)
+
+
+def _a5(y, cut, p):
+    """A_5 on the mesh of cut = cutoff_arrays(r, profile): A_4 on the near
+    nodes (r <= 1), A_1 of u = r y + phi on the far ones."""
+    near, far, out = cut["near"], cut["far"], np.empty_like(y)
+    out[near] = _a4(y[near], cut["r_near"], p)
+    out[far] = _a3(np.sin(cut["r_far"] * y[far] + cut["phi_far"]), cut["r_far"], p)
+    return out
 
 
 def eval_N(u, u_t, u_r, r, p=DEFAULT_PARAMS):
@@ -305,11 +311,13 @@ def _nodes(mask):
 
 
 def cutoff_arrays(r, profile=DEFAULT_PROFILE):
-    """The per-mesh table eval_F_given_cutoffs reads: "phi", "dphi", "lt1",
-    "gt1" and "lap2phi" (the 2D Laplacian of phi) on every node; the branch
-    nodes "inner" (lt1 > 0) and "outer" (gt1 > 0); "r_in", "lt1_in" on the
-    inner ones; "r_out", "phi_out", "dphi_out", "gt1_out", "r2_out" (r ** 2
-    = r * r), "neg2_r_out" (-2 / r), "lap2phi_r_out" (lap2phi / r) on outer."""
+    """The per-mesh table, the one place the cutoffs are evaluated on a mesh,
+    every array read-only: "phi", "dphi", "lt1", "gt1" and "lap2phi" (the 2D
+    Laplacian of phi) on every node; the branch nodes of F, "inner" (lt1 > 0)
+    and "outer" (gt1 > 0), with "r_in", "lt1_in" on the inner ones and
+    "r_out", "phi_out", "dphi_out", "gt1_out", "r2_out" (r ** 2 = r * r),
+    "neg2_r_out" (-2 / r), "lap2phi_r_out" (lap2phi / r) on outer; the chart
+    split, "near" (r <= 1) and "far" (r > 1), with "r_near", "r_far", "phi_far"."""
     r = np.asarray(r, dtype=float)
     cut = {
         "phi": eval_cutoff("phi", r, 0, profile),
@@ -324,7 +332,20 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     cut.update({f"{key}_out": cut[key][outer] for key in ("phi", "dphi", "gt1")})
     cut.update(r_in=r[inner], lt1_in=cut["lt1"][inner], r_out=ro, r2_out=ro ** 2,
                neg2_r_out=-2.0 / ro, lap2phi_r_out=cut["lap2phi"][outer] / ro)
+    beyond_one = r > 1.0
+    near, far = cut["near"], cut["far"] = _nodes(~beyond_one), _nodes(beyond_one)
+    cut.update(r_near=r[near], r_far=r[far], phi_far=cut["phi"][far])
+    for a in cut.values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
     return cut
+
+
+@lru_cache(maxsize=1)
+def mesh_cutoffs(grid, profile):
+    """cutoff_arrays(grid.r, profile), built once for the last mesh asked
+    for: the run, its samples and its transforms share one table."""
+    return cutoff_arrays(grid.r, profile)
 
 
 def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
@@ -377,24 +398,35 @@ def dA1_dt(v, v_t, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     dA_1/dt = alpha^2 r^-2 sin(2u) u_t with u = r v + phi, u_t = r v_t;
     on r <= 1 this reduces exactly to -2 v v_t Ftilde_3(r v).
     """
-    def rate(v, v_t, r):
-        far, u = _u_chart(v, r, profile)
-        near, out = ~far, np.empty_like(v)
-        out[near] = -2.0 * v[near] * v_t[near] * eval_Ftilde(3, r[near] * v[near], p)
-        out[far] = p.alpha ** 2 * np.sin(2.0 * u) * v_t[far] / r[far]
-        return out
-    return _pointwise(rate, v, v_t, r)
+    return _pointwise(lambda v, v_t, r: _da1_dt(v, v_t, cutoff_arrays(r, profile), p),
+                      v, v_t, r)
+
+
+def _da1_dt(v, v_t, cut, p):
+    """dA1_dt on the mesh of cut = cutoff_arrays(r, profile)."""
+    near, far, rn, rf = cut["near"], cut["far"], cut["r_near"], cut["r_far"]
+    out = np.empty_like(v)
+    out[near] = -2.0 * v[near] * v_t[near] * eval_Ftilde(3, rn * v[near], p)
+    u = rf * v[far] + cut["phi_far"]
+    out[far] = p.alpha ** 2 * np.sin(2.0 * u) * v_t[far] / rf
+    return out
 
 
 def dA1_dtt(v, v_t, v_tt, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     """Second time derivative of A_1; v_tt supplied by the caller."""
     def rate(v, v_t, v_tt, r):
-        far, u = _u_chart(v, r, profile)
-        near, out = ~far, np.empty_like(v)
-        vn, vtn, rn = v[near], v_t[near], r[near]
-        out[near] = (2.0 * p.alpha ** 2 * vtn * vtn * np.cos(2.0 * rn * vn)
-                     - 2.0 * vn * v_tt[near] * eval_Ftilde(3, rn * vn, p))
-        out[far] = p.alpha ** 2 * (2.0 * np.cos(2.0 * u) * v_t[far] ** 2
-                                   + np.sin(2.0 * u) * v_tt[far] / r[far])
-        return out
+        return _da1_dtt(v, v_t, v_tt, cutoff_arrays(r, profile), p)
     return _pointwise(rate, v, v_t, v_tt, r)
+
+
+def _da1_dtt(v, v_t, v_tt, cut, p):
+    """dA1_dtt on the mesh of cut = cutoff_arrays(r, profile)."""
+    near, far, rn, rf = cut["near"], cut["far"], cut["r_near"], cut["r_far"]
+    out = np.empty_like(v)
+    vn, vtn = v[near], v_t[near]
+    out[near] = (2.0 * p.alpha ** 2 * vtn * vtn * np.cos(2.0 * rn * vn)
+                 - 2.0 * vn * v_tt[near] * eval_Ftilde(3, rn * vn, p))
+    u = rf * v[far] + cut["phi_far"]
+    out[far] = p.alpha ** 2 * (2.0 * np.cos(2.0 * u) * v_t[far] ** 2
+                               + np.sin(2.0 * u) * v_tt[far] / rf)
+    return out

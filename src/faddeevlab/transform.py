@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import FieldState, _GL_NODES, _GL_WEIGHTS, d_r, laplacian
 from . import kernels
-from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, eval_cutoff
+from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 
 __all__ = [
     "TransformBundle",
@@ -64,7 +64,7 @@ def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
             f"u(0) = {u_state.f[0]!r} violates the origin boundary "
             "condition u(0) = pi")
     r = g.r
-    phi = eval_cutoff("phi", r, 0, profile)
+    phi = kernels.mesh_cutoffs(g, profile)["phi"]
     v = np.empty_like(u_state.f)
     v[1:] = (u_state.f[1:] - phi[1:]) / r[1:]
     v[0] = _extrapolate_origin(v)
@@ -74,13 +74,11 @@ def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     return FieldState(v, vt, g, u_state.time)
 
 
-def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE, phi=None) -> FieldState:
-    """Reconstruct u = r v + phi (exact; u(0) = pi by construction). phi,
-    the cutoff on the grid, is computed from profile when not given."""
+def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
+    """Reconstruct u = r v + phi (exact; u(0) = pi by construction)."""
     g = v_state.grid
-    r = g.r
-    phi = eval_cutoff("phi", r, 0, profile) if phi is None else phi
-    return FieldState(r * v_state.f + phi, r * v_state.f_t, g, v_state.time)
+    phi = kernels.mesh_cutoffs(g, profile)["phi"]
+    return FieldState(g.r * v_state.f + phi, g.r * v_state.f_t, g, v_state.time)
 
 
 def _panels_for(length):
@@ -132,6 +130,7 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
     with u = r v + phi formed on those nodes (the bytes v_to_u gives there).
     """
     r = v_state.grid.r
+    cut = kernels.mesh_cutoffs(v_state.grid, profile)
     v = v_state.f
     out = np.empty_like(v)
 
@@ -153,10 +152,10 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
             # y runs from pi toward u along y = pi + s
             return np.sqrt(kernels._a3(np.sin(math.pi + s), r_out[sel][:, None], p))
 
-        u = r_out * v[idx_out] + eval_cutoff("phi", r_out, 0, profile)
+        u = r_out * v[idx_out] + cut["phi"][idx_out]
         line = _grouped_line_integral(u - math.pi, a3_sqrt)
-        gt1 = eval_cutoff("gt1", r_out, 0, profile)
-        out[idx_out] = (line + gt1 * phi_correction_integral(r_out, p)) / r_out
+        out[idx_out] = (line + cut["gt1"][idx_out]
+                        * phi_correction_integral(r_out, p)) / r_out
     return out
 
 
@@ -164,7 +163,7 @@ def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS,
                   profile=DEFAULT_PROFILE) -> np.ndarray:
     """Phi_t = r^-1 A_1^(1/2) u_t, evaluated through the singularity-safe
     identity Phi_t = A_5(v, r)^(1/2) v_t (exact at every node)."""
-    a = kernels.eval_A(5, v_state.f, v_state.grid.r, p, profile)
+    a = kernels._a5(v_state.f, kernels.mesh_cutoffs(v_state.grid, profile), p)
     return np.sqrt(a) * v_state.f_t
 
 
@@ -184,7 +183,7 @@ def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
     lap = laplacian(v_state.f, g)
     vr = d_r(v_state.f, g)
     f = kernels.eval_F_given_cutoffs(v_state.f, v_state.f_t, vr,
-                                     kernels.cutoff_arrays(g.r, profile), p)
+                                     kernels.mesh_cutoffs(g, profile), p)
     return v_tt - lap - f
 
 
@@ -229,7 +228,7 @@ def residual_Phi_t_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> n
     pt = [b.phi_t_field for b in bundles[mid - 1:mid + 2]]
     pt_tt = (pt[0] - 2.0 * pt[1] + pt[2]) / dt ** 2
     lap = laplacian(pt[1], g)
-    a1 = kernels.eval_A(5, bundles[mid].v.f, g.r, p, profile)
+    a1 = kernels._a5(bundles[mid].v.f, kernels.mesh_cutoffs(g, profile), p)
     rhs = (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
     return pt_tt - lap - rhs
 
@@ -245,8 +244,9 @@ def residual_Phi_tt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> 
     lap = laplacian(ptt[1], g)
     v = bundles[mid].v.f
     vt = bundles[mid].v.f_t
-    a1 = kernels.eval_A(5, v, g.r, p, profile)
-    da1 = kernels.dA1_dt(v, vt, g.r, p, profile)
+    cut = kernels.mesh_cutoffs(g, profile)
+    a1 = kernels._a5(v, cut, p)
+    da1 = kernels._da1_dt(v, vt, cut, p)
     rhs = (2.0 * a1 ** -3 * da1 * pt[2] + (1.0 - a1 ** -2) * ptt[1]) / p.alpha ** 2
     return ptt_tt - lap - rhs
 
@@ -265,9 +265,10 @@ def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) ->
     v = bundles[mid].v.f
     vt = bundles[mid].v.f_t
     vtt = (bundles[mid + 1].v.f_t - bundles[mid - 1].v.f_t) / (2.0 * dt)
-    a1 = kernels.eval_A(5, v, g.r, p, profile)
-    da1 = kernels.dA1_dt(v, vt, g.r, p, profile)
-    dda1 = kernels.dA1_dtt(v, vt, vtt, g.r, p, profile)
+    cut = kernels.mesh_cutoffs(g, profile)
+    a1 = kernels._a5(v, cut, p)
+    da1 = kernels._da1_dt(v, vt, cut, p)
+    dda1 = kernels._da1_dtt(v, vt, vtt, cut, p)
     rhs = (-6.0 * a1 ** -4 * da1 ** 2 * pt[3]
            + 2.0 * a1 ** -3 * dda1 * pt[3]
            + 4.0 * a1 ** -3 * da1 * ptt[2]

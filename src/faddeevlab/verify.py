@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, evolve_bundles,
-                     make_grid, run, trajectory)
+from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, _window_start,
+                     evolve_bundles, make_grid, run, trajectory)
 from .grid import FieldState, RadialGrid, sobolev_norm, write_csv
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from .transform import (residual_Phi_t_wave, residual_Phi_tt_wave,
@@ -96,7 +96,7 @@ def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
     derivatives gives the exact nodal forcing up to roundoff). A repeated t,
     as at RK4's two midpoint stages, gets the same read-only array back."""
     r = grid.r
-    cut = kernels.cutoff_arrays(r, profile)
+    cut = kernels.mesh_cutoffs(grid, profile)
     env = ms.envelope(r)
     dlog = -2.0 * r / ms.sigma ** 2
     lap_factor = 4.0 * r ** 2 / ms.sigma ** 4 - 8.0 / ms.sigma ** 2
@@ -142,10 +142,6 @@ class StudyResult:
     ls_order: float = math.nan
     monotone: bool = True
 
-    @property
-    def errors(self):
-        return [row.error for row in self.rows]
-
 
 def pairwise_orders(drs, errors):
     out = [math.nan]
@@ -168,9 +164,10 @@ def fit_order(drs, errors):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _build_result(observable, ns, drs, errors) -> StudyResult:
+def _build_result(observable, cfgs, errors) -> StudyResult:
+    drs = [make_grid(cfg).dr for cfg in cfgs]
     orders = pairwise_orders(drs, errors)
-    rows = [StudyRow(n, d, e, o) for n, d, e, o in zip(ns, drs, errors, orders)]
+    rows = [StudyRow(c.n_cells, d, e, o) for c, d, e, o in zip(cfgs, drs, errors, orders)]
     mono = all(errors[i] > errors[i + 1] for i in range(len(errors) - 1))
     return StudyResult(observable, rows, fit_order(drs, errors), mono)
 
@@ -201,7 +198,8 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     solution / drift run the evolution per level (forced by ms when given);
     residual_v applies the discrete operator to exact ms states at t_probe;
     the residual_Phi* observables difference per-step transform bundles
-    centered at t_center on the (unforced) evolved trajectory.
+    centered at t_center on the (unforced) evolved trajectory; every level's
+    window is checked before the first run.
 
     Non-monotone error sequences are flagged on the result, not raised."""
     if levels < 3:
@@ -214,13 +212,14 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     if ms is None and ("solution" in observables or "residual_v" in observables):
         raise ValueError("solution/residual_v errors need a manufactured reference")
     window_obs = [o for o in observables if o in _RESIDUAL_EVALUATORS]
+    cfgs = [replace(base, n_cells=base.n_cells * 2 ** lev) for lev in range(levels)]
+    if window_obs:
+        need = max(_RESIDUAL_EVALUATORS[o][1] for o in window_obs)
+        for cfg in cfgs:
+            _window_start(cfg, t_center, need)
     errs = {o: [] for o in observables}
-    ns, drs = [], []
-    for lev in range(levels):
-        cfg = replace(base, n_cells=base.n_cells * 2 ** lev)
+    for cfg in cfgs:
         g = make_grid(cfg)
-        ns.append(cfg.n_cells)
-        drs.append(g.dr)
         force = make_forcing(ms, g, cfg.kernel_params, cfg.profile) if (
             ms is not None and forcing) else None
         if wants_run:
@@ -241,33 +240,29 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             errs["residual_v"].append(_res_norm(res - gprobe, g))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
-            need = max(_RESIDUAL_EVALUATORS[o][1] for o in window_obs)
             bundles = evolve_bundles(cfg, t_center, need, None)
             mid = len(bundles) // 2
             for o in window_obs:
                 fn, k = _RESIDUAL_EVALUATORS[o]
                 sub = bundles[mid - k // 2:mid + k // 2 + 1]
                 errs[o].append(_res_norm(fn(sub, cfg.kernel_params, cfg.profile), g))
-    return {o: _build_result(o, ns, drs, errs[o]) for o in observables}
+    return {o: _build_result(o, cfgs, errs[o]) for o in observables}
 
 
 def linear_wave_study(base: RunConfig, ms: ManufacturedSolution, levels=3):
     """Free-wave benchmark: evolve v_tt = lap4 v + g with the nonlinearity
     dropped on both sides; expected order 4 (RK4 + 4th-order stencils)."""
-    ns, drs, errors = [], [], []
-    for lev in range(levels):
-        cfg = replace(base, n_cells=base.n_cells * 2 ** lev)
+    cfgs = [replace(base, n_cells=base.n_cells * 2 ** lev) for lev in range(levels)]
+    errors = []
+    for cfg in cfgs:
         g = make_grid(cfg)
         force = make_forcing(ms, g, cfg.kernel_params, cfg.profile,
                              include_nonlinearity=False)
         for _, _, v, vt in trajectory(cfg, force, manufactured_initial_state(ms, g),
                                       nonlinear=False):
             pass
-        state = FieldState(v, vt, g, cfg.t_end)
-        ns.append(cfg.n_cells)
-        drs.append(g.dr)
-        errors.append(solution_error(state, ms))
-    return _build_result("linear_solution", ns, drs, errors)
+        errors.append(solution_error(FieldState(v, vt, g, cfg.t_end), ms))
+    return _build_result("linear_solution", cfgs, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,40 @@ def test_sweep_over_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, 
     assert os.listdir(tmp_path) == []
 
 
+def test_repeated_sweep_axis_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "sweep_twice"
+    rc = main(["sweep"] + TINY + ["--sweep", "grid.n_cells=16,32",
+                                  "--sweep", "grid.n_cells=64", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config-error: sweep axis 'grid.n_cells' is given twice\n")
+    assert not out.exists()
+
+
+def test_unwritable_sweep_run_is_an_error_row(tmp_path, capsys):
+    root = tmp_path / "sweep_blocked"
+    root.mkdir()
+    (root / "run_001").write_text("not a directory\n")
+    rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",
+                                  "--jobs", "1", "--out", str(root)])
+    assert rc == 4
+    assert "status=done runs=2 incomplete=1" in capsys.readouterr().out
+    rows = Path(root, "summary.csv").read_text().splitlines()
+    assert [row.split(",")[2] for row in rows[1:]] == ["completed", "error"]
+    assert Path(root, "run_000", "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("order", ["23", "1201"])
+def test_cutoff_order_past_its_cap_is_a_config_error(tmp_path, capsys, order):
+    out = tmp_path / "cutoff_order"
+    rc = main(["run"] + TINY + ["--set", f"kernels.cutoff_order={order}",
+                                "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config-error: kernels.cutoff_order must be odd and in 5..21, got {order}\n")
+    assert not out.exists()
+
+
 def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):
     root = run_dirs(tmp_path, "sweep_err")
     missing = ",".join(str(tmp_path / name) for name in ("a.csv", "b.csv"))

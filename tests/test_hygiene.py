@@ -84,3 +84,33 @@ def test_the_scan_sees_a_local_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_function_local_imports(path):
     assert local_imports(path.read_text()) == []
+
+
+def cutoff_calls(source):
+    """(enclosing top-level function, line) of every call to eval_cutoff,
+    by bare name or as an attribute; "" for a call at module level."""
+    calls = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            fn = getattr(node, "func", None)
+            if getattr(fn, "id", getattr(fn, "attr", None)) == "eval_cutoff":
+                calls.append((getattr(top, "name", ""), node.lineno))
+    return sorted(calls)
+
+
+def test_the_scan_sees_a_cutoff_call():
+    src = ("from faddeevlab import kernels\n"
+           "from faddeevlab.kernels import eval_cutoff\n"
+           "def f(r):\n"
+           "    return [eval_cutoff('phi', x) for x in r]\n"
+           "phi = kernels.eval_cutoff('phi', 1.5)\n")
+    assert cutoff_calls(src) == [("", 5), ("f", 4)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "kernels.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_cutoffs_are_evaluated_only_in_the_mesh_table(path):
+    """A mesh reads its cutoffs from kernels.cutoff_arrays; outside kernels.py
+    only the verify suite's scalar finite-difference checks call eval_cutoff."""
+    allowed = {"_suite_kernels"} if path.name == "cli.py" else set()
+    assert [call for call in cutoff_calls(path.read_text()) if call[0] not in allowed] == []

@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faddeevlab import diagnostics as diag
 from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
-                                CutoffProfile, KernelParams, _ftilde,
+                                MAX_CUTOFF_ORDER, CutoffProfile, KernelParams, _ftilde,
                                 cutoff_arrays, dA1_dt, dA1_dtt,
                                 eval_A, eval_cutoff, eval_F_given_cutoffs,
                                 eval_F_rhs, eval_Ftilde, eval_N,
-                                laplacian_phi_2d)
-from faddeevlab.grid import FieldState, RadialGrid
+                                laplacian_phi_2d, mesh_cutoffs)
+from faddeevlab.grid import FieldState, RadialGrid, d_r
 from faddeevlab.transform import (compute_Phi, compute_Phi_t, make_bundle,
                                   residual_Phi_t_wave, residual_Phi_tt_wave,
-                                  residual_Phi_ttt_wave, residual_Phi_wave)
+                                  residual_Phi_ttt_wave, residual_Phi_wave,
+                                  residual_v_equation, u_to_v, v_to_u)
 
 LIMITS = {
     0: lambda a: a ** 2,
@@ -114,6 +116,10 @@ def test_cutoff_rejects_bad_arguments(profile):
         CutoffProfile(kind=6)
     with pytest.raises(ValueError):
         CutoffProfile(kind=3)
+    assert CutoffProfile(kind=MAX_CUTOFF_ORDER).kind == 21
+    with pytest.raises(ValueError,
+                       match=r"^kernels.cutoff_order must be odd and in 5..21, got 23$"):
+        CutoffProfile(kind=MAX_CUTOFF_ORDER + 2)
 
 
 def _fd4(f, r, h):
@@ -440,6 +446,90 @@ def test_evaluators_are_bitwise_pinned():
     got = {key: hashlib.sha256(np.asarray(val, dtype=np.float64).tobytes()).hexdigest()
            for key, val in _bitwise_outputs().items()}
     assert got == BITWISE_PINS
+
+
+# ---------------------------------------------------------------------------
+# the mesh cutoff table and the r = 1 chart split
+
+
+def test_mesh_table_is_one_read_only_table_per_mesh(profile):
+    g = RadialGrid(64, 4.0)
+    cut = mesh_cutoffs(g, profile)
+    assert mesh_cutoffs(RadialGrid(64, 4.0), profile) is cut  # equal grids share it
+    fresh = cutoff_arrays(g.r, profile)
+    assert cut.keys() == fresh.keys()
+    for key, val in cut.items():
+        if isinstance(val, np.ndarray):
+            assert val.tobytes() == fresh[key].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                val[...] = 0.0
+    # r = i / 16: the v chart on r <= 1, nodes 0..16; the u chart beyond
+    assert (cut["near"], cut["far"]) == (slice(0, 17), slice(17, 65))
+    assert np.array_equal(cut["phi_far"], cut["phi"][17:])
+    assert cut["phi"][cut["near"]].tobytes() == eval_cutoff(
+        "phi", g.r[:17], 0, profile).tobytes()  # elementwise: a subset keeps its bytes
+
+
+def test_mesh_table_without_a_far_node(profile):
+    cut = mesh_cutoffs(RadialGrid(32, 1.0), profile)
+    assert cut["near"] == slice(0, 33)
+    assert cut["r_far"].size == cut["phi_far"].size == 0
+
+
+# sha256 of the float64 bytes of each output below (numpy 2.4 on x86-64), as
+# the evaluators gave them when each found phi and the r = 1 split on its
+# own; the same rules as BITWISE_PINS.
+EDGE_PINS = {
+    "v_to_u": "c1a3af4533e8e74a67e584801406a52e985db5a97038a1a65ba7020f49bb90d3",
+    "u_to_v": "f24504934eb94fde2e114ac0f30928b8bf357a169d4120597489b7808466954a",
+    "energy": "b9d4ad0f63d14b42133e2737ad1bfdf5ebc78bbcda41f6f9f3d0a675da52065a",
+    "decay_report": "de39eb06ad4a28959dae2013224890f48e432e164d6d8e6a5f9d93e6bf94b380",
+    "compute_Phi": "44581d5c15fb66b17664593143061422520bc463f83bb215851cd1dfb288e1d0",
+    "compute_Phi_t": "3dc564ac1012d54f3acd62d454b18e6556ec939dc30a4e2d1ef5bc5d73b589da",
+    "residual_v": "ccb7d1fdb7d519f9a4ded2a9c38328c08d38d33781c179648e13844dba8e2b27",
+    "residual_Phi": "464790cdf187fa3d2107cca6ee7c30303a43e4fe90c5131b63e1483bf89a4619",
+    "residual_Phi_t": "6a5c5d55b6135ce7b054410091194fd7338a6f262ee8aa9a67950c74802e4ead",
+    "residual_Phi_tt": "484f088cfca90b1e7c490d6382de9af7090472d0d0e61028bd206a08846b6f9a",
+    "residual_Phi_ttt": "43347c656ea37cc4670df689cbab73a283c7b959da2ae9fc5aa5757be30476fc",
+    "eval_A5": "66cfd6a8de59a39d97a86071883a892bf09aac030298b2996128e46025a9be6b",
+    "dA1_dt": "78f79c8dac06dd19f756129a82c15f2d3e5b6598076d270d31c8a6de5fe2b1ed",
+    "dA1_dtt": "5ea4f545fc1338be2b87f6032aee5bbc1f73b4d1cec278416371c787a58d3e33",
+}
+
+
+def _edge_outputs():
+    """The chart-split consumers on a mesh with no node past r = 1, and the
+    pointwise two-chart forms on unsorted radii."""
+    p = KernelParams(alpha=0.7)
+    g = RadialGrid(32, 1.0)
+    env = np.exp(-g.r ** 2)
+    bundles = [make_bundle(FieldState((0.3 + 0.01 * k) * env, env, g, 0.01 * k), p)
+               for k in range(7)]
+    st = bundles[3].v
+    u = v_to_u(st)
+    vr = d_r(st.f, g)
+    out = {"v_to_u": u.f, "u_to_v": u_to_v(u).f,
+           "energy": [diag.energy(u, p, st, return_tail=True, v_r=vr)[0],
+                      diag.energy(u, p)],
+           "decay_report": list(diag.decay_report(st.f, diag.SampleContext(g)).values()),
+           "compute_Phi": compute_Phi(st, p), "compute_Phi_t": compute_Phi_t(st, p),
+           "residual_v": residual_v_equation(st, env, p),
+           "residual_Phi": residual_Phi_wave(bundles[2:5], p),
+           "residual_Phi_t": residual_Phi_t_wave(bundles[2:5], p),
+           "residual_Phi_tt": residual_Phi_tt_wave(bundles[1:6], p),
+           "residual_Phi_ttt": residual_Phi_ttt_wave(bundles, p)}
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.0, 3.0, 97)
+    y, vt, vtt = (rng.uniform(-2.0, 2.0, r.size) for _ in range(3))
+    out.update(eval_A5=eval_A(5, y, r, p), dA1_dt=dA1_dt(y, vt, r, p),
+               dA1_dtt=dA1_dtt(y, vt, vtt, r, p))
+    return out
+
+
+def test_chart_split_edges_keep_their_bytes():
+    got = {key: hashlib.sha256(np.asarray(val, dtype=np.float64).tobytes()).hexdigest()
+           for key, val in _edge_outputs().items()}
+    assert got == EDGE_PINS
 
 
 def test_scalar_input_gives_a_python_float(params, profile):

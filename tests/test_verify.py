@@ -175,6 +175,18 @@ def test_study_validation():
         convergence_study(base, observables=("solution",))
 
 
+def test_study_checks_every_residual_window_before_its_first_run(monkeypatch):
+    """t_center = 2 lies past t_end = 0.5 at every level: the study stops
+    on the window before level 0's forced run starts."""
+    monkeypatch.setattr("faddeevlab.verify.run",
+                        lambda *a, **k: pytest.fail("a study run started"))
+    base = manufactured_config(MS, lean_base())
+    with pytest.raises(ValueError, match=r"^a window of n_levels=3 steps .* centred "
+                                         r"at t_center=2 does not lie inside"):
+        convergence_study(base, observables=("solution", "residual_Phi_t"), ms=MS,
+                          t_center=2.0)
+
+
 def test_study_csv_layout(tmp_path):
     res = convergence_study(manufactured_config(MS, lean_base()), levels=3,
                             observables=("residual_v",), ms=MS)
