@@ -3,6 +3,7 @@
 
 Examples:
     python scripts/convergence_suite.py --observables solution,residual_v
+    python scripts/convergence_suite.py --observables solution,drift
     python scripts/convergence_suite.py --observables drift --forced no
     python scripts/convergence_suite.py --observables residual_Phi,residual_Phi_t \
         --base-n 256 --r-max 16 --t-end 2.5 --t-center 2.0
@@ -30,8 +31,9 @@ def main():
     ap.add_argument("--t-center", type=float, default=2.0)
     ap.add_argument("--amplitude", type=float, default=0.5)
     ap.add_argument("--forced", choices=("yes", "no"), default="yes",
-                    help="force with the manufactured solution (yes) or "
-                         "evolve the plain Gaussian family (no)")
+                    help="initial data: the manufactured solution's (yes) or "
+                         "the plain Gaussian family's (no); solution runs "
+                         "forced and needs yes, drift runs unforced")
     ap.add_argument("--out", default="study.csv")
     args = ap.parse_args()
 
@@ -44,16 +46,13 @@ def main():
 
     if obs == ("linear",):
         results = {"linear_solution": linear_wave_study(base, ms, args.levels)}
-    elif args.forced == "yes":
-        results = convergence_study(manufactured_config(ms, base), args.levels,
-                                    obs, ms=ms, t_probe=args.t_probe,
-                                    t_center=args.t_center)
     else:
-        needs_ms = {"solution", "residual_v"} & set(obs)
-        results = convergence_study(base, args.levels, obs,
-                                    ms=ms if needs_ms else None,
-                                    t_probe=args.t_probe,
-                                    t_center=args.t_center, forcing=False)
+        start = manufactured_config(ms, base) if args.forced == "yes" else base
+        try:
+            results = convergence_study(start, args.levels, obs, ms=ms,
+                                        t_probe=args.t_probe, t_center=args.t_center)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     for name, res in sorted(results.items()):
         rows = " ".join(f"{r.error:.3e}" for r in res.rows)

@@ -9,10 +9,10 @@ from .kernels import (KernelParams, CutoffProfile, DEFAULT_PARAMS,
                       eval_N, eval_F_rhs, laplacian_phi_2d)
 from .grid import (RadialGrid, FieldState, d_r, laplacian, integrate_radial,
                    sobolev_norm, fill_ghosts)
-from .transform import (TransformBundle, u_to_v, v_to_u, compute_Phi,
-                        compute_Phi_t, make_bundle, residual_v_equation,
-                        residual_Phi_wave, residual_Phi_t_wave,
-                        residual_Phi_tt_wave, residual_Phi_ttt_wave)
+from .transform import (u_to_v, v_to_u, compute_Phi, compute_Phi_t,
+                        residual_v_equation, residual_Phi_wave,
+                        residual_Phi_t_wave, residual_Phi_tt_wave,
+                        residual_Phi_ttt_wave)
 from .diagnostics import (DiagnosticsRecord, energy, energy_drift,
                           continuation_monitor, decay_report,
                           SpacetimeTracker, write_diagnostics_csv)

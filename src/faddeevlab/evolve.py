@@ -20,7 +20,7 @@ from .grid import FLOAT_FMT, FieldState, RadialGrid, _d1_laplacian, d_r, write_c
 from . import diagnostics as diag
 from . import kernels
 from .kernels import CutoffProfile, KernelParams
-from .transform import make_bundle, u_to_v, v_to_u
+from .transform import u_to_v, v_to_u
 
 __all__ = [
     "InitialDataSpec",
@@ -68,6 +68,9 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.family not in ("gaussian_v", "profile_u"):
             raise ValueError(f"unknown initial-data family {self.family!r}")
+        if self.family == "profile_u" and not self.profile_path:
+            raise ValueError("initial_data.family=profile_u needs a table: "
+                             "set initial_data.profile_path")
         if self.width <= 0 or self.width_t <= 0:
             raise ValueError("gaussian widths must be positive")
 
@@ -404,22 +407,20 @@ def _window_start(config: RunConfig, t_center: float, n_levels: int) -> int:
     return first
 
 
-def evolve_bundles(config: RunConfig, t_center: float, n_levels: int,
-                   forcing=None):
-    """Evolve quietly and return n_levels consecutive per-step transform
-    bundles centered near t_center (for the residual-identity evaluators).
-    The window must lie inside steps 0..nsteps; that is checked before any
-    step is taken."""
+def evolve_bundles(config: RunConfig, t_center: float, n_levels: int):
+    """Evolve quietly, unforced, and return the n_levels consecutive
+    per-step states centred near t_center (the windows the residual-identity
+    evaluators read). The window must lie inside steps 0..nsteps; that is
+    checked before any step is taken."""
     g = make_grid(config)
     first = _window_start(config, t_center, n_levels)
-    bundles = []
-    for k, t, v, vt in trajectory(config, forcing):
+    states = []
+    for k, t, v, vt in trajectory(config):
         if k >= first:
-            bundles.append(make_bundle(FieldState(v, vt, g, t), config.kernel_params,
-                                       config.profile))
-            if len(bundles) == n_levels:
+            states.append(FieldState(v, vt, g, t))
+            if len(states) == n_levels:
                 break
-    return bundles
+    return states
 
 
 @lru_cache(maxsize=1)

@@ -2,15 +2,14 @@
 
 u is the 2D azimuthal angle (u(t,0) = pi), v = (u - phi)/r its 4D lift, and
 Phi the integrated field whose wave equation has a flat principal part.
-The residual_* functions discretize each derived wave identity: every time
-derivative is a centered 2nd-order difference of stored snapshot levels, so
-a window of 3/3/5/7 equally spaced levels is needed for the Phi, Phi_t,
-Phi_tt and Phi_ttt identities respectively.
+The residual_* functions discretize each derived wave identity on a window
+of equally spaced FieldStates: every time derivative is a centered 2nd-order
+difference, so the Phi, Phi_t, Phi_tt and Phi_ttt identities need 3/3/5/7
+levels, and each evaluator computes Phi or Phi_t on just the levels it reads.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,12 +19,10 @@ from . import kernels
 from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 
 __all__ = [
-    "TransformBundle",
     "u_to_v",
     "v_to_u",
     "compute_Phi",
     "compute_Phi_t",
-    "make_bundle",
     "residual_v_equation",
     "residual_Phi_wave",
     "residual_Phi_t_wave",
@@ -39,17 +36,6 @@ __all__ = [
 _EVEN_EXTRAP = np.array([8.0 / 5.0, -4.0 / 5.0, 8.0 / 35.0, -1.0 / 35.0])
 
 _ORIGIN_TOL = 1e-10
-
-
-@dataclass
-class TransformBundle:
-    v: FieldState
-    phi_field: np.ndarray
-    phi_t_field: np.ndarray
-
-    @property
-    def time(self) -> float:
-        return self.v.time
 
 
 def _extrapolate_origin(values):
@@ -120,6 +106,20 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
     return math.pi * (kernels._a3(np.sin(y[None, :]), r[:, None], p) ** -1.5 @ wts)
 
 
+def _a4_line_integral(v, r, power, p):
+    """integral_0^v A_4(y, r)^power dy at each node (r = 0 allowed)."""
+    return _grouped_line_integral(
+        v, lambda y, sel: kernels._a4(y, r[sel][:, None], p) ** power)
+
+
+def _a3_line_integral(lengths, r, p):
+    """integral_pi^(pi+L) sqrt(A_3(y, r)) dy at each node (r > 0). It takes
+    the length L, not the end point u, because (r v + pi) - pi is not r v
+    bit for bit."""
+    return _grouped_line_integral(lengths, lambda s, sel: np.sqrt(
+        kernels._a3(np.sin(math.pi + s), r[sel][:, None], p)))
+
+
 def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
                 profile=DEFAULT_PROFILE) -> np.ndarray:
     """The integrated field Phi on the mesh.
@@ -133,29 +133,13 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
     cut = kernels.mesh_cutoffs(v_state.grid, profile)
     v = v_state.f
     out = np.empty_like(v)
-
     inner = r <= 0.5
-    idx_in = np.nonzero(inner)[0]
-    if idx_in.size:
-        r_in = r[idx_in]
-
-        def a4_sqrt(y, sel):
-            return np.sqrt(kernels._a4(y, r_in[sel][:, None], p))
-
-        out[idx_in] = _grouped_line_integral(v[idx_in], a4_sqrt)
-
-    idx_out = np.nonzero(~inner)[0]
-    if idx_out.size:
-        r_out = r[idx_out]
-
-        def a3_sqrt(s, sel):
-            # y runs from pi toward u along y = pi + s
-            return np.sqrt(kernels._a3(np.sin(math.pi + s), r_out[sel][:, None], p))
-
-        u = r_out * v[idx_out] + cut["phi"][idx_out]
-        line = _grouped_line_integral(u - math.pi, a3_sqrt)
-        out[idx_out] = (line + cut["gt1"][idx_out]
-                        * phi_correction_integral(r_out, p)) / r_out
+    out[inner] = _a4_line_integral(v[inner], r[inner], 0.5, p)
+    outer = ~inner
+    r_out = r[outer]
+    u = r_out * v[outer] + cut["phi"][outer]
+    out[outer] = (_a3_line_integral(u - math.pi, r_out, p) + cut["gt1"][outer]
+                  * phi_correction_integral(r_out, p)) / r_out
     return out
 
 
@@ -165,15 +149,6 @@ def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS,
     identity Phi_t = A_5(v, r)^(1/2) v_t (exact at every node)."""
     a = kernels._a5(v_state.f, kernels.mesh_cutoffs(v_state.grid, profile), p)
     return np.sqrt(a) * v_state.f_t
-
-
-def make_bundle(v_state: FieldState, p=DEFAULT_PARAMS,
-                profile=DEFAULT_PROFILE) -> TransformBundle:
-    return TransformBundle(
-        v=v_state,
-        phi_field=compute_Phi(v_state, p, profile),
-        phi_t_field=compute_Phi_t(v_state, p, profile),
-    )
 
 
 def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
@@ -187,90 +162,81 @@ def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
     return v_tt - lap - f
 
 
-def _window(bundles, need):
-    if len(bundles) < need:
-        raise ValueError(f"need at least {need} stored time levels, got {len(bundles)}")
-    times = np.array([b.time for b in bundles])
-    dts = np.diff(times)
+def _window(states, need):
+    """(mid, dt) of a window of at least `need` equally spaced states."""
+    if len(states) < need:
+        raise ValueError(f"need at least {need} stored time levels, got {len(states)}")
+    dts = np.diff([s.time for s in states])
     dt = dts[0]
     if dt <= 0 or not np.allclose(dts, dt, rtol=1e-10, atol=0.0):
         raise ValueError("time levels must be uniformly spaced and increasing")
-    return len(bundles) // 2, float(dt)
+    return len(states) // 2, float(dt)
 
 
-def residual_Phi_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def _centered(levels, dt):
+    """Centred first differences (l[k+2] - l[k]) / (2 dt): two levels fewer."""
+    return [(b - a) / (2.0 * dt) for a, b in zip(levels, levels[2:])]
+
+
+def _box(levels, dt, grid):
+    """The wave operator on three levels: (l0 - 2 l1 + l2)/dt^2 - lap(l1)."""
+    return ((levels[0] - 2.0 * levels[1] + levels[2]) / dt ** 2
+            - laplacian(levels[1], grid))
+
+
+def _phi_t_window(states, need, p, profile):
+    """Phi_t on the `need` middle levels of a window, the middle state, its
+    mesh's cutoff table, A_1 there, and dt."""
+    mid, dt = _window(states, need)
+    st, half = states[mid], need // 2
+    cut = kernels.mesh_cutoffs(st.grid, profile)
+    pt = [compute_Phi_t(s, p, profile) for s in states[mid - half:mid + half + 1]]
+    return pt, st, cut, kernels._a5(st.f, cut, p), dt
+
+
+def residual_Phi_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi = alpha^-2 (Phi - integral_0^v A_4^(-3/2) dy),
     asserted on r < 1/2 only (the cutoff corrections vanish there); values
     outside that region are returned as zero."""
-    mid, dt = _window(bundles, 3)
-    g = bundles[mid].v.grid
-    phi_l = [b.phi_field for b in bundles[mid - 1:mid + 2]]
-    phi_tt = (phi_l[0] - 2.0 * phi_l[1] + phi_l[2]) / dt ** 2
-    lap = laplacian(phi_l[1], g)
+    mid, dt = _window(states, 3)
+    g = states[mid].grid
+    phi_l = [compute_Phi(s, p, profile) for s in states[mid - 1:mid + 2]]
     region = g.r < 0.5
-    idx = np.nonzero(region)[0]
-    v = bundles[mid].v.f
-    r_in = g.r[idx]
-
-    def a4_m32(y, sel):
-        return kernels._a4(y, r_in[sel][:, None], p) ** -1.5
-
-    correction = np.zeros_like(v)
-    correction[idx] = _grouped_line_integral(v[idx], a4_m32)
-    res = phi_tt - lap - (phi_l[1] - correction) / p.alpha ** 2
+    correction = np.zeros(g.n_nodes)
+    correction[region] = _a4_line_integral(states[mid].f[region], g.r[region], -1.5, p)
+    res = _box(phi_l, dt, g) - (phi_l[1] - correction) / p.alpha ** 2
     return np.where(region, res, 0.0)
 
 
-def residual_Phi_t_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_t_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi_t = alpha^-2 (1 - A_1^-2) Phi_t, valid at all radii."""
-    mid, dt = _window(bundles, 3)
-    g = bundles[mid].v.grid
-    pt = [b.phi_t_field for b in bundles[mid - 1:mid + 2]]
-    pt_tt = (pt[0] - 2.0 * pt[1] + pt[2]) / dt ** 2
-    lap = laplacian(pt[1], g)
-    a1 = kernels._a5(bundles[mid].v.f, kernels.mesh_cutoffs(g, profile), p)
-    rhs = (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
-    return pt_tt - lap - rhs
+    pt, st, _, a1, dt = _phi_t_window(states, 3, p, profile)
+    return _box(pt, dt, st.grid) - (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
 
 
-def residual_Phi_tt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_tt_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi_tt = alpha^-2 [2 A_1^-3 dA_1/dt Phi_t
     + (1 - A_1^-2) Phi_tt]; five time levels."""
-    mid, dt = _window(bundles, 5)
-    g = bundles[mid].v.grid
-    pt = [b.phi_t_field for b in bundles[mid - 2:mid + 3]]
-    ptt = [(pt[k + 2] - pt[k]) / (2.0 * dt) for k in range(3)]
-    ptt_tt = (ptt[0] - 2.0 * ptt[1] + ptt[2]) / dt ** 2
-    lap = laplacian(ptt[1], g)
-    v = bundles[mid].v.f
-    vt = bundles[mid].v.f_t
-    cut = kernels.mesh_cutoffs(g, profile)
-    a1 = kernels._a5(v, cut, p)
-    da1 = kernels._da1_dt(v, vt, cut, p)
+    pt, st, cut, a1, dt = _phi_t_window(states, 5, p, profile)
+    ptt = _centered(pt, dt)
+    da1 = kernels._da1_dt(st.f, st.f_t, cut, p)
     rhs = (2.0 * a1 ** -3 * da1 * pt[2] + (1.0 - a1 ** -2) * ptt[1]) / p.alpha ** 2
-    return ptt_tt - lap - rhs
+    return _box(ptt, dt, st.grid) - rhs
 
 
-def residual_Phi_ttt_wave(bundles, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_ttt_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
     """Residual of box Phi_ttt = alpha^-2 [-6 A_1^-4 (dA_1/dt)^2 Phi_t
     + 2 A_1^-3 d2A_1/dt2 Phi_t + 4 A_1^-3 dA_1/dt Phi_tt
     + (1 - A_1^-2) Phi_ttt]; seven time levels."""
-    mid, dt = _window(bundles, 7)
-    g = bundles[mid].v.grid
-    pt = [b.phi_t_field for b in bundles[mid - 3:mid + 4]]
-    ptt = [(pt[k + 2] - pt[k]) / (2.0 * dt) for k in range(5)]
-    pttt = [(ptt[k + 2] - ptt[k]) / (2.0 * dt) for k in range(3)]
-    pttt_tt = (pttt[0] - 2.0 * pttt[1] + pttt[2]) / dt ** 2
-    lap = laplacian(pttt[1], g)
-    v = bundles[mid].v.f
-    vt = bundles[mid].v.f_t
-    vtt = (bundles[mid + 1].v.f_t - bundles[mid - 1].v.f_t) / (2.0 * dt)
-    cut = kernels.mesh_cutoffs(g, profile)
-    a1 = kernels._a5(v, cut, p)
-    da1 = kernels._da1_dt(v, vt, cut, p)
-    dda1 = kernels._da1_dtt(v, vt, vtt, cut, p)
+    pt, st, cut, a1, dt = _phi_t_window(states, 7, p, profile)
+    ptt = _centered(pt, dt)
+    pttt = _centered(ptt, dt)
+    mid = len(states) // 2
+    vtt = _centered([s.f_t for s in states[mid - 1:mid + 2]], dt)[0]
+    da1 = kernels._da1_dt(st.f, st.f_t, cut, p)
+    dda1 = kernels._da1_dtt(st.f, st.f_t, vtt, cut, p)
     rhs = (-6.0 * a1 ** -4 * da1 ** 2 * pt[3]
            + 2.0 * a1 ** -3 * dda1 * pt[3]
            + 4.0 * a1 ** -3 * da1 * ptt[2]
            + (1.0 - a1 ** -2) * pttt[1]) / p.alpha ** 2
-    return pttt_tt - lap - rhs
+    return _box(pttt, dt, st.grid) - rhs

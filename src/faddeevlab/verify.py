@@ -191,15 +191,17 @@ _RESIDUAL_EVALUATORS = {
 
 def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift"),
                       ms: ManufacturedSolution | None = None,
-                      t_probe=0.7, t_center=2.0, forcing=True) -> dict:
+                      t_probe=0.7, t_center=2.0) -> dict:
     """Nested-grid refinement (n, 2n, 4n, ... at fixed CFL) measuring
     Richardson orders per observable.
 
-    solution / drift run the evolution per level (forced by ms when given);
+    solution runs each level forced by ms, so base must be
+    manufactured_config(ms, base); drift runs each level unforced, since
+    energy is conserved only there (asking for both runs each level twice);
     residual_v applies the discrete operator to exact ms states at t_probe;
-    the residual_Phi* observables difference per-step transform bundles
-    centered at t_center on the (unforced) evolved trajectory; every level's
-    window is checked before the first run.
+    the residual_Phi* observables difference per-step states centred at
+    t_center on the (unforced) evolved trajectory. base and every level's
+    window are checked before the first run.
 
     Non-monotone error sequences are flagged on the result, not raised."""
     if levels < 3:
@@ -208,9 +210,11 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     unknown = [o for o in observables if o not in known]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; choose from {sorted(known)}")
-    wants_run = any(o in ("solution", "drift") for o in observables)
     if ms is None and ("solution" in observables or "residual_v" in observables):
         raise ValueError("solution/residual_v errors need a manufactured reference")
+    if "solution" in observables and manufactured_config(ms, base) != base:
+        raise ValueError("solution runs forced by ms, so its base must be "
+                         "manufactured_config(ms, base)")
     window_obs = [o for o in observables if o in _RESIDUAL_EVALUATORS]
     cfgs = [replace(base, n_cells=base.n_cells * 2 ** lev) for lev in range(levels)]
     if window_obs:
@@ -220,18 +224,17 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     errs = {o: [] for o in observables}
     for cfg in cfgs:
         g = make_grid(cfg)
-        force = make_forcing(ms, g, cfg.kernel_params, cfg.profile) if (
-            ms is not None and forcing) else None
-        if wants_run:
+        for obs in ("solution", "drift"):
+            if obs not in observables:
+                continue
+            force = (make_forcing(ms, g, cfg.kernel_params, cfg.profile)
+                     if obs == "solution" else None)
             result = run(cfg, force)
             if result.status != "completed":
-                raise RuntimeError(
-                    f"study run at n={cfg.n_cells} stopped early: {result.reason}")
-            if "solution" in observables:
-                errs["solution"].append(solution_error(result.state, ms))
-            if "drift" in observables:
-                errs["drift"].append(max(abs(rec.energy_drift)
-                                         for rec in result.records))
+                raise RuntimeError(f"study {obs} run at n={cfg.n_cells} stopped "
+                                   f"early: {result.reason}")
+            errs[obs].append(solution_error(result.state, ms) if obs == "solution"
+                             else max(abs(rec.energy_drift) for rec in result.records))
         if "residual_v" in observables:
             state = manufactured_initial_state(ms, g, t_probe)
             res = residual_v_equation(state, ms.v_tt(t_probe, g.r),
@@ -240,11 +243,11 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             errs["residual_v"].append(_res_norm(res - gprobe, g))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
-            bundles = evolve_bundles(cfg, t_center, need, None)
-            mid = len(bundles) // 2
+            states = evolve_bundles(cfg, t_center, need)
+            mid = len(states) // 2
             for o in window_obs:
                 fn, k = _RESIDUAL_EVALUATORS[o]
-                sub = bundles[mid - k // 2:mid + k // 2 + 1]
+                sub = states[mid - k // 2:mid + k // 2 + 1]
                 errs[o].append(_res_norm(fn(sub, cfg.kernel_params, cfg.profile), g))
     return {o: _build_result(o, cfgs, errs[o]) for o in observables}
 

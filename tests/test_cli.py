@@ -100,6 +100,16 @@ def test_missing_profile_table_exits_1(tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
+def test_profile_family_without_a_table_is_refused_at_load(tmp_path, capsys):
+    out = tmp_path / "no_table"
+    rc = main(["run", "--set", "initial_data.family=profile_u", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config-error: initial_data.family=profile_u needs a table: "
+        "set initial_data.profile_path\n")
+    assert not out.exists()
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "conf.ini"
     path.write_text("[grid]\nn_cells = 96\nr_max = 8.0\n"
@@ -500,6 +510,19 @@ def test_readme_library_use_block_runs(capsys):
     assert float(energy) > 0.0 and float(drift) < 1e-2
 
 
+def test_readme_residual_window_block_runs(capsys):
+    """The second python block of README: a residual identity on a window of
+    evolved states, at two resolutions."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    exec(compile(blocks[1], "README.md", "exec"), {})
+    (n0, coarse), (n1, fine) = (line.split() for line in
+                                capsys.readouterr().out.splitlines())
+    assert (n0, n1) == ("128", "256")
+    assert float(coarse) / float(fine) >= 3.0  # measured 3.85
+
+
 # one valid non-default text per settable key
 NON_DEFAULT = {
     "grid.n_cells": "96", "grid.r_max": "8.5",
@@ -524,9 +547,14 @@ def test_config_table_lists_each_settable_key_once():
     assert set(keys) == set(NON_DEFAULT)
 
 
+# what a key's non-default text cannot be loaded without
+COMPANIONS = {"initial_data.family": ["initial_data.profile_path=table.csv"]}
+
+
 @pytest.mark.parametrize("key", [key for key, _, _ in CONFIG_TABLE])
 def test_every_config_key_round_trips(tmp_path, key):
-    config, out_dir = load_config(None, [f"{key}={NON_DEFAULT[key]}"])
+    config, out_dir = load_config(None, [f"{key}={NON_DEFAULT[key]}"]
+                                  + COMPANIONS.get(key, []))
     if key == "output.dir":
         assert out_dir == "elsewhere"
     else:

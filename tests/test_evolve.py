@@ -307,15 +307,27 @@ def test_evolve_bundles_cadence_and_reconstruction(params):
                initial=InitialDataSpec(amplitude=0.2))
     bundles = evolve_bundles(cfg, t_center=0.25, n_levels=5)
     assert len(bundles) == 5
-    times = np.array([b.v.time for b in bundles])
+    times = np.array([b.time for b in bundles])
     dts = np.diff(times)
     assert np.allclose(dts, dts[0], rtol=0.0, atol=1e-12)
     assert abs(times[2] - 0.25) <= dts[0] / 2 + 1e-12
     g = make_grid(cfg)
     phi = eval_cutoff("phi", g.r, 0, cfg.profile)
-    u = v_to_u(bundles[2].v, cfg.profile).f
+    u = v_to_u(bundles[2], cfg.profile).f
     assert u[0] == np.pi
-    assert np.array_equal(u[1:], g.r[1:] * bundles[2].v.f[1:] + phi[1:])
+    assert np.array_equal(u[1:], g.r[1:] * bundles[2].f[1:] + phi[1:])
+
+
+def test_evolve_bundles_returns_the_trajectory_states_bit_for_bit():
+    cfg = lean(n_cells=96, r_max=8.0, t_end=0.5,
+               initial=InitialDataSpec(amplitude=0.2, amplitude_t=0.1))
+    states = evolve_bundles(cfg, t_center=0.25, n_levels=5)
+    first = round(states[0].time / _schedule(cfg)[1])
+    steps = [(t, v, vt) for k, t, v, vt in trajectory(cfg) if first <= k < first + 5]
+    assert len(states) == len(steps) == 5
+    for st, (t, v, vt) in zip(states, steps):
+        assert st.grid == make_grid(cfg) and st.time == t
+        assert st.f.tobytes() == v.tobytes() and st.f_t.tobytes() == vt.tobytes()
 
 
 @pytest.mark.parametrize("t_end,t_center,n_levels", [

@@ -17,7 +17,7 @@ from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
                                 eval_F_rhs, eval_Ftilde, eval_N,
                                 laplacian_phi_2d, mesh_cutoffs)
 from faddeevlab.grid import FieldState, RadialGrid, d_r
-from faddeevlab.transform import (compute_Phi, compute_Phi_t, make_bundle,
+from faddeevlab.transform import (compute_Phi, compute_Phi_t,
                                   residual_Phi_t_wave, residual_Phi_tt_wave,
                                   residual_Phi_ttt_wave, residual_Phi_wave,
                                   residual_v_equation, u_to_v, v_to_u)
@@ -430,9 +430,9 @@ def _bitwise_outputs():
     env = np.exp(-g.r ** 2)
     a, b = rng.uniform(0.2, 0.4), rng.uniform(-0.3, 0.3)
     dt = 0.01
-    bundles = [make_bundle(FieldState((a + b * k * dt) * env, b * env, g, k * dt), p)
+    bundles = [FieldState((a + b * k * dt) * env, b * env, g, k * dt)
                for k in range(7)]
-    st = bundles[3].v
+    st = bundles[3]
     out["compute_Phi"] = compute_Phi(st, p)
     out["compute_Phi_t"] = compute_Phi_t(st, p)
     out["residual_Phi"] = residual_Phi_wave(bundles[2:5], p)
@@ -503,9 +503,9 @@ def _edge_outputs():
     p = KernelParams(alpha=0.7)
     g = RadialGrid(32, 1.0)
     env = np.exp(-g.r ** 2)
-    bundles = [make_bundle(FieldState((0.3 + 0.01 * k) * env, env, g, 0.01 * k), p)
+    bundles = [FieldState((0.3 + 0.01 * k) * env, env, g, 0.01 * k)
                for k in range(7)]
-    st = bundles[3].v
+    st = bundles[3]
     u = v_to_u(st)
     vr = d_r(st.f, g)
     out = {"v_to_u": u.f, "u_to_v": u_to_v(u).f,

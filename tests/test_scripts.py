@@ -28,6 +28,21 @@ def test_script_main_runs(tmp_path, monkeypatch, capsys, script, args, expect):
     assert expect in capsys.readouterr().out
 
 
+def test_convergence_suite_refuses_an_unforced_solution_study(tmp_path, monkeypatch,
+                                                               capsys):
+    """The solution error needs runs forced from the manufactured data, so
+    --forced no with the solution observable stops before any run."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--observables", "solution",
+                                      "--forced", "no", "--base-n", "32"])
+    main = runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert "manufactured_config(ms, base)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_shell_transient_table_round_trips(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["shell_transient_study.py", "--n-cells", "64,128",

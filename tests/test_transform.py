@@ -10,7 +10,7 @@ from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, eval_A,
                                 eval_cutoff)
 from faddeevlab.transform import (compute_Phi, compute_Phi_t,
-                                  make_bundle, residual_Phi_t_wave,
+                                  residual_Phi_t_wave,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
                                   residual_Phi_wave, residual_v_equation,
                                   u_to_v, v_to_u)
@@ -105,6 +105,16 @@ def test_phi_branch_formulas_agree_on_seam_strip():
         assert abs(outer - phi[i]) <= 1e-10
 
 
+def test_phi_on_a_mesh_inside_the_inner_branch():
+    """Every node at r <= 1/2 leaves the outer branch no node: Phi is the
+    inner branch everywhere, with the bytes the same nodes get on a wider
+    mesh."""
+    narrow, wide = RadialGrid(16, 0.5), RadialGrid(32, 1.0)  # dr = 1/32 on both
+    phi = compute_Phi(gaussian_v_state(narrow), DEFAULT_PARAMS, DEFAULT_PROFILE)
+    ref = compute_Phi(gaussian_v_state(wide), DEFAULT_PARAMS, DEFAULT_PROFILE)
+    assert phi.tobytes() == ref[:17].tobytes()
+
+
 def test_phi_t_closed_forms(grid256):
     g = grid256
     still = gaussian_v_state(g, amp=0.3, amp_t=0.0)
@@ -121,12 +131,12 @@ def test_phi_t_closed_forms(grid256):
 def test_phi_t_identity_nodewise(grid256):
     g = grid256
     v = gaussian_v_state(g, amp=0.3, amp_t=0.2)
-    b = make_bundle(v, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    pt = compute_Phi_t(v, DEFAULT_PARAMS, DEFAULT_PROFILE)
     u = v_to_u(v, DEFAULT_PROFILE)
     rp = g.r[1:]
     a1 = eval_A(1, u.f[1:], rp, DEFAULT_PARAMS)
     direct = np.sqrt(a1) * u.f_t[1:] / rp
-    assert np.max(np.abs(direct - b.phi_t_field[1:])) <= 1e-12
+    assert np.max(np.abs(direct - pt[1:])) <= 1e-12
 
 
 def test_phi_t_matches_time_differenced_phi_at_second_order():
@@ -175,17 +185,13 @@ def test_residual_v_minus_forcing_refines_at_stencil_order():
     assert errs[1] / errs[2] >= 2.0 ** 3.8
 
 
-def manufactured_bundles(ms, grid, t0, dt, count):
-    out = []
-    for k in range(count):
-        st = manufactured_initial_state(ms, grid, t0 + k * dt)
-        out.append(make_bundle(st, DEFAULT_PARAMS, DEFAULT_PROFILE))
-    return out
+def manufactured_states(ms, grid, t0, dt, count):
+    return [manufactured_initial_state(ms, grid, t0 + k * dt) for k in range(count)]
 
 
 def test_window_preconditions(grid128):
     ms = ManufacturedSolution()
-    bs = manufactured_bundles(ms, grid128, 0.3, 1e-2, 7)
+    bs = manufactured_states(ms, grid128, 0.3, 1e-2, 7)
     with pytest.raises(ValueError):
         residual_Phi_t_wave(bs[:2])
     with pytest.raises(ValueError):
@@ -200,8 +206,7 @@ def test_window_preconditions(grid128):
 def test_stationary_window_residuals_vanish(grid128):
     g = grid128
     still = gaussian_v_state(g, amp=0.2, amp_t=0.0)
-    bs = [make_bundle(FieldState(still.f, still.f_t, g, 0.1 * k),
-                      DEFAULT_PARAMS, DEFAULT_PROFILE) for k in range(7)]
+    bs = [FieldState(still.f, still.f_t, g, 0.1 * k) for k in range(7)]
     zero = np.zeros(g.n_nodes)
     assert np.array_equal(residual_Phi_t_wave(bs[:3]), zero)
     assert np.array_equal(residual_Phi_tt_wave(bs[:5]), zero)
@@ -211,8 +216,7 @@ def test_stationary_window_residuals_vanish(grid128):
 def test_static_zero_state_phi_residual(grid128):
     g = grid128
     z = zero_state(g)
-    bs = [make_bundle(FieldState(z.f, z.f_t, g, 0.1 * k),
-                      DEFAULT_PARAMS, DEFAULT_PROFILE) for k in range(3)]
+    bs = [FieldState(z.f, z.f_t, g, 0.1 * k) for k in range(3)]
     res = residual_Phi_wave(bs, DEFAULT_PARAMS, DEFAULT_PROFILE)
     # exact zero inside the region except the two-node stencil collar that
     # sees Phi switching on with the gt1 cutoff at r = 1/2
@@ -228,7 +232,7 @@ def test_tt_residual_is_time_derivative_of_t_residual(grid128):
     ms = ManufacturedSolution(a0=0.15, a1=0.1, omega=2.0)
 
     def mismatch(dt):
-        bs = manufactured_bundles(ms, grid128, 0.3, dt, 7)
+        bs = manufactured_states(ms, grid128, 0.3, dt, 7)
         res_tt = residual_Phi_tt_wave(bs[1:6])
         ra = residual_Phi_t_wave(bs[1:4])
         rb = residual_Phi_t_wave(bs[3:6])

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid,
+from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid, run,
                                trajectory)
-from faddeevlab import grid
+from faddeevlab import grid, transform
 from faddeevlab.grid import RadialGrid
 from faddeevlab.kernels import eval_F_rhs, eval_Ftilde
 from faddeevlab.verify import (
+    _RESIDUAL_EVALUATORS,
     ManufacturedSolution,
     convergence_study,
     fit_order,
@@ -185,6 +186,50 @@ def test_study_checks_every_residual_window_before_its_first_run(monkeypatch):
                                          r"at t_center=2 does not lie inside"):
         convergence_study(base, observables=("solution", "residual_Phi_t"), ms=MS,
                           t_center=2.0)
+
+
+def test_solution_study_refuses_a_base_not_started_from_ms(monkeypatch):
+    """The solution error compares against ms, so the forced runs must start
+    from ms; the base is checked before any run."""
+    monkeypatch.setattr("faddeevlab.verify.run",
+                        lambda *a, **k: pytest.fail("a study run started"))
+    with pytest.raises(ValueError, match=r"manufactured_config\(ms, base\)"):
+        convergence_study(lean_base(), observables=("solution", "drift"), ms=MS)
+
+
+def test_drift_runs_unforced_beside_a_forced_solution(monkeypatch):
+    """solution and drift together run each level twice: forced by ms for
+    the solution, unforced for the drift, whose errors are those of a
+    drift-only study of the same base."""
+    calls = []
+
+    def recording(cfg, forcing=None):
+        calls.append((cfg.n_cells, forcing is not None))
+        return run(cfg, forcing)
+
+    base = manufactured_config(MS, lean_base())
+    monkeypatch.setattr("faddeevlab.verify.run", recording)
+    both = convergence_study(base, levels=3, observables=("solution", "drift"), ms=MS)
+    assert calls == [(n, forced) for n in (64, 128, 256) for forced in (True, False)]
+    monkeypatch.undo()
+    alone = convergence_study(base, levels=3, observables=("drift",))
+    assert [r.error for r in both["drift"].rows] == [r.error for r in alone["drift"].rows]
+    assert both["solution"].ls_order >= 3.5
+
+
+def test_residual_study_computes_each_transform_on_the_levels_read(monkeypatch):
+    """Per level, residual_Phi reads Phi on 3 levels and the Phi_t family
+    reads Phi_t on 3 + 5 + 7."""
+    counts = {"compute_Phi": [], "compute_Phi_t": []}
+    for name, calls in counts.items():
+        def counted(st, *args, real=getattr(transform, name), calls=calls):
+            calls.append(st.grid.n_cells)
+            return real(st, *args)
+        monkeypatch.setattr(transform, name, counted)
+    convergence_study(lean_base(), levels=3, observables=tuple(_RESIDUAL_EVALUATORS),
+                      t_center=0.25)
+    assert counts["compute_Phi"] == [n for n in (64, 128, 256) for _ in range(3)]
+    assert counts["compute_Phi_t"] == [n for n in (64, 128, 256) for _ in range(15)]
 
 
 def test_study_csv_layout(tmp_path):
