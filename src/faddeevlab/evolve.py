@@ -280,12 +280,25 @@ def _operator(grid, p, profile, sig, forcing, nonlinear=True):
 
 
 def _rk4(f, v, vt, t, dt):
-    k1v, k1a = f(v, vt, t)
-    k2v, k2a = f(v + 0.5 * dt * k1v, vt + 0.5 * dt * k1a, t + 0.5 * dt)
-    k3v, k3a = f(v + 0.5 * dt * k2v, vt + 0.5 * dt * k2a, t + 0.5 * dt)
-    k4v, k4a = f(v + dt * k3v, vt + dt * k3a, t + dt)
-    return (v + dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
-            vt + dt / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a))
+    """One RK4 step: x + c k per stage, x + dt/6 (k1 + 2 (k2 + k3) + k4) per
+    result, each formed in place in one new array (+ and * commute bitwise)."""
+    h = 0.5 * dt
+    ks = [f(v, vt, t)]
+    for c, tc in ((h, t + h), (h, t + h), (dt, t + dt)):
+        sv, sa = c * ks[-1][0], c * ks[-1][1]
+        sv += v
+        sa += vt
+        ks.append(f(sv, sa, tc))
+    new = []
+    for x, k1, k2, k3, k4 in zip((v, vt), *ks):
+        acc = k2 + k3
+        acc *= 2.0
+        acc += k1
+        acc += k4
+        acc *= dt / 6.0
+        acc += x
+        new.append(acc)
+    return tuple(new)
 
 
 def _schedule(config: RunConfig):
@@ -315,23 +328,23 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
         yield k, k * dt, v, vt
 
 
-def detect_blowup(record, monitor_ceiling, drift_ceiling):
+def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
     """(status, reason) when a sample's stop condition fires, else None.
 
     A continuation monitor at or above its ceiling, or energy drift above
     the breakdown threshold (scheme failure, reported separately from
-    physical growth). Non-finite fields never reach a sample: run halts on
-    the step that produces them.
+    physical growth), named with the sample's step and cadence. Non-finite
+    fields never reach a sample: run halts on the step that produces them.
     """
-    worst = max(record.monitor_v, record.monitor_vt, record.monitor_gradv)
+    when = f"at step {step}, t={record.time:.6g} (judged every {every} steps)"
+    name = max(("monitor_v", "monitor_vt", "monitor_gradv"), key=lambda k: getattr(record, k))
+    worst = getattr(record, name)
     if worst >= monitor_ceiling:
-        return ("blowup_monitor",
-                f"continuation monitor {worst:.6g} at ceiling {monitor_ceiling:.6g} "
-                f"at t={record.time:.6g}")
+        return ("blowup_monitor", f"continuation monitor {name} = {worst:.6g} "
+                                  f"at ceiling {monitor_ceiling:.6g} {when}")
     if record.energy_drift > drift_ceiling:
-        return ("scheme_breakdown",
-                f"energy drift {record.energy_drift:.6g} exceeds "
-                f"{drift_ceiling:.6g} at t={record.time:.6g}")
+        return ("scheme_breakdown", f"energy drift {record.energy_drift:.6g} "
+                                    f"exceeds {drift_ceiling:.6g} {when}")
     return None
 
 
@@ -387,7 +400,7 @@ def run(config: RunConfig, forcing=None) -> RunResult:
             if k % config.output_every == 0 or k == nsteps:
                 records.append(_sample(t, v, vt, ctx, config, records, tracker))
                 verdict = detect_blowup(records[-1], config.monitor_ceiling,
-                                        config.drift_ceiling)
+                                        config.drift_ceiling, k, config.output_every)
                 if verdict is not None:
                     break
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")

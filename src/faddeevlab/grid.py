@@ -105,8 +105,7 @@ def _d1_values(values, grid, ext=None, tmp=None):
     body += np.multiply(8.0, e3, out=t)
     body -= e4
     body /= 12.0 * h
-    out[-2] = (_D1_EDGE[0] @ values[-1:-6:-1]) / h
-    out[-1] = (_D1_EDGE[1] @ values[-1:-6:-1]) / h
+    out[-2:] = (_D1_EDGE @ values[-1:-6:-1]) / h
     return out
 
 
@@ -137,8 +136,7 @@ def _d1_laplacian(values, grid, d1=None):
     body += np.multiply(16.0, e3, out=t)
     body -= e4
     body /= 12.0 * h * h
-    lap[-2] = (_D2_EDGE[0] @ values[-1:-7:-1]) / (h * h)
-    lap[-1] = (_D2_EDGE[1] @ values[-1:-7:-1]) / (h * h)
+    lap[-2:] = (_D2_EDGE @ values[-1:-7:-1]) / (h * h)
     np.multiply(3, d1[1:], out=tmp)
     lap[1:] += np.divide(tmp, grid.r[1:], out=tmp)
     lap[0] = 4 * lap[0]

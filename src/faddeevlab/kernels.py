@@ -97,6 +97,7 @@ _SERIES[4] = 2.0 * _SERIES[2]
 # and keep the series up to 0.1: their direct formulas lose ~3/x^2 * eps
 # there (a few 1e-12 relative at x ~ 1e-2, above the 1e-12 seam budget).
 _SEAM = np.array([1e-2, 0.1, 0.1, 1e-2])
+_BASE = (0, 1, 2, 3)
 
 DEFAULT_PARAMS = KernelParams()
 DEFAULT_PROFILE = CutoffProfile()
@@ -116,40 +117,62 @@ def _pointwise(fn, *args):
     return float(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=None)
-def _series_rows(base):
-    """The Horner table (8, m, 1), seam column and smallest seam of base."""
-    seam = _SEAM[list(base), None]
-    return np.array([_SERIES[j][::-1] for j in base]).T[:, :, None], seam, seam.min()
-
-
-def _ftilde(x, p, js):
-    """[Ftilde_j(x) for j in js], each shaped like the float64 array x, with
-    Ftilde_4 as 2 * Ftilde_2 (the same bytes). Evaluates the m base kernels
-    0..3 that js needs on every node: one Horner pass over their (m, size)
-    stack (w = x^2 clamped at 0.1^2, which no node below a seam exceeds, so
-    an unused series stays finite at large |x|), one pass of their direct
-    formulas (x = 1.0 below the smallest seam, so x = 0 raises no warning)
-    and one np.where(|x| < seam column, series, direct)."""
+@lru_cache(maxsize=32)  # keyed by the kernels asked for, never by node count
+def _plan(js):
+    """(base kernels 0..3 that js needs, sorted; their seam column; its min)."""
     base = tuple(sorted({2 if j == 4 else j for j in js}))
-    table, seam, smallest = _series_rows(base)
+    seam = _SEAM[list(base), None]
+    return base, seam, seam.min()
+
+
+def _series_rows(base, size):
+    """The Horner table of base on _ftilde's flat (m * size) layout, each
+    kernel's coefficients repeated over its size nodes (a column at m = 1)."""
+    table = np.array([_SERIES[j][::-1] for j in base]).T
+    return np.repeat(table, size, axis=1) if len(base) > 1 else table
+
+
+def _ftilde(x, p, js, rows=None):
+    """[Ftilde_j(x) for j in js] shaped like the float64 array x, Ftilde_4 as
+    2 * Ftilde_2, base rows as writable views of one (m, size) block: the
+    direct formulas row by row (x = 1.0 below the smallest seam: no warning
+    at x = 0), then one copyto of the series where |x| < the row's seam,
+    Horner on the flat (m * size) layout with rows = _series_rows (the mesh
+    table holds F's) and w = x^2 clamped at 0.1^2 (an unused series stays
+    finite), then alpha^2 on rows j != 1 unless alpha = 1 (x * 1.0 is x)."""
+    base, seam, smallest = _plan(tuple(js))
     shape, x = x.shape, x.ravel()
+    m, size = len(base), x.size
+    rows = _series_rows(base, size) if rows is None else rows
     ax = np.abs(x)
-    w = np.minimum(x * x, 0.1 ** 2)
-    acc = table[0] * w + table[1]
-    for coeffs in table[2:]:
-        acc = acc * w + coeffs
+    w = np.minimum(np.multiply(x, x, out=np.empty((m, size))), 0.1 ** 2).ravel()
+    acc = rows[0] * w
+    acc += rows[1]
+    for coeffs in rows[2:]:
+        acc *= w
+        acc += coeffs
     # the direct formulas, arranged to avoid cancellation near the seam
     xd = np.where(ax < smallest, 1.0, x)
     s, x2 = np.sin(xd), 2.0 * xd
     s2 = np.sin(x2) if 1 in base or 3 in base else None
-    direct = [(s / xd) ** 2 if j == 0 else
-              (x2 - s2) / (2.0 * xd ** 3) if j == 1 else
-              (xd * np.cos(xd) - s) * s / xd ** 4 if j == 2 else
-              -s2 / x2 for j in base]
-    f = np.where(ax < seam, acc, direct).reshape((len(base),) + shape)
-    out = {j: row if j == 1 else row * p.alpha ** 2 for j, row in zip(base, f)}
-    return [2.0 * out[2] if j == 4 else out[j] for j in js]
+    block = np.empty((m, size))
+    for j, row in zip(base, block):
+        if j == 0:
+            np.square(np.divide(s, xd, out=row), out=row)
+        elif j == 1:
+            np.divide(np.subtract(x2, s2, out=row), 2.0 * xd ** 3, out=row)
+        elif j == 2:
+            np.multiply(xd, np.cos(xd, out=row), out=row)
+            row -= s
+            row *= s
+            row /= xd ** 4
+        else:
+            np.divide(np.negative(s2, out=row), x2, out=row)
+    np.copyto(block, acc.reshape(m, size), where=ax < seam)
+    if p.alpha != 1.0:
+        block *= np.array([[1.0 if j == 1 else p.alpha ** 2] for j in base])
+    block = block.reshape((m,) + shape)
+    return [2.0 * block[base.index(2)] if j == 4 else block[base.index(j)] for j in js]
 
 
 def eval_Ftilde(j, x, p=DEFAULT_PARAMS):
@@ -226,7 +249,7 @@ def laplacian_phi_2d(r, profile=DEFAULT_PROFILE):
 def _a3(sin_y, r, p):
     """A_3(y, r) = 1 + alpha^2 sin^2(y) / r^2 (A_1 at y = u); needs r > 0.
     Squared and shifted in place (x * x is x ** 2, x + 1.0 is 1.0 + x)."""
-    a = p.alpha * sin_y / r
+    a = (sin_y if p.alpha == 1.0 else p.alpha * sin_y) / r
     a *= a
     a += 1.0
     return a
@@ -293,7 +316,8 @@ def _n(u, u_t, u_r, r, neg2_r, r_sq, p):
     n *= u_r
     np.square(u_t, out=u_t)
     u_t -= np.square(u_r, out=u_r)
-    np.multiply(p.alpha ** 2, u_t, out=u_t)
+    if p.alpha != 1.0:
+        np.multiply(p.alpha ** 2, u_t, out=u_t)
     u_t += 1.0
     u_t *= sin_u
     u_t *= np.cos(u, out=u)
@@ -314,10 +338,11 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     """The per-mesh table, the one place the cutoffs are evaluated on a mesh,
     every array read-only: "phi", "dphi", "lt1", "gt1" and "lap2phi" (the 2D
     Laplacian of phi) on every node; the branch nodes of F, "inner" (lt1 > 0)
-    and "outer" (gt1 > 0), with "r_in", "lt1_in" on the inner ones and
-    "r_out", "phi_out", "dphi_out", "gt1_out", "r2_out" (r ** 2 = r * r),
-    "neg2_r_out" (-2 / r), "lap2phi_r_out" (lap2phi / r) on outer; the chart
-    split, "near" (r <= 1) and "far" (r > 1), with "r_near", "r_far", "phi_far"."""
+    and "outer" (gt1 > 0), with "r_in", "lt1_in", "series_in" (_ftilde's
+    Horner rows) on the inner ones and "r_out", "phi_out", "dphi_out",
+    "gt1_out", "r2_out" (r ** 2 = r * r), "neg2_r_out" (-2 / r), "lap2phi_r_out"
+    (lap2phi / r) on outer; the chart split, "near" (r <= 1) and "far" (r > 1),
+    with "r_near", "r_far", "phi_far"."""
     r = np.asarray(r, dtype=float)
     cut = {
         "phi": eval_cutoff("phi", r, 0, profile),
@@ -331,6 +356,7 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     ro = r[outer]
     cut.update({f"{key}_out": cut[key][outer] for key in ("phi", "dphi", "gt1")})
     cut.update(r_in=r[inner], lt1_in=cut["lt1"][inner], r_out=ro, r2_out=ro ** 2,
+               series_in=_series_rows(_BASE, r[inner].size),
                neg2_r_out=-2.0 / ro, lap2phi_r_out=cut["lap2phi"][outer] / ro)
     beyond_one = r > 1.0
     near, far = cut["near"], cut["far"] = _nodes(~beyond_one), _nodes(beyond_one)
@@ -353,20 +379,28 @@ def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
     mesh (the evolver's hot path).
 
     Inner branch, on cut["inner"] (lt1 > 0, r < 1) from "r_in" and "lt1_in",
-    all five kernels from one _ftilde pass:
+    Ftilde_0..3 as rows of one _ftilde block, Ftilde_4 = 2 Ftilde_2, in place:
         lt1/A_1 * [Ft_1 v^3 + Ft_2 v^5 + Ft_3 v (v_t^2 - v_r^2) + Ft_4 r v^4 v_r]
     Outer branch, added on cut["outer"] (gt1 > 0, r > 1/2) from the "*_out"
     constants, sin(u) taken once for A_1 and N, formed in place:
         gt1 * (v/r^2 + N(r v + phi)/r) + (2D Laplacian of phi)/r.
     """
     inner, outer = cut["inner"], cut["outer"]
-    out = np.zeros_like(v)
+    out = np.zeros(v.shape)
     vi, ri, vri = v[inner], cut["r_in"], v_r[inner]
-    ft0, ft1, ft2, ft3, ft4 = _ftilde(ri * vi, p, range(5))
-    a1 = 1.0 + ft0 * vi * vi
-    s = (ft1 * vi ** 3 + ft2 * vi ** 5 + ft3 * vi * (v_t[inner] ** 2 - vri ** 2)
-         + ft4 * ri * vi ** 4 * vri)
-    out[inner] = cut["lt1_in"] * s / a1
+    a1, s, ft2, ft3 = _ftilde(ri * vi, p, _BASE, cut["series_in"])
+    ft4 = 2.0 * ft2 * ri
+    a1 *= vi
+    a1 *= vi
+    a1 += 1.0
+    s *= vi ** 3
+    s += np.multiply(ft2, vi ** 5, out=ft2)
+    ft3 *= vi
+    s += np.multiply(ft3, v_t[inner] ** 2 - vri ** 2, out=ft3)
+    ft4 *= vi ** 4
+    ft4 *= vri
+    s += ft4
+    out[inner] = np.divide(np.multiply(cut["lt1_in"], s, out=s), a1, out=s)
     ro, vo, r2 = cut["r_out"], v[outer], cut["r2_out"]
     u = ro * vo
     u += cut["phi_out"]

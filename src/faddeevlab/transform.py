@@ -186,12 +186,15 @@ def _box(levels, dt, grid):
 
 def _phi_t_window(states, need, p, profile):
     """Phi_t on the `need` middle levels of a window, the middle state, its
-    mesh's cutoff table, A_1 there, and dt."""
+    mesh's cutoff table, A_1 there, and dt; the middle Phi_t is
+    compute_Phi_t's own expression on that A_1 (= A_5)."""
     mid, dt = _window(states, need)
     st, half = states[mid], need // 2
     cut = kernels.mesh_cutoffs(st.grid, profile)
-    pt = [compute_Phi_t(s, p, profile) for s in states[mid - half:mid + half + 1]]
-    return pt, st, cut, kernels._a5(st.f, cut, p), dt
+    a1 = kernels._a5(st.f, cut, p)
+    pt = [np.sqrt(a1) * s.f_t if s is st else compute_Phi_t(s, p, profile)
+          for s in states[mid - half:mid + half + 1]]
+    return pt, st, cut, a1, dt
 
 
 def residual_Phi_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:

@@ -16,6 +16,7 @@ from faddeevlab.evolve import (
     RunConfig,
     SpongeSpec,
     _operator,
+    _rk4,
     _schedule,
     config_fingerprint,
     config_items,
@@ -24,6 +25,7 @@ from faddeevlab.evolve import (
     initial_state,
     make_grid,
     run,
+    sponge_sigma,
     trajectory,
     write_checkpoint,
 )
@@ -366,13 +368,31 @@ def _record(**kw):
 
 
 def test_detect_blowup_cases():
-    assert detect_blowup(_record(), 1e6, 1e-2) is None
+    assert detect_blowup(_record(), 1e6, 1e-2, 64, 64) is None
 
-    status, reason = detect_blowup(_record(monitor_vt=2.0), 1.5, 1e-2)
-    assert status == "blowup_monitor" and "2" in reason and "t=1" in reason
+    record = _record(monitor_v=1.0, monitor_vt=2.0, monitor_gradv=1.9)
+    assert detect_blowup(record, 1.5, 1e-2, 128, 64) == (
+        "blowup_monitor", "continuation monitor monitor_vt = 2 at ceiling 1.5 "
+                          "at step 128, t=1 (judged every 64 steps)")
 
-    status, reason = detect_blowup(_record(energy_drift=0.02), 1e6, 0.01)
-    assert status == "scheme_breakdown" and "drift" in reason and "t=1" in reason
+    assert detect_blowup(_record(energy_drift=0.02), 1e6, 0.01, 7, 4) == (
+        "scheme_breakdown", "energy drift 0.02 exceeds 0.01 at step 7, t=1 "
+                            "(judged every 4 steps)")
+
+
+def test_halt_reasons_name_the_monitor_the_step_and_the_cadence():
+    cfg = lean(n_cells=32, r_max=8.0, t_end=1.0, output_every=4, monitor_ceiling=0.0)
+    res = run(cfg)
+    name = max(("monitor_v", "monitor_vt", "monitor_gradv"),
+               key=lambda key: getattr(res.records[0], key))
+    assert res.reason.startswith(f"continuation monitor {name} = ")
+    assert res.reason.endswith("at step 0, t=0 (judged every 4 steps)")
+
+    cfg = lean(n_cells=32, r_max=8.0, t_end=1.0, output_every=4, drift_ceiling=1e-300)
+    res = run(cfg)
+    _, dt = _schedule(cfg)
+    assert (res.status, res.step, len(res.records)) == ("scheme_breakdown", 4, 2)
+    assert res.reason.endswith(f"at step 4, t={4 * dt:.6g} (judged every 4 steps)")
 
 
 def test_run_halts_immediately_at_zero_ceiling():
@@ -422,6 +442,39 @@ def test_run_halts_on_the_first_non_finite_step(bad_step):
     assert (f"non-finite field values at step {bad_step}, "
             f"t={bad_step * dt:.6g}, r=0.625") == res.reason
     assert [rec.time for rec in res.records] == [0.0, 4 * dt]
+
+
+def _old_rk4(f, v, vt, t, dt):
+    """_rk4 as it stood before the in-place stages and combine, kept as an
+    oracle: _rk4 must match it byte for byte."""
+    k1v, k1a = f(v, vt, t)
+    k2v, k2a = f(v + 0.5 * dt * k1v, vt + 0.5 * dt * k1a, t + 0.5 * dt)
+    k3v, k3a = f(v + 0.5 * dt * k2v, vt + 0.5 * dt * k2a, t + 0.5 * dt)
+    k4v, k4a = f(v + dt * k3v, vt + dt * k3a, t + dt)
+    return (v + dt / 6.0 * (k1v + 2.0 * (k2v + k3v) + k4v),
+            vt + dt / 6.0 * (k1a + 2.0 * (k2a + k3a) + k4a))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_rk4_matches_its_old_expression_bitwise(forced):
+    """Ten steps of a damped large-data run, unforced and under a
+    time-dependent manufactured forcing, at alpha != 1."""
+    cfg = lean(n_cells=64, r_max=8.0, t_end=1.0, sponge=SpongeSpec(start=5.0),
+               kernel_params=kernels.KernelParams(alpha=0.7),
+               initial=InitialDataSpec(amplitude=1.3, amplitude_t=-0.8, center_t=0.5))
+    g = make_grid(cfg)
+    forcing = (make_forcing(ManufacturedSolution(), g, cfg.kernel_params, cfg.profile)
+               if forced else None)
+    f = _operator(g, cfg.kernel_params, cfg.profile, sponge_sigma(g, cfg.sponge), forcing)
+    _, dt = _schedule(cfg)
+    st = initial_state(cfg)
+    v, vt = st.f, st.f_t
+    for k in range(10):
+        kept = v.tobytes(), vt.tobytes()
+        new, old = _rk4(f, v, vt, k * dt, dt), _old_rk4(f, v, vt, k * dt, dt)
+        assert [a.tobytes() for a in new] == [a.tobytes() for a in old]
+        assert (v.tobytes(), vt.tobytes()) == kept  # the inputs are left alone
+        v, vt = new
 
 
 # ------------------------------------------------------------ run quality

@@ -153,6 +153,18 @@ def test_stencils_match_their_old_expressions_bitwise():
         assert lap_given.tobytes() == _old_d1_laplacian(values, g, given)[1].tobytes()
 
 
+def test_edge_rows_from_one_product_match_one_dot_per_row():
+    """Each stencil takes both edge rows from one matrix-vector product; on
+    random values of every magnitude it gives each row's own dot product,
+    byte for byte."""
+    rng = np.random.default_rng(19)
+    for _ in range(2000):
+        values = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-300.0, 300.0, 6)
+        for edge, tail in ((_D1_EDGE, values[-1:-6:-1]), (_D2_EDGE, values[-1:-7:-1])):
+            assert (edge @ tail).tobytes() == np.array([edge[0] @ tail,
+                                                        edge[1] @ tail]).tobytes()
+
+
 def test_laplacian_exact_on_quadratic():
     g = RadialGrid(64, 8.0)
     assert np.max(np.abs(laplacian(g.r ** 2, g) - 8.0)) <= 1e-10

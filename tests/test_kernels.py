@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
+from faddeevlab import kernels
 from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
-                                MAX_CUTOFF_ORDER, CutoffProfile, KernelParams, _ftilde,
+                                MAX_CUTOFF_ORDER, CutoffProfile, KernelParams, _a3,
+                                _ftilde, _series_rows,
                                 cutoff_arrays, dA1_dt, dA1_dtt,
                                 eval_A, eval_cutoff, eval_F_given_cutoffs,
                                 eval_F_rhs, eval_Ftilde, eval_N,
@@ -344,15 +346,75 @@ def _switch_probes():
     return np.concatenate([half, -half])
 
 
+def _block_inputs():
+    """At 1, 2 and 52 nodes: all below every seam, all above every seam, and
+    a draw from _switch_probes; then every probe at once."""
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 52):
+        sign = rng.choice([-1.0, 1.0], n)
+        yield sign * rng.uniform(0.0, 1e-3, n)
+        yield sign * np.exp(rng.uniform(np.log(0.2), np.log(1e8), n))
+        yield rng.choice(_switch_probes(), n)
+    yield _switch_probes()
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.7])
 def test_fused_kernels_match_single_kernels(alpha):
+    """The block F reads (rows 0..3, with the mesh table's Horner rows), the
+    fused list and eval_Ftilde all give the old one-kernel evaluator's bytes."""
     p = KernelParams(alpha=alpha)
-    x = _switch_probes()
-    fused = _ftilde(x, p, range(5))
+    for x in _block_inputs():
+        old = [_old_eval_Ftilde(j, x, p).tobytes() for j in range(5)]
+        block = _ftilde(x, p, range(4), _series_rows((0, 1, 2, 3), x.size))
+        assert [row.tobytes() for row in block] == old[:4]
+        assert [f.tobytes() for f in _ftilde(x, p, range(5))] == old
+        assert [eval_Ftilde(j, x, p).tobytes() for j in range(5)] == old
+
+
+def _old_a3(sin_y, r, alpha):
+    return (alpha * sin_y / r) ** 2 + 1.0
+
+
+def _old_eval_N(u, u_t, u_r, r, alpha):
+    """eval_N with every alpha multiply made, in _n's operation order."""
+    sin_u = np.sin(u)
+    a1 = _old_a3(sin_u, r, alpha)
+    n = -2.0 / r * (1.0 - 1.0 / a1) * u_r
+    return n - (alpha ** 2 * (u_t ** 2 - u_r ** 2) + 1.0) * sin_u * np.cos(u) / (r * r * a1)
+
+
+def test_alpha_one_skips_only_multiplies_by_one():
+    """At alpha = 1, A_3 and N drop their alpha and alpha^2 multiplies; the
+    bytes are those of the multiplied form, also on signed zeros, subnormals
+    and huge values."""
+    rng = np.random.default_rng(23)
+    special = np.array([0.0, -0.0, 5e-324, -1e-310, 1e-150, 1e150, -1e300, np.pi])
+    y, u_t, u_r = (np.concatenate([special, rng.uniform(-4.0, 4.0, 200)])
+                   for _ in range(3))
+    r = np.concatenate([[1e-300, 1e-5, 0.5, 1.0, 2.0, 40.0, 1e8, 1e300],
+                        rng.uniform(0.01, 10.0, 200)])
+    one = KernelParams(alpha=1.0)
+    assert _a3(np.sin(y), r, one).tobytes() == _old_a3(np.sin(y), r, 1.0).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert eval_N(y, u_t, u_r, r, one).tobytes() == _old_eval_N(
+            y, u_t, u_r, r, 1.0).tobytes()
+
+
+def test_kernel_tables_do_not_grow_with_the_node_count():
+    """The Horner rows of F's inner branch live in the per-mesh table; no
+    kernel cache grows when eval_Ftilde meets 200 distinct lengths."""
+    caches = [f for f in vars(kernels).values() if hasattr(f, "cache_info")]
+    assert caches  # the scan sees the module's caches
     for j in range(5):
-        single = eval_Ftilde(j, x, p)
-        assert fused[j].tobytes() == single.tobytes()
-        assert single.tobytes() == _old_eval_Ftilde(j, x, p).tobytes()
+        eval_Ftilde(j, np.linspace(-1.0, 1.0, 3))
+    _ftilde(np.linspace(-1.0, 1.0, 3), DEFAULT_PARAMS, range(5))
+    before = [f.cache_info().currsize for f in caches]
+    for n in range(1, 201):
+        x = np.linspace(-0.3, 0.3, n)
+        for j in range(5):
+            eval_Ftilde(j, x)
+        _ftilde(x, DEFAULT_PARAMS, range(5))
+    assert [f.cache_info().currsize for f in caches] == before
 
 
 F_ORACLE_RADII = {

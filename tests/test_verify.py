@@ -7,7 +7,7 @@ import pytest
 
 from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid, run,
                                trajectory)
-from faddeevlab import grid, transform
+from faddeevlab import grid, kernels, transform
 from faddeevlab.grid import RadialGrid
 from faddeevlab.kernels import eval_F_rhs, eval_Ftilde
 from faddeevlab.verify import (
@@ -219,17 +219,22 @@ def test_drift_runs_unforced_beside_a_forced_solution(monkeypatch):
 
 def test_residual_study_computes_each_transform_on_the_levels_read(monkeypatch):
     """Per level, residual_Phi reads Phi on 3 levels and the Phi_t family
-    reads Phi_t on 3 + 5 + 7."""
-    counts = {"compute_Phi": [], "compute_Phi_t": []}
+    reads Phi_t on 3 + 5 + 7, with A_5 once on each of those 15: a window's
+    middle Phi_t is taken from the A_5 (= A_1) the window returns, so
+    compute_Phi_t runs on the other 2 + 4 + 6."""
+    counts = {"compute_Phi": [], "compute_Phi_t": [], "_a5": []}
     for name, calls in counts.items():
-        def counted(st, *args, real=getattr(transform, name), calls=calls):
-            calls.append(st.grid.n_cells)
+        owner = kernels if name == "_a5" else transform
+        def counted(st, *args, real=getattr(owner, name), calls=calls,
+                    on_values=owner is kernels):
+            calls.append(st.size - 1 if on_values else st.grid.n_cells)
             return real(st, *args)
-        monkeypatch.setattr(transform, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     convergence_study(lean_base(), levels=3, observables=tuple(_RESIDUAL_EVALUATORS),
                       t_center=0.25)
     assert counts["compute_Phi"] == [n for n in (64, 128, 256) for _ in range(3)]
-    assert counts["compute_Phi_t"] == [n for n in (64, 128, 256) for _ in range(15)]
+    assert counts["compute_Phi_t"] == [n for n in (64, 128, 256) for _ in range(12)]
+    assert sorted(counts["_a5"]) == [n for n in (64, 128, 256) for _ in range(15)]
 
 
 def test_study_csv_layout(tmp_path):
