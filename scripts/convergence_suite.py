@@ -4,7 +4,8 @@
 Examples:
     python scripts/convergence_suite.py --observables solution,residual_v
     python scripts/convergence_suite.py --observables solution,drift
-    python scripts/convergence_suite.py --observables drift --forced no
+    python scripts/convergence_suite.py --observables drift --forced no --amplitude 0
+    python scripts/convergence_suite.py --observables linear_solution,solution
     python scripts/convergence_suite.py --observables residual_Phi,residual_Phi_t \
         --base-n 256 --r-max 16 --t-end 2.5 --t-center 2.0
 """
@@ -13,16 +14,15 @@ import argparse
 
 from faddeevlab.evolve import InitialDataSpec, RunConfig
 from faddeevlab.verify import (ManufacturedSolution, convergence_study,
-                               linear_wave_study, manufactured_config,
-                               study_to_csv)
+                               manufactured_config, study_to_csv)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--observables", default="solution",
                     help="comma list: solution, drift, residual_v, "
-                         "residual_Phi, residual_Phi_t, residual_Phi_tt, "
-                         "residual_Phi_ttt, or 'linear'")
+                         "linear_solution, residual_Phi, residual_Phi_t, "
+                         "residual_Phi_tt, residual_Phi_ttt")
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--base-n", type=int, default=128)
     ap.add_argument("--r-max", type=float, default=8.0)
@@ -44,15 +44,12 @@ def main():
                      initial=InitialDataSpec(amplitude=args.amplitude))
     ms = ManufacturedSolution()
 
-    if obs == ("linear",):
-        results = {"linear_solution": linear_wave_study(base, ms, args.levels)}
-    else:
-        start = manufactured_config(ms, base) if args.forced == "yes" else base
-        try:
-            results = convergence_study(start, args.levels, obs, ms=ms,
-                                        t_probe=args.t_probe, t_center=args.t_center)
-        except ValueError as exc:
-            ap.error(str(exc))
+    start = manufactured_config(ms, base) if args.forced == "yes" else base
+    try:
+        results = convergence_study(start, args.levels, obs, ms=ms,
+                                    t_probe=args.t_probe, t_center=args.t_center)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     for name, res in sorted(results.items()):
         rows = " ".join(f"{r.error:.3e}" for r in res.rows)

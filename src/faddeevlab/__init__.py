@@ -22,7 +22,7 @@ from .evolve import (InitialDataSpec, SpongeSpec, RunConfig, RunResult,
                      config_fingerprint, write_checkpoint)
 from .verify import (ManufacturedSolution, manufactured_initial_state,
                      manufactured_config, make_forcing, solution_error,
-                     convergence_study, linear_wave_study,
-                     kernel_series_oracle, kernel_limit, StudyResult)
+                     convergence_study, kernel_series_oracle, kernel_limit,
+                     StudyResult)
 
 __version__ = "0.1.0"

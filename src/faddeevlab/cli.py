@@ -250,8 +250,8 @@ def _suite_energy(rows, p, profile):
     cfg = RunConfig(n_cells=2048, r_max=40.0, t_end=1.0, output_every=1024,
                     track_spacetime=False, sobolev_orders=(),
                     kernel_params=p, profile=profile)
-    e0 = diag.energy(v_to_u(initial_state(cfg), profile), p,
-                     initial_state(cfg), profile)
+    v0 = initial_state(cfg)
+    e0 = diag.energy(v_to_u(v0, profile), p, v0, profile)
     ref0 = 16.419293196580507863
     err = abs(e0 - ref0) / ref0
     rows.append(("energy", "gaussian_v_initial_energy", err, 5e-7, err <= 5e-7))

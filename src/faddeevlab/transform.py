@@ -67,8 +67,8 @@ def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     return FieldState(g.r * v_state.f + phi, g.r * v_state.f_t, g, v_state.time)
 
 
-def _panels_for(length):
-    return max(8, math.ceil(16.0 * abs(length)))
+def _panels_for(lengths):
+    return np.maximum(8, np.ceil(16.0 * np.abs(lengths))).astype(int)
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +87,7 @@ def _grouped_line_integral(lengths, integrand):
     panel count max(8, ceil(16 |L_i|)); integrand(s, idx) is vectorized."""
     lengths = np.asarray(lengths, dtype=float)
     out = np.zeros_like(lengths)
-    counts = np.fromiter((_panels_for(L) for L in lengths), dtype=int,
-                         count=len(lengths))
+    counts = _panels_for(lengths)
     for p in np.unique(counts):
         sel = np.nonzero(counts == p)[0]
         pts, wts = _unit_samples(int(p))

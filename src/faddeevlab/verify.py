@@ -34,7 +34,6 @@ __all__ = [
     "pairwise_orders",
     "fit_order",
     "convergence_study",
-    "linear_wave_study",
     "kernel_series_oracle",
     "kernel_limit",
     "study_to_csv",
@@ -199,19 +198,23 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     manufactured_config(ms, base); drift runs each level unforced, since
     energy is conserved only there (asking for both runs each level twice);
     residual_v applies the discrete operator to exact ms states at t_probe;
-    the residual_Phi* observables difference per-step states centred at
-    t_center on the (unforced) evolved trajectory. base and every level's
-    window are checked before the first run.
+    linear_solution evolves the free wave v_tt = lap4 v + g from ms's exact
+    state, the nonlinearity dropped on both sides (expected order 4: RK4 and
+    4th-order stencils); the residual_Phi* observables difference per-step
+    states centred at t_center on the (unforced) evolved trajectory. base
+    and every level's window are checked before the first run.
 
     Non-monotone error sequences are flagged on the result, not raised."""
     if levels < 3:
         raise ValueError("a refinement study needs at least 3 nested levels")
-    known = {"solution", "drift", "residual_v"} | set(_RESIDUAL_EVALUATORS)
+    known = {"solution", "drift", "residual_v", "linear_solution"} | set(_RESIDUAL_EVALUATORS)
     unknown = [o for o in observables if o not in known]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; choose from {sorted(known)}")
-    if ms is None and ("solution" in observables or "residual_v" in observables):
-        raise ValueError("solution/residual_v errors need a manufactured reference")
+    forced = {"solution", "residual_v"} & set(observables)
+    if ms is None and (forced or "linear_solution" in observables):
+        raise ValueError("solution/residual_v/linear_solution errors need a "
+                         "manufactured reference")
     if "solution" in observables and manufactured_config(ms, base) != base:
         raise ValueError("solution runs forced by ms, so its base must be "
                          "manufactured_config(ms, base)")
@@ -223,13 +226,12 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             _window_start(cfg, t_center, need)
     errs = {o: [] for o in observables}
     for cfg in cfgs:
-        g = make_grid(cfg)
+        g, p, profile = make_grid(cfg), cfg.kernel_params, cfg.profile
+        force = make_forcing(ms, g, p, profile) if forced else None
         for obs in ("solution", "drift"):
             if obs not in observables:
                 continue
-            force = (make_forcing(ms, g, cfg.kernel_params, cfg.profile)
-                     if obs == "solution" else None)
-            result = run(cfg, force)
+            result = run(cfg, force if obs == "solution" else None)
             if result.status != "completed":
                 raise RuntimeError(f"study {obs} run at n={cfg.n_cells} stopped "
                                    f"early: {result.reason}")
@@ -237,10 +239,15 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                              else max(abs(rec.energy_drift) for rec in result.records))
         if "residual_v" in observables:
             state = manufactured_initial_state(ms, g, t_probe)
-            res = residual_v_equation(state, ms.v_tt(t_probe, g.r),
-                                      cfg.kernel_params, cfg.profile)
-            gprobe = make_forcing(ms, g, cfg.kernel_params, cfg.profile)(t_probe)
-            errs["residual_v"].append(_res_norm(res - gprobe, g))
+            res = residual_v_equation(state, ms.v_tt(t_probe, g.r), p, profile)
+            errs["residual_v"].append(_res_norm(res - force(t_probe), g))
+        if "linear_solution" in observables:
+            free = make_forcing(ms, g, p, profile, include_nonlinearity=False)
+            for _, _, v, vt in trajectory(cfg, free, manufactured_initial_state(ms, g),
+                                          nonlinear=False):
+                pass
+            errs["linear_solution"].append(
+                solution_error(FieldState(v, vt, g, cfg.t_end), ms))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
             states = evolve_bundles(cfg, t_center, need)
@@ -248,24 +255,8 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             for o in window_obs:
                 fn, k = _RESIDUAL_EVALUATORS[o]
                 sub = states[mid - k // 2:mid + k // 2 + 1]
-                errs[o].append(_res_norm(fn(sub, cfg.kernel_params, cfg.profile), g))
+                errs[o].append(_res_norm(fn(sub, p, profile), g))
     return {o: _build_result(o, cfgs, errs[o]) for o in observables}
-
-
-def linear_wave_study(base: RunConfig, ms: ManufacturedSolution, levels=3):
-    """Free-wave benchmark: evolve v_tt = lap4 v + g with the nonlinearity
-    dropped on both sides; expected order 4 (RK4 + 4th-order stencils)."""
-    cfgs = [replace(base, n_cells=base.n_cells * 2 ** lev) for lev in range(levels)]
-    errors = []
-    for cfg in cfgs:
-        g = make_grid(cfg)
-        force = make_forcing(ms, g, cfg.kernel_params, cfg.profile,
-                             include_nonlinearity=False)
-        for _, _, v, vt in trajectory(cfg, force, manufactured_initial_state(ms, g),
-                                      nonlinear=False):
-            pass
-        errors.append(solution_error(FieldState(v, vt, g, cfg.t_end), ms))
-    return _build_result("linear_solution", cfgs, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Source hygiene: no module imports a name it never uses, every name a
-module exports exists, and the package imports only at module level."""
+module exports exists, the package imports only at module level, and every
+script the README names exists."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -114,3 +116,18 @@ def test_cutoffs_are_evaluated_only_in_the_mesh_table(path):
     only the verify suite's scalar finite-difference checks call eval_cutoff."""
     allowed = {"_suite_kernels"} if path.name == "cli.py" else set()
     assert [call for call in cutoff_calls(path.read_text()) if call[0] not in allowed] == []
+
+
+def named_scripts(text):
+    """Every scripts/<name>.py a text names, in order of first mention."""
+    return list(dict.fromkeys(re.findall(r"scripts/([\w-]+\.py)", text)))
+
+
+def test_the_scan_sees_a_named_script():
+    text = "Run `scripts/a_b.py`, then python scripts/c-d.py and scripts/a_b.py."
+    assert named_scripts(text) == ["a_b.py", "c-d.py"]
+
+
+def test_every_script_the_readme_names_exists():
+    names = named_scripts((ROOT / "README.md").read_text())
+    assert names and [n for n in names if not (ROOT / "scripts" / n).is_file()] == []

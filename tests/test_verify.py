@@ -17,7 +17,6 @@ from faddeevlab.verify import (
     fit_order,
     kernel_limit,
     kernel_series_oracle,
-    linear_wave_study,
     make_forcing,
     manufactured_config,
     manufactured_initial_state,
@@ -123,8 +122,9 @@ def test_manufactured_solution_study_is_fourth_order():
     assert all(r.order >= 3.5 for r in sol.rows[1:])
 
 
-def test_linear_wave_study_is_fourth_order():
-    lin = linear_wave_study(lean_base(), MS, levels=3)
+def test_linear_solution_is_fourth_order():
+    lin = convergence_study(lean_base(), levels=3, observables=("linear_solution",),
+                            ms=MS)["linear_solution"]
     assert abs(lin.ls_order - 4.0) <= 0.3  # measured 3.988
     assert lin.rows[0].error < 1e-4
 
@@ -174,6 +174,8 @@ def test_study_validation():
         convergence_study(base, observables=("wobble",), ms=MS)
     with pytest.raises(ValueError, match="manufactured reference"):
         convergence_study(base, observables=("solution",))
+    with pytest.raises(ValueError, match="manufactured reference"):
+        convergence_study(base, observables=("linear_solution",))
 
 
 def test_study_checks_every_residual_window_before_its_first_run(monkeypatch):
@@ -215,6 +217,19 @@ def test_drift_runs_unforced_beside_a_forced_solution(monkeypatch):
     alone = convergence_study(base, levels=3, observables=("drift",))
     assert [r.error for r in both["drift"].rows] == [r.error for r in alone["drift"].rows]
     assert both["solution"].ls_order >= 3.5
+
+
+def test_a_mixed_study_matches_its_one_observable_studies():
+    """solution and residual_v share one manufactured forcing per level and
+    linear_solution builds its own free one; mixed in one study, each gives
+    the rows, bit for bit (repr round-trips every float), of a study of
+    that observable alone."""
+    base, obs = manufactured_config(MS, lean_base()), ("solution", "residual_v",
+                                                      "linear_solution")
+    mixed = convergence_study(base, levels=3, observables=obs, ms=MS)
+    for o in obs:
+        alone = convergence_study(base, levels=3, observables=(o,), ms=MS)[o]
+        assert repr(mixed[o]) == repr(alone)
 
 
 def test_residual_study_computes_each_transform_on_the_levels_read(monkeypatch):
