@@ -5,7 +5,7 @@ identities, conservation laws, and continuation monitors numerically.
 """
 
 from .kernels import (KernelParams, CutoffProfile, DEFAULT_PARAMS,
-                      DEFAULT_PROFILE, eval_Ftilde, eval_cutoff, eval_A,
+                      DEFAULT_PROFILE, eval_Ftilde, eval_cutoff,
                       eval_N, eval_F_rhs, laplacian_phi_2d)
 from .grid import (RadialGrid, FieldState, d_r, laplacian, integrate_radial,
                    sobolev_norm, fill_ghosts)

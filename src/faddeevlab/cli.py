@@ -293,17 +293,17 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_one(packed):
-    index, config, out_dir = packed
+    config, out_dir = packed
     try:
         result = run(config)
         _write_run(result, out_dir)
     except Exception as exc:  # a failed run or write must not kill the sweep
-        return {"index": index, "status": "error", "reason": str(exc),
+        return {"status": "error", "reason": str(exc),
                 "t_final": math.nan, "max_monitor_v": math.nan,
                 "max_monitor_vt": math.nan, "max_monitor_gradv": math.nan,
                 "max_drift": math.nan}
     recs = result.records
-    return {"index": index, "status": result.status, "reason": result.reason,
+    return {"status": result.status, "reason": result.reason,
             "t_final": result.state.time,
             "max_monitor_v": max(rec.monitor_v for rec in recs),
             "max_monitor_vt": max(rec.monitor_vt for rec in recs),
@@ -339,7 +339,7 @@ def cmd_sweep(args) -> int:
     out_root = _out_dir(args.out or file_out or "faddeev_out")
     os.makedirs(out_root, exist_ok=True)
 
-    packed = [(i, config, os.path.join(out_root, f"run_{i:03d}"))
+    packed = [(config, os.path.join(out_root, f"run_{i:03d}"))
               for i, _, config in jobs]
     # the fork start method starts every worker at once: no more than runs
     workers = min(args.jobs, len(packed))
@@ -373,7 +373,7 @@ def cmd_kernels_table(args) -> int:
     cut = kernels.cutoff_arrays(rs, profile)
     write_csv(path_c, ["r", "phi", "dphi", "lt1", "gt1", "lap2_phi", "A4_at_v1"],
               zip(rs, cut["phi"], cut["dphi"], cut["lt1"], cut["gt1"], cut["lap2phi"],
-                  kernels.eval_A(4, np.ones_like(rs), rs, p, profile)))
+                  1.0 + kernels.eval_Ftilde(0, rs, p)))
     print(f"status=ok kernels={path_k} cutoffs={path_c}")
     return 0
 

@@ -87,7 +87,7 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     q = v[near] * v[near] * kernels.eval_Ftilde(0, r[near] * v[near], p)
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
     r_far, sin_far = r[far], np.sin(u_state.f[far])
-    a1 = np.concatenate((1.0 + q, 1.0 + (p.alpha * sin_far / r_far) ** 2))
+    a1 = np.concatenate((1.0 + q, kernels._a3(sin_far, r_far, p)))
     sin2_over_r2 = np.concatenate((q / p.alpha ** 2, (sin_far / r_far) ** 2))
     density = 0.5 * (a1 * (u_state.f_t ** 2 + u_r ** 2) + sin2_over_r2)
     total = integrate_radial(density, g, 1)

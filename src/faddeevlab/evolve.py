@@ -310,13 +310,15 @@ def _schedule(config: RunConfig):
 def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     """Yield (k, t, v, vt) for k = 0..nsteps of the fixed-step RK4 evolution.
 
-    state is the data at t = 0 (default initial_state(config)); its arrays
-    are copied. The sponge is dropped when it is zero everywhere, and
-    nonlinear=False drops F (free-wave path). Yielded arrays are never
-    modified afterwards, so a consumer may keep them.
+    state is the data at t = 0 on make_grid(config) (default
+    initial_state(config)); its arrays are copied. The sponge is dropped
+    when it is zero everywhere, and nonlinear=False drops F (free-wave
+    path). Yielded arrays are never modified afterwards: a consumer may keep them.
     """
     g = make_grid(config)
     state = state if state is not None else initial_state(config)
+    if state.grid != g:
+        raise ValueError(f"the state lives on {state.grid}, the config's mesh is {g}")
     sig = sponge_sigma(g, config.sponge)
     f = _operator(g, config.kernel_params, config.profile,
                   sig if sig.any() else None, forcing, nonlinear)

@@ -24,14 +24,11 @@ __all__ = [
     "eval_Ftilde",
     "eval_cutoff",
     "laplacian_phi_2d",
-    "eval_A",
     "eval_N",
     "eval_F_rhs",
     "cutoff_arrays",
     "mesh_cutoffs",
     "eval_F_given_cutoffs",
-    "dA1_dt",
-    "dA1_dtt",
 ]
 
 
@@ -256,37 +253,14 @@ def _a3(sin_y, r, p):
 
 
 def _a4(y, r, p):
-    """A_4(y, r) = 1 + y^2 Ftilde_0(r y), smooth through r = 0."""
+    """A_4(y, r) = 1 + y^2 Ftilde_0(r y) >= 1, smooth through r = 0."""
     return 1.0 + y * y * eval_Ftilde(0, r * y, p)
 
 
-def eval_A(which, y, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
-    """The quasilinear coefficient functions, all >= 1.
-
-    which=1: A_1(u=y, r) = 1 + alpha^2 sin^2(y)/r^2           (needs r > 0)
-    which=4: A_4(y, r) = 1 + y^2 Ftilde_0(r y), smooth through r = 0
-    which=5: A_5(y, r) = A_4(y, r) on r <= 1, else A_1(r y + phi(r), r).
-
-    A_5 evaluated on (v, r) equals A_1 evaluated on the reconstructed
-    u = r v + phi at every radius, with the r -> 0 limit built in.
-    """
-    if which not in (1, 4, 5):
-        raise ValueError(f"A-index must be 1, 4 or 5, got {which}")
-
-    def coefficient(y, r):
-        if which == 1:
-            if np.any(r <= 0):
-                raise ValueError("A_1 requires r > 0; use A_4/A_5 at the origin")
-            return _a3(np.sin(y), r, p)
-        if which == 4:
-            return _a4(y, r, p)
-        return _a5(y, cutoff_arrays(r, profile), p)
-    return _pointwise(coefficient, y, r)
-
-
 def _a5(y, cut, p):
-    """A_5 on the mesh of cut = cutoff_arrays(r, profile): A_4 on the near
-    nodes (r <= 1), A_1 of u = r y + phi on the far ones."""
+    """A_5 >= 1 on the mesh of cut = cutoff_arrays(r, profile): A_4 on the
+    near nodes (r <= 1), A_1 of u = r y + phi on the far ones. So A_5 on
+    (v, r) is A_1 on u = r v + phi at every radius, the r -> 0 limit built in."""
     near, far, out = cut["near"], cut["far"], np.empty_like(y)
     out[near] = _a4(y[near], cut["r_near"], p)
     out[far] = _a3(np.sin(cut["r_far"] * y[far] + cut["phi_far"]), cut["r_far"], p)
@@ -426,18 +400,10 @@ def eval_F_rhs(v, v_t, v_r, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
     return _pointwise(rhs, v, v_t, v_r, r)
 
 
-def dA1_dt(v, v_t, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
-    """Time derivative of A_1 along a trajectory, singularity-safe.
-
-    dA_1/dt = alpha^2 r^-2 sin(2u) u_t with u = r v + phi, u_t = r v_t;
-    on r <= 1 this reduces exactly to -2 v v_t Ftilde_3(r v).
-    """
-    return _pointwise(lambda v, v_t, r: _da1_dt(v, v_t, cutoff_arrays(r, profile), p),
-                      v, v_t, r)
-
-
 def _da1_dt(v, v_t, cut, p):
-    """dA1_dt on the mesh of cut = cutoff_arrays(r, profile)."""
+    """dA_1/dt along a trajectory on the mesh of cut = cutoff_arrays(r, profile):
+    alpha^2 r^-2 sin(2u) u_t with u = r v + phi, u_t = r v_t, which on r <= 1
+    is exactly the singularity-safe -2 v v_t Ftilde_3(r v)."""
     near, far, rn, rf = cut["near"], cut["far"], cut["r_near"], cut["r_far"]
     out = np.empty_like(v)
     out[near] = -2.0 * v[near] * v_t[near] * eval_Ftilde(3, rn * v[near], p)
@@ -446,15 +412,8 @@ def _da1_dt(v, v_t, cut, p):
     return out
 
 
-def dA1_dtt(v, v_t, v_tt, r, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE):
-    """Second time derivative of A_1; v_tt supplied by the caller."""
-    def rate(v, v_t, v_tt, r):
-        return _da1_dtt(v, v_t, v_tt, cutoff_arrays(r, profile), p)
-    return _pointwise(rate, v, v_t, v_tt, r)
-
-
 def _da1_dtt(v, v_t, v_tt, cut, p):
-    """dA1_dtt on the mesh of cut = cutoff_arrays(r, profile)."""
+    """d^2A_1/dt^2 on the mesh of cut = cutoff_arrays(r, profile), given v_tt."""
     near, far, rn, rf = cut["near"], cut["far"], cut["r_near"], cut["r_far"]
     out = np.empty_like(v)
     vn, vtn = v[near], v_t[near]

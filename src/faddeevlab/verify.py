@@ -211,6 +211,9 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     unknown = [o for o in observables if o not in known]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; choose from {sorted(known)}")
+    for i, o in enumerate(observables):
+        if o in observables[:i]:
+            raise ValueError(f"observable {o!r} is given twice")
     forced = {"solution", "residual_v"} & set(observables)
     if ms is None and (forced or "linear_solution" in observables):
         raise ValueError("solution/residual_v/linear_solution errors need a "

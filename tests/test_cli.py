@@ -6,9 +6,10 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from faddeevlab import cli
+from faddeevlab import cli, kernels
 from faddeevlab.cli import load_config, main, write_effective_config
 from faddeevlab.evolve import CONFIG_TABLE, RunConfig
 
@@ -285,6 +286,17 @@ def test_kernels_table(tmp_path, capsys):
     cuts = Path(out, "cutoffs.csv").read_text().splitlines()
     assert cuts[0] == "r,phi,dphi,lt1,gt1,lap2_phi,A4_at_v1"
     assert len(cuts) == 1 + 601
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_kernels_table_A4_column_is_A4_at_v_one(tmp_path, alpha):
+    """The A4_at_v1 column reads back as A_4(1, r) to the last bit."""
+    out = run_dirs(tmp_path, "tables")
+    assert main(["kernels-table", "--set", f"kernels.alpha={alpha}", "--out", out]) == 0
+    rows = [line.split(",") for line in Path(out, "cutoffs.csv").read_text().splitlines()[1:]]
+    r = np.array([float(row[0]) for row in rows])
+    a4 = np.array([float(row[-1]) for row in rows])
+    assert np.array_equal(a4, kernels._a4(np.ones_like(r), r, kernels.KernelParams(alpha)))
 
 
 def read_meta(path):

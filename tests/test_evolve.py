@@ -255,6 +255,16 @@ def test_trajectory_yields_fresh_arrays():
     assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
+@pytest.mark.parametrize("grid", [RadialGrid(32, 4.0), RadialGrid(16, 8.0)])
+def test_trajectory_refuses_a_state_from_another_grid(grid):
+    """Another r_max would run silently on the config's mesh, another node
+    count would fail in the stencils: both are refused by name first."""
+    with pytest.raises(ValueError, match=r"the state lives on RadialGrid\(n_cells=\d+, "
+                                         r"r_max=\d\.0\), the config's mesh is "
+                                         r"RadialGrid\(n_cells=32, r_max=8\.0\)"):
+        next(trajectory(lean(n_cells=32, r_max=8.0, t_end=0.5), state=zero_state(grid)))
+
+
 def _locked(*arrays):
     for a in arrays:
         a.flags.writeable = False

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name a
-module exports exists, the package imports only at module level, and every
-script the README names exists."""
+module exports exists, the package imports only at module level, every
+script the README names exists, and every python block of the README runs."""
 
 import ast
 import importlib
@@ -131,3 +131,22 @@ def test_the_scan_sees_a_named_script():
 def test_every_script_the_readme_names_exists():
     names = named_scripts((ROOT / "README.md").read_text())
     assert names and [n for n in names if not (ROOT / "scripts" / n).is_file()] == []
+
+
+def python_blocks(text):
+    """The source of every ```python block of a markdown text, in order."""
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_the_scan_sees_a_python_block():
+    text = "```sh\nls\n```\n```python\nx = 1\n```\n```python\ny = 2\n```\n"
+    assert python_blocks(text) == ["x = 1\n", "y = 2\n"]
+
+
+def test_every_readme_python_block_runs(tmp_path, monkeypatch):
+    """Each block runs on its own, in an empty working directory."""
+    monkeypatch.chdir(tmp_path)
+    blocks = python_blocks((ROOT / "README.md").read_text())
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__main__"})

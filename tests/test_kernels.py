@@ -13,9 +13,8 @@ from faddeevlab import diagnostics as diag
 from faddeevlab import kernels
 from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
                                 MAX_CUTOFF_ORDER, CutoffProfile, KernelParams, _a3,
-                                _ftilde, _series_rows,
-                                cutoff_arrays, dA1_dt, dA1_dtt,
-                                eval_A, eval_cutoff, eval_F_given_cutoffs,
+                                _a4, _a5, _da1_dt, _da1_dtt, _ftilde, _series_rows,
+                                cutoff_arrays, eval_cutoff, eval_F_given_cutoffs,
                                 eval_F_rhs, eval_Ftilde, eval_N,
                                 laplacian_phi_2d, mesh_cutoffs)
 from faddeevlab.grid import FieldState, RadialGrid, d_r
@@ -157,27 +156,17 @@ def test_laplacian_phi_supported_on_transition_shell(profile):
 @settings(max_examples=200, deadline=None)
 @given(y=st.floats(-50.0, 50.0), r=st.floats(0.0, 100.0))
 def test_A4_A5_at_least_one(y, r):
-    assert eval_A(4, y, r) >= 1.0
-    assert eval_A(5, y, r) >= 1.0
-
-
-def test_A1_A3_require_positive_radius():
-    with pytest.raises(ValueError):
-        eval_A(1, 0.3, 0.0)
-    with pytest.raises(ValueError):
-        eval_A(1, 0.3, -1.0)
-    with pytest.raises(ValueError):
-        eval_A(2, 0.3, 1.0)
-    with pytest.raises(ValueError):  # A_3 is A_1 with a free argument
-        eval_A(3, 0.3, 1.0)
+    y, r = np.array([y]), np.array([r])
+    assert _a4(y, r, DEFAULT_PARAMS)[0] >= 1.0
+    assert _a5(y, cutoff_arrays(r), DEFAULT_PARAMS)[0] >= 1.0
 
 
 def test_A5_matches_A1_on_reconstructed_u(params, profile):
     r = np.linspace(0.05, 6.0, 301)
     v = 0.4 * np.exp(-r ** 2) + 0.1
     u = r * v + eval_cutoff("phi", r, 0, profile)
-    a5 = eval_A(5, v, r, params, profile)
-    a1 = eval_A(1, u, r, params)
+    a5 = _a5(v, cutoff_arrays(r, profile), params)
+    a1 = _a3(np.sin(u), r, params)
     assert np.max(np.abs(a5 - a1)) <= 1e-12
 
 
@@ -185,9 +174,9 @@ def test_dA1_dt_matches_path_derivative(params, profile):
     r = np.array([0.3, 0.7, 1.5, 3.0])
     v, vt = np.array([0.4, -0.2, 0.3, 0.1]), np.array([0.5, 0.3, -0.4, 0.2])
     eps = 1e-5
-    fd = (eval_A(5, v + eps * vt, r, params, profile)
-          - eval_A(5, v - eps * vt, r, params, profile)) / (2 * eps)
-    assert np.max(np.abs(dA1_dt(v, vt, r, params, profile) - fd)) <= 2e-8
+    cut = cutoff_arrays(r, profile)
+    fd = (_a5(v + eps * vt, cut, params) - _a5(v - eps * vt, cut, params)) / (2 * eps)
+    assert np.max(np.abs(_da1_dt(v, vt, cut, params) - fd)) <= 2e-8
 
 
 def test_dA1_dtt_matches_path_derivative(params, profile):
@@ -196,12 +185,13 @@ def test_dA1_dtt_matches_path_derivative(params, profile):
     vt = np.array([0.5, 0.3, -0.4, 0.2])
     vtt = np.array([-0.3, 0.6, 0.2, -0.5])
     eps = 1e-4
+    cut = cutoff_arrays(r, profile)
 
     def along(t):
-        return eval_A(5, v + t * vt + 0.5 * t * t * vtt, r, params, profile)
+        return _a5(v + t * vt + 0.5 * t * t * vtt, cut, params)
 
     fd = (along(eps) - 2.0 * along(0.0) + along(-eps)) / eps ** 2
-    assert np.max(np.abs(dA1_dtt(v, vt, vtt, r, params, profile) - fd)) <= 1e-6
+    assert np.max(np.abs(_da1_dtt(v, vt, vtt, cut, params) - fd)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +468,11 @@ def _bitwise_outputs():
     r = np.sort(rng.uniform(0.01, 3.0, n))
     y, vt, vr, vtt = (rng.uniform(-2.0, 2.0, n) for _ in range(4))
     p = KernelParams(alpha=0.7)
-    out = {f"eval_A{w}": eval_A(w, y, r, p) for w in (1, 4, 5)}
-    out["eval_N"] = eval_N(y, vt, vr, r, p)
-    out["dA1_dt"] = dA1_dt(y, vt, r, p)
-    out["dA1_dtt"] = dA1_dtt(y, vt, vtt, r, p)
-    out["eval_F_rhs"] = eval_F_rhs(y, vt, vr, r, p)
-    out["laplacian_phi_2d"] = laplacian_phi_2d(r)
     cut = cutoff_arrays(r)
+    out = {"eval_A1": _a3(np.sin(y), r, p), "eval_A4": _a4(y, r, p),
+           "eval_A5": _a5(y, cut, p), "eval_N": eval_N(y, vt, vr, r, p),
+           "dA1_dt": _da1_dt(y, vt, cut, p), "dA1_dtt": _da1_dtt(y, vt, vtt, cut, p),
+           "eval_F_rhs": eval_F_rhs(y, vt, vr, r, p), "laplacian_phi_2d": laplacian_phi_2d(r)}
     for key in ("phi", "dphi", "lt1", "gt1", "lap2phi"):
         out[f"cutoff_{key}"] = cut[key]
     # seven equally spaced time levels of a Gaussian drifting in amplitude
@@ -561,7 +549,7 @@ EDGE_PINS = {
 
 def _edge_outputs():
     """The chart-split consumers on a mesh with no node past r = 1, and the
-    pointwise two-chart forms on unsorted radii."""
+    two-chart forms on the table of unsorted radii (index-array node sets)."""
     p = KernelParams(alpha=0.7)
     g = RadialGrid(32, 1.0)
     env = np.exp(-g.r ** 2)
@@ -583,8 +571,9 @@ def _edge_outputs():
     rng = np.random.default_rng(5)
     r = rng.uniform(0.0, 3.0, 97)
     y, vt, vtt = (rng.uniform(-2.0, 2.0, r.size) for _ in range(3))
-    out.update(eval_A5=eval_A(5, y, r, p), dA1_dt=dA1_dt(y, vt, r, p),
-               dA1_dtt=dA1_dtt(y, vt, vtt, r, p))
+    cut = cutoff_arrays(r)
+    out.update(eval_A5=_a5(y, cut, p), dA1_dt=_da1_dt(y, vt, cut, p),
+               dA1_dtt=_da1_dtt(y, vt, vtt, cut, p))
     return out
 
 
@@ -599,7 +588,6 @@ def test_scalar_input_gives_a_python_float(params, profile):
     values += [eval_cutoff(which, 1.3, order, profile)
                for which in ("phi", "lt1", "gt1") for order in (0, 1, 2)]
     values += [laplacian_phi_2d(1.5, profile), laplacian_phi_2d(0.0, profile)]
-    values += [eval_A(which, 0.4, 1.5, params, profile) for which in (1, 4, 5)]
     values += [eval_N(0.4, 0.3, -0.2, 1.5, params)]
     values += [eval_F_rhs(0.4, 0.3, -0.2, r, params, profile) for r in (0.0, 0.7, 1.5)]
     assert all(type(v) is float for v in values)

@@ -24,34 +24,41 @@ def test_script_main_runs(tmp_path, monkeypatch, capsys, script, args, expect):
     assert expect in capsys.readouterr().out
 
 
-def test_convergence_suite_refuses_an_unforced_solution_study(tmp_path, monkeypatch,
-                                                               capsys):
-    """The solution error needs runs forced from the manufactured data, so
-    --forced no with the solution observable stops before any run."""
+def _suite_refusal(tmp_path, monkeypatch, capsys, args):
+    """The stderr of convergence_suite.py refusing args: exit code 2, no
+    file written."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--observables", "solution",
-                                      "--forced", "no", "--base-n", "32"])
+    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--base-n", "32"] + args)
     main = runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
-    assert "manufactured_config(ms, base)" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    return capsys.readouterr().err
+
+
+def test_convergence_suite_refuses_an_unforced_solution_study(tmp_path, monkeypatch,
+                                                               capsys):
+    """The solution error needs runs forced from the manufactured data, so
+    --forced no with the solution observable stops before any run."""
+    err = _suite_refusal(tmp_path, monkeypatch, capsys,
+                         ["--observables", "solution", "--forced", "no"])
+    assert "manufactured_config(ms, base)" in err
 
 
 def test_convergence_suite_refuses_the_retired_linear_token(tmp_path, monkeypatch,
                                                             capsys):
     """The free wave is the linear_solution observable; the old bare
     'linear' token is an unknown observable like any other."""
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--observables", "linear",
-                                      "--base-n", "32"])
-    main = runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]
-    with pytest.raises(SystemExit) as exc:
-        main()
-    assert exc.value.code == 2
-    assert "unknown observables ['linear']" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--observables", "linear"])
+    assert "unknown observables ['linear']" in err
+
+
+def test_convergence_suite_refuses_a_repeated_observable(tmp_path, monkeypatch, capsys):
+    """A repeated window observable would append its errors twice per level."""
+    err = _suite_refusal(tmp_path, monkeypatch, capsys,
+                         ["--observables", "residual_Phi,residual_Phi", "--t-center", "0.3"])
+    assert "observable 'residual_Phi' is given twice" in err
 
 
 def _campaign_main(tmp_path, monkeypatch, args):

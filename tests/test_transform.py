@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from faddeevlab.grid import FieldState, RadialGrid
-from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, eval_A,
-                                eval_cutoff)
+from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, _a3, eval_cutoff
 from faddeevlab.transform import (compute_Phi, compute_Phi_t,
                                   residual_Phi_t_wave,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
@@ -100,7 +99,7 @@ def test_phi_branch_formulas_agree_on_seam_strip():
     for i in np.nonzero((g.r >= 0.4) & (g.r <= 0.5))[0]:
         r = g.r[i]
         outer = quadrature_1d(
-            lambda y: np.sqrt(eval_A(1, y, r, DEFAULT_PARAMS)),
+            lambda y: np.sqrt(_a3(np.sin(y), r, DEFAULT_PARAMS)),
             math.pi, u.f[i], 64) / r
         assert abs(outer - phi[i]) <= 1e-10
 
@@ -134,7 +133,7 @@ def test_phi_t_identity_nodewise(grid256):
     pt = compute_Phi_t(v, DEFAULT_PARAMS, DEFAULT_PROFILE)
     u = v_to_u(v, DEFAULT_PROFILE)
     rp = g.r[1:]
-    a1 = eval_A(1, u.f[1:], rp, DEFAULT_PARAMS)
+    a1 = _a3(np.sin(u.f[1:]), rp, DEFAULT_PARAMS)
     direct = np.sqrt(a1) * u.f_t[1:] / rp
     assert np.max(np.abs(direct - pt[1:])) <= 1e-12
 

@@ -176,6 +176,11 @@ def test_study_validation():
         convergence_study(base, observables=("solution",))
     with pytest.raises(ValueError, match="manufactured reference"):
         convergence_study(base, observables=("linear_solution",))
+    with pytest.raises(ValueError, match="observable 'residual_Phi' is given twice"):
+        convergence_study(base, observables=("residual_Phi", "solution", "residual_Phi"),
+                          ms=MS, t_center=0.3)
+    with pytest.raises(ValueError, match="observable 'drift' is given twice"):
+        convergence_study(base, observables=("drift", "drift"))
 
 
 def test_study_checks_every_residual_window_before_its_first_run(monkeypatch):
