@@ -1,4 +1,8 @@
+import contextlib
+import io
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def python_blocks(text):
+    """The source of every ```python block of a markdown text, in order."""
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+
+
+@pytest.fixture(scope="session")
+def readme_block_outputs(tmp_path_factory):
+    """What each README python block prints, each run once per session, on its
+    own, in an empty working directory."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    printed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("readme"))
+        for i, block in enumerate(python_blocks(readme)):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__main__"})
+            printed.append(out.getvalue())
+    return printed
 
 
 @pytest.fixture(scope="session")

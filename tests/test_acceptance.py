@@ -17,17 +17,13 @@ import numpy as np
 import pytest
 
 from faddeevlab import diagnostics as diag
-from faddeevlab import kernels
+from faddeevlab.cli import (check_kernel_limits, check_phi_t_identity_order,
+                            check_two_path_identity, manufactured_study)
 from faddeevlab.evolve import InitialDataSpec, RunConfig, run
 from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
-from faddeevlab.transform import compute_Phi, compute_Phi_t
-from faddeevlab.verify import (
-    ManufacturedSolution,
-    convergence_study,
-    kernel_limit,
-    manufactured_config,
-)
+from faddeevlab.transform import compute_Phi
+from faddeevlab.verify import ManufacturedSolution, convergence_study
 
 P, PROF = DEFAULT_PARAMS, DEFAULT_PROFILE
 
@@ -63,11 +59,7 @@ def benchmark_companion(benchmark_run):
 
 def test_criterion_1_kernel_limits():
     t0 = time.perf_counter()
-    worst = 0.0
-    for j in range(5):
-        ref = kernel_limit(j, P)
-        got = kernels.eval_Ftilde(j, 0.0, P)
-        worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    worst = max(err for _, err, _, _ in check_kernel_limits(P, PROF))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
     verdict(1, ok, f"kernel limits rel err {worst:.3e} (tol 1e-12) "
@@ -78,20 +70,11 @@ def test_criterion_1_kernel_limits():
 
 def test_criterion_2_two_path_identity():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(0)
-    n = 1000
-    v = rng.uniform(-2.0, 2.0, n)
-    vt = rng.uniform(-2.0, 2.0, n)
-    vr = rng.uniform(-2.0, 2.0, n)
-    r = rng.uniform(0.05, 0.45, n)
-    f_direct = kernels.eval_F_rhs(v, vt, vr, r, P, PROF)
-    u = r * v + math.pi
-    f_via_u = v / r ** 2 + kernels.eval_N(u, r * vt, r * vr + v, r, P) / r
-    worst = float(np.max(np.abs(f_direct - f_via_u) / (1.0 + np.abs(f_direct))))
+    [(_, worst, _, _)] = check_two_path_identity(P, PROF)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 1.0
     verdict(2, ok, f"two-path identity rel err {worst:.3e} (tol 1e-9) "
-                   f"over {n} samples in {elapsed:.3f}s")
+                   f"over 1000 samples in {elapsed:.3f}s")
     assert worst <= 1e-9
     assert elapsed < 1.0
 
@@ -115,12 +98,7 @@ def test_criterion_3_long_run_drift(benchmark_run):
 
 
 def test_criterion_4_manufactured_order():
-    ms = ManufacturedSolution()
-    base = manufactured_config(ms, RunConfig(
-        n_cells=128, r_max=8.0, t_end=1.0, output_every=32,
-        drift_ceiling=1.0, track_spacetime=False, sobolev_orders=()))
-    sol = convergence_study(base, levels=3, observables=("solution",),
-                            ms=ms)["solution"]
+    sol = manufactured_study(P, PROF)["solution"]
     ok = sol.ls_order >= 3.5 and sol.monotone
     verdict(4, ok, f"manufactured-solution order {sol.ls_order:.3f} "
                    f"(>= 3.5) errors {[f'{r.error:.2e}' for r in sol.rows]}")
@@ -150,18 +128,7 @@ def test_criterion_5_residual_orders():
 
 
 def test_criterion_6_phi_t_identity_order():
-    g = RadialGrid(256, 8.0)
-    state = FieldState(0.2 * np.exp(-g.r ** 2), 0.1 * np.exp(-g.r ** 2), g)
-    phi_t = compute_Phi_t(state, P, PROF)
-    errs = []
-    for dt in (1e-3, 5e-4):
-        shifted = []
-        for sign in (1.0, -1.0):
-            st = FieldState(state.f + sign * dt * state.f_t, state.f_t, g, sign * dt)
-            shifted.append(compute_Phi(st, P, PROF))
-        fd = (shifted[0] - shifted[1]) / (2.0 * dt)
-        errs.append(float(np.max(np.abs(fd - phi_t))))
-    order = math.log2(errs[0] / errs[1])
+    [(_, order, _, _)] = check_phi_t_identity_order(P, PROF)
     ok = abs(order - 2.0) <= 0.3
     verdict(6, ok, f"Phi_t finite-difference identity order {order:.4f} "
                    f"(2 +- 0.3)")

@@ -155,6 +155,14 @@ def test_verify_suites_pass(tmp_path, capsys, suite, n_checks):
     assert digest == VERIFY_CSV_SHA256[suite]
 
 
+def test_every_convergence_row_is_judged_at_its_printed_tolerance(tmp_path, capsys):
+    """At alpha = 13 the drift order is 3.31: below the 3.5 the row prints."""
+    rc = main(["verify", "convergence", "--set", "kernels.alpha=13",
+               "--out", run_dirs(tmp_path, "alpha13")])
+    assert rc == 3
+    assert "FAIL convergence.drift_order value=3.30697 tolerance=3.5" in capsys.readouterr().out
+
+
 def test_sweep_single_point_matches_plain_run(tmp_path):
     plain = run_dirs(tmp_path, "plain")
     assert main(["run"] + TINY + ["--set", "initial_data.amplitude=0.3",
@@ -513,24 +521,17 @@ def test_readme_defaults_block_matches_the_dataclasses(tmp_path):
     assert sorted(listed) == sorted(key for key, _, _ in CONFIG_TABLE)
 
 
-def test_readme_library_use_block_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
-    status, energy, drift = capsys.readouterr().out.split()
+def test_readme_library_use_block_runs(readme_block_outputs):
+    status, energy, drift = readme_block_outputs[0].split()
     assert status == "completed"
     assert float(energy) > 0.0 and float(drift) < 1e-2
 
 
-def test_readme_residual_window_block_runs(capsys):
+def test_readme_residual_window_block_runs(readme_block_outputs):
     """The second python block of README: a residual identity on a window of
     evolved states, at two resolutions."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
-    assert len(blocks) == 2
-    exec(compile(blocks[1], "README.md", "exec"), {})
     (n0, coarse), (n1, fine) = (line.split() for line in
-                                capsys.readouterr().out.splitlines())
+                                readme_block_outputs[1].splitlines())
     assert (n0, n1) == ("128", "256")
     assert float(coarse) / float(fine) >= 3.0  # measured 3.85
 

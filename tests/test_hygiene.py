@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import python_blocks
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "faddeevlab").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "scripts").glob("*.py"))
@@ -114,7 +116,7 @@ def test_the_scan_sees_a_cutoff_call():
 def test_cutoffs_are_evaluated_only_in_the_mesh_table(path):
     """A mesh reads its cutoffs from kernels.cutoff_arrays; outside kernels.py
     only the verify suite's scalar finite-difference checks call eval_cutoff."""
-    allowed = {"_suite_kernels"} if path.name == "cli.py" else set()
+    allowed = {"_check_cutoff_derivatives"} if path.name == "cli.py" else set()
     assert [call for call in cutoff_calls(path.read_text()) if call[0] not in allowed] == []
 
 
@@ -133,20 +135,12 @@ def test_every_script_the_readme_names_exists():
     assert names and [n for n in names if not (ROOT / "scripts" / n).is_file()] == []
 
 
-def python_blocks(text):
-    """The source of every ```python block of a markdown text, in order."""
-    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
-
-
 def test_the_scan_sees_a_python_block():
     text = "```sh\nls\n```\n```python\nx = 1\n```\n```python\ny = 2\n```\n"
     assert python_blocks(text) == ["x = 1\n", "y = 2\n"]
 
 
-def test_every_readme_python_block_runs(tmp_path, monkeypatch):
-    """Each block runs on its own, in an empty working directory."""
-    monkeypatch.chdir(tmp_path)
-    blocks = python_blocks((ROOT / "README.md").read_text())
-    assert blocks
-    for i, block in enumerate(blocks):
-        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__main__"})
+def test_every_readme_python_block_runs(readme_block_outputs):
+    """Each block runs once, on its own, in an empty working directory;
+    tests/test_cli.py checks what each block prints."""
+    assert len(readme_block_outputs) == 2

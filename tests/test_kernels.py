@@ -218,16 +218,6 @@ def test_two_path_identity_spot(params, profile):
     assert abs(f - direct) <= 1e-10
 
 
-def test_two_path_identity_random(params, profile):
-    rng = np.random.default_rng(7)
-    n = 500
-    v, vt, vr = (rng.uniform(-2.0, 2.0, n) for _ in range(3))
-    r = rng.uniform(0.05, 0.45, n)
-    f = eval_F_rhs(v, vt, vr, r, params, profile)
-    direct = v / r ** 2 + eval_N(r * v + math.pi, r * vt, v + r * vr, r, params) / r
-    assert np.all(np.abs(f - direct) <= 1e-9 * (1.0 + np.abs(f)))
-
-
 def test_F_vanishes_off_transition_shell(params, profile):
     z = np.zeros(4)
     r_exact = np.array([0.0, 0.3, 0.5, 2.0])

@@ -9,7 +9,7 @@ from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid, 
                                trajectory)
 from faddeevlab import grid, kernels, transform
 from faddeevlab.grid import RadialGrid
-from faddeevlab.kernels import eval_F_rhs, eval_Ftilde
+from faddeevlab.kernels import eval_F_rhs
 from faddeevlab.verify import (
     _RESIDUAL_EVALUATORS,
     ManufacturedSolution,
@@ -271,15 +271,6 @@ def test_study_csv_layout(tmp_path):
 
 
 # ----------------------------------------------------------- kernel oracle
-
-def test_kernel_series_oracle_agrees_with_evaluator(params):
-    xs = np.logspace(-2, 0, 81)
-    for j in range(5):
-        a = kernel_series_oracle(j, xs, params)
-        b = eval_Ftilde(j, xs, params)
-        rel = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300))
-        assert rel <= 1e-12  # measured 2.6e-14
-
 
 def test_kernel_limits_table(params):
     a2 = params.alpha ** 2
