@@ -391,7 +391,7 @@ def cmd_kernels_table(args) -> int:
     cut = kernels.cutoff_arrays(rs, profile)
     write_csv(path_c, ["r", "phi", "dphi", "lt1", "gt1", "lap2_phi", "A4_at_v1"],
               zip(rs, cut["phi"], cut["dphi"], cut["lt1"], cut["gt1"], cut["lap2phi"],
-                  1.0 + kernels.eval_Ftilde(0, rs, p)))
+                  kernels._a4(1.0, rs, p)))
     print(f"status=ok kernels={path_k} cutoffs={path_c}")
     return 0
 

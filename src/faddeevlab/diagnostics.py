@@ -21,6 +21,7 @@ from .transform import u_to_v
 __all__ = [
     "DiagnosticsRecord",
     "SampleContext",
+    "EnergyOverflow",
     "energy",
     "energy_drift",
     "continuation_monitor",
@@ -57,6 +58,10 @@ class SampleContext:
         self.outer_weight = r[self.outer:] ** 1.5
 
 
+class EnergyOverflow(ValueError):
+    """A non-finite energy integrand (of a stepped state: a blow-up)."""
+
+
 def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
            profile=DEFAULT_PROFILE, return_tail=False, v_r=None):
     """Conserved energy (1/2) * integral [A_1(u_t^2 + u_r^2) + r^-2 sin^2 u] r dr.
@@ -84,6 +89,7 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
         u_r = v_state.f + g.r * v_r + cut["dphi"]
     r, near, far = g.r, cut["near"], cut["far"]
     v = v_state.f
+    # A_4 = 1 + q as in _a4, written out: q also gives sin^2 u / r^2 below
     q = v[near] * v[near] * kernels.eval_Ftilde(0, r[near] * v[near], p)
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
     r_far, sin_far = r[far], np.sin(u_state.f[far])
@@ -94,7 +100,7 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     if not np.isfinite(total):
         ok = np.isfinite(density * r)
         where = "" if ok.all() else f" at r={r[np.argmin(ok)]:.6g}"
-        raise ValueError(f"non-finite energy integrand{where}")
+        raise EnergyOverflow(f"non-finite energy integrand{where}")
     if not return_tail:
         return total
     k = max(4, g.n_cells // 10)

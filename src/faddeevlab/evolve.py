@@ -13,6 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
+from itertools import islice
 
 import numpy as np
 
@@ -308,12 +309,12 @@ def _schedule(config: RunConfig):
 
 
 def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
-    """Yield (k, t, v, vt) for k = 0..nsteps of the fixed-step RK4 evolution.
+    """Yield the FieldState at t = k dt for k = 0..nsteps of the RK4 evolution.
 
     state is the data at t = 0 on make_grid(config) (default
     initial_state(config)); its arrays are copied. The sponge is dropped
     when it is zero everywhere, and nonlinear=False drops F (free-wave
-    path). Yielded arrays are never modified afterwards: a consumer may keep them.
+    path). Yielded states own arrays never modified afterwards: keep them.
     """
     g = make_grid(config)
     state = state if state is not None else initial_state(config)
@@ -323,11 +324,11 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     f = _operator(g, config.kernel_params, config.profile,
                   sig if sig.any() else None, forcing, nonlinear)
     nsteps, dt = _schedule(config)
-    v, vt = state.f.copy(), state.f_t.copy()
-    yield 0, 0.0, v, vt
+    state = FieldState(state.f.copy(), state.f_t.copy(), g)
+    yield state
     for k in range(1, nsteps + 1):
-        v, vt = _rk4(f, v, vt, (k - 1) * dt, dt)
-        yield k, k * dt, v, vt
+        state = FieldState(*_rk4(f, state.f, state.f_t, (k - 1) * dt, dt), g, k * dt)
+        yield state
 
 
 def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
@@ -350,14 +351,14 @@ def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
     return None
 
 
-def _sample(t, v, vt, ctx, config, records, tracker):
-    """The diagnostics record of (v, v_t) at time t. ctx is the run's
+def _sample(state, ctx, config, records, tracker):
+    """The diagnostics record of a state. ctx is the run's
     diag.SampleContext; one v_r serves the energy, the monitors and the
     Sobolev ladder, which runs once up to the highest order the record or
     the tracker reads. The drift is taken against the energy of
     records[0], or is 0 for the first record."""
     p, profile, orders = config.kernel_params, config.profile, config.sobolev_orders
-    state = FieldState(v, vt, ctx.grid, t)
+    v, t = state.f, state.time
     vr = d_r(v, ctx.grid)
     e, tail = diag.energy(v_to_u(state, profile), p, state, profile,
                           return_tail=True, v_r=vr)
@@ -380,33 +381,38 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     """Advance to t_end, or until a step yields a non-finite value or a
     sample fires detect_blowup; diagnostics at the configured cadence (plus
     the initial and final instants)."""
-    g = make_grid(config)
     nsteps, _ = _schedule(config)
-    ctx = diag.SampleContext(g)
+    ctx = diag.SampleContext(make_grid(config))
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
     records, snapshots, snapshot_steps = [], [], []
     verdict = None
     # overflow and NaN are checked on every step and reported as the halt
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t, v, vt in trajectory(config, forcing):
+        for k, state in enumerate(trajectory(config, forcing)):
             # the initial data is not stepped: its first sample judges it
-            finite = np.isfinite(v) & np.isfinite(vt)
+            finite = np.isfinite(state.f) & np.isfinite(state.f_t)
             if k and not finite.all():
-                bad = g.r[np.argmin(finite)]
+                bad = state.grid.r[np.argmin(finite)]
                 verdict = ("blowup_nan", f"non-finite field values at step {k}, "
-                                         f"t={t:.6g}, r={bad:.6g}")
+                                         f"t={state.time:.6g}, r={bad:.6g}")
                 break
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
-                snapshots.append(FieldState(v, vt, g, t))
+                snapshots.append(state)
                 snapshot_steps.append(k)
             if k % config.output_every == 0 or k == nsteps:
-                records.append(_sample(t, v, vt, ctx, config, records, tracker))
+                try:
+                    records.append(_sample(state, ctx, config, records, tracker))
+                except diag.EnergyOverflow as exc:  # finite fields too large to square
+                    if not k:
+                        raise  # the initial data's: a config error
+                    verdict = ("blowup_nan", f"{exc} at step {k}, t={state.time:.6g}")
+                    break
                 verdict = detect_blowup(records[-1], config.monitor_ceiling,
                                         config.drift_ceiling, k, config.output_every)
                 if verdict is not None:
                     break
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
-    return RunResult(status, reason, records, FieldState(v, vt, g, t), snapshots,
+    return RunResult(status, reason, records, state, snapshots,
                      config, k, snapshot_steps)
 
 
@@ -427,15 +433,8 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int):
     per-step states centred near t_center (the windows the residual-identity
     evaluators read). The window must lie inside steps 0..nsteps; that is
     checked before any step is taken."""
-    g = make_grid(config)
     first = _window_start(config, t_center, n_levels)
-    states = []
-    for k, t, v, vt in trajectory(config):
-        if k >= first:
-            states.append(FieldState(v, vt, g, t))
-            if len(states) == n_levels:
-                break
-    return states
+    return list(islice(trajectory(config), first, first + n_levels))
 
 
 @lru_cache(maxsize=1)

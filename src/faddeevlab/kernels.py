@@ -364,7 +364,7 @@ def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):
     vi, ri, vri = v[inner], cut["r_in"], v_r[inner]
     a1, s, ft2, ft3 = _ftilde(ri * vi, p, _BASE, cut["series_in"])
     ft4 = 2.0 * ft2 * ri
-    a1 *= vi
+    a1 *= vi  # A_4 as (Ft_0 v) v + 1, not _a4's (v v) Ft_0: the pins fix this order
     a1 *= vi
     a1 += 1.0
     s *= vi ** 3

@@ -2,10 +2,10 @@
 
 u is the 2D azimuthal angle (u(t,0) = pi), v = (u - phi)/r its 4D lift, and
 Phi the integrated field whose wave equation has a flat principal part.
-The residual_* functions discretize each derived wave identity on a window
-of equally spaced FieldStates: every time derivative is a centered 2nd-order
-difference, so the Phi, Phi_t, Phi_tt and Phi_ttt identities need 3/3/5/7
-levels, and each evaluator computes Phi or Phi_t on just the levels it reads.
+The residual_* functions discretize each derived wave identity on the
+3/3/5/7 equally spaced middle levels of a window of FieldStates (Phi, Phi_t,
+Phi_tt, Phi_ttt): each time derivative is a centered 2nd-order difference,
+and each evaluator computes Phi or Phi_t on just the levels it reads.
 """
 from __future__ import annotations
 
@@ -67,10 +67,6 @@ def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     return FieldState(g.r * v_state.f + phi, g.r * v_state.f_t, g, v_state.time)
 
 
-def _panels_for(lengths):
-    return np.maximum(8, np.ceil(16.0 * np.abs(lengths))).astype(int)
-
-
 @lru_cache(maxsize=None)
 def _unit_samples(panels):
     """5-point Gauss-Legendre abscissae/weights on [0,1] with `panels` panels,
@@ -87,7 +83,7 @@ def _grouped_line_integral(lengths, integrand):
     panel count max(8, ceil(16 |L_i|)); integrand(s, idx) is vectorized."""
     lengths = np.asarray(lengths, dtype=float)
     out = np.zeros_like(lengths)
-    counts = _panels_for(lengths)
+    counts = np.maximum(8, np.ceil(16.0 * np.abs(lengths))).astype(int)
     for p in np.unique(counts):
         sel = np.nonzero(counts == p)[0]
         pts, wts = _unit_samples(int(p))
@@ -100,9 +96,10 @@ def _grouped_line_integral(lengths, integrand):
 def phi_correction_integral(r, p=DEFAULT_PARAMS):
     """integral_0^pi A_3^(-3/2)(y, r) dy, vectorized over r > 0."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    pts, wts = _unit_samples(_panels_for(math.pi))
-    y = math.pi * pts
-    return math.pi * (kernels._a3(np.sin(y[None, :]), r[:, None], p) ** -1.5 @ wts)
+    def integrand(y, sel):  # every line is [0, pi]: the first row of y serves all
+        a = kernels._a3(np.sin(y[:1]), r[sel][:, None], p)
+        return np.power(a, -1.5, out=a)  # in place: one (nodes, samples) block
+    return _grouped_line_integral(np.full(r.size, math.pi), integrand)
 
 
 def _a4_line_integral(v, r, power, p):
@@ -162,14 +159,15 @@ def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
 
 
 def _window(states, need):
-    """(mid, dt) of a window of at least `need` equally spaced states."""
+    """The `need` middle levels of a window of at least `need` states, and
+    their time step; they must be equally spaced."""
     if len(states) < need:
         raise ValueError(f"need at least {need} stored time levels, got {len(states)}")
-    dts = np.diff([s.time for s in states])
-    dt = dts[0]
-    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-10, atol=0.0):
+    levels = states[len(states) // 2 - need // 2:][:need]
+    dts = np.diff([s.time for s in levels])
+    if dts[0] <= 0 or not np.allclose(dts, dts[0], rtol=1e-10, atol=0.0):
         raise ValueError("time levels must be uniformly spaced and increasing")
-    return len(states) // 2, float(dt)
+    return levels, float(dts[0])
 
 
 def _centered(levels, dt):
@@ -187,12 +185,12 @@ def _phi_t_window(states, need, p, profile):
     """Phi_t on the `need` middle levels of a window, the middle state, its
     mesh's cutoff table, A_1 there, and dt; the middle Phi_t is
     compute_Phi_t's own expression on that A_1 (= A_5)."""
-    mid, dt = _window(states, need)
-    st, half = states[mid], need // 2
+    levels, dt = _window(states, need)
+    st = levels[need // 2]
     cut = kernels.mesh_cutoffs(st.grid, profile)
     a1 = kernels._a5(st.f, cut, p)
     pt = [np.sqrt(a1) * s.f_t if s is st else compute_Phi_t(s, p, profile)
-          for s in states[mid - half:mid + half + 1]]
+          for s in levels]
     return pt, st, cut, a1, dt
 
 
@@ -200,12 +198,12 @@ def residual_Phi_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.n
     """Residual of box Phi = alpha^-2 (Phi - integral_0^v A_4^(-3/2) dy),
     asserted on r < 1/2 only (the cutoff corrections vanish there); values
     outside that region are returned as zero."""
-    mid, dt = _window(states, 3)
-    g = states[mid].grid
-    phi_l = [compute_Phi(s, p, profile) for s in states[mid - 1:mid + 2]]
+    levels, dt = _window(states, 3)
+    g = levels[1].grid
+    phi_l = [compute_Phi(s, p, profile) for s in levels]
     region = g.r < 0.5
     correction = np.zeros(g.n_nodes)
-    correction[region] = _a4_line_integral(states[mid].f[region], g.r[region], -1.5, p)
+    correction[region] = _a4_line_integral(levels[1].f[region], g.r[region], -1.5, p)
     res = _box(phi_l, dt, g) - (phi_l[1] - correction) / p.alpha ** 2
     return np.where(region, res, 0.0)
 
@@ -233,8 +231,7 @@ def residual_Phi_ttt_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> 
     pt, st, cut, a1, dt = _phi_t_window(states, 7, p, profile)
     ptt = _centered(pt, dt)
     pttt = _centered(ptt, dt)
-    mid = len(states) // 2
-    vtt = _centered([s.f_t for s in states[mid - 1:mid + 2]], dt)[0]
+    vtt = _centered([s.f_t for s in _window(states, 3)[0]], dt)[0]
     da1 = kernels._da1_dt(st.f, st.f_t, cut, p)
     dda1 = kernels._da1_dtt(st.f, st.f_t, vtt, cut, p)
     rhs = (-6.0 * a1 ** -4 * da1 ** 2 * pt[3]

@@ -246,19 +246,16 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             errs["residual_v"].append(_res_norm(res - force(t_probe), g))
         if "linear_solution" in observables:
             free = make_forcing(ms, g, p, profile, include_nonlinearity=False)
-            for _, _, v, vt in trajectory(cfg, free, manufactured_initial_state(ms, g),
-                                          nonlinear=False):
+            for state in trajectory(cfg, free, manufactured_initial_state(ms, g),
+                                    nonlinear=False):
                 pass
-            errs["linear_solution"].append(
-                solution_error(FieldState(v, vt, g, cfg.t_end), ms))
+            errs["linear_solution"].append(solution_error(state, ms))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
             states = evolve_bundles(cfg, t_center, need)
-            mid = len(states) // 2
             for o in window_obs:
-                fn, k = _RESIDUAL_EVALUATORS[o]
-                sub = states[mid - k // 2:mid + k // 2 + 1]
-                errs[o].append(_res_norm(fn(sub, p, profile), g))
+                fn, _ = _RESIDUAL_EVALUATORS[o]
+                errs[o].append(_res_norm(fn(states, p, profile), g))
     return {o: _build_result(o, cfgs, errs[o]) for o in observables}
 
 

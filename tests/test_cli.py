@@ -368,6 +368,34 @@ def test_non_finite_run_halts_on_its_first_bad_step(tmp_path, capsys):
     assert len(Path(out, "diagnostics.csv").read_text().splitlines()) == 2
 
 
+# narrow amplitude-20 data on dt = 0.6/39: at step 9, max|v| = 2.86e96 and
+# max|v_t| = 8.01e193 are finite, but the energy density overflows at r = 0
+OVERFLOW = ["--set", "initial_data.amplitude=20", "--set", "initial_data.width=0.3",
+            "--set", "grid.n_cells=128", "--set", "grid.r_max=8",
+            "--set", "integrator.t_end=0.6", "--set", "diagnostics.output_every=1",
+            "--set", "diagnostics.drift_ceiling=1e300",
+            "--set", "diagnostics.monitor_ceiling=1e300"]
+
+
+def test_finite_fields_whose_energy_overflows_halt_as_a_blowup(tmp_path, capsys):
+    out = run_dirs(tmp_path, "overflow")
+    rc = main(["run"] + OVERFLOW + ["--out", out])
+    assert rc == 2
+    assert ("status=blowup_nan t_final=0.13846153846153844 out=" + out + " reason="
+            "'non-finite energy integrand at r=0 at step 9, t=0.138462'"
+            ) in capsys.readouterr().out
+    final = read_meta(os.path.join(out, "final.meta"))
+    assert (final["time"], final["step"]) == ("0.13846153846153844", "9")
+    rows = Path(out, "diagnostics.csv").read_text().splitlines()
+    assert len(rows) == 1 + 9  # the samples of steps 0..8
+    # in a sweep the same run is a halted row, not an error
+    root = run_dirs(tmp_path, "sweep")
+    assert main(["sweep"] + OVERFLOW + ["--sweep", "grid.n_cells=128",
+                                        "--out", root]) == 0
+    summary = Path(root, "summary.csv").read_text().splitlines()
+    assert summary[1].split(",")[2] == "blowup_nan"
+
+
 @pytest.mark.parametrize("out", [None, "root"])
 def test_sweep_over_output_dir_is_a_config_error(tmp_path, capsys, monkeypatch, out):
     """Every run of a sweep writes under one directory, so output.dir is no

@@ -57,9 +57,9 @@ def lean(**kw):
 
 def last_state(config, state):
     """(t, v, vt) at t_end, stepped from state by trajectory."""
-    for _, t, v, vt in trajectory(config, state=state):
+    for st in trajectory(config, state=state):
         pass
-    return t, v, vt
+    return st.time, st.f, st.f_t
 
 
 UNDAMPED = SpongeSpec(strength=0.0)
@@ -237,18 +237,21 @@ def test_schedule_respects_cfl_and_lands_on_t_end():
     assert dt <= bound
     assert (nsteps - 1) * bound < cfg.t_end  # no step count below nsteps fits
     assert nsteps * dt == cfg.t_end
-    k, t = [(k, t) for k, t, _, _ in trajectory(cfg)][-1]
+    k, t = [(k, st.time) for k, st in enumerate(trajectory(cfg))][-1]
     assert (k, t) == (nsteps, cfg.t_end)
 
 
 def test_trajectory_yields_fresh_arrays():
-    # 39 steps of dt = 0.03125: every yielded pair is its own memory and
-    # keeps its values while the evolution goes on
+    # 39 steps of dt = 0.03125: every yielded state is at t = k dt on the
+    # config's mesh, its pair is its own memory and keeps its values while
+    # the evolution goes on
     cfg = lean(n_cells=64, r_max=8.0, t_end=39 * 0.03125)
+    _, dt = _schedule(cfg)
     kept, copies = [], []
-    for _, _, v, vt in trajectory(cfg):
-        kept += [v, vt]
-        copies += [v.copy(), vt.copy()]
+    for k, st in enumerate(trajectory(cfg)):
+        assert st.time == k * dt and st.grid == make_grid(cfg)
+        kept += [st.f, st.f_t]
+        copies += [st.f.copy(), st.f_t.copy()]
     assert len(kept) == 2 * 40
     for i, a in enumerate(kept):
         assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
@@ -290,8 +293,8 @@ def test_the_right_hand_side_never_writes_its_inputs(params, profile):
     assert _d1_laplacian(values, g, d1)[1].tobytes() == lap.tobytes()
     # every yielded array locked as it comes; the final pair's sha256 is the
     # parent commit's, frozen before the stencils and F worked in place
-    for k, _, v, vt in trajectory(RunConfig(n_cells=128, r_max=8.0, t_end=0.5)):
-        _locked(v, vt)
+    for k, st in enumerate(trajectory(RunConfig(n_cells=128, r_max=8.0, t_end=0.5))):
+        v, vt = _locked(st.f, st.f_t)
     digest = hashlib.sha256(v.tobytes() + vt.tobytes()).hexdigest()
     assert (k, digest) == (32, "c7119104640e0d7151c90ed366b0acee612043d2a68e7ce0c8e41326ac978959")
 
@@ -335,7 +338,8 @@ def test_evolve_bundles_returns_the_trajectory_states_bit_for_bit():
                initial=InitialDataSpec(amplitude=0.2, amplitude_t=0.1))
     states = evolve_bundles(cfg, t_center=0.25, n_levels=5)
     first = round(states[0].time / _schedule(cfg)[1])
-    steps = [(t, v, vt) for k, t, v, vt in trajectory(cfg) if first <= k < first + 5]
+    steps = [(st.time, st.f, st.f_t) for k, st in enumerate(trajectory(cfg))
+             if first <= k < first + 5]
     assert len(states) == len(steps) == 5
     for st, (t, v, vt) in zip(states, steps):
         assert st.grid == make_grid(cfg) and st.time == t
@@ -524,8 +528,8 @@ def test_unforced_run_self_converges_at_fourth_order():
     coarse = RadialGrid(128, 8.0)
     finals = []
     for n in (128, 256, 512):
-        *_, (_, _, v, _) = trajectory(RunConfig(n_cells=n, r_max=8.0, t_end=1.0))
-        finals.append(v[::n // 128])
+        *_, last = trajectory(RunConfig(n_cells=n, r_max=8.0, t_end=1.0))
+        finals.append(last.f[::n // 128])
     e = [sobolev_norm(a - b, coarse, 0)[0] for a, b in zip(finals, finals[1:])]
     assert math.log2(e[0] / e[1]) >= 3.5
 

@@ -257,9 +257,9 @@ def _ladder_fields():
         fields.append((sum(a * np.exp(-(g.r / w) ** 2)
                            for a, w in zip(amps, widths)), g))
     cfg = RunConfig(n_cells=128, r_max=8.0, t_end=0.5)
-    *_, (_, _, v, vt) = trajectory(cfg)
+    *_, last = trajectory(cfg)
     g = RadialGrid(128, 8.0)
-    fields += [(v, g), (vt, g)]
+    fields += [(last.f, g), (last.f_t, g)]
     return fields
 
 

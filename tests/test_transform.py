@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from faddeevlab.evolve import RunConfig, evolve_bundles
 from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, _a3, eval_cutoff
 from faddeevlab.transform import (compute_Phi, compute_Phi_t,
@@ -13,8 +14,8 @@ from faddeevlab.transform import (compute_Phi, compute_Phi_t,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
                                   residual_Phi_wave, residual_v_equation,
                                   u_to_v, v_to_u)
-from faddeevlab.verify import (ManufacturedSolution, _res_norm, make_forcing,
-                               manufactured_initial_state)
+from faddeevlab.verify import (_RESIDUAL_EVALUATORS, ManufacturedSolution, _res_norm,
+                               make_forcing, manufactured_initial_state)
 
 from conftest import gaussian_v_state, quadrature_1d
 
@@ -200,6 +201,21 @@ def test_window_preconditions(grid128):
     skewed = [bs[0], bs[1], bs[3]]
     with pytest.raises(ValueError):
         residual_Phi_t_wave(skewed)
+
+
+def test_evaluators_read_the_middle_levels_of_any_window():
+    """Each evaluator gives a 7-level window the bytes of its middle 3 or 5
+    levels, taking dt from those levels: steps 18..24 of dt = 0.7/45 have
+    float spacings that are not all equal, and the first differs from the
+    middle levels' own."""
+    cfg = RunConfig(n_cells=128, r_max=8.0, t_end=0.7)
+    window = evolve_bundles(cfg, t_center=0.33, n_levels=7)
+    dts = np.diff([s.time for s in window])
+    assert dts[0] != dts[2]
+    for name, (fn, need) in _RESIDUAL_EVALUATORS.items():
+        middle = window[3 - need // 2:4 + need // 2]
+        assert len(middle) == need
+        assert fn(window).tobytes() == fn(middle).tobytes(), name
 
 
 def test_stationary_window_residuals_vanish(grid128):

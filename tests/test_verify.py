@@ -149,10 +149,10 @@ def test_broken_ghost_fill_is_detectable(monkeypatch):
                         sponge=SpongeSpec(strength=0.0))
         g = make_grid(cfg)
         force = make_forcing(MS, g, include_nonlinearity=False)
-        for _, _, v, _ in trajectory(cfg, force, manufactured_initial_state(MS, g),
-                                     nonlinear=False):
+        for st in trajectory(cfg, force, manufactured_initial_state(MS, g),
+                             nonlinear=False):
             pass
-        return float(np.max(np.abs(v - MS.v(0.5, g.r))))
+        return float(np.max(np.abs(st.f - MS.v(0.5, g.r))))
 
     healthy = {n: sup_origin_error(n) for n in (128, 256)}
     broken = {}
