@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flatten_file(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str
     try:
         with open(path) as fh:
@@ -91,7 +91,7 @@ def load_config(path=None, sets=()):
 
 def write_effective_config(config: RunConfig, out_dir, path):
     """Round-trippable echo of every effective setting."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     values = dict(config_items(config), **{"output.dir": out_dir})
     for dotted, _, _ in CONFIG_TABLE:
@@ -128,7 +128,7 @@ def _write_run(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     diag.write_diagnostics_csv(result.records, os.path.join(out_dir, "diagnostics.csv"))
     write_effective_config(config, out_dir, os.path.join(out_dir, "effective_config.ini"))
-    for i, (k, snap) in enumerate(zip(result.snapshot_steps, result.snapshots)):
+    for i, (k, snap) in enumerate(result.snapshots):
         write_checkpoint(snap, os.path.join(out_dir, f"snapshot_{i:04d}"), config, k)
     write_checkpoint(result.state, os.path.join(out_dir, "final"), config, result.step)
 
@@ -310,6 +310,11 @@ def cmd_verify(args) -> int:
 # sweep
 
 
+# the numeric columns of summary.csv, each NaN in an error row
+_SUMMARY_NUMBERS = ("t_final", "max_monitor_v", "max_monitor_vt",
+                   "max_monitor_gradv", "max_drift")
+
+
 def _sweep_one(packed):
     config, out_dir = packed
     try:
@@ -317,9 +322,7 @@ def _sweep_one(packed):
         _write_run(result, out_dir)
     except Exception as exc:  # a failed run or write must not kill the sweep
         return {"status": "error", "reason": str(exc),
-                "t_final": math.nan, "max_monitor_v": math.nan,
-                "max_monitor_vt": math.nan, "max_monitor_gradv": math.nan,
-                "max_drift": math.nan}
+                **dict.fromkeys(_SUMMARY_NUMBERS, math.nan)}
     recs = result.records
     return {"status": result.status, "reason": result.reason,
             "t_final": result.state.time,
@@ -367,10 +370,9 @@ def cmd_sweep(args) -> int:
     else:
         summaries = [_sweep_one(item) for item in packed]
 
-    columns = ["status", "reason", "t_final", "max_monitor_v", "max_monitor_vt",
-               "max_monitor_gradv", "max_drift"]
+    columns = ("status", "reason") + _SUMMARY_NUMBERS
     path = os.path.join(out_root, "summary.csv")
-    write_csv(path, ["run_dir"] + [key for key, _ in axes] + columns,
+    write_csv(path, ["run_dir", *(key for key, _ in axes), *columns],
               ([f"run_{i:03d}"] + list(combo) + [summary[c] for c in columns]
                for (i, combo, _), summary in zip(jobs, summaries)))
     n_bad = sum(1 for s in summaries if s["status"] != "completed")

@@ -3,8 +3,8 @@
 Energy and drift, the three continuation monitors (Japanese-bracket
 weighted sup norms whose boundedness certifies continuation), integer
 Sobolev norms, running space-time norms, and the soft decay-ratio report.
-Everything is a deterministic reduction over grid snapshots; a run builds
-the per-run weights of its samples once, as a SampleContext.
+Everything is a deterministic reduction over grid snapshots; the per-mesh
+weights of a sample are read from kernels.mesh_cutoffs.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .transform import u_to_v
 
 __all__ = [
     "DiagnosticsRecord",
-    "SampleContext",
     "EnergyOverflow",
     "energy",
     "energy_drift",
@@ -43,19 +42,6 @@ class DiagnosticsRecord:
     sobolev: dict = field(default_factory=dict)
     decay_ratios: dict = field(default_factory=dict)
     spacetime_norms: dict = field(default_factory=dict)
-
-
-class SampleContext:
-    """The per-run weights of a diagnostics sample on one grid: the Japanese
-    bracket jb = (1 + r^2)^(1/2), and outer = the first node with r >= 1,
-    with the decay weight r[outer:]^(3/2)."""
-
-    def __init__(self, grid: RadialGrid):
-        r = grid.r
-        self.grid = grid
-        self.jb = np.sqrt(1.0 + r ** 2)
-        self.outer = int(np.searchsorted(r, 1.0))
-        self.outer_weight = r[self.outer:] ** 1.5
 
 
 class EnergyOverflow(ValueError):
@@ -87,12 +73,12 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None,
     else:
         v_r = d_r(v_state.f, g) if v_r is None else v_r
         u_r = v_state.f + g.r * v_r + cut["dphi"]
-    r, near, far = g.r, cut["near"], cut["far"]
+    r, near, far, r_far = g.r, cut["near"], cut["far"], cut["r_far"]
     v = v_state.f
     # A_4 = 1 + q as in _a4, written out: q also gives sin^2 u / r^2 below
-    q = v[near] * v[near] * kernels.eval_Ftilde(0, r[near] * v[near], p)
+    q = v[near] * v[near] * kernels.eval_Ftilde(0, cut["r_near"] * v[near], p)
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
-    r_far, sin_far = r[far], np.sin(u_state.f[far])
+    sin_far = np.sin(u_state.f[far])
     a1 = np.concatenate((1.0 + q, kernels._a3(sin_far, r_far, p)))
     sin2_over_r2 = np.concatenate((q / p.alpha ** 2, (sin_far / r_far) ** 2))
     density = 0.5 * (a1 * (u_state.f_t ** 2 + u_r ** 2) + sin2_over_r2)
@@ -114,19 +100,18 @@ def energy_drift(e: float, e0: float) -> float:
     return abs(e - e0) / abs(e0) if e0 != 0.0 else abs(e - e0)
 
 
-def continuation_monitor(v_state: FieldState, v_r, ctx: SampleContext):
+def continuation_monitor(v_state: FieldState, v_r, cut):
     """Grid maxima of <r>|v|, <r>|v_t|, <r>|d_r v| with <r> = (1+r^2)^(1/2);
-    v_r = d_r(v, grid), ctx the run's SampleContext."""
-    return tuple(float(np.max(ctx.jb * np.abs(a))) for a in (v_state.f, v_state.f_t, v_r))
+    v_r = d_r(v, grid), cut the grid's kernels.mesh_cutoffs table."""
+    return tuple(float(np.max(cut["jb"] * np.abs(a))) for a in (v_state.f, v_state.f_t, v_r))
 
 
-def decay_report(values, ctx: SampleContext, profile=DEFAULT_PROFILE) -> dict:
+def decay_report(values, cut) -> dict:
     """Soft decay ratios (reported, never asserted): max |v| r^(3/2) on
-    r >= 1 and max |v| on 0 < r <= 1; ctx the run's SampleContext."""
-    av = np.abs(values)
-    outer = float(np.max(av[ctx.outer:] * ctx.outer_weight)) if ctx.outer_weight.size else 0.0
-    near = av[kernels.mesh_cutoffs(ctx.grid, profile)["near"]][1:]
-    return {"outer": outer, "inner": float(np.max(near)) if near.size else 0.0}
+    r >= 1 and max |v| on 0 < r <= 1; cut the grid's kernels.mesh_cutoffs table."""
+    av = np.abs(values)  # >= 0: initial=0.0 changes only an empty maximum
+    return {"outer": float(np.max(av[cut["decay"]] * cut["decay_weight"], initial=0.0)),
+            "inner": float(np.max(av[cut["near"]][1:], initial=0.0))}
 
 
 class SpacetimeTracker:

@@ -129,10 +129,9 @@ class RunResult:
     reason: str
     records: list
     state: FieldState
-    snapshots: list
+    snapshots: list           # (step index, FieldState) of each snapshot
     config: RunConfig
     step: int                 # step index of state: nsteps, or where the run halted
-    snapshot_steps: list      # step index of each snapshot
 
 
 _BOOL_STATES = configparser.ConfigParser.BOOLEAN_STATES
@@ -257,8 +256,7 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
     start = spec.start if spec.start >= 0.0 else 0.85 * grid.r_max
     sig = np.zeros(grid.n_nodes)
     m = grid.r > start
-    if m.any() and grid.r_max > start:
-        sig[m] = spec.strength * ((grid.r[m] - start) / (grid.r_max - start)) ** 2
+    sig[m] = spec.strength * ((grid.r[m] - start) / (grid.r_max - start)) ** 2
     return sig
 
 
@@ -351,23 +349,24 @@ def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
     return None
 
 
-def _sample(state, ctx, config, records, tracker):
-    """The diagnostics record of a state. ctx is the run's
-    diag.SampleContext; one v_r serves the energy, the monitors and the
+def _sample(state, config, records, tracker):
+    """The diagnostics record of a state, its per-mesh weights read from
+    kernels.mesh_cutoffs; one v_r serves the energy, the monitors and the
     Sobolev ladder, which runs once up to the highest order the record or
     the tracker reads. The drift is taken against the energy of
     records[0], or is 0 for the first record."""
     p, profile, orders = config.kernel_params, config.profile, config.sobolev_orders
-    v, t = state.f, state.time
-    vr = d_r(v, ctx.grid)
+    v, t, g = state.f, state.time, state.grid
+    cut = kernels.mesh_cutoffs(g, profile)
+    vr = d_r(v, g)
     e, tail = diag.energy(v_to_u(state, profile), p, state, profile,
                           return_tail=True, v_r=vr)
-    mv, mvt, mgv = diag.continuation_monitor(state, vr, ctx)
-    ladder = (diag.sobolev_norm(v, ctx.grid, max(orders, default=0), vr)
+    mv, mvt, mgv = diag.continuation_monitor(state, vr, cut)
+    ladder = (diag.sobolev_norm(v, g, max(orders, default=0), vr)
               if orders or tracker is not None else [])
-    decay = diag.decay_report(v, ctx, profile)
+    decay = diag.decay_report(v, cut)
     if tracker is not None:
-        tracker.update(v, ctx.grid, t - records[-1].time if records else 0.0, ladder[0])
+        tracker.update(v, g, t - records[-1].time if records else 0.0, ladder[0])
     st = tracker.values() if tracker is not None else {}
     return diag.DiagnosticsRecord(
         time=t, energy=e,
@@ -382,9 +381,8 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     sample fires detect_blowup; diagnostics at the configured cadence (plus
     the initial and final instants)."""
     nsteps, _ = _schedule(config)
-    ctx = diag.SampleContext(make_grid(config))
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
-    records, snapshots, snapshot_steps = [], [], []
+    records, snapshots = [], []
     verdict = None
     # overflow and NaN are checked on every step and reported as the halt
     with np.errstate(over="ignore", invalid="ignore"):
@@ -397,14 +395,17 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                                          f"t={state.time:.6g}, r={bad:.6g}")
                 break
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
-                snapshots.append(state)
-                snapshot_steps.append(k)
+                snapshots.append((k, state))
             if k % config.output_every == 0 or k == nsteps:
                 try:
-                    records.append(_sample(state, ctx, config, records, tracker))
+                    records.append(_sample(state, config, records, tracker))
                 except diag.EnergyOverflow as exc:  # finite fields too large to square
-                    if not k:
-                        raise  # the initial data's: a config error
+                    if not k:  # the initial data's: a config error naming it
+                        spec = config.initial
+                        data = f"initial_data.family={spec.family}" + (
+                            f", initial_data.profile_path={spec.profile_path}"
+                            if spec.family == "profile_u" else "")
+                        raise diag.EnergyOverflow(f"{data} gives a {exc}") from exc
                     verdict = ("blowup_nan", f"{exc} at step {k}, t={state.time:.6g}")
                     break
                 verdict = detect_blowup(records[-1], config.monitor_ceiling,
@@ -412,8 +413,7 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                 if verdict is not None:
                     break
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
-    return RunResult(status, reason, records, state, snapshots,
-                     config, k, snapshot_steps)
+    return RunResult(status, reason, records, state, snapshots, config, k)
 
 
 def _window_start(config: RunConfig, t_center: float, n_levels: int) -> int:

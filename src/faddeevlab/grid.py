@@ -186,8 +186,7 @@ def sobolev_norm(values, grid, s: int, d1=None) -> list:
     for order in range(s + 1):
         if order % 2:
             if d1 is None:
-                d1 = _d1_values(g, grid)
-                d1[0] = 0.0  # as in d_r
+                d1 = d_r(g, grid)
             y = d1 ** 2
         else:
             if order:

@@ -12,6 +12,7 @@ import pytest
 from faddeevlab import cli, kernels
 from faddeevlab.cli import load_config, main, write_effective_config
 from faddeevlab.evolve import CONFIG_TABLE, RunConfig
+from faddeevlab.grid import RadialGrid
 
 TINY_GRID = ["--set", "grid.n_cells=64", "--set", "grid.r_max=8",
              "--set", "integrator.t_end=0.25"]
@@ -121,6 +122,54 @@ def test_config_file_loading(tmp_path):
     assert cfg.r_max == 8.0
     assert cfg.sobolev_orders == (1, 3)
     assert out_dir == "from_file"
+
+
+TABLE_R = RadialGrid(64, 8.0).r  # the nodes of TINY_GRID
+
+
+def write_table(path, u_t):
+    """A profile_u table (r, u, u_t) on TABLE_R with u = pi exp(-r^2)."""
+    np.savetxt(path, np.column_stack((TABLE_R, np.pi * np.exp(-TABLE_R ** 2), u_t)),
+               delimiter=",", header="r,u,u_t", comments="")
+
+
+def test_paths_may_contain_a_percent_sign(tmp_path):
+    """A % in output.dir or initial_data.profile_path is plain text, in the
+    config file read and in the effective config written back."""
+    table, out, conf = tmp_path / "50%table.csv", tmp_path / "50%done", tmp_path / "c.ini"
+    write_table(table, np.zeros(TABLE_R.size))
+    conf.write_text(f"[initial_data]\nfamily = profile_u\nprofile_path = {table}\n"
+                    f"[output]\ndir = {out}\n")
+    assert main(["run", "--config", str(conf)] + TINY) == 0
+    assert sorted(os.listdir(out)) == ["diagnostics.csv", "effective_config.ini",
+                                       "final.csv", "final.meta"]
+    cfg, echoed_out = load_config(str(out / "effective_config.ini"))
+    assert (cfg.initial.profile_path, echoed_out) == (str(table), str(out))
+
+
+def test_an_initial_gaussian_whose_energy_overflows_names_its_family(tmp_path, capsys):
+    # finite data that initial_state accepts; its energy density overflows
+    out = tmp_path / "wide"
+    rc = main(["run", "--set", "initial_data.amplitude=1e150",
+               "--set", "initial_data.width=0.001"] + TINY_GRID + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config-error: initial_data.family=gaussian_v gives a non-finite "
+        "energy integrand at r=0\n")
+    assert not out.exists()
+
+
+def test_an_initial_table_whose_energy_overflows_names_its_path(tmp_path, capsys):
+    table, out = tmp_path / "big.csv", tmp_path / "big"
+    write_table(table, np.where(TABLE_R == 3.0, 1e200, 0.0))
+    rc = main(["run", "--set", "initial_data.family=profile_u",
+               "--set", f"initial_data.profile_path={table}"] + TINY_GRID
+              + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config-error: initial_data.family=profile_u, initial_data.profile_path="
+        f"{table} gives a non-finite energy integrand at r=3\n")
+    assert not out.exists()
 
 
 # sha256 of each suite's report (numpy 2.4 on x86-64): a refactor keeps them

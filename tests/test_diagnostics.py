@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
-from faddeevlab.diagnostics import DiagnosticsRecord, SampleContext
+from faddeevlab.diagnostics import DiagnosticsRecord
 from faddeevlab.grid import FieldState, RadialGrid, d_r, integrate_radial, sobolev_norm
-from faddeevlab.kernels import KernelParams
+from faddeevlab.kernels import DEFAULT_PROFILE, KernelParams, mesh_cutoffs
 from faddeevlab.transform import u_to_v, v_to_u
 
 from conftest import gaussian_v_state
@@ -92,7 +92,8 @@ def test_energy_drift_definition():
 # --------------------------------------------------------------- monitors
 
 def monitor(vs):
-    return diag.continuation_monitor(vs, d_r(vs.f, vs.grid), SampleContext(vs.grid))
+    cut = mesh_cutoffs(vs.grid, DEFAULT_PROFILE)
+    return diag.continuation_monitor(vs, d_r(vs.f, vs.grid), cut)
 
 
 def test_monitor_peak_of_unit_gaussian_is_one():
@@ -125,7 +126,7 @@ def test_monitor_homogeneity(lam):
 # ------------------------------------------------------------------ decay
 
 def test_decay_report_zero_field(grid128):
-    rep = diag.decay_report(np.zeros(grid128.n_nodes), SampleContext(grid128))
+    rep = diag.decay_report(np.zeros(grid128.n_nodes), mesh_cutoffs(grid128, DEFAULT_PROFILE))
     assert rep == {"outer": 0.0, "inner": 0.0}
 
 
@@ -133,7 +134,7 @@ def test_decay_report_critical_profile():
     """(1+r^2)^(-3/4) saturates the r^(-3/2) outer envelope."""
     g = RadialGrid(640, 40.0)
     f = (1.0 + g.r ** 2) ** (-0.75)
-    rep = diag.decay_report(f, SampleContext(g))
+    rep = diag.decay_report(f, mesh_cutoffs(g, DEFAULT_PROFILE))
     assert 0.999 <= rep["outer"] <= 1.0
     inner = (g.r > 0.0) & (g.r <= 1.0)
     assert rep["inner"] == np.max(f[inner])  # max |v| on 0 < r <= 1

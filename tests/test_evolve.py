@@ -602,7 +602,7 @@ def test_pulse_travels_at_unit_speed():
     res = run(cfg, quiet_forcing(cfg))
     assert res.status == "completed"
     g = make_grid(cfg)
-    snaps = {round(s.time, 6): s for s in res.snapshots}
+    snaps = {round(s.time, 6): s for _, s in res.snapshots}
 
     def outgoing_peak(state, r_min):
         a = np.abs(state.f)
@@ -637,7 +637,7 @@ def test_sponge_absorbs_the_outgoing_pulse():
     res_big = run(big, quiet_forcing(big))
     g_big = make_grid(big)
     inner = g_big.r < 4.0
-    big_snap = {round(s.time, 4): s.f for s in res_big.snapshots}
+    big_snap = {round(s.time, 4): s.f for _, s in res_big.snapshots}
     i4 = int(round(4.0 / g_big.dr))
     outgoing = max(abs(v[i4]) for v in big_snap.values())
     assert 2e-4 <= outgoing <= 5e-4  # the pulse does reach r = 4
@@ -647,7 +647,7 @@ def test_sponge_absorbs_the_outgoing_pulse():
                           ("on", SpongeSpec(start=5.6, strength=8.0))):
         cfg = lean(n_cells=256, r_max=8.0, sponge=sponge, **base)
         res = run(cfg, quiet_forcing(cfg))
-        snap = {round(s.time, 4): s for s in res.snapshots}
+        snap = {round(s.time, 4): s for _, s in res.snapshots}
         results[label] = snap
 
     on = results["on"]

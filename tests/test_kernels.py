@@ -516,6 +516,21 @@ def test_mesh_table_without_a_far_node(profile):
     assert cut["r_far"].size == cut["phi_far"].size == 0
 
 
+def test_sample_weights_match_their_old_expressions_bitwise(profile):
+    """The bracket and the decay nodes and weight of a diagnostics sample, as
+    the table holds them, against the per-run expressions they replaced, on
+    meshes with and without a node at r = 1 and one that ends before it."""
+    for n_cells, r_max in ((64, 8.0), (60, 8.0), (8, 0.75)):
+        g = RadialGrid(n_cells, r_max)
+        r, cut = g.r, mesh_cutoffs(g, profile)
+        first = int(np.searchsorted(r, 1.0))
+        assert cut["jb"].tobytes() == np.sqrt(1.0 + r ** 2).tobytes()
+        assert r[cut["decay"]].tobytes() == r[first:].tobytes()
+        assert cut["decay_weight"].tobytes() == (r[first:] ** 1.5).tobytes()
+        rep = diag.decay_report(np.exp(-r ** 2), cut)
+        assert (rep["outer"] == 0.0) == (r_max < 1.0)
+
+
 # sha256 of the float64 bytes of each output below (numpy 2.4 on x86-64), as
 # the evaluators gave them when each found phi and the r = 1 split on its
 # own; the same rules as BITWISE_PINS.
@@ -551,7 +566,7 @@ def _edge_outputs():
     out = {"v_to_u": u.f, "u_to_v": u_to_v(u).f,
            "energy": [diag.energy(u, p, st, return_tail=True, v_r=vr)[0],
                       diag.energy(u, p)],
-           "decay_report": list(diag.decay_report(st.f, diag.SampleContext(g)).values()),
+           "decay_report": list(diag.decay_report(st.f, mesh_cutoffs(g, DEFAULT_PROFILE)).values()),
            "compute_Phi": compute_Phi(st, p), "compute_Phi_t": compute_Phi_t(st, p),
            "residual_v": residual_v_equation(st, env, p),
            "residual_Phi": residual_Phi_wave(bundles[2:5], p),
