@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the benchmark evolution at two resolutions and report the
 acceptance-style summary: peak drift, peak monitors, cross-resolution
-monitor agreement, and where the diagnostics were written."""
+monitor agreement, and where the diagnostics were written. Exits 2, as
+`faddeevlab run` does, when either run halted before t_end."""
 
 import argparse
 import os
@@ -45,7 +46,8 @@ def main():
         print(f"{tag}: n={c.n_cells} status={res.status} "
               f"max_drift={drift:.6e}")
 
-    if any(res.status != "completed" for res in results.values()):
+    halted = any(res.status != "completed" for res in results.values())
+    if halted:
         print("warning: a run halted early; peak comparisons below cover "
               "different time ranges")
     times = [[rec.time for rec in res.records] for res in results.values()]
@@ -58,6 +60,8 @@ def main():
         print(f"peak {name}: fine {a:.6f} coarse {b:.6f} "
               f"rel gap {abs(a - b) / a:.3e}")
     print(f"artifacts in {args.out}")
+    if halted:
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Config files are INI-style `key = value` text with sections grid,
 integrator, initial_data, kernels, diagnostics, output. Unknown keys are
-hard errors. Exit codes: 0 success, 1 config error, 2 blow-up or scheme
-breakdown, 3 verification-suite failure, 4 a sweep run raised an error.
+hard errors. Exit codes: 0 success, 1 config error or a file that cannot
+be read or written, 2 blow-up or scheme breakdown, 3 verification-suite
+failure, 4 a sweep run raised an error.
 Identical config and overrides reproduce diagnostics byte for byte.
 """
 from __future__ import annotations
@@ -137,7 +138,7 @@ def cmd_run(args) -> int:
     config, out_dir = _load(args)
     try:
         result = run(config)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 1
     _write_run(result, out_dir)
@@ -209,23 +210,23 @@ def _check_charts(p, profile):
     err = float(np.max(np.abs(inner - outer)))
     yield "phi_branch_seam", err, 1e-10, err <= 1e-10
 
-    gv = RadialGrid(256, 8.0)
+    gv = RadialGrid(256, 8.0, profile)
     state = FieldState(0.2 * np.exp(-gv.r ** 2), 0.1 * np.exp(-gv.r ** 2), gv)
-    back = u_to_v(v_to_u(state, profile), profile)
+    back = u_to_v(v_to_u(state))
     err = float(np.max(np.abs(back.f - state.f)))
     yield "chart_roundtrip", err, 1e-9, err <= 1e-9
 
 
 def check_phi_t_identity_order(p, profile):
     """Order in dt of the centred difference of Phi along v_t against Phi_t."""
-    g = RadialGrid(256, 8.0)
+    g = RadialGrid(256, 8.0, profile)
     state = FieldState(0.2 * np.exp(-g.r ** 2), 0.1 * np.exp(-g.r ** 2), g)
-    phi_t = compute_Phi_t(state, p, profile)
+    phi_t = compute_Phi_t(state, p)
     errs = []
     for dt in (1e-3, 5e-4):
         plus = FieldState(state.f + dt * state.f_t, state.f_t, g, dt)
         minus = FieldState(state.f - dt * state.f_t, state.f_t, g, -dt)
-        fd = (compute_Phi(plus, p, profile) - compute_Phi(minus, p, profile)) / (2 * dt)
+        fd = (compute_Phi(plus, p) - compute_Phi(minus, p)) / (2 * dt)
         errs.append(float(np.max(np.abs(fd - phi_t))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0) if errs[1] > 0 else float("nan")
     yield "phi_t_identity_order", order, 2.0, abs(order - 2.0) <= 0.3
@@ -256,10 +257,10 @@ def _check_orders(p, profile):
 
 
 def _check_energy(p, profile):
-    g = RadialGrid(2048, 12.0)
+    g = RadialGrid(2048, 12.0, profile)
     u0 = math.pi * np.exp(-g.r ** 2)
     u_state = FieldState(u0, np.zeros(g.n_nodes), g)
-    e = diag.energy(u_state, p, profile=profile)
+    e = diag.energy(u_state, p)
     ref = 5.3665119245489741967
     err = abs(e - ref) / ref
     yield "gaussian_u_reference", err, 1e-8, err <= 1e-8
@@ -268,7 +269,7 @@ def _check_energy(p, profile):
                     track_spacetime=False, sobolev_orders=(),
                     kernel_params=p, profile=profile)
     v0 = initial_state(cfg)
-    e0 = diag.energy(v_to_u(v0, profile), p, v0, profile)
+    e0 = diag.energy(v_to_u(v0), p, v0)
     ref0 = 16.419293196580507863
     err = abs(e0 - ref0) / ref0
     yield "gaussian_v_initial_energy", err, 5e-7, err <= 5e-7
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # a file that cannot be read or written
         print(f"config-error: {exc}", file=sys.stderr)
         return 1
 

@@ -215,7 +215,7 @@ def config_fingerprint(config: RunConfig) -> str:
 
 
 def make_grid(config: RunConfig) -> RadialGrid:
-    return RadialGrid(config.n_cells, config.r_max)
+    return RadialGrid(config.n_cells, config.r_max, config.profile)
 
 
 def _bump(r, a, center, width):
@@ -248,7 +248,7 @@ def initial_state(config: RunConfig) -> FieldState:
         raise ValueError("tabulated profile holds a non-finite value")
     if not np.allclose(table[:, 0], g.r, rtol=0.0, atol=1e-12 * g.r_max):
         raise ValueError("tabulated radii do not match the run grid nodes")
-    return u_to_v(FieldState(table[:, 1], table[:, 2], g), config.profile)
+    return u_to_v(FieldState(table[:, 1], table[:, 2], g))
 
 
 def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
@@ -260,10 +260,10 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
     return sig
 
 
-def _operator(grid, p, profile, sig, forcing, nonlinear=True):
+def _operator(grid, p, sig, forcing, nonlinear=True):
     """The right-hand side f(v, vt, t) -> (vt, acc) of the lifted equation on
     one grid; nonlinear=False drops F (free-wave benchmark path)."""
-    cut = kernels.mesh_cutoffs(grid, profile) if nonlinear else None
+    cut = kernels.mesh_cutoffs(grid) if nonlinear else None
 
     def f(v, vt, t):
         vr, acc = _d1_laplacian(v, grid)
@@ -319,8 +319,7 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     if state.grid != g:
         raise ValueError(f"the state lives on {state.grid}, the config's mesh is {g}")
     sig = sponge_sigma(g, config.sponge)
-    f = _operator(g, config.kernel_params, config.profile,
-                  sig if sig.any() else None, forcing, nonlinear)
+    f = _operator(g, config.kernel_params, sig if sig.any() else None, forcing, nonlinear)
     nsteps, dt = _schedule(config)
     state = FieldState(state.f.copy(), state.f_t.copy(), g)
     yield state
@@ -355,12 +354,11 @@ def _sample(state, config, records, tracker):
     Sobolev ladder, which runs once up to the highest order the record or
     the tracker reads. The drift is taken against the energy of
     records[0], or is 0 for the first record."""
-    p, profile, orders = config.kernel_params, config.profile, config.sobolev_orders
+    p, orders = config.kernel_params, config.sobolev_orders
     v, t, g = state.f, state.time, state.grid
-    cut = kernels.mesh_cutoffs(g, profile)
+    cut = kernels.mesh_cutoffs(g)
     vr = d_r(v, g)
-    e, tail = diag.energy(v_to_u(state, profile), p, state, profile,
-                          return_tail=True, v_r=vr)
+    e, tail = diag.energy(v_to_u(state), p, state, return_tail=True, v_r=vr)
     mv, mvt, mgv = diag.continuation_monitor(state, vr, cut)
     ladder = (diag.sobolev_norm(v, g, max(orders, default=0), vr)
               if orders or tracker is not None else [])

@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .kernels import DEFAULT_PROFILE, CutoffProfile
+
 __all__ = [
     "RadialGrid",
     "FieldState",
@@ -34,8 +36,11 @@ GHOST = 2
 
 @dataclass(frozen=True)
 class RadialGrid:
+    """The nodes r_i = i*dr and the shell profile phi of the v chart on them."""
+
     n_cells: int
     r_max: float
+    profile: CutoffProfile = DEFAULT_PROFILE
 
     def __post_init__(self):
         if self.n_cells < 6:

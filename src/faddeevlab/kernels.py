@@ -346,10 +346,10 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
 
 
 @lru_cache(maxsize=1)
-def mesh_cutoffs(grid, profile):
-    """cutoff_arrays(grid.r, profile), built once for the last mesh asked
-    for: the run, its samples and its transforms share one table."""
-    return cutoff_arrays(grid.r, profile)
+def mesh_cutoffs(grid):
+    """cutoff_arrays(grid.r, grid.profile), built once for the last mesh
+    asked for: the run, its samples and its transforms share one table."""
+    return cutoff_arrays(grid.r, grid.profile)
 
 
 def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):

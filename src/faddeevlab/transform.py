@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import FieldState, _GL_NODES, _GL_WEIGHTS, d_r, laplacian
 from . import kernels
-from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
+from .kernels import DEFAULT_PARAMS
 
 __all__ = [
     "u_to_v",
@@ -42,15 +42,15 @@ def _extrapolate_origin(values):
     return float(_EVEN_EXTRAP @ values[1:5])
 
 
-def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
-    """Lift u to v = (u - phi)/r, with v(0) by even extrapolation."""
+def u_to_v(u_state: FieldState) -> FieldState:
+    """Lift u to v = (u - phi)/r, phi of u's grid, v(0) by even extrapolation."""
     g = u_state.grid
     if abs(u_state.f[0] - math.pi) > _ORIGIN_TOL:
         raise ValueError(
             f"u(0) = {u_state.f[0]!r} violates the origin boundary "
             "condition u(0) = pi")
     r = g.r
-    phi = kernels.mesh_cutoffs(g, profile)["phi"]
+    phi = kernels.mesh_cutoffs(g)["phi"]
     v = np.empty_like(u_state.f)
     v[1:] = (u_state.f[1:] - phi[1:]) / r[1:]
     v[0] = _extrapolate_origin(v)
@@ -60,10 +60,10 @@ def u_to_v(u_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
     return FieldState(v, vt, g, u_state.time)
 
 
-def v_to_u(v_state: FieldState, profile=DEFAULT_PROFILE) -> FieldState:
-    """Reconstruct u = r v + phi (exact; u(0) = pi by construction)."""
+def v_to_u(v_state: FieldState) -> FieldState:
+    """Reconstruct u = r v + phi, phi of v's grid (exact; u(0) = pi by construction)."""
     g = v_state.grid
-    phi = kernels.mesh_cutoffs(g, profile)["phi"]
+    phi = kernels.mesh_cutoffs(g)["phi"]
     return FieldState(g.r * v_state.f + phi, g.r * v_state.f_t, g, v_state.time)
 
 
@@ -116,8 +116,7 @@ def _a3_line_integral(lengths, r, p):
         kernels._a3(np.sin(math.pi + s), r[sel][:, None], p)))
 
 
-def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
-                profile=DEFAULT_PROFILE) -> np.ndarray:
+def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS) -> np.ndarray:
     """The integrated field Phi on the mesh.
 
     r <= 1/2:  integral_0^v sqrt(A_4(y, r)) dy  (origin-safe kernel form)
@@ -126,7 +125,7 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
     with u = r v + phi formed on those nodes (the bytes v_to_u gives there).
     """
     r = v_state.grid.r
-    cut = kernels.mesh_cutoffs(v_state.grid, profile)
+    cut = kernels.mesh_cutoffs(v_state.grid)
     v = v_state.f
     out = np.empty_like(v)
     inner = r <= 0.5
@@ -139,22 +138,20 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS,
     return out
 
 
-def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS,
-                  profile=DEFAULT_PROFILE) -> np.ndarray:
+def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS) -> np.ndarray:
     """Phi_t = r^-1 A_1^(1/2) u_t, evaluated through the singularity-safe
     identity Phi_t = A_5(v, r)^(1/2) v_t (exact at every node)."""
-    a = kernels._a5(v_state.f, kernels.mesh_cutoffs(v_state.grid, profile), p)
+    a = kernels._a5(v_state.f, kernels.mesh_cutoffs(v_state.grid), p)
     return np.sqrt(a) * v_state.f_t
 
 
-def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS,
-                        profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS) -> np.ndarray:
     """Nodewise v_tt - lap4 v - F(v); v_tt, an array, supplied by caller."""
     g = v_state.grid
     lap = laplacian(v_state.f, g)
     vr = d_r(v_state.f, g)
     f = kernels.eval_F_given_cutoffs(v_state.f, v_state.f_t, vr,
-                                     kernels.mesh_cutoffs(g, profile), p)
+                                     kernels.mesh_cutoffs(g), p)
     return v_tt - lap - f
 
 
@@ -181,26 +178,25 @@ def _box(levels, dt, grid):
             - laplacian(levels[1], grid))
 
 
-def _phi_t_window(states, need, p, profile):
+def _phi_t_window(states, need, p):
     """Phi_t on the `need` middle levels of a window, the middle state, its
     mesh's cutoff table, A_1 there, and dt; the middle Phi_t is
     compute_Phi_t's own expression on that A_1 (= A_5)."""
     levels, dt = _window(states, need)
     st = levels[need // 2]
-    cut = kernels.mesh_cutoffs(st.grid, profile)
+    cut = kernels.mesh_cutoffs(st.grid)
     a1 = kernels._a5(st.f, cut, p)
-    pt = [np.sqrt(a1) * s.f_t if s is st else compute_Phi_t(s, p, profile)
-          for s in levels]
+    pt = [np.sqrt(a1) * s.f_t if s is st else compute_Phi_t(s, p) for s in levels]
     return pt, st, cut, a1, dt
 
 
-def residual_Phi_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
     """Residual of box Phi = alpha^-2 (Phi - integral_0^v A_4^(-3/2) dy),
     asserted on r < 1/2 only (the cutoff corrections vanish there); values
     outside that region are returned as zero."""
     levels, dt = _window(states, 3)
     g = levels[1].grid
-    phi_l = [compute_Phi(s, p, profile) for s in levels]
+    phi_l = [compute_Phi(s, p) for s in levels]
     region = g.r < 0.5
     correction = np.zeros(g.n_nodes)
     correction[region] = _a4_line_integral(levels[1].f[region], g.r[region], -1.5, p)
@@ -208,27 +204,27 @@ def residual_Phi_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.n
     return np.where(region, res, 0.0)
 
 
-def residual_Phi_t_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_t_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
     """Residual of box Phi_t = alpha^-2 (1 - A_1^-2) Phi_t, valid at all radii."""
-    pt, st, _, a1, dt = _phi_t_window(states, 3, p, profile)
+    pt, st, _, a1, dt = _phi_t_window(states, 3, p)
     return _box(pt, dt, st.grid) - (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
 
 
-def residual_Phi_tt_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_tt_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
     """Residual of box Phi_tt = alpha^-2 [2 A_1^-3 dA_1/dt Phi_t
     + (1 - A_1^-2) Phi_tt]; five time levels."""
-    pt, st, cut, a1, dt = _phi_t_window(states, 5, p, profile)
+    pt, st, cut, a1, dt = _phi_t_window(states, 5, p)
     ptt = _centered(pt, dt)
     da1 = kernels._da1_dt(st.f, st.f_t, cut, p)
     rhs = (2.0 * a1 ** -3 * da1 * pt[2] + (1.0 - a1 ** -2) * ptt[1]) / p.alpha ** 2
     return _box(ptt, dt, st.grid) - rhs
 
 
-def residual_Phi_ttt_wave(states, p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE) -> np.ndarray:
+def residual_Phi_ttt_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
     """Residual of box Phi_ttt = alpha^-2 [-6 A_1^-4 (dA_1/dt)^2 Phi_t
     + 2 A_1^-3 d2A_1/dt2 Phi_t + 4 A_1^-3 dA_1/dt Phi_tt
     + (1 - A_1^-2) Phi_ttt]; seven time levels."""
-    pt, st, cut, a1, dt = _phi_t_window(states, 7, p, profile)
+    pt, st, cut, a1, dt = _phi_t_window(states, 7, p)
     ptt = _centered(pt, dt)
     pttt = _centered(ptt, dt)
     vtt = _centered([s.f_t for s in _window(states, 3)[0]], dt)[0]

@@ -18,7 +18,7 @@ from . import kernels
 from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, _window_start,
                      evolve_bundles, make_grid, run, trajectory)
 from .grid import FieldState, RadialGrid, sobolev_norm, write_csv
-from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
+from .kernels import DEFAULT_PARAMS
 from .transform import (residual_Phi_t_wave, residual_Phi_tt_wave,
                         residual_Phi_ttt_wave, residual_Phi_wave,
                         residual_v_equation)
@@ -87,15 +87,14 @@ def manufactured_config(ms: ManufacturedSolution, base: RunConfig) -> RunConfig:
     return replace(base, initial=init, sponge=SpongeSpec(start=-1.0, strength=0.0))
 
 
-def make_forcing(ms: ManufacturedSolution, grid: RadialGrid,
-                 p=DEFAULT_PARAMS, profile=DEFAULT_PROFILE,
+def make_forcing(ms: ManufacturedSolution, grid: RadialGrid, p=DEFAULT_PARAMS, *,
                  include_nonlinearity=True):
     """g(t) -> nodewise array such that ms.v solves v_tt = lap4 v + F(v) + g
     exactly (F is pointwise in (v, v_t, v_r), so sampling closed-form
     derivatives gives the exact nodal forcing up to roundoff). A repeated t,
     as at RK4's two midpoint stages, gets the same read-only array back."""
     r = grid.r
-    cut = kernels.mesh_cutoffs(grid, profile)
+    cut = kernels.mesh_cutoffs(grid)
     env = ms.envelope(r)
     dlog = -2.0 * r / ms.sigma ** 2
     lap_factor = 4.0 * r ** 2 / ms.sigma ** 4 - 8.0 / ms.sigma ** 2
@@ -229,8 +228,8 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             _window_start(cfg, t_center, need)
     errs = {o: [] for o in observables}
     for cfg in cfgs:
-        g, p, profile = make_grid(cfg), cfg.kernel_params, cfg.profile
-        force = make_forcing(ms, g, p, profile) if forced else None
+        g, p = make_grid(cfg), cfg.kernel_params
+        force = make_forcing(ms, g, p) if forced else None
         for obs in ("solution", "drift"):
             if obs not in observables:
                 continue
@@ -242,10 +241,10 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                              else max(abs(rec.energy_drift) for rec in result.records))
         if "residual_v" in observables:
             state = manufactured_initial_state(ms, g, t_probe)
-            res = residual_v_equation(state, ms.v_tt(t_probe, g.r), p, profile)
+            res = residual_v_equation(state, ms.v_tt(t_probe, g.r), p)
             errs["residual_v"].append(_res_norm(res - force(t_probe), g))
         if "linear_solution" in observables:
-            free = make_forcing(ms, g, p, profile, include_nonlinearity=False)
+            free = make_forcing(ms, g, p, include_nonlinearity=False)
             for state in trajectory(cfg, free, manufactured_initial_state(ms, g),
                                     nonlinear=False):
                 pass
@@ -255,7 +254,7 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             states = evolve_bundles(cfg, t_center, need)
             for o in window_obs:
                 fn, _ = _RESIDUAL_EVALUATORS[o]
-                errs[o].append(_res_norm(fn(states, p, profile), g))
+                errs[o].append(_res_norm(fn(states, p), g))
     return {o: _build_result(o, cfgs, errs[o]) for o in observables}
 
 

@@ -139,7 +139,7 @@ def test_criterion_7_far_field_phi():
     g = RadialGrid(512, 16.0)
     zeros = np.zeros(g.n_nodes)
     v_state = FieldState(zeros.copy(), zeros.copy(), g)
-    phi = compute_Phi(v_state, P, PROF)
+    phi = compute_Phi(v_state, P)
     i10 = int(round(10.0 / g.dr))
     expected = -math.pi * P.alpha ** 2 / 10.0 ** 3
     rel = abs(phi[i10] - expected) / abs(expected)

@@ -112,6 +112,24 @@ def test_profile_family_without_a_table_is_refused_at_load(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,blocked,written", [
+    (["run"], "final.csv", ["diagnostics.csv", "effective_config.ini", "final.csv"]),
+    (["kernels-table"], "kernels.csv", ["kernels.csv"]),
+])
+def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command,
+                                                                 blocked, written):
+    """A directory where an output file goes: the subcommand writes what it
+    can, then reports the path it could not write in one line, exit 1."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    rc = main(command + TINY + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config-error: ") and err.count("\n") == 1
+    assert str(out / blocked) in err
+    assert sorted(os.listdir(out)) == written
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "conf.ini"
     path.write_text("[grid]\nn_cells = 96\nr_max = 8.0\n"

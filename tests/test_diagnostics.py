@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
 from faddeevlab.diagnostics import DiagnosticsRecord
+from faddeevlab.evolve import InitialDataSpec, RunConfig, run
 from faddeevlab.grid import FieldState, RadialGrid, d_r, integrate_radial, sobolev_norm
-from faddeevlab.kernels import DEFAULT_PROFILE, KernelParams, mesh_cutoffs
+from faddeevlab.kernels import CutoffProfile, KernelParams, mesh_cutoffs
 from faddeevlab.transform import u_to_v, v_to_u
 
 from conftest import gaussian_v_state
@@ -23,27 +24,26 @@ def gaussian_u_state(n=2048, r_max=12.0):
 
 # ----------------------------------------------------------------- energy
 
-def test_energy_u_r_assembly_paths_agree(params, profile):
+def test_energy_u_r_assembly_paths_agree(params):
     """Differencing u directly vs assembling u_r from the smooth field v;
     the paths differ only by the O(h^3) seam bias (measured 7.7e-9)."""
     us = gaussian_u_state()
-    e_direct = diag.energy(us, params, profile=profile)
-    vs = u_to_v(us, profile)
-    e_chain = diag.energy(us, params, vs, profile)
+    e_direct = diag.energy(us, params)
+    vs = u_to_v(us)
+    e_chain = diag.energy(us, params, vs)
     assert abs(e_chain - e_direct) <= 1e-7 * e_direct
 
 
-def test_energy_of_constant_pi_vanishes(params, profile):
+def test_energy_of_constant_pi_vanishes(params):
     g = RadialGrid(512, 8.0)
     us = FieldState(np.full(g.n_nodes, np.pi), np.zeros(g.n_nodes), g)
-    assert abs(diag.energy(us, params, profile=profile)) <= 1e-20
+    assert abs(diag.energy(us, params)) <= 1e-20
 
 
-def test_energy_sigma_model_limit(profile):
+def test_energy_sigma_model_limit():
     """alpha -> 0 reduces the density to u_t^2 + u_r^2 + r^-2 sin^2 u."""
     from scipy.integrate import quad
-    e = diag.energy(gaussian_u_state(), KernelParams(alpha=1e-8),
-                    profile=profile)
+    e = diag.energy(gaussian_u_state(), KernelParams(alpha=1e-8))
     i1 = 2.0 * np.pi ** 2 * quad(lambda r: r ** 3 * np.exp(-2 * r ** 2),
                                  0.0, 12.0)[0]
     i2 = 0.5 * quad(lambda r: np.sin(np.pi * np.exp(-r ** 2)) ** 2 / r,
@@ -52,26 +52,25 @@ def test_energy_sigma_model_limit(profile):
     assert abs(e - oracle) <= 1e-7 * oracle
 
 
-def test_energy_is_nonnegative(params, profile, grid128):
+def test_energy_is_nonnegative(params, grid128):
     rng = np.random.default_rng(11)
     for _ in range(5):
         amp = rng.uniform(0.05, 0.8)
         vs = gaussian_v_state(grid128, amp=amp, width=rng.uniform(0.5, 2.0),
                               amp_t=rng.uniform(-0.3, 0.3))
         from faddeevlab.transform import v_to_u
-        us = v_to_u(vs, profile)
-        e = diag.energy(us, params, vs, profile)
+        us = v_to_u(vs)
+        e = diag.energy(us, params, vs)
         assert np.isfinite(e) and e > 0.0
 
 
-def test_energy_tail_vanishes_for_compact_data(params, profile):
-    e, tail = diag.energy(gaussian_u_state(), params, profile=profile,
-                          return_tail=True)
+def test_energy_tail_vanishes_for_compact_data(params):
+    e, tail = diag.energy(gaussian_u_state(), params, return_tail=True)
     assert e > 0.0
     assert 0.0 <= tail <= 1e-50
 
 
-def test_non_finite_energy_names_its_first_radius(params, profile):
+def test_non_finite_energy_names_its_first_radius(params):
     # a velocity spike at r = 3 whose u_t^2 = (r v_t)^2 overflows there
     g = RadialGrid(64, 8.0)
     vs = gaussian_v_state(g, amp=0.3)
@@ -81,7 +80,19 @@ def test_non_finite_energy_names_its_first_radius(params, profile):
     vs = FieldState(vs.f, vt, g)
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"^non-finite energy integrand at r=3$"):
-        diag.energy(v_to_u(vs, profile), params, vs, profile)
+        diag.energy(v_to_u(vs), params, vs)
+
+
+def test_a_non_default_chart_survives_post_processing():
+    """A run at cutoff order 9 returns its state on the order-9 grid, so
+    post-processing it reads the run's own chart: the energy of that state
+    is its last record, bit for bit."""
+    cfg = RunConfig(n_cells=256, r_max=8.0, t_end=1.0, profile=CutoffProfile(9),
+                    initial=InitialDataSpec(amplitude=0.5))
+    res = run(cfg)
+    assert res.status == "completed" and res.state.grid.profile == CutoffProfile(9)
+    assert diag.energy(v_to_u(res.state), cfg.kernel_params,
+                       res.state) == res.records[-1].energy
 
 
 def test_energy_drift_definition():
@@ -92,7 +103,7 @@ def test_energy_drift_definition():
 # --------------------------------------------------------------- monitors
 
 def monitor(vs):
-    cut = mesh_cutoffs(vs.grid, DEFAULT_PROFILE)
+    cut = mesh_cutoffs(vs.grid)
     return diag.continuation_monitor(vs, d_r(vs.f, vs.grid), cut)
 
 
@@ -126,7 +137,7 @@ def test_monitor_homogeneity(lam):
 # ------------------------------------------------------------------ decay
 
 def test_decay_report_zero_field(grid128):
-    rep = diag.decay_report(np.zeros(grid128.n_nodes), mesh_cutoffs(grid128, DEFAULT_PROFILE))
+    rep = diag.decay_report(np.zeros(grid128.n_nodes), mesh_cutoffs(grid128))
     assert rep == {"outer": 0.0, "inner": 0.0}
 
 
@@ -134,7 +145,7 @@ def test_decay_report_critical_profile():
     """(1+r^2)^(-3/4) saturates the r^(-3/2) outer envelope."""
     g = RadialGrid(640, 40.0)
     f = (1.0 + g.r ** 2) ** (-0.75)
-    rep = diag.decay_report(f, mesh_cutoffs(g, DEFAULT_PROFILE))
+    rep = diag.decay_report(f, mesh_cutoffs(g))
     assert 0.999 <= rep["outer"] <= 1.0
     inner = (g.r > 0.0) & (g.r <= 1.0)
     assert rep["inner"] == np.max(f[inner])  # max |v| on 0 < r <= 1

@@ -45,8 +45,7 @@ def quiet_forcing(config):
     """Forcing that cancels the static source of the cutoff shell exactly,
     so v = 0 is an equilibrium and a small pulse rides a silent background."""
     vac = ManufacturedSolution(a0=0.0, a1=0.0)
-    return make_forcing(vac, make_grid(config), config.kernel_params,
-                        config.profile)
+    return make_forcing(vac, make_grid(config), config.kernel_params)
 
 
 def lean(**kw):
@@ -151,7 +150,7 @@ def test_profile_table_matches_direct_transform(tmp_path):
                initial=InitialDataSpec(family="profile_u",
                                        profile_path=str(path)))
     st = initial_state(cfg)
-    direct = u_to_v(FieldState(u0, u1, cfg_grid), cfg.profile)
+    direct = u_to_v(FieldState(u0, u1, cfg_grid))
     assert np.array_equal(st.f, direct.f)
     assert np.array_equal(st.f_t, direct.f_t)
 
@@ -196,10 +195,10 @@ def test_profile_table_rejects_mismatch(tmp_path):
 
 # ------------------------------------------------------ operator / stepping
 
-def test_zero_state_source_lives_on_the_shell(params, profile):
+def test_zero_state_source_lives_on_the_shell(params):
     g = RadialGrid(256, 8.0)
     z = np.zeros(g.n_nodes)
-    dv, dvt = _operator(g, params, profile, None, None)(z, z, 0.0)
+    dv, dvt = _operator(g, params, None, None)(z, z, 0.0)
     assert np.array_equal(dv, np.zeros(g.n_nodes))
     inner = g.r <= 0.4
     assert np.array_equal(dvt[inner], np.zeros(inner.sum()))
@@ -258,13 +257,16 @@ def test_trajectory_yields_fresh_arrays():
     assert all(np.array_equal(a, b) for a, b in zip(kept, copies))
 
 
-@pytest.mark.parametrize("grid", [RadialGrid(32, 4.0), RadialGrid(16, 8.0)])
+@pytest.mark.parametrize("grid", [RadialGrid(32, 4.0), RadialGrid(16, 8.0),
+                                  RadialGrid(32, 8.0, kernels.CutoffProfile(9))])
 def test_trajectory_refuses_a_state_from_another_grid(grid):
     """Another r_max would run silently on the config's mesh, another node
-    count would fail in the stencils: both are refused by name first."""
+    count would fail in the stencils, another profile would read the state
+    in the wrong chart: each is refused by name first."""
     with pytest.raises(ValueError, match=r"the state lives on RadialGrid\(n_cells=\d+, "
-                                         r"r_max=\d\.0\), the config's mesh is "
-                                         r"RadialGrid\(n_cells=32, r_max=8\.0\)"):
+                                         r"r_max=\d\.0, profile=CutoffProfile\(kind=\d\)\), "
+                                         r"the config's mesh is RadialGrid\(n_cells=32, "
+                                         r"r_max=8\.0, profile=CutoffProfile\(kind=7\)\)"):
         next(trajectory(lean(n_cells=32, r_max=8.0, t_end=0.5), state=zero_state(grid)))
 
 
@@ -328,7 +330,7 @@ def test_evolve_bundles_cadence_and_reconstruction(params):
     assert abs(times[2] - 0.25) <= dts[0] / 2 + 1e-12
     g = make_grid(cfg)
     phi = eval_cutoff("phi", g.r, 0, cfg.profile)
-    u = v_to_u(bundles[2], cfg.profile).f
+    u = v_to_u(bundles[2]).f
     assert u[0] == np.pi
     assert np.array_equal(u[1:], g.r[1:] * bundles[2].f[1:] + phi[1:])
 
@@ -477,9 +479,9 @@ def test_rk4_matches_its_old_expression_bitwise(forced):
                kernel_params=kernels.KernelParams(alpha=0.7),
                initial=InitialDataSpec(amplitude=1.3, amplitude_t=-0.8, center_t=0.5))
     g = make_grid(cfg)
-    forcing = (make_forcing(ManufacturedSolution(), g, cfg.kernel_params, cfg.profile)
+    forcing = (make_forcing(ManufacturedSolution(), g, cfg.kernel_params)
                if forced else None)
-    f = _operator(g, cfg.kernel_params, cfg.profile, sponge_sigma(g, cfg.sponge), forcing)
+    f = _operator(g, cfg.kernel_params, sponge_sigma(g, cfg.sponge), forcing)
     _, dt = _schedule(cfg)
     st = initial_state(cfg)
     v, vt = st.f, st.f_t
@@ -493,7 +495,7 @@ def test_rk4_matches_its_old_expression_bitwise(forced):
 
 # ------------------------------------------------------------ run quality
 
-def test_zero_amplitude_initial_record(params, profile):
+def test_zero_amplitude_initial_record(params):
     cfg = lean(n_cells=128, r_max=8.0, t_end=0.1,
                initial=InitialDataSpec(amplitude=0.0))
     res = run(cfg)
@@ -501,7 +503,7 @@ def test_zero_amplitude_initial_record(params, profile):
     assert (rec0.monitor_v, rec0.monitor_vt, rec0.monitor_gradv) == (0.0, 0.0, 0.0)
     assert rec0.energy_drift == 0.0
     st = initial_state(cfg)
-    direct = diag.energy(v_to_u(st, profile), params, st, profile)
+    direct = diag.energy(v_to_u(st), params, st)
     assert rec0.energy == direct
     assert direct > 0.0  # the shell contributes even with silent data
 

@@ -120,6 +120,45 @@ def test_cutoffs_are_evaluated_only_in_the_mesh_table(path):
     assert [call for call in cutoff_calls(path.read_text()) if call[0] not in allowed] == []
 
 
+def profile_params(source):
+    """(function, line) of every function or lambda with a parameter named
+    profile, at any depth; a lambda is named "<lambda>"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(arg is not None and arg.arg == "profile" for arg in params):
+                found.append((getattr(node, "name", "<lambda>"), node.lineno))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_profile_parameter():
+    src = ("def f(r, profile=None):\n"
+           "    def g(*, profile):\n"
+           "        return profile\n"
+           "    return g\n"
+           "h = lambda v, profile: v\n"
+           "def k(grid, **profile):\n"
+           "    return grid.profile\n"
+           "def m(grid, profiles):\n"
+           "    return profiles\n")
+    assert profile_params(src) == [("<lambda>", 5), ("f", 1), ("g", 2), ("k", 6)]
+
+
+# The four kernels of raw radii have no grid; every other evaluator reads the
+# shell profile from the grid of its state or mesh.
+RADII_FUNCTIONS = {"eval_cutoff", "laplacian_phi_2d", "cutoff_arrays", "eval_F_rhs"}
+
+
+@pytest.mark.parametrize("name", ["grid", "transform", "diagnostics", "evolve",
+                                  "verify", "kernels"])
+def test_only_functions_of_radii_take_a_profile(name):
+    source = (ROOT / "src" / "faddeevlab" / f"{name}.py").read_text()
+    allowed = RADII_FUNCTIONS if name == "kernels" else set()
+    assert [fn for fn in profile_params(source) if fn[0] not in allowed] == []
+
+
 def named_scripts(text):
     """Every scripts/<name>.py a text names, in order of first mention."""
     return list(dict.fromkeys(re.findall(r"scripts/([\w-]+\.py)", text)))

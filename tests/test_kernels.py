@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
 from faddeevlab import kernels
-from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS, DEFAULT_PROFILE,
+from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS,
                                 MAX_CUTOFF_ORDER, CutoffProfile, KernelParams, _a3,
                                 _a4, _a5, _da1_dt, _da1_dtt, _ftilde, _series_rows,
                                 cutoff_arrays, eval_cutoff, eval_F_given_cutoffs,
@@ -494,8 +494,8 @@ def test_evaluators_are_bitwise_pinned():
 
 def test_mesh_table_is_one_read_only_table_per_mesh(profile):
     g = RadialGrid(64, 4.0)
-    cut = mesh_cutoffs(g, profile)
-    assert mesh_cutoffs(RadialGrid(64, 4.0), profile) is cut  # equal grids share it
+    cut = mesh_cutoffs(g)
+    assert mesh_cutoffs(RadialGrid(64, 4.0)) is cut  # equal grids share it
     fresh = cutoff_arrays(g.r, profile)
     assert cut.keys() == fresh.keys()
     for key, val in cut.items():
@@ -510,19 +510,31 @@ def test_mesh_table_is_one_read_only_table_per_mesh(profile):
         "phi", g.r[:17], 0, profile).tobytes()  # elementwise: a subset keeps its bytes
 
 
-def test_mesh_table_without_a_far_node(profile):
-    cut = mesh_cutoffs(RadialGrid(32, 1.0), profile)
+def test_mesh_table_follows_the_grid_profile():
+    """Two grids on the same nodes in different charts get two tables, each
+    the one cutoff_arrays builds for that grid's profile."""
+    grids = [RadialGrid(64, 4.0, CutoffProfile(kind)) for kind in (7, 9)]
+    cuts = [mesh_cutoffs(g) for g in grids]
+    for g, cut in zip(grids, cuts):
+        fresh = cutoff_arrays(g.r, g.profile)
+        assert all(val.tobytes() == fresh[key].tobytes()
+                   for key, val in cut.items() if isinstance(val, np.ndarray))
+    assert cuts[0]["phi"].tobytes() != cuts[1]["phi"].tobytes()
+
+
+def test_mesh_table_without_a_far_node():
+    cut = mesh_cutoffs(RadialGrid(32, 1.0))
     assert cut["near"] == slice(0, 33)
     assert cut["r_far"].size == cut["phi_far"].size == 0
 
 
-def test_sample_weights_match_their_old_expressions_bitwise(profile):
+def test_sample_weights_match_their_old_expressions_bitwise():
     """The bracket and the decay nodes and weight of a diagnostics sample, as
     the table holds them, against the per-run expressions they replaced, on
     meshes with and without a node at r = 1 and one that ends before it."""
     for n_cells, r_max in ((64, 8.0), (60, 8.0), (8, 0.75)):
         g = RadialGrid(n_cells, r_max)
-        r, cut = g.r, mesh_cutoffs(g, profile)
+        r, cut = g.r, mesh_cutoffs(g)
         first = int(np.searchsorted(r, 1.0))
         assert cut["jb"].tobytes() == np.sqrt(1.0 + r ** 2).tobytes()
         assert r[cut["decay"]].tobytes() == r[first:].tobytes()
@@ -566,7 +578,7 @@ def _edge_outputs():
     out = {"v_to_u": u.f, "u_to_v": u_to_v(u).f,
            "energy": [diag.energy(u, p, st, return_tail=True, v_r=vr)[0],
                       diag.energy(u, p)],
-           "decay_report": list(diag.decay_report(st.f, mesh_cutoffs(g, DEFAULT_PROFILE)).values()),
+           "decay_report": list(diag.decay_report(st.f, mesh_cutoffs(g)).values()),
            "compute_Phi": compute_Phi(st, p), "compute_Phi_t": compute_Phi_t(st, p),
            "residual_v": residual_v_equation(st, env, p),
            "residual_Phi": residual_Phi_wave(bundles[2:5], p),

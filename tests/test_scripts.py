@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/ on tiny inputs."""
 
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      ["--observables", "linear_solution", "--base-n", "32", "--t-end", "0.25"],
      "wrote study.csv"),
     ("run_acceptance_campaign.py",
-     ["--n-cells", "64", "--r-max", "8", "--t-end", "0.25", "--output-every", "4"],
+     ["--n-cells", "256", "--r-max", "8", "--t-end", "0.25", "--output-every", "2"],
      "artifacts in acceptance_out"),
 ])
 def test_script_main_runs(tmp_path, monkeypatch, capsys, script, args, expect):
@@ -84,6 +85,22 @@ def test_acceptance_campaign_rejects_unaligned_inputs(tmp_path, monkeypatch, cap
         main()
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_acceptance_campaign_exits_2_when_a_run_halts(tmp_path, monkeypatch, capsys):
+    """At n = 64 both runs halt as scheme_breakdown: every artifact and the
+    summary are still written, and the script exits 2 as faddeevlab run does."""
+    main = _campaign_main(tmp_path, monkeypatch, ["--n-cells", "64", "--r-max", "8",
+                                                  "--t-end", "0.25", "--output-every", "4"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    out = capsys.readouterr().out
+    assert out.count("status=scheme_breakdown") == 2
+    assert "halted early" in out and "artifacts in acceptance_out" in out
+    assert sorted(os.listdir(tmp_path / "acceptance_out")) == [
+        "diag_coarse.csv", "diag_fine.csv", "final_coarse.csv", "final_coarse.meta",
+        "final_fine.csv", "final_fine.meta"]
 
 
 @pytest.mark.parametrize("t_end,aligned", [("0.25", True), ("0.255", False)])

@@ -35,7 +35,7 @@ def zero_state(grid):
 
 def test_roundtrip_v_u_v(grid256):
     v = gaussian_v_state(grid256, amp=0.3, amp_t=0.1)
-    back = u_to_v(v_to_u(v, DEFAULT_PROFILE), DEFAULT_PROFILE)
+    back = u_to_v(v_to_u(v))
     assert np.max(np.abs(back.f[1:] - v.f[1:])) <= 1e-13
     assert np.max(np.abs(back.f_t[1:] - v.f_t[1:])) <= 1e-13
     # node 0 is rebuilt by even extrapolation, not divided out
@@ -44,28 +44,28 @@ def test_roundtrip_v_u_v(grid256):
 
 def test_v_to_u_is_exact_algebra(grid256):
     v = gaussian_v_state(grid256, amp=0.3)
-    u = v_to_u(v, DEFAULT_PROFILE)
+    u = v_to_u(v)
     phi = eval_cutoff("phi", grid256.r, 0, DEFAULT_PROFILE)
     assert np.array_equal(u.f, grid256.r * v.f + phi)
     assert np.array_equal(u.f_t, grid256.r * v.f_t)
 
 
 def test_u_to_v_requires_boundary_value(grid256):
-    u = v_to_u(gaussian_v_state(grid256, amp=0.2), DEFAULT_PROFILE)
+    u = v_to_u(gaussian_v_state(grid256, amp=0.2))
     u.f[0] += 1e-6
     with pytest.raises(ValueError):
-        u_to_v(u, DEFAULT_PROFILE)
+        u_to_v(u)
 
 
 def test_u_equal_cutoff_maps_to_zero(grid256):
-    u = v_to_u(zero_state(grid256), DEFAULT_PROFILE)
-    v = u_to_v(u, DEFAULT_PROFILE)
+    u = v_to_u(zero_state(grid256))
+    v = u_to_v(u)
     assert np.array_equal(v.f, np.zeros(grid256.n_nodes))
 
 
 def test_origin_extrapolation_is_high_order(grid256):
     v = gaussian_v_state(grid256, amp=1.0)
-    back = u_to_v(v_to_u(v, DEFAULT_PROFILE), DEFAULT_PROFILE)
+    back = u_to_v(v_to_u(v))
     assert abs(back.f[0] - 1.0) <= 1e-9
 
 
@@ -76,7 +76,7 @@ def test_origin_extrapolation_is_high_order(grid256):
 def test_phi_zero_state_values():
     g = RadialGrid(512, 16.0)
     z = zero_state(g)
-    phi = compute_Phi(z, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    phi = compute_Phi(z, DEFAULT_PARAMS)
     assert np.array_equal(phi[g.r <= 0.5], np.zeros(np.sum(g.r <= 0.5)))
     i10 = int(round(10.0 / g.dr))
     assert g.r[i10] == 10.0
@@ -88,15 +88,15 @@ def test_phi_zero_state_values():
 def test_phi_inner_branch_oracle():
     g = RadialGrid(320, 8.0)  # dr = 0.025 puts r = 0.3 on a node
     v = gaussian_v_state(g, amp=0.2)
-    phi = compute_Phi(v, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    phi = compute_Phi(v, DEFAULT_PARAMS)
     assert phi[12] == pytest.approx(PHI_AT_03_SMALL_GAUSSIAN, abs=1e-12)
 
 
 def test_phi_branch_formulas_agree_on_seam_strip():
     g = RadialGrid(320, 8.0)
     v = gaussian_v_state(g, amp=0.2)
-    u = v_to_u(v, DEFAULT_PROFILE)
-    phi = compute_Phi(v, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    u = v_to_u(v)
+    phi = compute_Phi(v, DEFAULT_PARAMS)
     for i in np.nonzero((g.r >= 0.4) & (g.r <= 0.5))[0]:
         r = g.r[i]
         outer = quadrature_1d(
@@ -110,29 +110,28 @@ def test_phi_on_a_mesh_inside_the_inner_branch():
     inner branch everywhere, with the bytes the same nodes get on a wider
     mesh."""
     narrow, wide = RadialGrid(16, 0.5), RadialGrid(32, 1.0)  # dr = 1/32 on both
-    phi = compute_Phi(gaussian_v_state(narrow), DEFAULT_PARAMS, DEFAULT_PROFILE)
-    ref = compute_Phi(gaussian_v_state(wide), DEFAULT_PARAMS, DEFAULT_PROFILE)
+    phi = compute_Phi(gaussian_v_state(narrow), DEFAULT_PARAMS)
+    ref = compute_Phi(gaussian_v_state(wide), DEFAULT_PARAMS)
     assert phi.tobytes() == ref[:17].tobytes()
 
 
 def test_phi_t_closed_forms(grid256):
     g = grid256
     still = gaussian_v_state(g, amp=0.3, amp_t=0.0)
-    pt = compute_Phi_t(still, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    pt = compute_Phi_t(still, DEFAULT_PARAMS)
     assert np.array_equal(pt, np.zeros(g.n_nodes))
     # u identically pi has A_1 = 1, so Phi_t collapses to u_t / r
     gr = np.exp(-g.r ** 2)
     u = FieldState(np.full(g.n_nodes, math.pi), g.r * gr, g)
-    pt = compute_Phi_t(u_to_v(u, DEFAULT_PROFILE), DEFAULT_PARAMS,
-                       DEFAULT_PROFILE)
+    pt = compute_Phi_t(u_to_v(u), DEFAULT_PARAMS)
     assert np.max(np.abs(pt[1:] - gr[1:])) <= 1e-13
 
 
 def test_phi_t_identity_nodewise(grid256):
     g = grid256
     v = gaussian_v_state(g, amp=0.3, amp_t=0.2)
-    pt = compute_Phi_t(v, DEFAULT_PARAMS, DEFAULT_PROFILE)
-    u = v_to_u(v, DEFAULT_PROFILE)
+    pt = compute_Phi_t(v, DEFAULT_PARAMS)
+    u = v_to_u(v)
     rp = g.r[1:]
     a1 = _a3(np.sin(u.f[1:]), rp, DEFAULT_PARAMS)
     direct = np.sqrt(a1) * u.f_t[1:] / rp
@@ -145,10 +144,10 @@ def test_phi_t_matches_time_differenced_phi_at_second_order():
 
     def phi_at(t):
         st = manufactured_initial_state(ms, g, t)
-        return compute_Phi(st, DEFAULT_PARAMS, DEFAULT_PROFILE)
+        return compute_Phi(st, DEFAULT_PARAMS)
 
     st = manufactured_initial_state(ms, g, 0.4)
-    pt = compute_Phi_t(st, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    pt = compute_Phi_t(st, DEFAULT_PARAMS)
     errs = []
     for dt in (1e-3, 5e-4):
         fd = (phi_at(0.4 + dt) - phi_at(0.4 - dt)) / (2.0 * dt)
@@ -163,7 +162,7 @@ def test_phi_t_matches_time_differenced_phi_at_second_order():
 def test_residual_v_zero_state_supported_on_shell(grid256):
     g = grid256
     res = residual_v_equation(zero_state(g), np.zeros(g.n_nodes),
-                              DEFAULT_PARAMS, DEFAULT_PROFILE)
+                              DEFAULT_PARAMS)
     off = (g.r <= 0.5) | (g.r >= 2.0 + 2 * g.dr)
     assert np.max(np.abs(res[off])) <= 1e-13
     shell = (g.r >= 1.05) & (g.r <= 1.95)
@@ -176,9 +175,8 @@ def test_residual_v_minus_forcing_refines_at_stencil_order():
     for n in (128, 256, 512):
         g = RadialGrid(n, 8.0)
         st = manufactured_initial_state(ms, g, 0.7)
-        res = residual_v_equation(st, ms.v_tt(0.7, g.r), DEFAULT_PARAMS,
-                                  DEFAULT_PROFILE)
-        gf = make_forcing(ms, g, DEFAULT_PARAMS, DEFAULT_PROFILE)(0.7)
+        res = residual_v_equation(st, ms.v_tt(0.7, g.r), DEFAULT_PARAMS)
+        gf = make_forcing(ms, g, DEFAULT_PARAMS)(0.7)
         errs.append(_res_norm(res - gf, g))
     # measured ratios approach 2^4 from below (15.94, 15.99)
     assert errs[0] / errs[1] >= 2.0 ** 3.8
@@ -232,7 +230,7 @@ def test_static_zero_state_phi_residual(grid128):
     g = grid128
     z = zero_state(g)
     bs = [FieldState(z.f, z.f_t, g, 0.1 * k) for k in range(3)]
-    res = residual_Phi_wave(bs, DEFAULT_PARAMS, DEFAULT_PROFILE)
+    res = residual_Phi_wave(bs, DEFAULT_PARAMS)
     # exact zero inside the region except the two-node stencil collar that
     # sees Phi switching on with the gt1 cutoff at r = 1/2
     inner = g.r < 0.5 - 2 * g.dr

@@ -7,7 +7,7 @@ import pytest
 
 from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid, run,
                                trajectory)
-from faddeevlab import grid, kernels, transform
+from faddeevlab import diagnostics, grid, kernels, transform
 from faddeevlab.grid import RadialGrid
 from faddeevlab.kernels import eval_F_rhs
 from faddeevlab.verify import (
@@ -41,7 +41,7 @@ def test_forcing_matches_finite_difference_assembly(params, profile):
     """g = v_tt - lap4 v - F(v) rebuilt from 5-point stencils on the
     closed-form solution samples; measured gap 5.2e-12."""
     g = RadialGrid(128, 8.0)
-    force = make_forcing(MS, g, params, profile)
+    force = make_forcing(MS, g, params)
     i = int(round(1.0 / g.dr))
     r0 = g.r[i]
     h = 1e-3
@@ -56,11 +56,11 @@ def test_forcing_matches_finite_difference_assembly(params, profile):
     assert abs(force(0.0)[i] - (v_tt - lap4 - f_val)) <= 1e-8
 
 
-def test_forcing_at_a_repeated_time_returns_its_read_only_array(params, profile):
+def test_forcing_at_a_repeated_time_returns_its_read_only_array(params):
     """RK4's two midpoint stages share t: the second gets the first's array
     back, bytes unchanged, and no caller can write to it."""
     g = RadialGrid(64, 4.0)
-    force, fresh = (make_forcing(MS, g, params, profile) for _ in range(2))
+    force, fresh = (make_forcing(MS, g, params) for _ in range(2))
     first = force(0.3)
     assert force(0.3) is first and not first.flags.writeable
     assert force(0.45).tobytes() == fresh(0.45).tobytes()
@@ -68,11 +68,23 @@ def test_forcing_at_a_repeated_time_returns_its_read_only_array(params, profile)
     assert again is not first and again.tobytes() == first.tobytes()
 
 
-def test_vacuum_forcing_supported_on_the_shell(params, profile):
+def test_a_profile_passed_in_a_flag_position_is_refused(params, profile):
+    """energy's return_tail and make_forcing's include_nonlinearity follow
+    where a profile argument used to go: a call that still passes a profile
+    there raises instead of setting the flag."""
+    g = RadialGrid(64, 4.0)
+    vs = manufactured_initial_state(MS, g)
+    with pytest.raises(TypeError):
+        diagnostics.energy(transform.v_to_u(vs), params, vs, profile)
+    with pytest.raises(TypeError):
+        make_forcing(MS, g, params, profile)
+
+
+def test_vacuum_forcing_supported_on_the_shell(params):
     """a0 = a1 = 0 collapses the forcing to minus the static shell source."""
     g = RadialGrid(256, 8.0)
     vac = ManufacturedSolution(a0=0.0, a1=0.0)
-    gvals = make_forcing(vac, g, params, profile)(0.7)
+    gvals = make_forcing(vac, g, params)(0.7)
     inner = g.r <= 0.4
     assert np.array_equal(gvals[inner], np.zeros(inner.sum()))
     mid = (g.r > 0.4) & (g.r < 1.0 - 2 * g.dr)
