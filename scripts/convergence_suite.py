@@ -31,25 +31,24 @@ def main():
     ap.add_argument("--t-center", type=float, default=2.0)
     ap.add_argument("--amplitude", type=float, default=0.5)
     ap.add_argument("--forced", choices=("yes", "no"), default="yes",
-                    help="initial data: the manufactured solution's (yes) or "
-                         "the plain Gaussian family's (no); solution runs "
-                         "forced and needs yes, drift runs unforced")
+                    help="initial data of drift and residual_Phi*: the manufactured "
+                         "solution's (yes) or the plain Gaussian family's (no)")
     ap.add_argument("--out", default="study.csv")
     args = ap.parse_args()
 
     obs = tuple(tok.strip() for tok in args.observables.split(",") if tok.strip())
     base = RunConfig(n_cells=args.base_n, r_max=args.r_max, t_end=args.t_end,
                      output_every=32, drift_ceiling=1.0,
-                     track_spacetime=False, sobolev_orders=(),
                      initial=InitialDataSpec(amplitude=args.amplitude))
-    ms = ManufacturedSolution()
-
-    start = manufactured_config(ms, base) if args.forced == "yes" else base
+    if args.forced == "yes":
+        base = manufactured_config(ManufacturedSolution(), base)
     try:
-        results = convergence_study(start, args.levels, obs, ms=ms,
-                                    t_probe=args.t_probe, t_center=args.t_center)
+        results = convergence_study(base, args.levels, obs, t_probe=args.t_probe,
+                                    t_center=args.t_center)
     except ValueError as exc:
         ap.error(str(exc))
+    except RuntimeError as exc:  # a level halted: exit 2, as faddeevlab run does
+        ap.exit(2, f"error: {exc}\n")
 
     for name, res in sorted(results.items()):
         rows = " ".join(f"{r.error:.3e}" for r in res.rows)

@@ -102,6 +102,7 @@ class RunConfig:
     track_spacetime: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "sobolev_orders", tuple(self.sobolev_orders))
         for key, value in config_items(self):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")

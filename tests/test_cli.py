@@ -1,5 +1,6 @@
 """Command-line interface: config plumbing, exit codes, artifacts."""
 
+import ast
 import configparser
 import hashlib
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from faddeevlab import cli, kernels
-from faddeevlab.cli import load_config, main, write_effective_config
+from faddeevlab.cli import ConfigError, load_config, main, write_effective_config
 from faddeevlab.evolve import CONFIG_TABLE, RunConfig
 from faddeevlab.grid import RadialGrid
 
@@ -140,6 +141,17 @@ def test_config_file_loading(tmp_path):
     assert cfg.r_max == 8.0
     assert cfg.sobolev_orders == (1, 3)
     assert out_dir == "from_file"
+
+
+@pytest.mark.parametrize("rest", ["", "[grid]\nr_max = 8\n", "[integrator]\nt_end = 0.1\n"])
+def test_a_default_section_is_checked_like_any_other(tmp_path, rest):
+    """configparser would drop [DEFAULT] keys when no other section is
+    given and copy them into every other section: the loader names them
+    under their own section instead."""
+    path = tmp_path / "conf.ini"
+    path.write_text("[DEFAULT]\nn_cells = 64\n" + rest)
+    with pytest.raises(ConfigError, match=r"^unknown key 'DEFAULT\.n_cells'$"):
+        load_config(str(path))
 
 
 TABLE_R = RadialGrid(64, 8.0).r  # the nodes of TINY_GRID
@@ -629,6 +641,14 @@ def test_readme_residual_window_block_runs(readme_block_outputs):
                                 readme_block_outputs[1].splitlines())
     assert (n0, n1) == ("128", "256")
     assert float(coarse) / float(fine) >= 3.0  # measured 3.85
+
+
+def test_readme_study_block_runs(readme_block_outputs):
+    """The third python block of README: a study from a plain base measures
+    the manufactured solution and the drift at fourth order."""
+    orders = ast.literal_eval(readme_block_outputs[2])
+    assert sorted(orders) == ["drift", "solution"]
+    assert min(orders.values()) >= 3.5  # measured 3.86 and 3.81
 
 
 # one valid non-default text per settable key

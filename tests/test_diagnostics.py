@@ -58,7 +58,6 @@ def test_energy_is_nonnegative(params, grid128):
         amp = rng.uniform(0.05, 0.8)
         vs = gaussian_v_state(grid128, amp=amp, width=rng.uniform(0.5, 2.0),
                               amp_t=rng.uniform(-0.3, 0.3))
-        from faddeevlab.transform import v_to_u
         us = v_to_u(vs)
         e = diag.energy(us, params, vs)
         assert np.isfinite(e) and e > 0.0

@@ -111,6 +111,19 @@ def test_config_fingerprint_stability():
         assert config_fingerprint(other) != config_fingerprint(a)
 
 
+def test_a_list_of_sobolev_orders_is_the_tuple_config(tmp_path):
+    """Library code may pass a list: the config stores the tuple, so it is
+    equal to, fingerprints as and checkpoints as the tuple's config."""
+    listed = lean(n_cells=48, r_max=6.0, t_end=0.2, sobolev_orders=[1, 2])
+    tupled = lean(n_cells=48, r_max=6.0, t_end=0.2, sobolev_orders=(1, 2))
+    assert listed == tupled
+    assert config_fingerprint(listed) == config_fingerprint(tupled)
+    write_checkpoint(run(listed).state, tmp_path / "final", listed, step_no=5)
+    meta = (tmp_path / "final.meta").read_text()
+    assert f"config_hash = {config_fingerprint(tupled)}\n" in meta
+    assert "diagnostics.sobolev_orders = 1,2\n" in meta
+
+
 def test_default_fingerprint_is_pinned():
     """The flattened key order and value text feed the fingerprint, so a
     pinned default value guards both."""

@@ -43,7 +43,8 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(src) == [(2, "pi")]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", SOURCES + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -182,4 +183,4 @@ def test_the_scan_sees_a_python_block():
 def test_every_readme_python_block_runs(readme_block_outputs):
     """Each block runs once, on its own, in an empty working directory;
     tests/test_cli.py checks what each block prints."""
-    assert len(readme_block_outputs) == 2
+    assert len(readme_block_outputs) == 3

@@ -26,8 +26,8 @@ def test_script_main_runs(tmp_path, monkeypatch, capsys, script, args, expect):
 
 
 def _suite_refusal(tmp_path, monkeypatch, capsys, args):
-    """The stderr of convergence_suite.py refusing args: exit code 2, no
-    file written."""
+    """The stderr of convergence_suite.py on args that it refuses or that
+    halt a level: exit code 2, no file written."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--base-n", "32"] + args)
     main = runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]
@@ -38,13 +38,34 @@ def _suite_refusal(tmp_path, monkeypatch, capsys, args):
     return capsys.readouterr().err
 
 
-def test_convergence_suite_refuses_an_unforced_solution_study(tmp_path, monkeypatch,
-                                                               capsys):
-    """The solution error needs runs forced from the manufactured data, so
-    --forced no with the solution observable stops before any run."""
+def test_convergence_suite_measures_solution_from_either_data(tmp_path, monkeypatch):
+    """--forced picks the data of drift and residual_Phi* only: the solution
+    study writes the same bytes from the plain Gaussian as from the
+    manufactured data."""
+    written = []
+    for forced in ("yes", "no"):
+        out = tmp_path / f"study_{forced}.csv"
+        monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--base-n", "32",
+                                          "--t-end", "0.25", "--observables", "solution",
+                                          "--forced", forced, "--out", str(out)])
+        runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]()
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_convergence_suite_refuses_an_empty_observable_list(tmp_path, monkeypatch, capsys):
+    err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--observables", ""])
+    assert "a refinement study needs at least one observable" in err
+
+
+def test_convergence_suite_exits_2_when_a_level_halts(tmp_path, monkeypatch, capsys):
+    """A level that blows up ends the script with one error line naming the
+    level and the reason, the halt code of faddeevlab run, and no CSV."""
     err = _suite_refusal(tmp_path, monkeypatch, capsys,
-                         ["--observables", "solution", "--forced", "no"])
-    assert "manufactured_config(ms, base)" in err
+                         ["--observables", "drift", "--forced", "no", "--amplitude", "16",
+                          "--base-n", "64", "--r-max", "8", "--t-end", "1"])
+    assert err == ("error: study drift run at n=64 stopped early: non-finite field "
+                   "values at step 8, t=0.25, r=0\n")
 
 
 def test_convergence_suite_refuses_the_retired_linear_token(tmp_path, monkeypatch,

@@ -184,10 +184,8 @@ def test_study_validation():
         convergence_study(base, levels=2, observables=("solution",), ms=MS)
     with pytest.raises(ValueError, match="unknown observables"):
         convergence_study(base, observables=("wobble",), ms=MS)
-    with pytest.raises(ValueError, match="manufactured reference"):
-        convergence_study(base, observables=("solution",))
-    with pytest.raises(ValueError, match="manufactured reference"):
-        convergence_study(base, observables=("linear_solution",))
+    with pytest.raises(ValueError, match="at least one observable"):
+        convergence_study(base, observables=())
     with pytest.raises(ValueError, match="observable 'residual_Phi' is given twice"):
         convergence_study(base, observables=("residual_Phi", "solution", "residual_Phi"),
                           ms=MS, t_center=0.3)
@@ -207,13 +205,35 @@ def test_study_checks_every_residual_window_before_its_first_run(monkeypatch):
                           t_center=2.0)
 
 
-def test_solution_study_refuses_a_base_not_started_from_ms(monkeypatch):
-    """The solution error compares against ms, so the forced runs must start
-    from ms; the base is checked before any run."""
-    monkeypatch.setattr("faddeevlab.verify.run",
-                        lambda *a, **k: pytest.fail("a study run started"))
-    with pytest.raises(ValueError, match=r"manufactured_config\(ms, base\)"):
-        convergence_study(lean_base(), observables=("solution", "drift"), ms=MS)
+def test_manufactured_observables_run_the_manufactured_problem_from_any_base():
+    """solution and linear_solution start from ms whatever data the base
+    has, so a plain base gives the results, bit for bit, of
+    manufactured_config(ms, base); drift still evolves the base's own data."""
+    obs = ("solution", "linear_solution", "drift")
+    plain = convergence_study(lean_base(), levels=3, observables=obs)
+    manufactured = convergence_study(manufactured_config(MS, lean_base()), levels=3,
+                                     observables=("solution", "linear_solution"))
+    for o in ("solution", "linear_solution"):
+        assert repr(plain[o]) == repr(manufactured[o])
+    alone = convergence_study(lean_base(), levels=3, observables=("drift",))
+    assert repr(plain["drift"]) == repr(alone["drift"])
+
+
+def test_level_runs_record_only_what_the_study_reads(monkeypatch):
+    """The study reads the drift records and the final states: every level
+    run records no Sobolev norms, spacetime norms or snapshots, whatever
+    the base asks for."""
+    seen = []
+
+    def recording(cfg, forcing=None):
+        seen.append((cfg.n_cells, cfg.sobolev_orders, cfg.track_spacetime,
+                     cfg.snapshot_every))
+        return run(cfg, forcing)
+
+    monkeypatch.setattr("faddeevlab.verify.run", recording)
+    base = lean_base(sobolev_orders=(1, 2), track_spacetime=True, snapshot_every=4)
+    convergence_study(base, levels=3, observables=("solution", "drift"))
+    assert seen == [(n, (), False, 0) for n in (64, 128, 256) for _ in range(2)]
 
 
 def test_drift_runs_unforced_beside_a_forced_solution(monkeypatch):
