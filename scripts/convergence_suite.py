@@ -37,12 +37,12 @@ def main():
     args = ap.parse_args()
 
     obs = tuple(tok.strip() for tok in args.observables.split(",") if tok.strip())
-    base = RunConfig(n_cells=args.base_n, r_max=args.r_max, t_end=args.t_end,
-                     output_every=32, drift_ceiling=1.0,
-                     initial=InitialDataSpec(amplitude=args.amplitude))
-    if args.forced == "yes":
-        base = manufactured_config(ManufacturedSolution(), base)
     try:
+        base = RunConfig(n_cells=args.base_n, r_max=args.r_max, t_end=args.t_end,
+                         output_every=32, drift_ceiling=1.0,
+                         initial=InitialDataSpec(amplitude=args.amplitude))
+        if args.forced == "yes":
+            base = manufactured_config(ManufacturedSolution(), base)
         results = convergence_study(base, args.levels, obs, t_probe=args.t_probe,
                                     t_center=args.t_center)
     except ValueError as exc:

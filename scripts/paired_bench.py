@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Paired runs of `perfbench/run.py --seed 0 --trace 0` in two checkouts,
+each run in its own interpreter, the parent first in even pairs. Per
+end-to-end metric the file holds each side's quartiles, the ratio of the
+medians (change / parent) and the pairs the change won (ties count for
+neither) by the direction in the change's BENCHMARK.json, then every run.
+Exit 2, writing nothing, when a side has no perfbench/run.py or reports a
+run that is not correct."""
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def run_side(tree, workload, seconds):
+    """The result object perfbench/run.py prints last, or "correct": false."""
+    out = subprocess.run([sys.executable, str(Path(tree, "perfbench", "run.py")),
+                          "--workload", workload, "--seed", "0", "--seconds", str(seconds),
+                          "--trace", "0"], capture_output=True, text=True).stdout
+    last = (out.strip().splitlines() or [""])[-1]
+    return json.loads(last) if last.startswith("{") else {"correct": False}
+
+
+def summarize(runs, better):
+    """The summary of runs = [{side: result}, ...], better = {metric: "lower"|"higher"}."""
+    summary = {}
+    for name, way in better.items():
+        vals = {s: np.array([r[s]["metrics"][name]["value"] for r in runs]) for s in SIDES}
+        gain = (vals["parent"] - vals["change"]) * (1.0 if way == "lower" else -1.0)
+        q = {s: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
+             for s, v in vals.items()}
+        summary[name] = dict(q, median_ratio=q["change"]["median"] / q["parent"]["median"],
+                             change_better_pairs=int(np.sum(gain > 0)), pairs=len(runs))
+    return summary
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    for name in SIDES + ("workload", "out"):
+        ap.add_argument(f"--{name}", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=25)
+    args = ap.parse_args()
+    trees = {s: getattr(args, s) for s in SIDES}
+    for tree in trees.values():
+        if not Path(tree, "perfbench", "run.py").is_file():
+            ap.exit(2, f"error: {tree} has no perfbench/run.py\n")
+    runs = []
+    for k in range(args.pairs):
+        pair = {s: run_side(trees[s], args.workload, args.seconds)
+                for s in (SIDES if k % 2 == 0 else SIDES[::-1])}
+        if not all(pair[s].get("correct") for s in SIDES):
+            ap.exit(2, f"error: pair {k}: a run is not correct\n")
+        runs.append(dict(pair, workload=args.workload, parent_first=k % 2 == 0))
+    spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    Path(args.out).write_text(json.dumps(
+        {"summary": {args.workload: summarize(runs, better)}, "runs": runs}, indent=1))
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

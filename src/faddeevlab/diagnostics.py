@@ -76,7 +76,8 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None, *,
     r, near, far, r_far = g.r, cut["near"], cut["far"], cut["r_far"]
     v = v_state.f
     # A_4 = 1 + q as in _a4, written out: q also gives sin^2 u / r^2 below
-    q = v[near] * v[near] * kernels.eval_Ftilde(0, cut["r_near"] * v[near], p)
+    q = v[near] * v[near] * kernels._ftilde(cut["r_near"] * v[near], p, (0,),
+                                            cut["series_near"])[0]
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
     sin_far = np.sin(u_state.f[far])
     a1 = np.concatenate((1.0 + q, kernels._a3(sin_far, r_far, p)))
@@ -90,7 +91,7 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None, *,
     if not return_tail:
         return total
     k = max(4, g.n_cells // 10)
-    tail = _simpson((np.abs(density) * r)[-(k + 1):], g.dr)
+    tail = _simpson(np.abs(density[-(k + 1):]) * r[-(k + 1):], g.dr)
     denom = abs(total) if total != 0.0 else 1.0
     return total, tail / denom
 

@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grid import FLOAT_FMT, FieldState, RadialGrid, _d1_laplacian, d_r, write_csv
+from .grid import FLOAT_FMT, FieldState, RadialGrid, _d1_laplacian, d_r
 from . import diagnostics as diag
 from . import kernels
 from .kernels import CutoffProfile, KernelParams
@@ -444,10 +444,18 @@ def _meta_text(config: RunConfig) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items)
 
 
+@lru_cache(maxsize=1)
+def _checkpoint_template(grid: RadialGrid) -> str:
+    """write_csv's (r, v, v_t) bytes, header and r formatted, v and v_t `%` fields."""
+    line = f",{FLOAT_FMT},{FLOAT_FMT}\n"
+    return "r,v,v_t\n" + "".join(FLOAT_FMT % r + line for r in grid.r.tolist())
+
+
 def write_checkpoint(state: FieldState, path_base, config: RunConfig, step_no: int):
     """CSV snapshot (r, v, v_t) plus a key=value metadata sidecar."""
-    write_csv(f"{path_base}.csv", ["r", "v", "v_t"],
-              np.column_stack((state.grid.r, state.f, state.f_t)))
+    values = np.column_stack((state.f, state.f_t)).ravel().tolist()
+    with open(f"{path_base}.csv", "w", newline="") as fh:
+        fh.write(_checkpoint_template(state.grid) % tuple(values))
     with open(f"{path_base}.meta", "w") as fh:
         fh.write(f"time = {FLOAT_FMT % state.time}\nstep = {step_no}\n"
                  + _meta_text(config))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +56,12 @@ class RadialGrid:
     @cached_property
     def r(self) -> np.ndarray:
         return np.arange(self.n_cells + 1) * self.dr
+
+    @cached_property  # the 4D radial weight, read-only
+    def r3(self) -> np.ndarray:
+        r3 = self.r ** 3
+        r3.flags.writeable = False
+        return r3
 
     @property
     def n_nodes(self) -> int:
@@ -154,13 +160,19 @@ def laplacian(values, grid) -> np.ndarray:
     return _d1_laplacian(values, grid)[1]
 
 
+@lru_cache(maxsize=8)  # a run's meshes and its energy tail: a few lengths
+def _simpson_weights(n_nodes):
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on odd n_nodes, read-only."""
+    w = np.where(np.arange(n_nodes) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    w.flags.writeable = False
+    return w
+
+
 def _simpson(y, h):
     n = len(y) - 1
     if n % 2 == 0:
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return h / 3.0 * np.dot(w, y)
+        return h / 3.0 * np.dot(_simpson_weights(n + 1), y)
     # odd interval count: Simpson up to n-3, then a 3/8 closing panel
     head = _simpson(y[: n - 2], h) if n > 3 else 0.0
     return head + 3.0 * h / 8.0 * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
@@ -168,8 +180,9 @@ def _simpson(y, h):
 
 def integrate_radial(values, grid, weight_power: int = 0) -> float:
     """Composite Simpson of f(r) * r^weight_power over the mesh."""
-    y = values * grid.r ** weight_power if weight_power else values
-    return float(_simpson(y, grid.dr))
+    if weight_power:
+        values = values * (grid.r3 if weight_power == 3 else grid.r ** weight_power)
+    return float(_simpson(values, grid.dr))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -186,7 +199,7 @@ def sobolev_norm(values, grid, s: int, d1=None) -> list:
     """
     if s not in (0, 1, 2, 3, 4):
         raise ValueError("s must be an integer 0..4")
-    r3 = grid.r ** 3
+    r3 = grid.r3
     g, total, norms = values, 0.0, []
     for order in range(s + 1):
         if order % 2:

@@ -316,9 +316,9 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     Horner rows) on the inner ones and "r_out", "phi_out", "dphi_out",
     "gt1_out", "r2_out" (r ** 2 = r * r), "neg2_r_out" (-2 / r), "lap2phi_r_out"
     (lap2phi / r) on outer; the chart split, "near" (r <= 1) and "far" (r > 1),
-    with "r_near", "r_far", "phi_far"; the diagnostics' Japanese bracket "jb"
-    ((1 + r^2)^(1/2), every node), and "decay" (r >= 1) with "decay_weight"
-    (r^(3/2) there)."""
+    with "r_near", "r_far", "phi_far", "series_near" (the energy's Ftilde_0
+    rows); the diagnostics' Japanese bracket "jb" ((1 + r^2)^(1/2), every
+    node), and "decay" (r >= 1) with "decay_weight" (r^(3/2) there)."""
     r = np.asarray(r, dtype=float)
     cut = {
         "phi": eval_cutoff("phi", r, 0, profile),
@@ -338,6 +338,7 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     near, far = cut["near"], cut["far"] = _nodes(~beyond_one), _nodes(beyond_one)
     decay = cut["decay"] = _nodes(r >= 1.0)
     cut.update(r_near=r[near], r_far=r[far], phi_far=cut["phi"][far],
+               series_near=_series_rows((0,), r[near].size),
                jb=np.sqrt(1.0 + r ** 2), decay_weight=r[decay] ** 1.5)
     for a in cut.values():
         if isinstance(a, np.ndarray):

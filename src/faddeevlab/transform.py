@@ -102,6 +102,15 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
     return _grouped_line_integral(np.full(r.size, math.pi), integrand)
 
 
+@lru_cache(maxsize=4)  # the meshes and alphas of one refinement study
+def _phi_correction(grid, p):
+    """gt1 * phi_correction_integral on r > 1/2: compute_Phi's mesh-and-alpha term."""
+    outer = grid.r > 0.5
+    out = kernels.mesh_cutoffs(grid)["gt1"][outer] * phi_correction_integral(grid.r[outer], p)
+    out.flags.writeable = False
+    return out
+
+
 def _a4_line_integral(v, r, power, p):
     """integral_0^v A_4(y, r)^power dy at each node (r = 0 allowed)."""
     return _grouped_line_integral(
@@ -133,8 +142,8 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS) -> np.ndarray:
     outer = ~inner
     r_out = r[outer]
     u = r_out * v[outer] + cut["phi"][outer]
-    out[outer] = (_a3_line_integral(u - math.pi, r_out, p) + cut["gt1"][outer]
-                  * phi_correction_integral(r_out, p)) / r_out
+    out[outer] = (_a3_line_integral(u - math.pi, r_out, p)
+                  + _phi_correction(v_state.grid, p)) / r_out
     return out
 
 

@@ -23,7 +23,7 @@ from faddeevlab.evolve import InitialDataSpec, RunConfig, run
 from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE
 from faddeevlab.transform import compute_Phi
-from faddeevlab.verify import ManufacturedSolution, convergence_study
+from faddeevlab.verify import convergence_study
 
 P, PROF = DEFAULT_PARAMS, DEFAULT_PROFILE
 
@@ -83,9 +83,7 @@ def test_criterion_3_long_run_drift(benchmark_run):
     drift = max(abs(rec.energy_drift) for rec in benchmark_run.records)
 
     base = RunConfig(n_cells=512, r_max=16.0, t_end=5.0, output_every=16,
-                     drift_ceiling=1.0, track_spacetime=False,
-                     sobolev_orders=(),
-                     initial=InitialDataSpec(amplitude=0.5))
+                     drift_ceiling=1.0, initial=InitialDataSpec(amplitude=0.5))
     study = convergence_study(base, levels=3, observables=("drift",))["drift"]
     order_ok = study.ls_order >= 3.5 - 0.3
     drift_ok = drift <= 1e-6
@@ -107,15 +105,12 @@ def test_criterion_4_manufactured_order():
 
 
 def test_criterion_5_residual_orders():
-    ms = ManufacturedSolution()
     base = RunConfig(n_cells=256, r_max=16.0, t_end=2.5, output_every=64,
-                     drift_ceiling=1.0, track_spacetime=False,
-                     sobolev_orders=(),
-                     initial=InitialDataSpec(amplitude=0.5))
+                     drift_ceiling=1.0, initial=InitialDataSpec(amplitude=0.5))
     studies = convergence_study(
         base, levels=3,
         observables=("residual_v", "residual_Phi", "residual_Phi_t"),
-        ms=ms, t_probe=0.7, t_center=2.0)
+        t_probe=0.7, t_center=2.0)
     o_v = studies["residual_v"].ls_order
     o_phi = studies["residual_Phi"].ls_order
     o_phit = studies["residual_Phi_t"].ls_order

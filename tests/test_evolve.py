@@ -30,7 +30,7 @@ from faddeevlab.evolve import (
     write_checkpoint,
 )
 from faddeevlab.grid import (FLOAT_FMT, FieldState, RadialGrid, _d1_laplacian, d_r,
-                             integrate_radial, sobolev_norm)
+                             integrate_radial, sobolev_norm, write_csv)
 from faddeevlab.kernels import eval_cutoff
 from faddeevlab.transform import u_to_v, v_to_u
 from faddeevlab.verify import ManufacturedSolution, make_forcing
@@ -604,6 +604,20 @@ def test_checkpoint_csv_matches_a_row_by_row_csv_writer(tmp_path):
     assert meta.startswith("time = 0.125\nstep = 3\n"
                            f"config_hash = {config_fingerprint(cfg)}\n")
     assert meta.endswith("".join(f"{k} = {val}\n" for k, val in config_items(cfg)))
+
+
+def test_checkpoints_across_grids_keep_the_csv_writer_bytes(tmp_path):
+    """The per-grid radius column is rebuilt when the grid changes: grids A,
+    B, A, each in two charts, give the bytes write_csv gives the stacked
+    (r, v, v_t) table every time."""
+    for k, (n, kind) in enumerate([(48, 7), (40, 7), (48, 7), (48, 9), (40, 9), (48, 9)]):
+        cfg = lean(n_cells=n, r_max=6.0, t_end=0.2, profile=kernels.CutoffProfile(kind))
+        g = make_grid(cfg)
+        state = FieldState(np.sin(g.r + k), np.cos(3.0 * g.r - k) / 7.0, g, 0.5)
+        write_checkpoint(state, tmp_path / "ck", cfg, step_no=k)
+        write_csv(tmp_path / "ref.csv", ["r", "v", "v_t"],
+                  np.column_stack((g.r, state.f, state.f_t)))
+        assert (tmp_path / "ck.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # -------------------------------------------------- wave-physics checks

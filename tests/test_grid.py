@@ -8,8 +8,9 @@ import pytest
 from faddeevlab.diagnostics import SpacetimeTracker
 from faddeevlab.evolve import RunConfig, trajectory
 from faddeevlab.grid import (_D1_EDGE, _D2_EDGE, GHOST, FieldState, RadialGrid,
-                             _d1_laplacian, _d1_values, d_r, fill_ghosts,
-                             integrate_radial, laplacian, sobolev_norm, write_csv)
+                             _d1_laplacian, _d1_values, _simpson, _simpson_weights, d_r,
+                             fill_ghosts, integrate_radial, laplacian, sobolev_norm,
+                             write_csv)
 
 from conftest import quadrature_1d
 
@@ -187,6 +188,36 @@ def test_integrate_radial_examples():
     gauss = np.exp(-g.r ** 2)
     assert integrate_radial(gauss, g, 1) == pytest.approx(0.5, abs=1e-10)
     assert integrate_radial(gauss, g, 3) == pytest.approx(0.5, abs=1e-10)
+
+
+def _simpson_uncached(y, h):
+    """Composite Simpson with its weights built on every call, as before they
+    were cached: the reference the cached weights must reproduce bitwise."""
+    n = len(y) - 1
+    if n % 2 == 0:
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        return h / 3.0 * np.dot(w, y)
+    head = _simpson_uncached(y[: n - 2], h) if n > 3 else 0.0
+    return head + 3.0 * h / 8.0 * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
+
+
+def test_simpson_matches_its_uncached_weights_bitwise():
+    """Every length 4..12, odd interval counts (the 3/8 closing panel)
+    included, twice: once building the weights and once reading them back."""
+    rng = np.random.default_rng(3)
+    for n_nodes in list(range(4, 13)) * 2:
+        y = rng.standard_normal(n_nodes)
+        assert _simpson(y, 0.37) == _simpson_uncached(y, 0.37)
+
+
+def test_cached_quadrature_weights_are_read_only():
+    g = RadialGrid(64, 4.0)
+    assert g.r3.tobytes() == (g.r ** 3).tobytes()
+    for cached in (g.r3, _simpson_weights(65)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[...] = 0.0
 
 
 def test_quadrature_examples():

@@ -498,6 +498,7 @@ def test_mesh_table_is_one_read_only_table_per_mesh(profile):
     assert mesh_cutoffs(RadialGrid(64, 4.0)) is cut  # equal grids share it
     fresh = cutoff_arrays(g.r, profile)
     assert cut.keys() == fresh.keys()
+    assert not fresh["series_near"].flags.writeable
     for key, val in cut.items():
         if isinstance(val, np.ndarray):
             assert val.tobytes() == fresh[key].tobytes()

@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/ on tiny inputs."""
 
+import json
 import os
 import runpy
 import sys
@@ -83,6 +84,15 @@ def test_convergence_suite_refuses_a_repeated_observable(tmp_path, monkeypatch, 
     assert "observable 'residual_Phi' is given twice" in err
 
 
+def test_convergence_suite_refuses_a_base_mesh_below_the_stencils(tmp_path, monkeypatch,
+                                                                  capsys):
+    """A base the config refuses is a usage line, like a refused study, not
+    a traceback."""
+    err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--base-n", "3"])
+    assert err.startswith("usage:")
+    assert "error: n_cells must be >= 6" in err
+
+
 def _campaign_main(tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["run_acceptance_campaign.py"] + args)
@@ -135,3 +145,81 @@ def test_acceptance_campaign_warns_when_sample_times_differ(tmp_path, monkeypatc
     out = capsys.readouterr().out
     assert "status=completed" in out and "halted early" not in out
     assert ("sampled at different times" in out) is not aligned
+
+
+def _bench_trees(tmp_path):
+    """A parent and a change checkout holding only what paired_bench.py reads
+    before it runs anything: perfbench/run.py and BENCHMARK.json."""
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower"}, {"name": "steps_per_s", "better": "higher"}]}))
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "sample_dense", "--out", str(tmp_path / "pairs.json")]
+
+
+def _bench_result(wall, rate, correct=True):
+    return {"correct": correct, "metrics": {"wall_s": {"value": wall},
+                                            "steps_per_s": {"value": rate}}}
+
+
+def _paired_bench(monkeypatch, args, results):
+    """paired_bench.py's main with its runs replaced by results, a dict of
+    side -> the results of its successive runs; returns (main, runs made)."""
+    monkeypatch.setattr(sys, "argv", ["paired_bench.py"] + args)
+    main = runpy.run_path(str(SCRIPTS / "paired_bench.py"))["main"]
+    made = []
+
+    def fake_run(tree, workload, seconds):
+        side = Path(tree).name
+        made.append((side, workload, seconds))
+        return results[side][sum(s == side for s, _, _ in made) - 1]
+    monkeypatch.setitem(main.__globals__, "run_side", fake_run)
+    return main, made
+
+
+def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypatch):
+    """Quartiles are numpy's linear percentiles; a tie counts for neither
+    side; wall_s is better lower and steps_per_s higher."""
+    args = _bench_trees(tmp_path)
+    results = {"parent": [_bench_result(w, 100.0) for w in (1.0, 1.2, 1.1, 1.3)],
+               "change": [_bench_result(w, r) for w, r in
+                          ((0.9, 110.0), (1.25, 90.0), (1.0, 100.0), (1.3, 101.0))]}
+    main, made = _paired_bench(monkeypatch, args + ["--pairs", "4", "--seconds", "8"], results)
+    main()
+    assert [side for side, _, _ in made] == ["parent", "change", "change", "parent"] * 2
+    assert {(w, s) for _, w, s in made} == {("sample_dense", 8.0)}
+    written = json.loads((tmp_path / "pairs.json").read_text())
+    summary = written["summary"]["sample_dense"]
+    assert summary["wall_s"] == {
+        "parent": {"q1": pytest.approx(1.075), "median": pytest.approx(1.15),
+                   "q3": pytest.approx(1.225)},
+        "change": {"q1": pytest.approx(0.975), "median": pytest.approx(1.125),
+                   "q3": pytest.approx(1.2625)},
+        "median_ratio": pytest.approx(1.125 / 1.15), "change_better_pairs": 2, "pairs": 4}
+    rate = summary["steps_per_s"]
+    assert (rate["median_ratio"], rate["change_better_pairs"]) == (pytest.approx(1.005), 2)
+    assert [run["parent_first"] for run in written["runs"]] == [True, False, True, False]
+    assert written["runs"][1]["change"] == results["change"][1]
+
+
+@pytest.mark.parametrize("missing,correct", [("parent", True), ("change", True),
+                                             (None, False)])
+def test_paired_bench_refuses_a_tree_without_the_benchmark_or_a_wrong_run(
+        tmp_path, monkeypatch, capsys, missing, correct):
+    args = _bench_trees(tmp_path)
+    if missing:
+        (tmp_path / missing / "perfbench" / "run.py").unlink()
+    results = {side: [_bench_result(1.0, 1.0, correct=(side == "parent") or correct)] * 2
+               for side in ("parent", "change")}
+    main, made = _paired_bench(monkeypatch, args + ["--pairs", "2"], results)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert not (tmp_path / "pairs.json").exists()
+    err = capsys.readouterr().err
+    if missing:
+        assert made == [] and f"{missing} has no perfbench/run.py" in err
+    else:
+        assert len(made) == 2 and "pair 0: a run is not correct" in err

@@ -8,8 +8,10 @@ import pytest
 
 from faddeevlab.evolve import RunConfig, evolve_bundles
 from faddeevlab.grid import FieldState, RadialGrid
-from faddeevlab.kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, _a3, eval_cutoff
-from faddeevlab.transform import (compute_Phi, compute_Phi_t,
+from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile,
+                                KernelParams, _a3, eval_cutoff)
+from faddeevlab.transform import (_a3_line_integral, _a4_line_integral, _phi_correction,
+                                  compute_Phi, compute_Phi_t, phi_correction_integral,
                                   residual_Phi_t_wave,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
                                   residual_Phi_wave, residual_v_equation,
@@ -113,6 +115,33 @@ def test_phi_on_a_mesh_inside_the_inner_branch():
     phi = compute_Phi(gaussian_v_state(narrow), DEFAULT_PARAMS)
     ref = compute_Phi(gaussian_v_state(wide), DEFAULT_PARAMS)
     assert phi.tobytes() == ref[:17].tobytes()
+
+
+def _phi_uncached(v_state, p):
+    """compute_Phi with its correction integral evaluated on every call, as
+    before it was cached per mesh and alpha."""
+    g, v = v_state.grid, v_state.f
+    inner, outer = g.r <= 0.5, g.r > 0.5
+    r_out = g.r[outer]
+    gt1 = eval_cutoff("gt1", r_out, 0, g.profile)
+    out = np.empty_like(v)
+    out[inner] = _a4_line_integral(v[inner], g.r[inner], 0.5, p)
+    u = r_out * v[outer] + eval_cutoff("phi", r_out, 0, g.profile)
+    out[outer] = (_a3_line_integral(u - math.pi, r_out, p)
+                  + gt1 * phi_correction_integral(r_out, p)) / r_out
+    return out
+
+
+def test_phi_interleaved_over_meshes_and_alphas_matches_an_uncached_evaluation():
+    meshes = [RadialGrid(64, 4.0), RadialGrid(96, 6.0, CutoffProfile(9))]
+    params = [DEFAULT_PARAMS, KernelParams(alpha=0.6)]
+    for k in range(3):
+        for g in meshes:
+            for p in params:
+                v = gaussian_v_state(g, amp=0.2 + 0.1 * k)
+                assert compute_Phi(v, p).tobytes() == _phi_uncached(v, p).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    _phi_correction(g, p)[...] = 0.0
 
 
 def test_phi_t_closed_forms(grid256):
