@@ -42,21 +42,20 @@ def main():
                                    os.path.join(args.out, f"diag_{tag}.csv"))
         write_checkpoint(res.state, os.path.join(args.out, f"final_{tag}"),
                          c, res.step)
-        drift = max(abs(rec.energy_drift) for rec in res.records)
         print(f"{tag}: n={c.n_cells} status={res.status} "
-              f"max_drift={drift:.6e}")
+              f"max_drift={diag.peaks(res.records)['max_drift']:.6e}")
 
     halted = any(res.status != "completed" for res in results.values())
     if halted:
         print("warning: a run halted early; peak comparisons below cover "
               "different time ranges")
-    times = [[rec.time for rec in res.records] for res in results.values()]
+    times = [[rec["time"] for rec in res.records] for res in results.values()]
     if times[0] != times[1]:
         print("warning: the two runs were sampled at different times; peak "
               "comparisons below are not aligned")
+    fine, coarse = (diag.peaks(results[tag].records) for tag in ("fine", "coarse"))
     for name in ("monitor_v", "monitor_vt", "monitor_gradv"):
-        a = max(getattr(r, name) for r in results["fine"].records)
-        b = max(getattr(r, name) for r in results["coarse"].records)
+        a, b = fine[f"max_{name}"], coarse[f"max_{name}"]
         print(f"peak {name}: fine {a:.6f} coarse {b:.6f} "
               f"rel gap {abs(a - b) / a:.3e}")
     print(f"artifacts in {args.out}")

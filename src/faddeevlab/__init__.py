@@ -13,9 +13,9 @@ from .transform import (u_to_v, v_to_u, compute_Phi, compute_Phi_t,
                         residual_v_equation, residual_Phi_wave,
                         residual_Phi_t_wave, residual_Phi_tt_wave,
                         residual_Phi_ttt_wave)
-from .diagnostics import (DiagnosticsRecord, energy, energy_drift,
-                          continuation_monitor, decay_report,
-                          SpacetimeTracker, write_diagnostics_csv)
+from .diagnostics import (energy, energy_drift, continuation_monitor,
+                          decay_report, SpacetimeTracker,
+                          write_diagnostics_csv, peaks)
 from .evolve import (InitialDataSpec, SpongeSpec, RunConfig, RunResult,
                      make_grid, initial_state, sponge_sigma, trajectory, run,
                      evolve_bundles, detect_blowup,

@@ -269,8 +269,7 @@ def _check_energy(p, profile):
     small = RunConfig(n_cells=512, r_max=8.0, t_end=1.0, output_every=64,
                       drift_ceiling=1.0, track_spacetime=False,
                       sobolev_orders=(), kernel_params=p, profile=profile)
-    res = run(small)
-    drift = max(abs(rec.energy_drift) for rec in res.records)
+    drift = diag.peaks(run(small).records)["max_drift"]
     yield "short_run_drift", drift, 5e-3, drift <= 5e-3
 
 
@@ -304,8 +303,7 @@ def cmd_verify(args) -> int:
 
 
 # the numeric columns of summary.csv, each NaN in an error row
-_SUMMARY_NUMBERS = ("t_final", "max_monitor_v", "max_monitor_vt",
-                   "max_monitor_gradv", "max_drift")
+_SUMMARY_NUMBERS = ("t_final",) + tuple(diag.PEAKS)
 
 
 def _sweep_one(packed):
@@ -314,15 +312,10 @@ def _sweep_one(packed):
         result = run(config)
         _write_run(result, out_dir)
     except Exception as exc:  # a failed run or write must not kill the sweep
-        return {"status": "error", "reason": str(exc),
+        return {"status": "error", "reason": f"{type(exc).__name__}: {exc}",
                 **dict.fromkeys(_SUMMARY_NUMBERS, math.nan)}
-    recs = result.records
     return {"status": result.status, "reason": result.reason,
-            "t_final": result.state.time,
-            "max_monitor_v": max(rec.monitor_v for rec in recs),
-            "max_monitor_vt": max(rec.monitor_vt for rec in recs),
-            "max_monitor_gradv": max(rec.monitor_gradv for rec in recs),
-            "max_drift": max(abs(rec.energy_drift) for rec in recs)}
+            "t_final": result.state.time, **diag.peaks(result.records)}
 
 
 def cmd_sweep(args) -> int:

@@ -8,8 +8,6 @@ weights of a sample are read from kernels.mesh_cutoffs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .grid import (FieldState, RadialGrid, _simpson, d_r, integrate_radial,
@@ -19,7 +17,6 @@ from .kernels import DEFAULT_PARAMS
 from .transform import u_to_v
 
 __all__ = [
-    "DiagnosticsRecord",
     "EnergyOverflow",
     "energy",
     "energy_drift",
@@ -27,21 +24,13 @@ __all__ = [
     "decay_report",
     "SpacetimeTracker",
     "write_diagnostics_csv",
+    "PEAKS",
+    "peaks",
 ]
 
-
-@dataclass
-class DiagnosticsRecord:
-    time: float
-    energy: float
-    energy_drift: float
-    energy_tail: float
-    monitor_v: float
-    monitor_vt: float
-    monitor_gradv: float
-    sobolev: dict = field(default_factory=dict)
-    decay_ratios: dict = field(default_factory=dict)
-    spacetime_norms: dict = field(default_factory=dict)
+# a run's peaks: summary.csv name -> the diagnostics.csv column it maximises
+PEAKS = {"max_monitor_v": "monitor_v", "max_monitor_vt": "monitor_vt",
+         "max_monitor_gradv": "monitor_gradv", "max_drift": "energy_drift"}
 
 
 class EnergyOverflow(ValueError):
@@ -61,7 +50,8 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None, *,
     When v_state is available, u_r is assembled as v + r v_r + phi' with
     the cutoff derivative analytic, so stencils only ever touch the smooth
     field v; differencing u directly across the C^3 cutoff seams costs two
-    orders there and shows up as an O(h^3) energy bias. v_r = d_r(v, grid)
+    orders there and shows up as an O(h^3) energy bias. v_state must lie on
+    u_state's grid (ValueError otherwise). v_r = d_r(v, grid)
     is computed here when not given; phi' and the r = 1 split are read from
     kernels.mesh_cutoffs(grid), the chart of u_state's grid.
     """
@@ -71,6 +61,8 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None, *,
         v_state = u_to_v(u_state)
         u_r = d_r(u_state.f, g)
     else:
+        if v_state.grid != g:
+            raise ValueError(f"the v state lives on {v_state.grid}, the u state on {g}")
         v_r = d_r(v_state.f, g) if v_r is None else v_r
         u_r = v_state.f + g.r * v_r + cut["dphi"]
     r, near, far, r_far = g.r, cut["near"], cut["far"], cut["r_far"]
@@ -141,19 +133,14 @@ class SpacetimeTracker:
 
 
 def write_diagnostics_csv(records, path):
-    """One row per sample; stable column order; doubles written exactly."""
+    """One row per sample, the keys of a record as the header, doubles
+    written exactly."""
     if not records:
         raise ValueError("no diagnostics records to write")
-    sob_keys = sorted(records[0].sobolev)
-    decay_keys = sorted(records[0].decay_ratios)
-    st_keys = list(records[0].spacetime_norms)
-    header = (["time", "energy", "energy_drift", "energy_tail",
-               "monitor_v", "monitor_vt", "monitor_gradv"]
-              + [f"sobolev_s{s}" for s in sob_keys]
-              + [f"decay_{k}" for k in decay_keys] + st_keys)
-    rows = np.array([[rec.time, rec.energy, rec.energy_drift, rec.energy_tail,
-                      rec.monitor_v, rec.monitor_vt, rec.monitor_gradv]
-                     + [rec.sobolev[s] for s in sob_keys]
-                     + [rec.decay_ratios[k] for k in decay_keys]
-                     + [rec.spacetime_norms[k] for k in st_keys] for rec in records])
-    write_csv(path, header, rows)
+    write_csv(path, list(records[0]), np.array([list(rec.values()) for rec in records]))
+
+
+def peaks(records) -> dict:
+    """The largest monitors and energy drift over a run's samples, by their
+    summary.csv names."""
+    return {name: max(rec[col] for rec in records) for name, col in PEAKS.items()}

@@ -128,7 +128,7 @@ class RunConfig:
 class RunResult:
     status: str               # completed | blowup_nan | blowup_monitor | scheme_breakdown
     reason: str
-    records: list
+    records: list             # diagnostics rows: dicts keyed by diagnostics.csv column
     state: FieldState
     snapshots: list           # (step index, FieldState) of each snapshot
     config: RunConfig
@@ -337,42 +337,44 @@ def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
     physical growth), named with the sample's step and cadence. Non-finite
     fields never reach a sample: run halts on the step that produces them.
     """
-    when = f"at step {step}, t={record.time:.6g} (judged every {every} steps)"
-    name = max(("monitor_v", "monitor_vt", "monitor_gradv"), key=lambda k: getattr(record, k))
-    worst = getattr(record, name)
+    when = f"at step {step}, t={record['time']:.6g} (judged every {every} steps)"
+    name = max(("monitor_v", "monitor_vt", "monitor_gradv"), key=record.get)
+    worst = record[name]
     if worst >= monitor_ceiling:
         return ("blowup_monitor", f"continuation monitor {name} = {worst:.6g} "
                                   f"at ceiling {monitor_ceiling:.6g} {when}")
-    if record.energy_drift > drift_ceiling:
-        return ("scheme_breakdown", f"energy drift {record.energy_drift:.6g} "
+    if record["energy_drift"] > drift_ceiling:
+        return ("scheme_breakdown", f"energy drift {record['energy_drift']:.6g} "
                                     f"exceeds {drift_ceiling:.6g} {when}")
     return None
 
 
 def _sample(state, config, records, tracker):
-    """The diagnostics record of a state, its per-mesh weights read from
+    """The diagnostics row of a state: a dict keyed by the diagnostics.csv
+    columns, in file order. Its per-mesh weights are read from
     kernels.mesh_cutoffs; one v_r serves the energy, the monitors and the
-    Sobolev ladder, which runs once up to the highest order the record or
-    the tracker reads. The drift is taken against the energy of
-    records[0], or is 0 for the first record."""
+    Sobolev ladder, which runs once up to the highest order the row or the
+    tracker reads. The drift is taken against the energy of records[0], or
+    is 0 for the first row."""
     p, orders = config.kernel_params, config.sobolev_orders
     v, t, g = state.f, state.time, state.grid
     cut = kernels.mesh_cutoffs(g)
     vr = d_r(v, g)
     e, tail = diag.energy(v_to_u(state), p, state, return_tail=True, v_r=vr)
-    mv, mvt, mgv = diag.continuation_monitor(state, vr, cut)
     ladder = (diag.sobolev_norm(v, g, max(orders, default=0), vr)
               if orders or tracker is not None else [])
+    row = {"time": t, "energy": e,
+           "energy_drift": diag.energy_drift(e, records[0]["energy"] if records else e),
+           "energy_tail": tail}
+    row.update(zip(("monitor_v", "monitor_vt", "monitor_gradv"),
+                   diag.continuation_monitor(state, vr, cut)))
+    row.update((f"sobolev_s{s}", ladder[s]) for s in sorted(set(orders)))
     decay = diag.decay_report(v, cut)
+    row.update(decay_inner=decay["inner"], decay_outer=decay["outer"])
     if tracker is not None:
-        tracker.update(v, g, t - records[-1].time if records else 0.0, ladder[0])
-    st = tracker.values() if tracker is not None else {}
-    return diag.DiagnosticsRecord(
-        time=t, energy=e,
-        energy_drift=diag.energy_drift(e, records[0].energy if records else e),
-        energy_tail=tail, monitor_v=mv, monitor_vt=mvt, monitor_gradv=mgv,
-        sobolev={s: ladder[s] for s in orders}, decay_ratios=decay,
-        spacetime_norms=st)
+        tracker.update(v, g, t - records[-1]["time"] if records else 0.0, ladder[0])
+        row.update(tracker.values())
+    return row
 
 
 def run(config: RunConfig, forcing=None) -> RunResult:

@@ -53,9 +53,11 @@ class RadialGrid:
     def dr(self) -> float:
         return self.r_max / self.n_cells
 
-    @cached_property
+    @cached_property  # read-only: every per-mesh cache is built from it
     def r(self) -> np.ndarray:
-        return np.arange(self.n_cells + 1) * self.dr
+        r = np.arange(self.n_cells + 1) * self.dr
+        r.flags.writeable = False
+        return r
 
     @cached_property  # the 4D radial weight, read-only
     def r3(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
+from .diagnostics import peaks
 from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, _window_start,
                      evolve_bundles, make_grid, run, trajectory)
 from .grid import FieldState, RadialGrid, sobolev_norm, write_csv
@@ -238,7 +239,7 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                 raise RuntimeError(f"study {obs} run at n={cfg.n_cells} stopped "
                                    f"early: {result.reason}")
             errs[obs].append(solution_error(result.state, ms) if obs == "solution"
-                             else max(abs(rec.energy_drift) for rec in result.records))
+                             else peaks(result.records)["max_drift"])
         if "residual_v" in observables:
             state = manufactured_initial_state(ms, g, t_probe)
             res = residual_v_equation(state, ms.v_tt(t_probe, g.r), p)

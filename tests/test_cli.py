@@ -2,6 +2,7 @@
 
 import ast
 import configparser
+import csv
 import hashlib
 import os
 import re
@@ -531,8 +532,11 @@ def test_sweep_with_errored_runs_exits_4(tmp_path, capsys):
                "--jobs", "1", "--out", root])
     assert rc == 4
     assert "status=done runs=2 incomplete=2" in capsys.readouterr().out
-    rows = Path(root, "summary.csv").read_text().splitlines()
-    assert [row.split(",")[2] for row in rows[1:]] == ["error", "error"]
+    with open(Path(root, "summary.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["error", "error"]
+    # an error row's reason names what raised
+    assert all(row["reason"].startswith("FileNotFoundError: ") for row in rows)
 
 
 def test_errored_sweep_runs_leave_no_run_directory(tmp_path):
@@ -613,6 +617,46 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert "status=done runs=2 incomplete=0" in capsys.readouterr().out
     assert sizes == [2]
+
+
+def test_parallel_sweep_writes_the_serial_bytes(tmp_path):
+    """Two TINY runs in two worker processes write what one process writes,
+    byte for byte; only effective_config.ini's output.dir line differs."""
+    roots = {}
+    for jobs in ("2", "1"):
+        roots[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",
+                                        "--jobs", jobs, "--out", str(roots[jobs])]) == 0
+
+    def files(root):
+        out = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                lines = path.read_bytes().splitlines(keepends=True)
+                out[path.relative_to(root)] = [line for line in lines
+                                               if not line.startswith(b"dir = ")]
+        return out
+    parallel, serial = files(roots["2"]), files(roots["1"])
+    # summary.csv, and per run diagnostics, effective config, final .csv and .meta
+    assert len(serial) == 1 + 2 * 4
+    assert parallel == serial
+
+
+def test_readme_diagnostics_table_names_the_written_columns(tmp_path):
+    """The README table lists exactly the columns of a run at the default
+    diagnostics settings (TINY changes only the grid, t_end and cadence)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Diagnostics CSV", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                listed += ([f"sobolev_s{k}" for k in RunConfig().sobolev_orders]
+                           if name == "sobolev_s{k}" else [name])
+    out = tmp_path / "run"
+    assert main(["run"] + TINY + ["--out", str(out)]) == 0
+    header = (out / "diagnostics.csv").read_text().splitlines()[0]
+    assert listed == header.split(",")
 
 
 def test_readme_defaults_block_matches_the_dataclasses(tmp_path):

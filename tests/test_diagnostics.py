@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
-from faddeevlab.diagnostics import DiagnosticsRecord
 from faddeevlab.evolve import InitialDataSpec, RunConfig, run
 from faddeevlab.grid import FieldState, RadialGrid, d_r, integrate_radial, sobolev_norm
 from faddeevlab.kernels import CutoffProfile, KernelParams, mesh_cutoffs
@@ -32,6 +31,17 @@ def test_energy_u_r_assembly_paths_agree(params):
     vs = u_to_v(us)
     e_chain = diag.energy(us, params, vs)
     assert abs(e_chain - e_direct) <= 1e-7 * e_direct
+
+
+def test_energy_refuses_a_v_state_from_another_grid(params):
+    """A v state on another mesh would mix two grids' nodes in u_r: refused,
+    naming both grids."""
+    g, other = RadialGrid(256, 8.0), RadialGrid(256, 16.0)
+    vs = FieldState(0.3 * np.exp(-g.r ** 2), np.zeros(g.n_nodes), g)
+    wrong = FieldState(vs.f, vs.f_t, other)
+    with pytest.raises(ValueError) as err:
+        diag.energy(v_to_u(vs), params, wrong)
+    assert str(err.value) == f"the v state lives on {other}, the u state on {g}"
 
 
 def test_energy_of_constant_pi_vanishes(params):
@@ -111,7 +121,7 @@ def test_a_non_default_chart_survives_post_processing():
     res = run(cfg)
     assert res.status == "completed" and res.state.grid.profile == CutoffProfile(9)
     assert diag.energy(v_to_u(res.state), cfg.kernel_params,
-                       res.state) == res.records[-1].energy
+                       res.state) == res.records[-1]["energy"]
 
 
 def test_energy_drift_definition():
@@ -283,20 +293,28 @@ def test_spacetime_tracker_matches_batch():
 # -------------------------------------------------------------------- csv
 
 def test_diagnostics_csv_layout(tmp_path):
-    recs = [DiagnosticsRecord(time=t, energy=1.0, energy_drift=0.0,
-                              energy_tail=0.0, monitor_v=0.1, monitor_vt=0.2,
-                              monitor_gradv=0.3, sobolev={1: 1.0, 2: 2.0},
-                              decay_ratios={"inner": 0.5, "outer": 0.25},
-                              spacetime_norms={"Linf_L2": 0.9, "L2_L8": 0.8})
-            for t in (0.0, 0.5)]
+    """The keys of a record are the header, in their order; each value is
+    written exactly."""
+    header = ["time", "energy", "energy_drift", "energy_tail", "monitor_v",
+              "monitor_vt", "monitor_gradv", "sobolev_s1", "sobolev_s2",
+              "decay_inner", "decay_outer", "Linf_L2", "L2_L8"]
+    recs = [dict(zip(header, [t, 1.0, 0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 2.0,
+                              0.5, 0.25, 0.9, 0.8])) for t in (0.0, 0.5)]
     path = tmp_path / "diag.csv"
     diag.write_diagnostics_csv(recs, path)
     rows = path.read_text().splitlines()
-    assert rows[0] == ("time,energy,energy_drift,energy_tail,"
-                       "monitor_v,monitor_vt,monitor_gradv,"
-                       "sobolev_s1,sobolev_s2,decay_inner,decay_outer,"
-                       "Linf_L2,L2_L8")
-    assert len(rows) == 3
+    assert rows[0] == ",".join(header)
+    assert [[float(x) for x in row.split(",")] for row in rows[1:]] == [
+        list(rec.values()) for rec in recs]
+
+
+def test_peaks_are_the_column_maxima_by_their_summary_names():
+    recs = [{"monitor_v": 0.1, "monitor_vt": 3.0, "monitor_gradv": 0.5,
+             "energy_drift": 0.0},
+            {"monitor_v": 0.2, "monitor_vt": 2.0, "monitor_gradv": 0.5,
+             "energy_drift": 1e-4}]
+    assert diag.peaks(recs) == {"max_monitor_v": 0.2, "max_monitor_vt": 3.0,
+                                "max_monitor_gradv": 0.5, "max_drift": 1e-4}
 
 
 def test_diagnostics_csv_rejects_empty(tmp_path):

@@ -37,6 +37,16 @@ def test_grid_nodes():
     assert g.r[0] == 0.0 and g.r[-1] == 8.0
 
 
+def test_grid_nodes_are_read_only():
+    """Every per-mesh cache (r^3, the cutoff table, the checkpoint template)
+    is built from r and keyed by the grid's fields: a write into r would
+    leave them stale, so it raises."""
+    g = RadialGrid(64, 4.0)
+    with pytest.raises(ValueError, match="read-only"):
+        g.r[5] = 0.0
+    assert g.r3[5] == g.r[5] ** 3
+
+
 def test_field_validation():
     g = RadialGrid(16, 1.0)
     with pytest.raises(ValueError, match="not aligned"):
