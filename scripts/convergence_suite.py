@@ -1,20 +1,30 @@
 #!/usr/bin/env python3
 """Refinement studies over any mix of observables, written as a flat CSV.
 
+The base config is read as `faddeevlab run` reads one: repeatable
+`--set section.key=value` items, laid over the defaults in BASE.
+
 Examples:
     python scripts/convergence_suite.py --observables solution,residual_v
     python scripts/convergence_suite.py --observables solution,drift
-    python scripts/convergence_suite.py --observables drift --forced no --amplitude 0
+    python scripts/convergence_suite.py --observables drift --forced no \
+        --set initial_data.amplitude=0
     python scripts/convergence_suite.py --observables linear_solution,solution
     python scripts/convergence_suite.py --observables residual_Phi,residual_Phi_t \
-        --base-n 256 --r-max 16 --t-end 2.5 --t-center 2.0
+        --set grid.n_cells=256 --set grid.r_max=16 --set integrator.t_end=2.5 \
+        --t-center 2.0
 """
 
 import argparse
 
-from faddeevlab.evolve import InitialDataSpec, RunConfig
+from faddeevlab.cli import ConfigError, load_config
 from faddeevlab.verify import (ManufacturedSolution, convergence_study,
                                manufactured_config, study_to_csv)
+
+BASE = ["grid.n_cells=128", "grid.r_max=8", "integrator.t_end=1",
+        "diagnostics.output_every=32", "diagnostics.drift_ceiling=1"]
+# the settings manufactured_config replaces, so --forced yes would drop them
+DATA_KEYS = ("initial_data.", "integrator.sponge_start", "integrator.sponge_strength")
 
 
 def main():
@@ -24,23 +34,31 @@ def main():
                          "linear_solution, residual_Phi, residual_Phi_t, "
                          "residual_Phi_tt, residual_Phi_ttt")
     ap.add_argument("--levels", type=int, default=3)
-    ap.add_argument("--base-n", type=int, default=128)
-    ap.add_argument("--r-max", type=float, default=8.0)
-    ap.add_argument("--t-end", type=float, default=1.0)
     ap.add_argument("--t-probe", type=float, default=0.7)
     ap.add_argument("--t-center", type=float, default=2.0)
-    ap.add_argument("--amplitude", type=float, default=0.5)
     ap.add_argument("--forced", choices=("yes", "no"), default="yes",
                     help="initial data of drift and residual_Phi*: the manufactured "
                          "solution's (yes) or the plain Gaussian family's (no)")
+    ap.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                    help="override a setting of the base config (repeatable) over "
+                         + " ".join(BASE))
     ap.add_argument("--out", default="study.csv")
     args = ap.parse_args()
 
+    try:
+        base, out_dir = load_config(None, BASE + args.set)
+    except ConfigError as exc:
+        ap.error(str(exc))
+    if out_dir is not None:
+        ap.error("output.dir: a study writes one CSV; set its path with --out")
+    keys = {item.split("=", 1)[0].strip() for item in args.set}
+    dropped = sorted(key for key in keys if key.startswith(DATA_KEYS))
+    if args.forced == "yes" and dropped:
+        ap.error(f"--forced yes replaces the initial data and the sponge, so "
+                 f"{', '.join(dropped)} would be ignored; use --forced no")
+
     obs = tuple(tok.strip() for tok in args.observables.split(",") if tok.strip())
     try:
-        base = RunConfig(n_cells=args.base_n, r_max=args.r_max, t_end=args.t_end,
-                         output_every=32, drift_ceiling=1.0,
-                         initial=InitialDataSpec(amplitude=args.amplitude))
         if args.forced == "yes":
             base = manufactured_config(ManufacturedSolution(), base)
         results = convergence_study(base, args.levels, obs, t_probe=args.t_probe,

@@ -1,35 +1,41 @@
 #!/usr/bin/env python3
 """Run the benchmark evolution at two resolutions and report the
 acceptance-style summary: peak drift, peak monitors, cross-resolution
-monitor agreement, and where the diagnostics were written. Exits 2, as
-`faddeevlab run` does, when either run halted before t_end."""
+monitor agreement, and where the diagnostics were written. The fine run's
+config is read as `faddeevlab run` reads one: repeatable
+`--set section.key=value` items, laid over the defaults in BASE. Exits 2,
+as `faddeevlab run` does, when either run halted before t_end."""
 
 import argparse
 import os
 from dataclasses import replace
 
 from faddeevlab import diagnostics as diag
-from faddeevlab.evolve import InitialDataSpec, RunConfig, run, write_checkpoint
+from faddeevlab.cli import ConfigError, load_config
+from faddeevlab.evolve import run, write_checkpoint
+
+BASE = ["grid.n_cells=2048", "grid.r_max=40", "integrator.t_end=20",
+        "diagnostics.output_every=64"]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-cells", type=int, default=2048)
-    ap.add_argument("--r-max", type=float, default=40.0)
-    ap.add_argument("--t-end", type=float, default=20.0)
-    ap.add_argument("--amplitude", type=float, default=0.5)
-    ap.add_argument("--output-every", type=int, default=64)
+    ap.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                    help="override a setting of the fine run (repeatable) over "
+                         + " ".join(BASE))
     ap.add_argument("--out", default="acceptance_out")
     args = ap.parse_args()
+    try:
+        cfg, out_dir = load_config(None, BASE + args.set)
+    except ConfigError as exc:
+        ap.error(str(exc))
+    if out_dir is not None:
+        ap.error("output.dir: the campaign writes under one directory; set it with --out")
     # the companion halves both, so its samples fall at the fine run's times
-    if args.output_every < 2 or args.output_every % 2:
-        ap.error(f"--output-every must be even and >= 2, got {args.output_every}")
-    if args.n_cells % 2:
-        ap.error(f"--n-cells must be even, got {args.n_cells}")
-
-    cfg = RunConfig(n_cells=args.n_cells, r_max=args.r_max, t_end=args.t_end,
-                    output_every=args.output_every,
-                    initial=InitialDataSpec(amplitude=args.amplitude))
+    if cfg.output_every < 2 or cfg.output_every % 2:
+        ap.error(f"diagnostics.output_every must be even and >= 2, got {cfg.output_every}")
+    if cfg.n_cells % 2:
+        ap.error(f"grid.n_cells must be even, got {cfg.n_cells}")
     companion = replace(cfg, n_cells=cfg.n_cells // 2,
                         output_every=cfg.output_every // 2)
 

@@ -106,6 +106,8 @@ class RunConfig:
         for key, value in config_items(self):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+            if key.endswith("_ceiling") and value < 0.0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError("cfl must lie in (0, 0.5]")
         if self.t_end <= 0.0:
@@ -311,7 +313,8 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     """Yield the FieldState at t = k dt for k = 0..nsteps of the RK4 evolution.
 
     state is the data at t = 0 on make_grid(config) (default
-    initial_state(config)); its arrays are copied. The sponge is dropped
+    initial_state(config)); its arrays are copied, and a state on another
+    grid or at another time is refused. The sponge is dropped
     when it is zero everywhere, and nonlinear=False drops F (free-wave
     path). Yielded states own arrays never modified afterwards: keep them.
     """
@@ -319,6 +322,8 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     state = state if state is not None else initial_state(config)
     if state.grid != g:
         raise ValueError(f"the state lives on {state.grid}, the config's mesh is {g}")
+    if state.time != 0.0:  # the clock, and so any forcing, starts at t = 0
+        raise ValueError(f"the state is at t={state.time!r}; trajectory starts at t = 0")
     sig = sponge_sigma(g, config.sponge)
     f = _operator(g, config.kernel_params, sig if sig.any() else None, forcing, nonlinear)
     nsteps, dt = _schedule(config)

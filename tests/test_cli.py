@@ -308,6 +308,8 @@ BAD_SETTINGS = [
     ("initial_data.amplitude=nan", "initial_data.amplitude must be finite"),
     ("diagnostics.drift_ceiling=nan", "diagnostics.drift_ceiling must be finite"),
     ("integrator.sponge_strength=-50", "integrator.sponge_strength must be >= 0"),
+    ("diagnostics.drift_ceiling=-1", "diagnostics.drift_ceiling must be >= 0, got -1.0"),
+    ("diagnostics.monitor_ceiling=-5", "diagnostics.monitor_ceiling must be >= 0, got -5.0"),
 ]
 
 

@@ -282,6 +282,16 @@ def test_trajectory_refuses_a_state_from_another_grid(grid):
         next(trajectory(lean(n_cells=32, r_max=8.0, t_end=0.5), state=zero_state(grid)))
 
 
+def test_trajectory_refuses_a_state_at_another_time():
+    """The stepper's clock starts at 0: a state at t = 0.5 would be stepped,
+    and any forcing evaluated, as if it were at t = 0."""
+    config = lean(n_cells=32, r_max=8.0, t_end=0.5)
+    state = initial_state(config)
+    late = FieldState(state.f, state.f_t, state.grid, 0.5)
+    with pytest.raises(ValueError, match=r"the state is at t=0\.5; trajectory starts at t = 0"):
+        next(trajectory(config, state=late))
+
+
 def _locked(*arrays):
     for a in arrays:
         a.flags.writeable = False

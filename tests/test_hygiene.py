@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, every name a
-module exports exists, the package imports only at module level, every
-script the README names exists, and every python block of the README runs."""
+module exports exists, the package imports only at module level, no
+command line spells a config setting as its own flag, every script the
+README names exists, and every python block of the README runs."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import python_blocks
+from faddeevlab.evolve import CONFIG_TABLE
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "faddeevlab").glob("*.py"))
@@ -158,6 +160,34 @@ def test_only_functions_of_radii_take_a_profile(name):
     source = (ROOT / "src" / "faddeevlab" / f"{name}.py").read_text()
     allowed = RADII_FUNCTIONS if name == "kernels" else set()
     assert [fn for fn in profile_params(source) if fn[0] not in allowed] == []
+
+
+SETTING_FIELDS = {key.split(".", 1)[1] for key, _, _ in CONFIG_TABLE}
+
+
+def setting_flags(source):
+    """(line, flag) of every add_argument flag that names a config setting,
+    such as --n-cells for grid.n_cells: a setting is given as --set
+    section.key=value, in the one vocabulary faddeevlab checks."""
+    return sorted((node.lineno, arg.value)
+                  for node in ast.walk(ast.parse(source))
+                  if getattr(getattr(node, "func", None), "attr", None) == "add_argument"
+                  for arg in node.args
+                  if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                  and arg.value.lstrip("-").replace("-", "_") in SETTING_FIELDS)
+
+
+def test_the_scan_sees_a_setting_flag():
+    src = ("ap.add_argument('--n-cells', type=int)\n"
+           "ap.add_argument('-o', '--out')\n"
+           "sp.add_argument('--t-center', '--alpha', help='--r-max')\n"
+           "ap.add_argument('--set', action='append')\n")
+    assert setting_flags(src) == [(1, "--n-cells"), (3, "--alpha")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_flag_spells_a_setting(path):
+    assert setting_flags(path.read_text()) == []
 
 
 def named_scripts(text):

@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts in scripts/ on tiny inputs."""
 
+import csv
 import json
 import os
 import runpy
@@ -8,15 +9,19 @@ from pathlib import Path
 
 import pytest
 
+from faddeevlab import cli
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.mark.parametrize("script,args,expect", [
     ("convergence_suite.py",
-     ["--observables", "linear_solution", "--base-n", "32", "--t-end", "0.25"],
+     ["--observables", "linear_solution", "--set", "grid.n_cells=32",
+      "--set", "integrator.t_end=0.25"],
      "wrote study.csv"),
     ("run_acceptance_campaign.py",
-     ["--n-cells", "256", "--r-max", "8", "--t-end", "0.25", "--output-every", "2"],
+     ["--set", "grid.n_cells=256", "--set", "grid.r_max=8", "--set", "integrator.t_end=0.25",
+      "--set", "diagnostics.output_every=2"],
      "artifacts in acceptance_out"),
 ])
 def test_script_main_runs(tmp_path, monkeypatch, capsys, script, args, expect):
@@ -30,7 +35,8 @@ def _suite_refusal(tmp_path, monkeypatch, capsys, args):
     """The stderr of convergence_suite.py on args that it refuses or that
     halt a level: exit code 2, no file written."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--base-n", "32"] + args)
+    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--set", "grid.n_cells=32"]
+                        + args)
     main = runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]
     with pytest.raises(SystemExit) as exc:
         main()
@@ -46,8 +52,9 @@ def test_convergence_suite_measures_solution_from_either_data(tmp_path, monkeypa
     written = []
     for forced in ("yes", "no"):
         out = tmp_path / f"study_{forced}.csv"
-        monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--base-n", "32",
-                                          "--t-end", "0.25", "--observables", "solution",
+        monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--set", "grid.n_cells=32",
+                                          "--set", "integrator.t_end=0.25",
+                                          "--observables", "solution",
                                           "--forced", forced, "--out", str(out)])
         runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]()
         written.append(out.read_bytes())
@@ -63,8 +70,8 @@ def test_convergence_suite_exits_2_when_a_level_halts(tmp_path, monkeypatch, cap
     """A level that blows up ends the script with one error line naming the
     level and the reason, the halt code of faddeevlab run, and no CSV."""
     err = _suite_refusal(tmp_path, monkeypatch, capsys,
-                         ["--observables", "drift", "--forced", "no", "--amplitude", "16",
-                          "--base-n", "64", "--r-max", "8", "--t-end", "1"])
+                         ["--observables", "drift", "--forced", "no",
+                          "--set", "initial_data.amplitude=16", "--set", "grid.n_cells=64"])
     assert err == ("error: study drift run at n=64 stopped early: non-finite field "
                    "values at step 8, t=0.25, r=0\n")
 
@@ -88,9 +95,50 @@ def test_convergence_suite_refuses_a_base_mesh_below_the_stencils(tmp_path, monk
                                                                   capsys):
     """A base the config refuses is a usage line, like a refused study, not
     a traceback."""
-    err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--base-n", "3"])
+    err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--set", "grid.n_cells=3"])
     assert err.startswith("usage:")
     assert "error: n_cells must be >= 6" in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--set", "grid.n_cell=64"], "error: unknown key 'grid.n_cell'"),
+    (["--set", "integrator.t_end=soon"], "error: bad value for integrator.t_end"),
+    (["--set", "output.dir=runs"], "error: output.dir: a study writes one CSV"),
+    (["--set", "initial_data.amplitude=0"],
+     "error: --forced yes replaces the initial data and the sponge, so "
+     "initial_data.amplitude would be ignored; use --forced no"),
+    (["--set", "integrator.sponge_strength=2", "--set", " initial_data.width=2",
+      "--set", "integrator.sponge_start=5", "--set", "grid.r_max=8"],
+     "so initial_data.width, integrator.sponge_start, integrator.sponge_strength "
+     "would be ignored"),
+])
+def test_convergence_suite_refuses_a_setting_it_cannot_use(tmp_path, monkeypatch, capsys,
+                                                           args, message):
+    """A setting the config refuses, the output dir (whose place is --out),
+    and, under --forced yes, data and sponge settings that the manufactured
+    config would replace are each one usage line, not a silent study."""
+    err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--observables", "drift"] + args)
+    assert err.startswith("usage:") and message in err
+
+
+def test_the_suite_and_the_sweep_read_one_drift(tmp_path, monkeypatch):
+    """The criterion-3 recipe's two commands take one --set list, and each
+    level's drift equals the sweep row of its n_cells, bit for bit."""
+    sets = [a for s in ("grid.r_max=8", "integrator.t_end=0.5", "diagnostics.output_every=8",
+                        "diagnostics.drift_ceiling=1", "initial_data.amplitude=0")
+            for a in ("--set", s)]
+    assert cli.main(["sweep", *sets, "--sweep", "grid.n_cells=32,64,128",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--observables", "drift",
+                                      "--forced", "no", "--set", "grid.n_cells=32", *sets,
+                                      "--out", str(tmp_path / "study.csv")])
+    runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]()
+    with open(tmp_path / "sweep" / "summary.csv") as fh:
+        swept = {row["grid.n_cells"]: float(row["max_drift"]) for row in csv.DictReader(fh)}
+    with open(tmp_path / "study.csv") as fh:
+        studied = {row["n_cells"]: float(row["error"]) for row in csv.DictReader(fh)}
+    assert swept == studied and list(studied) == ["32", "64", "128"]
+    assert min(studied.values()) > 0.0
 
 
 def _campaign_main(tmp_path, monkeypatch, args):
@@ -100,17 +148,18 @@ def _campaign_main(tmp_path, monkeypatch, args):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["--output-every", "1"], "--output-every must be even and >= 2, got 1"),
-    (["--output-every", "0"], "--output-every must be even and >= 2, got 0"),
-    (["--n-cells", "64", "--output-every", "3"], "--output-every must be even and >= 2, got 3"),
-    (["--n-cells", "65", "--output-every", "2"], "--n-cells must be even, got 65"),
-    (["--n-cells", "65", "--output-every", "3"], "--output-every must be even"),
+    (["diagnostics.output_every=1"], "diagnostics.output_every must be even and >= 2, got 1"),
+    (["diagnostics.output_every=0"], "error: output cadence must be >= 1 step"),
+    (["grid.n_cells=64", "diagnostics.output_every=3"],
+     "diagnostics.output_every must be even and >= 2, got 3"),
+    (["grid.n_cells=65", "diagnostics.output_every=2"], "grid.n_cells must be even, got 65"),
+    (["grid.n_cells=65", "diagnostics.output_every=3"], "diagnostics.output_every must be even"),
 ])
 def test_acceptance_campaign_rejects_unaligned_inputs(tmp_path, monkeypatch, capsys,
                                                       args, message):
     """A cadence or mesh the half-resolution companion cannot sample at the
     fine run's times is refused before any run or directory is made."""
-    main = _campaign_main(tmp_path, monkeypatch, args)
+    main = _campaign_main(tmp_path, monkeypatch, [a for s in args for a in ("--set", s)])
     monkeypatch.setitem(main.__globals__, "run", lambda c: pytest.fail("a run started"))
     with pytest.raises(SystemExit):
         main()
@@ -118,11 +167,28 @@ def test_acceptance_campaign_rejects_unaligned_inputs(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("grid.r_max=big", "error: bad value for grid.r_max"),
+    ("output.dir=runs", "error: output.dir: the campaign writes under one directory"),
+])
+def test_acceptance_campaign_refuses_a_setting_it_cannot_use(tmp_path, monkeypatch, capsys,
+                                                             setting, message):
+    main = _campaign_main(tmp_path, monkeypatch, ["--set", setting])
+    monkeypatch.setitem(main.__globals__, "run", lambda c: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_acceptance_campaign_exits_2_when_a_run_halts(tmp_path, monkeypatch, capsys):
     """At n = 64 both runs halt as scheme_breakdown: every artifact and the
     summary are still written, and the script exits 2 as faddeevlab run does."""
-    main = _campaign_main(tmp_path, monkeypatch, ["--n-cells", "64", "--r-max", "8",
-                                                  "--t-end", "0.25", "--output-every", "4"])
+    main = _campaign_main(tmp_path, monkeypatch, [
+        "--set", "grid.n_cells=64", "--set", "grid.r_max=8", "--set", "integrator.t_end=0.25",
+        "--set", "diagnostics.output_every=4"])
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
@@ -139,8 +205,9 @@ def test_acceptance_campaign_warns_when_sample_times_differ(tmp_path, monkeypatc
                                                             t_end, aligned):
     """At t_end 0.255 the fine run takes 33 steps and the companion 17, so
     an even cadence still samples them at different times."""
-    main = _campaign_main(tmp_path, monkeypatch, ["--n-cells", "256", "--r-max", "8",
-                                                  "--t-end", t_end, "--output-every", "2"])
+    main = _campaign_main(tmp_path, monkeypatch, [
+        "--set", "grid.n_cells=256", "--set", "grid.r_max=8",
+        "--set", f"integrator.t_end={t_end}", "--set", "diagnostics.output_every=2"])
     main()
     out = capsys.readouterr().out
     assert "status=completed" in out and "halted early" not in out
