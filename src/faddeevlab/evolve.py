@@ -382,6 +382,18 @@ def _sample(state, config, records, tracker):
     return row
 
 
+def _halt_reason(state: FieldState, k: int):
+    """Why a trajectory halts at its state k, or None: a stepped state that
+    holds a non-finite value, named by its step, time and first such radius.
+    The initial data is not stepped (initial_state and run's first sample
+    judge it)."""
+    finite = np.isfinite(state.f) & np.isfinite(state.f_t)
+    if not k or finite.all():
+        return None
+    bad = state.grid.r[np.argmin(finite)]
+    return f"non-finite field values at step {k}, t={state.time:.6g}, r={bad:.6g}"
+
+
 def run(config: RunConfig, forcing=None) -> RunResult:
     """Advance to t_end, or until a step yields a non-finite value or a
     sample fires detect_blowup; diagnostics at the configured cadence (plus
@@ -393,12 +405,9 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     # overflow and NaN are checked on every step and reported as the halt
     with np.errstate(over="ignore", invalid="ignore"):
         for k, state in enumerate(trajectory(config, forcing)):
-            # the initial data is not stepped: its first sample judges it
-            finite = np.isfinite(state.f) & np.isfinite(state.f_t)
-            if k and not finite.all():
-                bad = state.grid.r[np.argmin(finite)]
-                verdict = ("blowup_nan", f"non-finite field values at step {k}, "
-                                         f"t={state.time:.6g}, r={bad:.6g}")
+            reason = _halt_reason(state, k)
+            if reason is not None:
+                verdict = ("blowup_nan", reason)
                 break
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
                 snapshots.append((k, state))
@@ -438,9 +447,18 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int):
     """Evolve quietly, unforced, and return the n_levels consecutive
     per-step states centred near t_center (the windows the residual-identity
     evaluators read). The window must lie inside steps 0..nsteps; that is
-    checked before any step is taken."""
+    checked before any step is taken. A step that halts run halts the
+    evolution too: FloatingPointError with run's reason."""
     first = _window_start(config, t_center, n_levels)
-    return list(islice(trajectory(config), first, first + n_levels))
+    window = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, state in enumerate(islice(trajectory(config), first + n_levels)):
+            reason = _halt_reason(state, k)
+            if reason is not None:
+                raise FloatingPointError(reason)
+            if k >= first:
+                window.append(state)
+    return window
 
 
 @lru_cache(maxsize=1)

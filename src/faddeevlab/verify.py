@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .diagnostics import peaks
-from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, _window_start,
+from .evolve import (RunConfig, InitialDataSpec, SpongeSpec, _schedule, _window_start,
                      evolve_bundles, make_grid, run, trajectory)
 from .grid import FieldState, RadialGrid, sobolev_norm, write_csv
 from .kernels import DEFAULT_PARAMS
@@ -34,6 +34,7 @@ __all__ = [
     "StudyResult",
     "pairwise_orders",
     "fit_order",
+    "BASE_DATA_OBSERVABLES",
     "convergence_study",
     "kernel_series_oracle",
     "kernel_limit",
@@ -187,6 +188,10 @@ _RESIDUAL_EVALUATORS = {
     "residual_Phi_ttt": (residual_Phi_ttt_wave, 7),
 }
 
+# The observables whose levels evolve the base's own data; every other
+# observable starts from the manufactured solution, whatever data the base has.
+BASE_DATA_OBSERVABLES = frozenset({"drift", *_RESIDUAL_EVALUATORS})
+
 
 def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift"),
                       ms: ManufacturedSolution = ManufacturedSolution(),
@@ -205,14 +210,17 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     (expected order 4: RK4 and 4th-order stencils); the residual_Phi*
     observables difference per-step states centred at t_center on the
     (unforced) evolved trajectory of the level. Every level's window is
-    checked before the first run.
+    checked before the first run, and t_center must be a step time of
+    every level, so that all windows are centred at one time. A level
+    whose run or window evolution halts raises RuntimeError naming the
+    observable, the level and the reason.
 
     Non-monotone error sequences are flagged on the result, not raised."""
     if levels < 3:
         raise ValueError("a refinement study needs at least 3 nested levels")
     if not observables:
         raise ValueError("a refinement study needs at least one observable")
-    known = {"solution", "drift", "residual_v", "linear_solution"} | set(_RESIDUAL_EVALUATORS)
+    known = BASE_DATA_OBSERVABLES | {"solution", "residual_v", "linear_solution"}
     unknown = [o for o in observables if o not in known]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; choose from {sorted(known)}")
@@ -227,6 +235,12 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
         need = max(_RESIDUAL_EVALUATORS[o][1] for o in window_obs)
         for cfg in cfgs:
             _window_start(cfg, t_center, need)
+        # each level rounds its step count up separately: its grids need not nest
+        dts = [_schedule(cfg)[1] for cfg in cfgs]
+        if any(abs(t_center / dt - round(t_center / dt)) > 1e-9 for dt in dts):
+            raise ValueError(f"t_center={t_center:g} is not a step time of every level "
+                             f"(coarsest dt={dts[0]:.6g}), so the levels' windows "
+                             f"would be centred at different times")
     errs = {o: [] for o in observables}
     for cfg in cfgs:
         g, p, man = make_grid(cfg), cfg.kernel_params, manufactured_config(ms, cfg)
@@ -252,7 +266,11 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             errs["linear_solution"].append(solution_error(state, ms))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
-            states = evolve_bundles(cfg, t_center, need)
+            try:
+                states = evolve_bundles(cfg, t_center, need)
+            except FloatingPointError as exc:
+                raise RuntimeError(f"study {','.join(window_obs)} run at n={cfg.n_cells} "
+                                   f"stopped early: {exc}") from None
             for o in window_obs:
                 fn, _ = _RESIDUAL_EVALUATORS[o]
                 errs[o].append(_res_norm(fn(states, p), g))

@@ -396,6 +396,18 @@ def test_evolve_bundles_window_may_end_at_t_end():
     assert [round(b.time / _schedule(cfg)[1]) for b in bundles] == [20, 21, 22, 23, 24]
 
 
+def test_evolve_bundles_halts_where_run_halts():
+    """A window evolution that goes non-finite stops on the step that halts
+    run, with run's reason, and lets no RuntimeWarning out."""
+    cfg = lean(n_cells=64, r_max=8.0, t_end=1.0, output_every=32, drift_ceiling=1.0,
+               initial=InitialDataSpec(amplitude=16.0))
+    res = run(cfg)
+    assert res.status == "blowup_nan" and res.state.time < 0.5
+    with pytest.raises(FloatingPointError) as err:
+        evolve_bundles(cfg, t_center=0.5, n_levels=3)
+    assert str(err.value) == res.reason
+
+
 # ------------------------------------------------------------------ halts
 
 def _record(**kw):

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, every name a
 module exports exists, the package imports only at module level, no
 command line spells a config setting as its own flag, every script the
-README names exists, and every python block of the README runs."""
+README names exists, every flag of a README command line exists, and every
+python block of the README runs."""
 
 import ast
 import importlib
@@ -165,16 +166,22 @@ def test_only_functions_of_radii_take_a_profile(name):
 SETTING_FIELDS = {key.split(".", 1)[1] for key, _, _ in CONFIG_TABLE}
 
 
-def setting_flags(source):
-    """(line, flag) of every add_argument flag that names a config setting,
-    such as --n-cells for grid.n_cells: a setting is given as --set
-    section.key=value, in the one vocabulary faddeevlab checks."""
+def argument_names(source):
+    """(line, name) of every string an add_argument call takes positionally:
+    its flags, or the name of a positional argument."""
     return sorted((node.lineno, arg.value)
                   for node in ast.walk(ast.parse(source))
                   if getattr(getattr(node, "func", None), "attr", None) == "add_argument"
                   for arg in node.args
-                  if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-                  and arg.value.lstrip("-").replace("-", "_") in SETTING_FIELDS)
+                  if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+
+
+def setting_flags(source):
+    """(line, flag) of every add_argument flag that names a config setting,
+    such as --n-cells for grid.n_cells: a setting is given as --set
+    section.key=value, in the one vocabulary faddeevlab checks."""
+    return [(line, name) for line, name in argument_names(source)
+            if name.lstrip("-").replace("-", "_") in SETTING_FIELDS]
 
 
 def test_the_scan_sees_a_setting_flag():
@@ -203,6 +210,62 @@ def test_the_scan_sees_a_named_script():
 def test_every_script_the_readme_names_exists():
     names = named_scripts((ROOT / "README.md").read_text())
     assert names and [n for n in names if not (ROOT / "scripts" / n).is_file()] == []
+
+
+def command_flags(text):
+    """(command, flag) of every --flag on a `faddeevlab SUB` or `python
+    scripts/X.py` line of a markdown text's sh blocks, continuation lines
+    joined and comments dropped; the command is "faddeevlab" or "X.py"."""
+    found = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            m = re.match(r"\s*(?:(faddeevlab) [\w-]+|python scripts/([\w-]+\.py))(.*)",
+                         re.sub(r"\s#.*", "", line))
+            if m:
+                found += [(m[1] or m[2], flag)
+                          for flag in re.findall(r"(?<!\S)--[\w-]+", m[3])]
+    return found
+
+
+def test_the_scan_sees_a_command_flag():
+    text = ("```sh\n"
+            "# faddeevlab run --commented\n"
+            "faddeevlab sweep --set a=1 \\\n"
+            "    --jobs 2  # --noted\n"
+            "python scripts/s.py --observables drift --forced no \\\n"
+            "    --set b=2 --out x--y\n"
+            "pip install --user x\n"
+            "```\n"
+            "```python\nfaddeevlab run --out x\n```\n")
+    assert command_flags(text) == [("faddeevlab", "--set"), ("faddeevlab", "--jobs"),
+                                   ("s.py", "--observables"), ("s.py", "--forced"),
+                                   ("s.py", "--set"), ("s.py", "--out")]
+
+
+def undefined_flags(text):
+    """The (command, flag) pairs of command_flags(text) whose parser does not
+    define the flag: src/faddeevlab/cli.py's for faddeevlab, the script's
+    own for a script."""
+    found = command_flags(text)
+    paths = {cmd: ROOT / "src" / "faddeevlab" / "cli.py" if cmd == "faddeevlab"
+             else ROOT / "scripts" / cmd for cmd, _ in found}
+    defined = {cmd: {name for _, name in argument_names(path.read_text())}
+               for cmd, path in paths.items()}
+    return [(cmd, flag) for cmd, flag in found if flag not in defined[cmd]]
+
+
+def test_the_check_sees_a_stale_flag():
+    text = ("```sh\n"
+            "faddeevlab sweep --sweep grid.n_cells=32,64 --jobs 2\n"
+            "python scripts/convergence_suite.py --observables drift --forced no \\\n"
+            "    --set grid.n_cells=256\n"
+            "```\n")
+    assert undefined_flags(text) == [("convergence_suite.py", "--forced")]
+
+
+def test_every_readme_command_flag_exists():
+    readme = (ROOT / "README.md").read_text()
+    assert command_flags(readme) and undefined_flags(readme) == []
 
 
 def test_the_scan_sees_a_python_block():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from faddeevlab import cli
+from faddeevlab.verify import convergence_study, study_to_csv
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -45,20 +46,20 @@ def _suite_refusal(tmp_path, monkeypatch, capsys, args):
     return capsys.readouterr().err
 
 
-def test_convergence_suite_measures_solution_from_either_data(tmp_path, monkeypatch):
-    """--forced picks the data of drift and residual_Phi* only: the solution
-    study writes the same bytes from the plain Gaussian as from the
-    manufactured data."""
-    written = []
-    for forced in ("yes", "no"):
-        out = tmp_path / f"study_{forced}.csv"
-        monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--set", "grid.n_cells=32",
-                                          "--set", "integrator.t_end=0.25",
-                                          "--observables", "solution",
-                                          "--forced", forced, "--out", str(out)])
-        runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]()
-        written.append(out.read_bytes())
-    assert written[0] == written[1]
+def test_the_suite_writes_the_study_of_its_settings(tmp_path, monkeypatch):
+    """The script's CSV is, byte for byte, study_to_csv of convergence_study
+    on the config that BASE and the --set items build: drift and
+    residual_Phi_t evolve that config's own data, as for a library caller."""
+    sets, obs = ["grid.n_cells=32", "initial_data.amplitude=0.3"], ("drift", "residual_Phi_t")
+    monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--observables", ",".join(obs),
+                                      "--t-center", "0.5",
+                                      *[a for s in sets for a in ("--set", s)],
+                                      "--out", str(tmp_path / "script.csv")])
+    script = runpy.run_path(str(SCRIPTS / "convergence_suite.py"))
+    script["main"]()
+    base, _ = cli.load_config(None, script["BASE"] + sets)
+    study_to_csv(convergence_study(base, 3, obs, t_center=0.5), tmp_path / "library.csv")
+    assert (tmp_path / "script.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def test_convergence_suite_refuses_an_empty_observable_list(tmp_path, monkeypatch, capsys):
@@ -70,10 +71,22 @@ def test_convergence_suite_exits_2_when_a_level_halts(tmp_path, monkeypatch, cap
     """A level that blows up ends the script with one error line naming the
     level and the reason, the halt code of faddeevlab run, and no CSV."""
     err = _suite_refusal(tmp_path, monkeypatch, capsys,
-                         ["--observables", "drift", "--forced", "no",
+                         ["--observables", "drift",
                           "--set", "initial_data.amplitude=16", "--set", "grid.n_cells=64"])
     assert err == ("error: study drift run at n=64 stopped early: non-finite field "
                    "values at step 8, t=0.25, r=0\n")
+
+
+def test_convergence_suite_exits_2_when_a_window_halts(tmp_path, monkeypatch, capsys):
+    """A residual_Phi* window whose evolution goes non-finite halts by the
+    rule of a run: the error line of a halted drift level but for the
+    observable's name, and no RuntimeWarning (which pytest makes an error)."""
+    args = ["--set", "initial_data.amplitude=16", "--set", "grid.n_cells=64",
+            "--t-center", "0.5"]
+    drift, window = (_suite_refusal(tmp_path, monkeypatch, capsys, ["--observables", o] + args)
+                     for o in ("drift", "residual_Phi_t"))
+    assert drift.startswith("error: study drift run at n=64 stopped early: non-finite")
+    assert window == drift.replace("study drift", "study residual_Phi_t")
 
 
 def test_convergence_suite_refuses_the_retired_linear_token(tmp_path, monkeypatch,
@@ -104,10 +117,11 @@ def test_convergence_suite_refuses_a_base_mesh_below_the_stencils(tmp_path, monk
     (["--set", "grid.n_cell=64"], "error: unknown key 'grid.n_cell'"),
     (["--set", "integrator.t_end=soon"], "error: bad value for integrator.t_end"),
     (["--set", "output.dir=runs"], "error: output.dir: a study writes one CSV"),
-    (["--set", "initial_data.amplitude=0"],
-     "error: --forced yes replaces the initial data and the sponge, so "
-     "initial_data.amplitude would be ignored; use --forced no"),
-    (["--set", "integrator.sponge_strength=2", "--set", " initial_data.width=2",
+    (["--observables", "solution", "--set", "initial_data.amplitude=0"],
+     "error: no observable of this study evolves the base's data, so "
+     "initial_data.amplitude would be ignored"),
+    (["--observables", "solution,residual_v,linear_solution",
+      "--set", "integrator.sponge_strength=2", "--set", " initial_data.width=2",
       "--set", "integrator.sponge_start=5", "--set", "grid.r_max=8"],
      "so initial_data.width, integrator.sponge_start, integrator.sponge_strength "
      "would be ignored"),
@@ -115,8 +129,9 @@ def test_convergence_suite_refuses_a_base_mesh_below_the_stencils(tmp_path, monk
 def test_convergence_suite_refuses_a_setting_it_cannot_use(tmp_path, monkeypatch, capsys,
                                                            args, message):
     """A setting the config refuses, the output dir (whose place is --out),
-    and, under --forced yes, data and sponge settings that the manufactured
-    config would replace are each one usage line, not a silent study."""
+    and data and sponge settings in a study whose observables all start
+    from the manufactured solution (a later --observables wins) are each
+    one usage line, not a silent study."""
     err = _suite_refusal(tmp_path, monkeypatch, capsys, ["--observables", "drift"] + args)
     assert err.startswith("usage:") and message in err
 
@@ -130,7 +145,7 @@ def test_the_suite_and_the_sweep_read_one_drift(tmp_path, monkeypatch):
     assert cli.main(["sweep", *sets, "--sweep", "grid.n_cells=32,64,128",
                      "--out", str(tmp_path / "sweep")]) == 0
     monkeypatch.setattr(sys, "argv", ["convergence_suite.py", "--observables", "drift",
-                                      "--forced", "no", "--set", "grid.n_cells=32", *sets,
+                                      "--set", "grid.n_cells=32", *sets,
                                       "--out", str(tmp_path / "study.csv")])
     runpy.run_path(str(SCRIPTS / "convergence_suite.py"))["main"]()
     with open(tmp_path / "sweep" / "summary.csv") as fh:

@@ -205,6 +205,25 @@ def test_study_checks_every_residual_window_before_its_first_run(monkeypatch):
                           t_center=2.0)
 
 
+@pytest.mark.parametrize("t_end,t_center,dt", [
+    (0.5, 0.3, "0.03125"),  # on no level's grid: 9.6, 19.2 and 38.4 steps
+    (0.3, 0.15, "0.03"),    # steps 5 and 10 of 10 and 20, but 19.5 of 39
+])
+def test_study_refuses_a_window_centre_off_a_level_step_grid(monkeypatch, t_end, t_center,
+                                                              dt):
+    """round(t_center / dt) on each level would centre the windows at
+    different times; each level rounds its step count up separately, so a
+    multiple of the coarsest dt need not be a step of a finer level. The
+    study stops before any run."""
+    for name in ("run", "evolve_bundles"):
+        monkeypatch.setattr(f"faddeevlab.verify.{name}",
+                            lambda *a, **k: pytest.fail("a study run started"))
+    with pytest.raises(ValueError, match=rf"^t_center={t_center:g} is not a step time of "
+                                         rf"every level \(coarsest dt={dt}\)"):
+        convergence_study(lean_base(t_end=t_end), observables=("drift", "residual_Phi_t"),
+                          t_center=t_center)
+
+
 def test_manufactured_observables_run_the_manufactured_problem_from_any_base():
     """solution and linear_solution start from ms whatever data the base
     has, so a plain base gives the results, bit for bit, of
