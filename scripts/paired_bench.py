@@ -4,8 +4,8 @@ each run in its own interpreter, the parent first in even pairs. Per
 end-to-end metric the file holds each side's quartiles, the ratio of the
 medians (change / parent) and the pairs the change won (ties count for
 neither) by the direction in the change's BENCHMARK.json, then every run.
-Exit 2, writing nothing, when a side has no perfbench/run.py or reports a
-run that is not correct."""
+Exit 2, writing nothing, when --pairs is below 1, a side has no
+perfbench/run.py or a side reports a run that is not correct."""
 import argparse
 import json
 import subprocess
@@ -46,6 +46,8 @@ def main():
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=25)
     args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error(f"--pairs must be >= 1, got {args.pairs}")
     trees = {s: getattr(args, s) for s in SIDES}
     for tree in trees.values():
         if not Path(tree, "perfbench", "run.py").is_file():

@@ -100,8 +100,7 @@ def write_effective_config(config: RunConfig, out_dir, path):
         section, key = dotted.split(".", 1)
         if not cp.has_section(section):
             cp.add_section(section)
-        value = values[dotted]
-        cp.set(section, key, repr(value) if isinstance(value, float) else str(value))
+        cp.set(section, key, str(values[dotted]))
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -211,7 +210,7 @@ def _check_charts(p, profile):
     err = float(np.max(np.abs(inner - outer)))
     yield "phi_branch_seam", err, 1e-10, err <= 1e-10
 
-    gv = RadialGrid(256, 8.0, profile)
+    gv = RadialGrid(256, 8.0, profile, p)
     state = FieldState(0.2 * np.exp(-gv.r ** 2), 0.1 * np.exp(-gv.r ** 2), gv)
     back = u_to_v(v_to_u(state))
     err = float(np.max(np.abs(back.f - state.f)))
@@ -220,14 +219,14 @@ def _check_charts(p, profile):
 
 def check_phi_t_identity_order(p, profile):
     """Order in dt of the centred difference of Phi along v_t against Phi_t."""
-    g = RadialGrid(256, 8.0, profile)
+    g = RadialGrid(256, 8.0, profile, p)
     state = FieldState(0.2 * np.exp(-g.r ** 2), 0.1 * np.exp(-g.r ** 2), g)
-    phi_t = compute_Phi_t(state, p)
+    phi_t = compute_Phi_t(state)
     errs = []
     for dt in (1e-3, 5e-4):
         plus = FieldState(state.f + dt * state.f_t, state.f_t, g, dt)
         minus = FieldState(state.f - dt * state.f_t, state.f_t, g, -dt)
-        fd = (compute_Phi(plus, p) - compute_Phi(minus, p)) / (2 * dt)
+        fd = (compute_Phi(plus) - compute_Phi(minus)) / (2 * dt)
         errs.append(float(np.max(np.abs(fd - phi_t))))
     order = math.log(errs[0] / errs[1]) / math.log(2.0) if errs[1] > 0 else float("nan")
     yield "phi_t_identity_order", order, 2.0, abs(order - 2.0) <= 0.3
@@ -249,10 +248,10 @@ def _check_orders(p, profile):
 
 
 def _check_energy(p, profile):
-    g = RadialGrid(2048, 12.0, profile)
+    g = RadialGrid(2048, 12.0, profile, p)
     u0 = math.pi * np.exp(-g.r ** 2)
     u_state = FieldState(u0, np.zeros(g.n_nodes), g)
-    e = diag.energy(u_state, p)
+    e = diag.energy(u_state)
     ref = 5.3665119245489741967
     err = abs(e - ref) / ref
     yield "gaussian_u_reference", err, 1e-8, err <= 1e-8
@@ -261,7 +260,7 @@ def _check_energy(p, profile):
                     track_spacetime=False, sobolev_orders=(),
                     kernel_params=p, profile=profile)
     v0 = initial_state(cfg)
-    e0 = diag.energy(v_to_u(v0), p, v0)
+    e0 = diag.energy(v_to_u(v0), v0)
     ref0 = 16.419293196580507863
     err = abs(e0 - ref0) / ref0
     yield "gaussian_v_initial_energy", err, 5e-7, err <= 5e-7

@@ -13,7 +13,6 @@ import numpy as np
 from .grid import (FieldState, RadialGrid, _simpson, d_r, integrate_radial,
                    sobolev_norm, write_csv)
 from . import kernels
-from .kernels import DEFAULT_PARAMS
 from .transform import u_to_v
 
 __all__ = [
@@ -37,8 +36,8 @@ class EnergyOverflow(ValueError):
     """A non-finite energy integrand (of a stepped state: a blow-up)."""
 
 
-def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None, *,
-           return_tail=False, v_r=None):
+def energy(u_state: FieldState, v_state: FieldState = None, *, return_tail=False,
+           v_r=None):
     """Conserved energy (1/2) * integral [A_1(u_t^2 + u_r^2) + r^-2 sin^2 u] r dr.
 
     On r <= 1 the r^-2 sin^2 u term is v^2 Ftilde_0(r v)/alpha^2 (no 0/0)
@@ -51,12 +50,12 @@ def energy(u_state: FieldState, p=DEFAULT_PARAMS, v_state: FieldState = None, *,
     the cutoff derivative analytic, so stencils only ever touch the smooth
     field v; differencing u directly across the C^3 cutoff seams costs two
     orders there and shows up as an O(h^3) energy bias. v_state must lie on
-    u_state's grid (ValueError otherwise). v_r = d_r(v, grid)
-    is computed here when not given; phi' and the r = 1 split are read from
-    kernels.mesh_cutoffs(grid), the chart of u_state's grid.
+    u_state's grid (ValueError otherwise). v_r = d_r(v, grid) is computed
+    here when not given; phi' and the r = 1 split are read from
+    kernels.mesh_cutoffs(grid), and alpha from u_state's grid.
     """
     g = u_state.grid
-    cut = kernels.mesh_cutoffs(g)
+    cut, p = kernels.mesh_cutoffs(g), g.kernel_params
     if v_state is None:
         v_state = u_to_v(u_state)
         u_r = d_r(u_state.f, g)

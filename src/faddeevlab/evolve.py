@@ -218,7 +218,7 @@ def config_fingerprint(config: RunConfig) -> str:
 
 
 def make_grid(config: RunConfig) -> RadialGrid:
-    return RadialGrid(config.n_cells, config.r_max, config.profile)
+    return RadialGrid(config.n_cells, config.r_max, config.profile, config.kernel_params)
 
 
 def _bump(r, a, center, width):
@@ -263,10 +263,11 @@ def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
     return sig
 
 
-def _operator(grid, p, sig, forcing, nonlinear=True):
+def _operator(grid, sig, forcing, nonlinear=True):
     """The right-hand side f(v, vt, t) -> (vt, acc) of the lifted equation on
-    one grid; nonlinear=False drops F (free-wave benchmark path)."""
+    one grid, at its alpha; nonlinear=False drops F (free-wave benchmark path)."""
     cut = kernels.mesh_cutoffs(grid) if nonlinear else None
+    p = grid.kernel_params
 
     def f(v, vt, t):
         vr, acc = _d1_laplacian(v, grid)
@@ -325,7 +326,7 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     if state.time != 0.0:  # the clock, and so any forcing, starts at t = 0
         raise ValueError(f"the state is at t={state.time!r}; trajectory starts at t = 0")
     sig = sponge_sigma(g, config.sponge)
-    f = _operator(g, config.kernel_params, sig if sig.any() else None, forcing, nonlinear)
+    f = _operator(g, sig if sig.any() else None, forcing, nonlinear)
     nsteps, dt = _schedule(config)
     state = FieldState(state.f.copy(), state.f_t.copy(), g)
     yield state
@@ -361,11 +362,11 @@ def _sample(state, config, records, tracker):
     Sobolev ladder, which runs once up to the highest order the row or the
     tracker reads. The drift is taken against the energy of records[0], or
     is 0 for the first row."""
-    p, orders = config.kernel_params, config.sobolev_orders
+    orders = config.sobolev_orders
     v, t, g = state.f, state.time, state.grid
     cut = kernels.mesh_cutoffs(g)
     vr = d_r(v, g)
-    e, tail = diag.energy(v_to_u(state), p, state, return_tail=True, v_r=vr)
+    e, tail = diag.energy(v_to_u(state), state, return_tail=True, v_r=vr)
     ladder = (diag.sobolev_norm(v, g, max(orders, default=0), vr)
               if orders or tracker is not None else [])
     row = {"time": t, "energy": e,

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .kernels import DEFAULT_PROFILE, CutoffProfile
+from .kernels import DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile, KernelParams
 
 __all__ = [
     "RadialGrid",
@@ -36,11 +36,12 @@ GHOST = 2
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """The nodes r_i = i*dr and the shell profile phi of the v chart on them."""
+    """The nodes r_i = i*dr, the v chart's shell profile phi and the coupling alpha."""
 
     n_cells: int
     r_max: float
     profile: CutoffProfile = DEFAULT_PROFILE
+    kernel_params: KernelParams = DEFAULT_PARAMS
 
     def __post_init__(self):
         if self.n_cells < 6:

@@ -102,11 +102,12 @@ def phi_correction_integral(r, p=DEFAULT_PARAMS):
     return _grouped_line_integral(np.full(r.size, math.pi), integrand)
 
 
-@lru_cache(maxsize=4)  # the meshes and alphas of one refinement study
-def _phi_correction(grid, p):
-    """gt1 * phi_correction_integral on r > 1/2: compute_Phi's mesh-and-alpha term."""
+@lru_cache(maxsize=4)  # the meshes of one refinement study
+def _phi_correction(grid):
+    """gt1 * phi_correction_integral on r > 1/2: compute_Phi's per-mesh term."""
     outer = grid.r > 0.5
-    out = kernels.mesh_cutoffs(grid)["gt1"][outer] * phi_correction_integral(grid.r[outer], p)
+    r, gt1 = grid.r[outer], kernels.mesh_cutoffs(grid)["gt1"][outer]
+    out = gt1 * phi_correction_integral(r, grid.kernel_params)
     out.flags.writeable = False
     return out
 
@@ -125,16 +126,16 @@ def _a3_line_integral(lengths, r, p):
         kernels._a3(np.sin(math.pi + s), r[sel][:, None], p)))
 
 
-def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS) -> np.ndarray:
-    """The integrated field Phi on the mesh.
+def compute_Phi(v_state: FieldState) -> np.ndarray:
+    """The integrated field Phi on the mesh, at the alpha of v's grid.
 
     r <= 1/2:  integral_0^v sqrt(A_4(y, r)) dy  (origin-safe kernel form)
     r  > 1/2:  r^-1 integral_pi^u sqrt(A_3(y, r)) dy
                + gt1(r) r^-1 integral_0^pi A_3^(-3/2)(y, r) dy,
     with u = r v + phi formed on those nodes (the bytes v_to_u gives there).
     """
-    r = v_state.grid.r
-    cut = kernels.mesh_cutoffs(v_state.grid)
+    g = v_state.grid
+    r, p, cut = g.r, g.kernel_params, kernels.mesh_cutoffs(g)
     v = v_state.f
     out = np.empty_like(v)
     inner = r <= 0.5
@@ -143,24 +144,25 @@ def compute_Phi(v_state: FieldState, p=DEFAULT_PARAMS) -> np.ndarray:
     r_out = r[outer]
     u = r_out * v[outer] + cut["phi"][outer]
     out[outer] = (_a3_line_integral(u - math.pi, r_out, p)
-                  + _phi_correction(v_state.grid, p)) / r_out
+                  + _phi_correction(g)) / r_out
     return out
 
 
-def compute_Phi_t(v_state: FieldState, p=DEFAULT_PARAMS) -> np.ndarray:
+def compute_Phi_t(v_state: FieldState) -> np.ndarray:
     """Phi_t = r^-1 A_1^(1/2) u_t, evaluated through the singularity-safe
     identity Phi_t = A_5(v, r)^(1/2) v_t (exact at every node)."""
-    a = kernels._a5(v_state.f, kernels.mesh_cutoffs(v_state.grid), p)
+    g = v_state.grid
+    a = kernels._a5(v_state.f, kernels.mesh_cutoffs(g), g.kernel_params)
     return np.sqrt(a) * v_state.f_t
 
 
-def residual_v_equation(v_state: FieldState, v_tt, p=DEFAULT_PARAMS) -> np.ndarray:
+def residual_v_equation(v_state: FieldState, v_tt) -> np.ndarray:
     """Nodewise v_tt - lap4 v - F(v); v_tt, an array, supplied by caller."""
     g = v_state.grid
     lap = laplacian(v_state.f, g)
     vr = d_r(v_state.f, g)
     f = kernels.eval_F_given_cutoffs(v_state.f, v_state.f_t, vr,
-                                     kernels.mesh_cutoffs(g), p)
+                                     kernels.mesh_cutoffs(g), g.kernel_params)
     return v_tt - lap - f
 
 
@@ -187,25 +189,25 @@ def _box(levels, dt, grid):
             - laplacian(levels[1], grid))
 
 
-def _phi_t_window(states, need, p):
+def _phi_t_window(states, need):
     """Phi_t on the `need` middle levels of a window, the middle state, its
-    mesh's cutoff table, A_1 there, and dt; the middle Phi_t is
-    compute_Phi_t's own expression on that A_1 (= A_5)."""
+    mesh's cutoff table, the grid's kernel params, A_1 there, and dt; the
+    middle Phi_t is compute_Phi_t's own expression on that A_1 (= A_5)."""
     levels, dt = _window(states, need)
     st = levels[need // 2]
-    cut = kernels.mesh_cutoffs(st.grid)
+    cut, p = kernels.mesh_cutoffs(st.grid), st.grid.kernel_params
     a1 = kernels._a5(st.f, cut, p)
-    pt = [np.sqrt(a1) * s.f_t if s is st else compute_Phi_t(s, p) for s in levels]
-    return pt, st, cut, a1, dt
+    pt = [np.sqrt(a1) * s.f_t if s is st else compute_Phi_t(s) for s in levels]
+    return pt, st, cut, p, a1, dt
 
 
-def residual_Phi_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
+def residual_Phi_wave(states) -> np.ndarray:
     """Residual of box Phi = alpha^-2 (Phi - integral_0^v A_4^(-3/2) dy),
     asserted on r < 1/2 only (the cutoff corrections vanish there); values
     outside that region are returned as zero."""
     levels, dt = _window(states, 3)
-    g = levels[1].grid
-    phi_l = [compute_Phi(s, p) for s in levels]
+    g, p = levels[1].grid, levels[1].grid.kernel_params
+    phi_l = [compute_Phi(s) for s in levels]
     region = g.r < 0.5
     correction = np.zeros(g.n_nodes)
     correction[region] = _a4_line_integral(levels[1].f[region], g.r[region], -1.5, p)
@@ -213,27 +215,27 @@ def residual_Phi_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
     return np.where(region, res, 0.0)
 
 
-def residual_Phi_t_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
+def residual_Phi_t_wave(states) -> np.ndarray:
     """Residual of box Phi_t = alpha^-2 (1 - A_1^-2) Phi_t, valid at all radii."""
-    pt, st, _, a1, dt = _phi_t_window(states, 3, p)
+    pt, st, _, p, a1, dt = _phi_t_window(states, 3)
     return _box(pt, dt, st.grid) - (1.0 - a1 ** -2) * pt[1] / p.alpha ** 2
 
 
-def residual_Phi_tt_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
+def residual_Phi_tt_wave(states) -> np.ndarray:
     """Residual of box Phi_tt = alpha^-2 [2 A_1^-3 dA_1/dt Phi_t
     + (1 - A_1^-2) Phi_tt]; five time levels."""
-    pt, st, cut, a1, dt = _phi_t_window(states, 5, p)
+    pt, st, cut, p, a1, dt = _phi_t_window(states, 5)
     ptt = _centered(pt, dt)
     da1 = kernels._da1_dt(st.f, st.f_t, cut, p)
     rhs = (2.0 * a1 ** -3 * da1 * pt[2] + (1.0 - a1 ** -2) * ptt[1]) / p.alpha ** 2
     return _box(ptt, dt, st.grid) - rhs
 
 
-def residual_Phi_ttt_wave(states, p=DEFAULT_PARAMS) -> np.ndarray:
+def residual_Phi_ttt_wave(states) -> np.ndarray:
     """Residual of box Phi_ttt = alpha^-2 [-6 A_1^-4 (dA_1/dt)^2 Phi_t
     + 2 A_1^-3 d2A_1/dt2 Phi_t + 4 A_1^-3 dA_1/dt Phi_tt
     + (1 - A_1^-2) Phi_ttt]; seven time levels."""
-    pt, st, cut, a1, dt = _phi_t_window(states, 7, p)
+    pt, st, cut, p, a1, dt = _phi_t_window(states, 7)
     ptt = _centered(pt, dt)
     pttt = _centered(ptt, dt)
     vtt = _centered([s.f_t for s in _window(states, 3)[0]], dt)[0]

@@ -89,14 +89,12 @@ def manufactured_config(ms: ManufacturedSolution, base: RunConfig) -> RunConfig:
     return replace(base, initial=init, sponge=SpongeSpec(start=-1.0, strength=0.0))
 
 
-def make_forcing(ms: ManufacturedSolution, grid: RadialGrid, p=DEFAULT_PARAMS, *,
-                 include_nonlinearity=True):
+def make_forcing(ms: ManufacturedSolution, grid: RadialGrid, *, include_nonlinearity=True):
     """g(t) -> nodewise array such that ms.v solves v_tt = lap4 v + F(v) + g
-    exactly (F is pointwise in (v, v_t, v_r), so sampling closed-form
-    derivatives gives the exact nodal forcing up to roundoff). A repeated t,
-    as at RK4's two midpoint stages, gets the same read-only array back."""
-    r = grid.r
-    cut = kernels.mesh_cutoffs(grid)
+    at the grid's alpha exactly (F is pointwise in (v, v_t, v_r), so sampling
+    closed-form derivatives gives the exact nodal forcing up to roundoff). A
+    repeated t, as at RK4's two midpoint stages, gets the same read-only array back."""
+    r, p, cut = grid.r, grid.kernel_params, kernels.mesh_cutoffs(grid)
     env = ms.envelope(r)
     dlog = -2.0 * r / ms.sigma ** 2
     lap_factor = 4.0 * r ** 2 / ms.sigma ** 4 - 8.0 / ms.sigma ** 2
@@ -243,8 +241,8 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                              f"would be centred at different times")
     errs = {o: [] for o in observables}
     for cfg in cfgs:
-        g, p, man = make_grid(cfg), cfg.kernel_params, manufactured_config(ms, cfg)
-        force = make_forcing(ms, g, p) if forced else None
+        g, man = make_grid(cfg), manufactured_config(ms, cfg)
+        force = make_forcing(ms, g) if forced else None
         for obs, run_cfg, forcing in (("solution", man, force), ("drift", cfg, None)):
             if obs not in observables:
                 continue
@@ -256,10 +254,10 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                              else peaks(result.records)["max_drift"])
         if "residual_v" in observables:
             state = manufactured_initial_state(ms, g, t_probe)
-            res = residual_v_equation(state, ms.v_tt(t_probe, g.r), p)
+            res = residual_v_equation(state, ms.v_tt(t_probe, g.r))
             errs["residual_v"].append(_res_norm(res - force(t_probe), g))
         if "linear_solution" in observables:
-            free = make_forcing(ms, g, p, include_nonlinearity=False)
+            free = make_forcing(ms, g, include_nonlinearity=False)
             for state in trajectory(man, free, manufactured_initial_state(ms, g),
                                     nonlinear=False):
                 pass
@@ -273,7 +271,7 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                                    f"stopped early: {exc}") from None
             for o in window_obs:
                 fn, _ = _RESIDUAL_EVALUATORS[o]
-                errs[o].append(_res_norm(fn(states, p), g))
+                errs[o].append(_res_norm(fn(states), g))
     return {o: _build_result(o, cfgs, errs[o]) for o in observables}
 
 

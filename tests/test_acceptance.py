@@ -131,10 +131,10 @@ def test_criterion_6_phi_t_identity_order():
 
 
 def test_criterion_7_far_field_phi():
-    g = RadialGrid(512, 16.0)
+    g = RadialGrid(512, 16.0, PROF, P)
     zeros = np.zeros(g.n_nodes)
     v_state = FieldState(zeros.copy(), zeros.copy(), g)
-    phi = compute_Phi(v_state, P)
+    phi = compute_Phi(v_state)
     i10 = int(round(10.0 / g.dr))
     expected = -math.pi * P.alpha ** 2 / 10.0 ** 3
     rel = abs(phi[i10] - expected) / abs(expected)

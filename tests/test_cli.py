@@ -721,6 +721,16 @@ def test_config_table_lists_each_settable_key_once():
     assert set(keys) == set(NON_DEFAULT)
 
 
+def test_the_echo_of_a_numpy_float_setting_loads_back(tmp_path):
+    """A setting held as a numpy float is written as its number, not as the
+    np.float64(...) of its repr, so the file loads back to an equal config."""
+    config = RunConfig(r_max=np.float64(8.0),
+                       kernel_params=kernels.KernelParams(np.float64(0.7)))
+    path = tmp_path / "effective_config.ini"
+    write_effective_config(config, "out", path)
+    assert load_config(str(path)) == (config, "out")
+
+
 # what a key's non-default text cannot be loaded without
 COMPANIONS = {"initial_data.family": ["initial_data.profile_path=table.csv"]}
 

@@ -15,45 +15,45 @@ from faddeevlab.transform import u_to_v, v_to_u
 
 from conftest import gaussian_v_state
 
-def gaussian_u_state(n=2048, r_max=12.0):
-    g = RadialGrid(n, r_max)
+def gaussian_u_state(n=2048, r_max=12.0, alpha=1.0):
+    g = RadialGrid(n, r_max, kernel_params=KernelParams(alpha=alpha))
     u0 = np.pi * np.exp(-g.r ** 2)
     return FieldState(u0, np.zeros(g.n_nodes), g)
 
 
 # ----------------------------------------------------------------- energy
 
-def test_energy_u_r_assembly_paths_agree(params):
+def test_energy_u_r_assembly_paths_agree():
     """Differencing u directly vs assembling u_r from the smooth field v;
     the paths differ only by the O(h^3) seam bias (measured 7.7e-9)."""
     us = gaussian_u_state()
-    e_direct = diag.energy(us, params)
+    e_direct = diag.energy(us)
     vs = u_to_v(us)
-    e_chain = diag.energy(us, params, vs)
+    e_chain = diag.energy(us, vs)
     assert abs(e_chain - e_direct) <= 1e-7 * e_direct
 
 
-def test_energy_refuses_a_v_state_from_another_grid(params):
+def test_energy_refuses_a_v_state_from_another_grid():
     """A v state on another mesh would mix two grids' nodes in u_r: refused,
     naming both grids."""
     g, other = RadialGrid(256, 8.0), RadialGrid(256, 16.0)
     vs = FieldState(0.3 * np.exp(-g.r ** 2), np.zeros(g.n_nodes), g)
     wrong = FieldState(vs.f, vs.f_t, other)
     with pytest.raises(ValueError) as err:
-        diag.energy(v_to_u(vs), params, wrong)
+        diag.energy(v_to_u(vs), wrong)
     assert str(err.value) == f"the v state lives on {other}, the u state on {g}"
 
 
-def test_energy_of_constant_pi_vanishes(params):
+def test_energy_of_constant_pi_vanishes():
     g = RadialGrid(512, 8.0)
     us = FieldState(np.full(g.n_nodes, np.pi), np.zeros(g.n_nodes), g)
-    assert abs(diag.energy(us, params)) <= 1e-20
+    assert abs(diag.energy(us)) <= 1e-20
 
 
 def test_energy_sigma_model_limit():
     """alpha -> 0 reduces the density to u_t^2 + u_r^2 + r^-2 sin^2 u."""
     from scipy.integrate import quad
-    e = diag.energy(gaussian_u_state(), KernelParams(alpha=1e-8))
+    e = diag.energy(gaussian_u_state(alpha=1e-8))
     i1 = 2.0 * np.pi ** 2 * quad(lambda r: r ** 3 * np.exp(-2 * r ** 2),
                                  0.0, 12.0)[0]
     i2 = 0.5 * quad(lambda r: np.sin(np.pi * np.exp(-r ** 2)) ** 2 / r,
@@ -74,32 +74,32 @@ def test_energy_of_the_harmonic_bubble_matches_its_closed_form(alpha, lam):
            * (1 - lam ** 6 / (r_max ** 2 + lam ** 2) ** 3))
     errs = []
     for n in (512, 1024):
-        g = RadialGrid(n, r_max)
+        g = RadialGrid(n, r_max, kernel_params=KernelParams(alpha=alpha))
         s = u_to_v(FieldState(2 * np.arctan2(lam, g.r), np.zeros(g.n_nodes), g))
-        errs.append(abs(diag.energy(v_to_u(s), KernelParams(alpha=alpha), s) - ref) / ref)
+        errs.append(abs(diag.energy(v_to_u(s), s) - ref) / ref)
     assert errs[0] <= 2e-5
     assert errs[1] <= 1.5e-6
     assert errs[0] >= 10 * errs[1]
 
 
-def test_energy_is_nonnegative(params, grid128):
+def test_energy_is_nonnegative(grid128):
     rng = np.random.default_rng(11)
     for _ in range(5):
         amp = rng.uniform(0.05, 0.8)
         vs = gaussian_v_state(grid128, amp=amp, width=rng.uniform(0.5, 2.0),
                               amp_t=rng.uniform(-0.3, 0.3))
         us = v_to_u(vs)
-        e = diag.energy(us, params, vs)
+        e = diag.energy(us, vs)
         assert np.isfinite(e) and e > 0.0
 
 
-def test_energy_tail_vanishes_for_compact_data(params):
-    e, tail = diag.energy(gaussian_u_state(), params, return_tail=True)
+def test_energy_tail_vanishes_for_compact_data():
+    e, tail = diag.energy(gaussian_u_state(), return_tail=True)
     assert e > 0.0
     assert 0.0 <= tail <= 1e-50
 
 
-def test_non_finite_energy_names_its_first_radius(params):
+def test_non_finite_energy_names_its_first_radius():
     # a velocity spike at r = 3 whose u_t^2 = (r v_t)^2 overflows there
     g = RadialGrid(64, 8.0)
     vs = gaussian_v_state(g, amp=0.3)
@@ -109,7 +109,7 @@ def test_non_finite_energy_names_its_first_radius(params):
     vs = FieldState(vs.f, vt, g)
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"^non-finite energy integrand at r=3$"):
-        diag.energy(v_to_u(vs), params, vs)
+        diag.energy(v_to_u(vs), vs)
 
 
 def test_a_non_default_chart_survives_post_processing():
@@ -120,8 +120,17 @@ def test_a_non_default_chart_survives_post_processing():
                     initial=InitialDataSpec(amplitude=0.5))
     res = run(cfg)
     assert res.status == "completed" and res.state.grid.profile == CutoffProfile(9)
-    assert diag.energy(v_to_u(res.state), cfg.kernel_params,
-                       res.state) == res.records[-1]["energy"]
+    assert diag.energy(v_to_u(res.state), res.state) == res.records[-1]["energy"]
+
+
+def test_a_non_default_alpha_survives_post_processing():
+    """A run at alpha = 0.7 returns its state on a grid of that alpha, so the
+    energy of that state, given no alpha, is its last record, bit for bit."""
+    cfg = RunConfig(n_cells=128, r_max=8.0, t_end=0.5, kernel_params=KernelParams(alpha=0.7))
+    res = run(cfg)
+    assert res.status == "completed" and res.state.grid.kernel_params.alpha == 0.7
+    s = res.state
+    assert diag.energy(v_to_u(s), v_state=s) == res.records[-1]["energy"]
 
 
 def test_energy_drift_definition():

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, every name a
-module exports exists, the package imports only at module level, no
-command line spells a config setting as its own flag, every script the
-README names exists, every flag of a README command line exists, and every
-python block of the README runs."""
+module exports exists, the package imports only at module level, only
+functions of raw radii take a profile or a p, no command line spells a
+config setting as its own flag, every script the README names exists,
+every flag of a README command line exists, and every python block of the
+README runs."""
 
 import ast
 import importlib
@@ -124,15 +125,15 @@ def test_cutoffs_are_evaluated_only_in_the_mesh_table(path):
     assert [call for call in cutoff_calls(path.read_text()) if call[0] not in allowed] == []
 
 
-def profile_params(source):
-    """(function, line) of every function or lambda with a parameter named
-    profile, at any depth; a lambda is named "<lambda>"."""
+def params_named(source, name):
+    """(function, line) of every function or lambda with a parameter called
+    name, at any depth; a lambda is named "<lambda>"."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
             params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            if any(arg is not None and arg.arg == "profile" for arg in params):
+            if any(arg is not None and arg.arg == name for arg in params):
                 found.append((getattr(node, "name", "<lambda>"), node.lineno))
     return sorted(found)
 
@@ -146,13 +147,19 @@ def test_the_scan_sees_a_profile_parameter():
            "def k(grid, **profile):\n"
            "    return grid.profile\n"
            "def m(grid, profiles):\n"
-           "    return profiles\n")
-    assert profile_params(src) == [("<lambda>", 5), ("f", 1), ("g", 2), ("k", 6)]
+           "    return profiles\n"
+           "def e(u_state, p=None, *, v_r=None):\n"
+           "    return lambda y, p: y\n")
+    assert params_named(src, "profile") == [("<lambda>", 5), ("f", 1), ("g", 2), ("k", 6)]
+    assert params_named(src, "p") == [("<lambda>", 11), ("e", 10)]
 
 
-# The four kernels of raw radii have no grid; every other evaluator reads the
-# shell profile from the grid of its state or mesh.
+# The kernels of raw radii have no grid; every other evaluator reads the
+# shell profile and alpha from the grid of its state, window or mesh.
 RADII_FUNCTIONS = {"eval_cutoff", "laplacian_phi_2d", "cutoff_arrays", "eval_F_rhs"}
+P_FUNCTIONS = {"transform": {"phi_correction_integral", "_a4_line_integral",
+                             "_a3_line_integral"},
+               "verify": {"kernel_limit", "kernel_series_oracle"}}
 
 
 @pytest.mark.parametrize("name", ["grid", "transform", "diagnostics", "evolve",
@@ -160,7 +167,14 @@ RADII_FUNCTIONS = {"eval_cutoff", "laplacian_phi_2d", "cutoff_arrays", "eval_F_r
 def test_only_functions_of_radii_take_a_profile(name):
     source = (ROOT / "src" / "faddeevlab" / f"{name}.py").read_text()
     allowed = RADII_FUNCTIONS if name == "kernels" else set()
-    assert [fn for fn in profile_params(source) if fn[0] not in allowed] == []
+    assert [fn for fn in params_named(source, "profile") if fn[0] not in allowed] == []
+
+
+@pytest.mark.parametrize("name", ["grid", "transform", "diagnostics", "evolve", "verify"])
+def test_only_functions_of_radii_take_p(name):
+    source = (ROOT / "src" / "faddeevlab" / f"{name}.py").read_text()
+    allowed = P_FUNCTIONS.get(name, set())
+    assert [fn for fn in params_named(source, "p") if fn[0] not in allowed] == []
 
 
 SETTING_FIELDS = {key.split(".", 1)[1] for key, _, _ in CONFIG_TABLE}

@@ -466,19 +466,19 @@ def _bitwise_outputs():
     for key in ("phi", "dphi", "lt1", "gt1", "lap2phi"):
         out[f"cutoff_{key}"] = cut[key]
     # seven equally spaced time levels of a Gaussian drifting in amplitude
-    g = RadialGrid(64, 4.0)
+    g = RadialGrid(64, 4.0, kernel_params=p)
     env = np.exp(-g.r ** 2)
     a, b = rng.uniform(0.2, 0.4), rng.uniform(-0.3, 0.3)
     dt = 0.01
     bundles = [FieldState((a + b * k * dt) * env, b * env, g, k * dt)
                for k in range(7)]
     st = bundles[3]
-    out["compute_Phi"] = compute_Phi(st, p)
-    out["compute_Phi_t"] = compute_Phi_t(st, p)
-    out["residual_Phi"] = residual_Phi_wave(bundles[2:5], p)
-    out["residual_Phi_t"] = residual_Phi_t_wave(bundles[2:5], p)
-    out["residual_Phi_tt"] = residual_Phi_tt_wave(bundles[1:6], p)
-    out["residual_Phi_ttt"] = residual_Phi_ttt_wave(bundles, p)
+    out["compute_Phi"] = compute_Phi(st)
+    out["compute_Phi_t"] = compute_Phi_t(st)
+    out["residual_Phi"] = residual_Phi_wave(bundles[2:5])
+    out["residual_Phi_t"] = residual_Phi_t_wave(bundles[2:5])
+    out["residual_Phi_tt"] = residual_Phi_tt_wave(bundles[1:6])
+    out["residual_Phi_ttt"] = residual_Phi_ttt_wave(bundles)
     return out
 
 
@@ -569,7 +569,7 @@ def _edge_outputs():
     """The chart-split consumers on a mesh with no node past r = 1, and the
     two-chart forms on the table of unsorted radii (index-array node sets)."""
     p = KernelParams(alpha=0.7)
-    g = RadialGrid(32, 1.0)
+    g = RadialGrid(32, 1.0, kernel_params=p)
     env = np.exp(-g.r ** 2)
     bundles = [FieldState((0.3 + 0.01 * k) * env, env, g, 0.01 * k)
                for k in range(7)]
@@ -577,15 +577,15 @@ def _edge_outputs():
     u = v_to_u(st)
     vr = d_r(st.f, g)
     out = {"v_to_u": u.f, "u_to_v": u_to_v(u).f,
-           "energy": [diag.energy(u, p, st, return_tail=True, v_r=vr)[0],
-                      diag.energy(u, p)],
+           "energy": [diag.energy(u, st, return_tail=True, v_r=vr)[0],
+                      diag.energy(u)],
            "decay_report": list(diag.decay_report(st.f, mesh_cutoffs(g)).values()),
-           "compute_Phi": compute_Phi(st, p), "compute_Phi_t": compute_Phi_t(st, p),
-           "residual_v": residual_v_equation(st, env, p),
-           "residual_Phi": residual_Phi_wave(bundles[2:5], p),
-           "residual_Phi_t": residual_Phi_t_wave(bundles[2:5], p),
-           "residual_Phi_tt": residual_Phi_tt_wave(bundles[1:6], p),
-           "residual_Phi_ttt": residual_Phi_ttt_wave(bundles, p)}
+           "compute_Phi": compute_Phi(st), "compute_Phi_t": compute_Phi_t(st),
+           "residual_v": residual_v_equation(st, env),
+           "residual_Phi": residual_Phi_wave(bundles[2:5]),
+           "residual_Phi_t": residual_Phi_t_wave(bundles[2:5]),
+           "residual_Phi_tt": residual_Phi_tt_wave(bundles[1:6]),
+           "residual_Phi_ttt": residual_Phi_ttt_wave(bundles)}
     rng = np.random.default_rng(5)
     r = rng.uniform(0.0, 3.0, 97)
     y, vt, vtt = (rng.uniform(-2.0, 2.0, r.size) for _ in range(3))

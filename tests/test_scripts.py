@@ -305,3 +305,16 @@ def test_paired_bench_refuses_a_tree_without_the_benchmark_or_a_wrong_run(
         assert made == [] and f"{missing} has no perfbench/run.py" in err
     else:
         assert len(made) == 2 and "pair 0: a run is not correct" in err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_paired_bench_refuses_fewer_than_one_pair(tmp_path, monkeypatch, capsys, pairs):
+    """No pair would leave nothing to summarize: refused with a usage line
+    before any run, and no file is written."""
+    main, made = _paired_bench(monkeypatch, _bench_trees(tmp_path) + ["--pairs", pairs], {})
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2 and made == []
+    assert not (tmp_path / "pairs.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"--pairs must be >= 1, got {pairs}" in err

@@ -78,7 +78,7 @@ def test_origin_extrapolation_is_high_order(grid256):
 def test_phi_zero_state_values():
     g = RadialGrid(512, 16.0)
     z = zero_state(g)
-    phi = compute_Phi(z, DEFAULT_PARAMS)
+    phi = compute_Phi(z)
     assert np.array_equal(phi[g.r <= 0.5], np.zeros(np.sum(g.r <= 0.5)))
     i10 = int(round(10.0 / g.dr))
     assert g.r[i10] == 10.0
@@ -90,7 +90,7 @@ def test_phi_zero_state_values():
 def test_phi_inner_branch_oracle():
     g = RadialGrid(320, 8.0)  # dr = 0.025 puts r = 0.3 on a node
     v = gaussian_v_state(g, amp=0.2)
-    phi = compute_Phi(v, DEFAULT_PARAMS)
+    phi = compute_Phi(v)
     assert phi[12] == pytest.approx(PHI_AT_03_SMALL_GAUSSIAN, abs=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_phi_branch_formulas_agree_on_seam_strip():
     g = RadialGrid(320, 8.0)
     v = gaussian_v_state(g, amp=0.2)
     u = v_to_u(v)
-    phi = compute_Phi(v, DEFAULT_PARAMS)
+    phi = compute_Phi(v)
     for i in np.nonzero((g.r >= 0.4) & (g.r <= 0.5))[0]:
         r = g.r[i]
         outer = quadrature_1d(
@@ -112,15 +112,15 @@ def test_phi_on_a_mesh_inside_the_inner_branch():
     inner branch everywhere, with the bytes the same nodes get on a wider
     mesh."""
     narrow, wide = RadialGrid(16, 0.5), RadialGrid(32, 1.0)  # dr = 1/32 on both
-    phi = compute_Phi(gaussian_v_state(narrow), DEFAULT_PARAMS)
-    ref = compute_Phi(gaussian_v_state(wide), DEFAULT_PARAMS)
+    phi = compute_Phi(gaussian_v_state(narrow))
+    ref = compute_Phi(gaussian_v_state(wide))
     assert phi.tobytes() == ref[:17].tobytes()
 
 
-def _phi_uncached(v_state, p):
+def _phi_uncached(v_state):
     """compute_Phi with its correction integral evaluated on every call, as
-    before it was cached per mesh and alpha."""
-    g, v = v_state.grid, v_state.f
+    before it was cached per mesh."""
+    g, v, p = v_state.grid, v_state.f, v_state.grid.kernel_params
     inner, outer = g.r <= 0.5, g.r > 0.5
     r_out = g.r[outer]
     gt1 = eval_cutoff("gt1", r_out, 0, g.profile)
@@ -133,33 +133,33 @@ def _phi_uncached(v_state, p):
 
 
 def test_phi_interleaved_over_meshes_and_alphas_matches_an_uncached_evaluation():
-    meshes = [RadialGrid(64, 4.0), RadialGrid(96, 6.0, CutoffProfile(9))]
-    params = [DEFAULT_PARAMS, KernelParams(alpha=0.6)]
+    meshes = [RadialGrid(64, 4.0, DEFAULT_PROFILE, p)
+              for p in (DEFAULT_PARAMS, KernelParams(alpha=0.6))]
+    meshes += [RadialGrid(96, 6.0, CutoffProfile(9), m.kernel_params) for m in meshes]
     for k in range(3):
         for g in meshes:
-            for p in params:
-                v = gaussian_v_state(g, amp=0.2 + 0.1 * k)
-                assert compute_Phi(v, p).tobytes() == _phi_uncached(v, p).tobytes()
-                with pytest.raises(ValueError, match="read-only"):
-                    _phi_correction(g, p)[...] = 0.0
+            v = gaussian_v_state(g, amp=0.2 + 0.1 * k)
+            assert compute_Phi(v).tobytes() == _phi_uncached(v).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                _phi_correction(g)[...] = 0.0
 
 
 def test_phi_t_closed_forms(grid256):
     g = grid256
     still = gaussian_v_state(g, amp=0.3, amp_t=0.0)
-    pt = compute_Phi_t(still, DEFAULT_PARAMS)
+    pt = compute_Phi_t(still)
     assert np.array_equal(pt, np.zeros(g.n_nodes))
     # u identically pi has A_1 = 1, so Phi_t collapses to u_t / r
     gr = np.exp(-g.r ** 2)
     u = FieldState(np.full(g.n_nodes, math.pi), g.r * gr, g)
-    pt = compute_Phi_t(u_to_v(u), DEFAULT_PARAMS)
+    pt = compute_Phi_t(u_to_v(u))
     assert np.max(np.abs(pt[1:] - gr[1:])) <= 1e-13
 
 
 def test_phi_t_identity_nodewise(grid256):
     g = grid256
     v = gaussian_v_state(g, amp=0.3, amp_t=0.2)
-    pt = compute_Phi_t(v, DEFAULT_PARAMS)
+    pt = compute_Phi_t(v)
     u = v_to_u(v)
     rp = g.r[1:]
     a1 = _a3(np.sin(u.f[1:]), rp, DEFAULT_PARAMS)
@@ -173,10 +173,10 @@ def test_phi_t_matches_time_differenced_phi_at_second_order():
 
     def phi_at(t):
         st = manufactured_initial_state(ms, g, t)
-        return compute_Phi(st, DEFAULT_PARAMS)
+        return compute_Phi(st)
 
     st = manufactured_initial_state(ms, g, 0.4)
-    pt = compute_Phi_t(st, DEFAULT_PARAMS)
+    pt = compute_Phi_t(st)
     errs = []
     for dt in (1e-3, 5e-4):
         fd = (phi_at(0.4 + dt) - phi_at(0.4 - dt)) / (2.0 * dt)
@@ -190,8 +190,7 @@ def test_phi_t_matches_time_differenced_phi_at_second_order():
 
 def test_residual_v_zero_state_supported_on_shell(grid256):
     g = grid256
-    res = residual_v_equation(zero_state(g), np.zeros(g.n_nodes),
-                              DEFAULT_PARAMS)
+    res = residual_v_equation(zero_state(g), np.zeros(g.n_nodes))
     off = (g.r <= 0.5) | (g.r >= 2.0 + 2 * g.dr)
     assert np.max(np.abs(res[off])) <= 1e-13
     shell = (g.r >= 1.05) & (g.r <= 1.95)
@@ -204,8 +203,8 @@ def test_residual_v_minus_forcing_refines_at_stencil_order():
     for n in (128, 256, 512):
         g = RadialGrid(n, 8.0)
         st = manufactured_initial_state(ms, g, 0.7)
-        res = residual_v_equation(st, ms.v_tt(0.7, g.r), DEFAULT_PARAMS)
-        gf = make_forcing(ms, g, DEFAULT_PARAMS)(0.7)
+        res = residual_v_equation(st, ms.v_tt(0.7, g.r))
+        gf = make_forcing(ms, g)(0.7)
         errs.append(_res_norm(res - gf, g))
     # measured ratios approach 2^4 from below (15.94, 15.99)
     assert errs[0] / errs[1] >= 2.0 ** 3.8
@@ -245,6 +244,15 @@ def test_evaluators_read_the_middle_levels_of_any_window():
         assert fn(window).tobytes() == fn(middle).tobytes(), name
 
 
+def test_a_window_is_read_at_the_alpha_of_its_run():
+    """A window of an alpha = 0.5 run, given no alpha, has the residual norm
+    that the evaluator gave it with the run's alpha passed in by hand."""
+    cfg = RunConfig(n_cells=128, r_max=8.0, t_end=1.0, kernel_params=KernelParams(alpha=0.5))
+    window = evolve_bundles(cfg, t_center=0.5, n_levels=3)
+    norm = _res_norm(residual_Phi_t_wave(window), window[1].grid)
+    assert repr(norm) == "0.2463264534738866"
+
+
 def test_stationary_window_residuals_vanish(grid128):
     g = grid128
     still = gaussian_v_state(g, amp=0.2, amp_t=0.0)
@@ -259,7 +267,7 @@ def test_static_zero_state_phi_residual(grid128):
     g = grid128
     z = zero_state(g)
     bs = [FieldState(z.f, z.f_t, g, 0.1 * k) for k in range(3)]
-    res = residual_Phi_wave(bs, DEFAULT_PARAMS)
+    res = residual_Phi_wave(bs)
     # exact zero inside the region except the two-node stencil collar that
     # sees Phi switching on with the gt1 cutoff at r = 1/2
     inner = g.r < 0.5 - 2 * g.dr

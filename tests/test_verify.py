@@ -40,8 +40,8 @@ def lean_base(**kw):
 def test_forcing_matches_finite_difference_assembly(params, profile):
     """g = v_tt - lap4 v - F(v) rebuilt from 5-point stencils on the
     closed-form solution samples; measured gap 5.2e-12."""
-    g = RadialGrid(128, 8.0)
-    force = make_forcing(MS, g, params)
+    g = RadialGrid(128, 8.0, profile, params)
+    force = make_forcing(MS, g)
     i = int(round(1.0 / g.dr))
     r0 = g.r[i]
     h = 1e-3
@@ -56,11 +56,11 @@ def test_forcing_matches_finite_difference_assembly(params, profile):
     assert abs(force(0.0)[i] - (v_tt - lap4 - f_val)) <= 1e-8
 
 
-def test_forcing_at_a_repeated_time_returns_its_read_only_array(params):
+def test_forcing_at_a_repeated_time_returns_its_read_only_array():
     """RK4's two midpoint stages share t: the second gets the first's array
     back, bytes unchanged, and no caller can write to it."""
     g = RadialGrid(64, 4.0)
-    force, fresh = (make_forcing(MS, g, params) for _ in range(2))
+    force, fresh = (make_forcing(MS, g) for _ in range(2))
     first = force(0.3)
     assert force(0.3) is first and not first.flags.writeable
     assert force(0.45).tobytes() == fresh(0.45).tobytes()
@@ -80,11 +80,11 @@ def test_a_profile_passed_in_a_flag_position_is_refused(params, profile):
         make_forcing(MS, g, params, profile)
 
 
-def test_vacuum_forcing_supported_on_the_shell(params):
+def test_vacuum_forcing_supported_on_the_shell():
     """a0 = a1 = 0 collapses the forcing to minus the static shell source."""
     g = RadialGrid(256, 8.0)
     vac = ManufacturedSolution(a0=0.0, a1=0.0)
-    gvals = make_forcing(vac, g, params)(0.7)
+    gvals = make_forcing(vac, g)(0.7)
     inner = g.r <= 0.4
     assert np.array_equal(gvals[inner], np.zeros(inner.sum()))
     mid = (g.r > 0.4) & (g.r < 1.0 - 2 * g.dr)
