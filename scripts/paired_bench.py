@@ -5,7 +5,8 @@ end-to-end metric the file holds each side's quartiles, the ratio of the
 medians (change / parent) and the pairs the change won (ties count for
 neither) by the direction in the change's BENCHMARK.json, then every run.
 Exit 2, writing nothing, when --pairs is below 1, a side has no
-perfbench/run.py or a side reports a run that is not correct."""
+perfbench/run.py or a side reports a run that is not correct; the last is
+named by side, exit code and the run's FAIL lines or stderr tail."""
 import argparse
 import json
 import subprocess
@@ -18,12 +19,20 @@ SIDES = ("parent", "change")
 
 
 def run_side(tree, workload, seconds):
-    """The result object perfbench/run.py prints last, or "correct": false."""
-    out = subprocess.run([sys.executable, str(Path(tree, "perfbench", "run.py")),
-                          "--workload", workload, "--seed", "0", "--seconds", str(seconds),
-                          "--trace", "0"], capture_output=True, text=True).stdout
-    last = (out.strip().splitlines() or [""])[-1]
-    return json.loads(last) if last.startswith("{") else {"correct": False}
+    """The result object perfbench/run.py prints last, or "correct": false.
+    A run that is not correct also gets "why": its exit code and the FAIL
+    lines it printed, or else the tail of its stderr."""
+    proc = subprocess.run([sys.executable, str(Path(tree, "perfbench", "run.py")),
+                           "--workload", workload, "--seed", "0", "--seconds", str(seconds),
+                           "--trace", "0"], capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    last = (lines or [""])[-1]
+    result = json.loads(last) if last.startswith("{") else {"correct": False}
+    if not result.get("correct"):
+        told = ([line.strip() for line in lines if line.strip().startswith("FAIL ")]
+                or proc.stderr.strip().splitlines()[-5:])
+        result["why"] = f"exit {proc.returncode}: " + " | ".join(told)
+    return result
 
 
 def summarize(runs, better):
@@ -56,8 +65,10 @@ def main():
     for k in range(args.pairs):
         pair = {s: run_side(trees[s], args.workload, args.seconds)
                 for s in (SIDES if k % 2 == 0 else SIDES[::-1])}
-        if not all(pair[s].get("correct") for s in SIDES):
-            ap.exit(2, f"error: pair {k}: a run is not correct\n")
+        wrong = [f"{s} ({pair[s].get('why', 'no reason given')})"
+                 for s in SIDES if not pair[s].get("correct")]
+        if wrong:
+            ap.exit(2, f"error: pair {k}: a run is not correct: {'; '.join(wrong)}\n")
         runs.append(dict(pair, workload=args.workload, parent_first=k % 2 == 0))
     spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}

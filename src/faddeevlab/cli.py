@@ -122,6 +122,19 @@ def _load(args):
     return config, _out_dir(args.out or file_out or "faddeev_out")
 
 
+def _load_kernels(args):
+    """_load for a subcommand that reads only kernels.* (and output.dir):
+    ConfigError naming every other setting whose value is not its default."""
+    config, out_dir = _load(args)
+    default = dict(config_items(RunConfig()))
+    ignored = [key for key, value in config_items(config)
+               if not key.startswith("kernels.") and value != default[key]]
+    if ignored:
+        raise ConfigError(f"{args.command} reads only kernels.* and output.dir; "
+                          f"it would ignore {', '.join(ignored)}")
+    return config, out_dir
+
+
 def _write_run(result, out_dir):
     """A run's files in out_dir: diagnostics.csv, effective_config.ini, the
     snapshot_NNNN checkpoints and the final checkpoint."""
@@ -282,7 +295,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    config, out_dir = _load(args)
+    config, out_dir = _load_kernels(args)
     rows = [(args.suite,) + row for check in _SUITES[args.suite]
             for row in check(config.kernel_params, config.profile)]
     os.makedirs(out_dir, exist_ok=True)
@@ -366,7 +379,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_kernels_table(args) -> int:
-    config, out_dir = _load(args)
+    config, out_dir = _load_kernels(args)
     p, profile = config.kernel_params, config.profile
     xs = np.linspace(-3.0, 3.0, 601)
     os.makedirs(out_dir, exist_ok=True)

@@ -33,6 +33,7 @@ __all__ = [
     "make_grid",
     "initial_state",
     "sponge_sigma",
+    "NonFiniteStep",
     "trajectory",
     "run",
     "evolve_bundles",
@@ -251,7 +252,8 @@ def initial_state(config: RunConfig) -> FieldState:
         raise ValueError("tabulated profile holds a non-finite value")
     if not np.allclose(table[:, 0], g.r, rtol=0.0, atol=1e-12 * g.r_max):
         raise ValueError("tabulated radii do not match the run grid nodes")
-    return u_to_v(FieldState(table[:, 1], table[:, 2], g))
+    with np.errstate(over="ignore", invalid="ignore"):  # run's first sample judges v
+        return u_to_v(FieldState(table[:, 1], table[:, 2], g))
 
 
 def sponge_sigma(grid: RadialGrid, spec: SpongeSpec) -> np.ndarray:
@@ -310,14 +312,25 @@ def _schedule(config: RunConfig):
     return nsteps, config.t_end / nsteps
 
 
+class NonFiniteStep(FloatingPointError):
+    """A step of trajectory gave a non-finite value: str(exc) is the halt
+    reason, exc.state the halting state and exc.step its step index."""
+
+    def __init__(self, reason, state, step):
+        super().__init__(reason)
+        self.state, self.step = state, step
+
+
 def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     """Yield the FieldState at t = k dt for k = 0..nsteps of the RK4 evolution.
 
     state is the data at t = 0 on make_grid(config) (default
     initial_state(config)); its arrays are copied, and a state on another
-    grid or at another time is refused. The sponge is dropped
-    when it is zero everywhere, and nonlinear=False drops F (free-wave
-    path). Yielded states own arrays never modified afterwards: keep them.
+    grid or at another time is refused. The sponge is dropped when it is
+    zero everywhere, and nonlinear=False drops F (free-wave path). Yielded
+    states own arrays never modified afterwards: keep them. The first step
+    to give a non-finite f or f_t raises NonFiniteStep; overflow and invalid
+    are ignored within a step only, never across a yield.
     """
     g = make_grid(config)
     state = state if state is not None else initial_state(config)
@@ -331,7 +344,12 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     state = FieldState(state.f.copy(), state.f_t.copy(), g)
     yield state
     for k in range(1, nsteps + 1):
-        state = FieldState(*_rk4(f, state.f, state.f_t, (k - 1) * dt, dt), g, k * dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # this step only
+            state = FieldState(*_rk4(f, state.f, state.f_t, (k - 1) * dt, dt), g, k * dt)
+        finite = np.isfinite(state.f) & np.isfinite(state.f_t)
+        if not finite.all():
+            raise NonFiniteStep(f"non-finite field values at step {k}, t={state.time:.6g}, "
+                                f"r={g.r[np.argmin(finite)]:.6g}", state, k)
         yield state
 
 
@@ -341,7 +359,7 @@ def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
     A continuation monitor at or above its ceiling, or energy drift above
     the breakdown threshold (scheme failure, reported separately from
     physical growth), named with the sample's step and cadence. Non-finite
-    fields never reach a sample: run halts on the step that produces them.
+    fields never reach a sample: trajectory halts on the step that makes them.
     """
     when = f"at step {step}, t={record['time']:.6g} (judged every {every} steps)"
     name = max(("monitor_v", "monitor_vt", "monitor_gradv"), key=record.get)
@@ -383,18 +401,6 @@ def _sample(state, config, records, tracker):
     return row
 
 
-def _halt_reason(state: FieldState, k: int):
-    """Why a trajectory halts at its state k, or None: a stepped state that
-    holds a non-finite value, named by its step, time and first such radius.
-    The initial data is not stepped (initial_state and run's first sample
-    judge it)."""
-    finite = np.isfinite(state.f) & np.isfinite(state.f_t)
-    if not k or finite.all():
-        return None
-    bad = state.grid.r[np.argmin(finite)]
-    return f"non-finite field values at step {k}, t={state.time:.6g}, r={bad:.6g}"
-
-
 def run(config: RunConfig, forcing=None) -> RunResult:
     """Advance to t_end, or until a step yields a non-finite value or a
     sample fires detect_blowup; diagnostics at the configured cadence (plus
@@ -403,18 +409,14 @@ def run(config: RunConfig, forcing=None) -> RunResult:
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
     records, snapshots = [], []
     verdict = None
-    # overflow and NaN are checked on every step and reported as the halt
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         for k, state in enumerate(trajectory(config, forcing)):
-            reason = _halt_reason(state, k)
-            if reason is not None:
-                verdict = ("blowup_nan", reason)
-                break
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
                 snapshots.append((k, state))
             if k % config.output_every == 0 or k == nsteps:
                 try:
-                    records.append(_sample(state, config, records, tracker))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        records.append(_sample(state, config, records, tracker))
                 except diag.EnergyOverflow as exc:  # finite fields too large to square
                     if not k:  # the initial data's: a config error naming it
                         spec = config.initial
@@ -428,6 +430,8 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                                         config.drift_ceiling, k, config.output_every)
                 if verdict is not None:
                     break
+    except NonFiniteStep as exc:
+        verdict, state, k = ("blowup_nan", str(exc)), exc.state, exc.step
     status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
     return RunResult(status, reason, records, state, snapshots, config, k)
 
@@ -448,18 +452,10 @@ def evolve_bundles(config: RunConfig, t_center: float, n_levels: int):
     """Evolve quietly, unforced, and return the n_levels consecutive
     per-step states centred near t_center (the windows the residual-identity
     evaluators read). The window must lie inside steps 0..nsteps; that is
-    checked before any step is taken. A step that halts run halts the
-    evolution too: FloatingPointError with run's reason."""
+    checked before any step is taken. A step that halts run raises
+    trajectory's NonFiniteStep, a FloatingPointError with run's reason."""
     first = _window_start(config, t_center, n_levels)
-    window = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, state in enumerate(islice(trajectory(config), first + n_levels)):
-            reason = _halt_reason(state, k)
-            if reason is not None:
-                raise FloatingPointError(reason)
-            if k >= first:
-                window.append(state)
-    return window
+    return list(islice(trajectory(config), first, first + n_levels))
 
 
 @lru_cache(maxsize=1)

@@ -39,8 +39,10 @@ class KernelParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        a = float(self.alpha)  # the evaluators take alpha^2: finite and nonzero
+        if not (a > 0.0 and 0.0 < a * a < math.inf):
+            raise ValueError(f"kernels.alpha must be positive with a finite, nonzero "
+                             f"square, got {self.alpha!r}")
 
 
 # The smoothstep's alternating binomial coefficients cancel in float64: on

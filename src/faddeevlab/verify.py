@@ -210,8 +210,8 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
     (unforced) evolved trajectory of the level. Every level's window is
     checked before the first run, and t_center must be a step time of
     every level, so that all windows are centred at one time. A level
-    whose run or window evolution halts raises RuntimeError naming the
-    observable, the level and the reason.
+    whose run, free wave or window evolution halts raises RuntimeError
+    naming the observable, the level and the reason.
 
     Non-monotone error sequences are flagged on the result, not raised."""
     if levels < 3:
@@ -240,6 +240,9 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                              f"(coarsest dt={dts[0]:.6g}), so the levels' windows "
                              f"would be centred at different times")
     errs = {o: [] for o in observables}
+
+    def stopped(obs, cfg, reason):  # a level's evolution halted
+        return RuntimeError(f"study {obs} run at n={cfg.n_cells} stopped early: {reason}")
     for cfg in cfgs:
         g, man = make_grid(cfg), manufactured_config(ms, cfg)
         force = make_forcing(ms, g) if forced else None
@@ -248,8 +251,7 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
                 continue
             result = run(run_cfg, forcing)
             if result.status != "completed":
-                raise RuntimeError(f"study {obs} run at n={cfg.n_cells} stopped "
-                                   f"early: {result.reason}")
+                raise stopped(obs, cfg, result.reason)
             errs[obs].append(solution_error(result.state, ms) if obs == "solution"
                              else peaks(result.records)["max_drift"])
         if "residual_v" in observables:
@@ -257,18 +259,19 @@ def convergence_study(base: RunConfig, levels=3, observables=("solution", "drift
             res = residual_v_equation(state, ms.v_tt(t_probe, g.r))
             errs["residual_v"].append(_res_norm(res - force(t_probe), g))
         if "linear_solution" in observables:
-            free = make_forcing(ms, g, include_nonlinearity=False)
-            for state in trajectory(man, free, manufactured_initial_state(ms, g),
-                                    nonlinear=False):
-                pass
+            try:
+                for state in trajectory(man, make_forcing(ms, g, include_nonlinearity=False),
+                                        manufactured_initial_state(ms, g), nonlinear=False):
+                    pass
+            except FloatingPointError as exc:
+                raise stopped("linear_solution", cfg, exc) from None
             errs["linear_solution"].append(solution_error(state, ms))
         if window_obs:
             # identities hold on solutions of the homogeneous equation only
             try:
                 states = evolve_bundles(cfg, t_center, need)
             except FloatingPointError as exc:
-                raise RuntimeError(f"study {','.join(window_obs)} run at n={cfg.n_cells} "
-                                   f"stopped early: {exc}") from None
+                raise stopped(",".join(window_obs), cfg, exc) from None
             for o in window_obs:
                 fn, _ = _RESIDUAL_EVALUATORS[o]
                 errs[o].append(_res_norm(fn(states), g))

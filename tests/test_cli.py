@@ -104,6 +104,46 @@ def test_missing_profile_table_exits_1(tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["verify", "energy"], ["kernels-table"]])
+@pytest.mark.parametrize("alpha", ["1e200", "1e-200"])
+def test_an_alpha_whose_square_is_not_a_finite_nonzero_float_is_refused(tmp_path, capsys,
+                                                                         command, alpha):
+    """1e200 squared overflowed into an OverflowError traceback, and 1e-200
+    squared to 0 was reported as the initial data's energy overflow."""
+    out = tmp_path / "out"
+    rc = main(command + ["--set", f"kernels.alpha={alpha}", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config-error: kernels.alpha must be positive with a finite, nonzero square, "
+        f"got {float(alpha)!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["verify", "energy"], ["kernels-table"]])
+def test_kernels_only_subcommands_refuse_settings_they_would_ignore(tmp_path, capsys,
+                                                                    command):
+    """verify and kernels-table read kernels.* alone: any other setting that
+    is not its default is refused by key before any directory is made."""
+    out = tmp_path / "out"
+    rc = main(command + TINY_GRID + ["--set", "kernels.alpha=0.7", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config-error: {command[0]} reads only kernels.* and output.dir; it would "
+        f"ignore grid.n_cells, grid.r_max, integrator.t_end\n")
+    assert not out.exists()
+
+
+def test_kernels_table_accepts_defaults_kernel_settings_and_output_dir(tmp_path):
+    """A setting given at its default value is not ignored: it is accepted,
+    and so are kernels.* and output.dir, here from a config file."""
+    ini = tmp_path / "k.ini"
+    out = tmp_path / "tables"
+    ini.write_text(f"[grid]\nn_cells = 512\n[kernels]\ncutoff_order = 9\n"
+                   f"[output]\ndir = {out}\n")
+    assert main(["kernels-table", "--config", str(ini)]) == 0
+    assert sorted(os.listdir(out)) == ["cutoffs.csv", "kernels.csv"]
+
+
 def test_profile_family_without_a_table_is_refused_at_load(tmp_path, capsys):
     out = tmp_path / "no_table"
     rc = main(["run", "--set", "initial_data.family=profile_u", "--out", str(out)])
@@ -115,7 +155,7 @@ def test_profile_family_without_a_table_is_refused_at_load(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,blocked,written", [
-    (["run"], "final.csv", ["diagnostics.csv", "effective_config.ini", "final.csv"]),
+    (["run"] + TINY, "final.csv", ["diagnostics.csv", "effective_config.ini", "final.csv"]),
     (["kernels-table"], "kernels.csv", ["kernels.csv"]),
 ])
 def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys, command,
@@ -124,7 +164,7 @@ def test_an_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsy
     can, then reports the path it could not write in one line, exit 1."""
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
-    rc = main(command + TINY + ["--out", str(out)])
+    rc = main(command + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config-error: ") and err.count("\n") == 1

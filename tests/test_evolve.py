@@ -409,6 +409,36 @@ def test_evolve_bundles_halts_where_run_halts():
     assert str(err.value) == res.reason
 
 
+def test_trajectory_halts_on_the_first_non_finite_step_as_run_does():
+    """trajectory raises on the step that halts run, with run's reason,
+    halting state and step, after yielding every step before it."""
+    cfg = lean(n_cells=64, r_max=8.0, t_end=1.0, output_every=32, drift_ceiling=1.0,
+               initial=InitialDataSpec(amplitude=16.0))
+    res = run(cfg)
+    times = []
+    with pytest.raises(FloatingPointError) as err:
+        for state in trajectory(cfg):
+            times.append(state.time)
+    assert (str(err.value), err.value.step) == (res.reason, res.step)
+    assert err.value.state.time == res.state.time == res.step * _schedule(cfg)[1]
+    assert np.array_equal(err.value.state.f, res.state.f, equal_nan=True)
+    assert np.array_equal(err.value.state.f_t, res.state.f_t, equal_nan=True)
+    assert len(times) == res.step
+
+
+def test_trajectory_keeps_the_callers_error_state_between_steps():
+    """Overflow and invalid are ignored inside each step only: a caller that
+    raises on them sees its own error state after every next(), and the
+    blow-up ends in trajectory's halt, not in numpy's overflow error."""
+    cfg = lean(n_cells=64, r_max=8.0, t_end=1.0, initial=InitialDataSpec(amplitude=16.0))
+    with np.errstate(over="raise", invalid="raise"):
+        caller = np.geterr()
+        with pytest.raises(FloatingPointError, match=r"^non-finite field values at step "):
+            for _ in trajectory(cfg):
+                assert np.geterr() == caller
+        assert np.geterr() == caller
+
+
 # ------------------------------------------------------------------ halts
 
 def _record(**kw):

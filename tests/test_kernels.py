@@ -76,8 +76,19 @@ def test_far_field_envelope_decays(j):
 def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(alpha=0.0)
+    assert KernelParams(alpha=1.34e154).alpha == 1.34e154  # its square is finite
+    assert KernelParams(alpha=1e-161).alpha == 1e-161      # and nonzero (subnormal)
     # the series seams and length are constants: alpha is the only setting
     assert [f.name for f in dataclasses.fields(KernelParams)] == ["alpha"]
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1.35e154, 1e-200, 1e-162, np.float64(1e200)])
+def test_kernel_params_refuse_an_alpha_whose_square_is_not_a_finite_nonzero_float(alpha):
+    """Every evaluator takes alpha^2: an overflow there was a Python
+    OverflowError, and an underflow to 0 a misreported energy overflow."""
+    with pytest.raises(ValueError, match=r"^kernels\.alpha must be positive with a "
+                                         r"finite, nonzero square, got "):
+        KernelParams(alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,33 @@ def test_paired_bench_refuses_a_tree_without_the_benchmark_or_a_wrong_run(
         assert len(made) == 2 and "pair 0: a run is not correct" in err
 
 
+@pytest.mark.parametrize("body,why", [
+    ("print('  FAIL final.csv: sha256 differs from pin')\nprint('  FAIL max drift 1.0')\n"
+     "print('{\"correct\": false}')\n",
+     "exit 0: FAIL final.csv: sha256 differs from pin | FAIL max drift 1.0"),
+    ("import sys\nprint('workload=x')\nsys.exit('run.py: error: no such workload')\n",
+     "exit 1: run.py: error: no such workload"),
+])
+def test_paired_bench_says_why_a_run_is_not_correct(tmp_path, monkeypatch, capsys, body,
+                                                    why):
+    """A refused run is named by side, exit code and the FAIL lines
+    perfbench/run.py printed, or else the tail of its stderr."""
+    args = _bench_trees(tmp_path)
+    (tmp_path / "change" / "perfbench" / "run.py").write_text(body)
+    monkeypatch.setattr(sys, "argv", ["paired_bench.py"] + args + ["--pairs", "1"])
+    main = runpy.run_path(str(SCRIPTS / "paired_bench.py"))["main"]
+    run_side = main.__globals__["run_side"]
+    assert run_side(str(tmp_path / "change"), "sample_dense", 1) == {"correct": False,
+                                                                     "why": why}
+    monkeypatch.setitem(main.__globals__, "run_side", lambda tree, *a: (
+        _bench_result(1.0, 1.0) if Path(tree).name == "parent" else run_side(tree, *a)))
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: pair 0: a run is not correct: change ({why})\n")
+
+
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_paired_bench_refuses_fewer_than_one_pair(tmp_path, monkeypatch, capsys, pairs):
     """No pair would leave nothing to summarize: refused with a usage line

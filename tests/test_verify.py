@@ -7,7 +7,7 @@ import pytest
 
 from faddeevlab.evolve import (RunConfig, SpongeSpec, initial_state, make_grid, run,
                                trajectory)
-from faddeevlab import diagnostics, grid, kernels, transform
+from faddeevlab import diagnostics, grid, kernels, transform, verify
 from faddeevlab.grid import RadialGrid
 from faddeevlab.kernels import eval_F_rhs
 from faddeevlab.verify import (
@@ -222,6 +222,21 @@ def test_study_refuses_a_window_centre_off_a_level_step_grid(monkeypatch, t_end,
                                          rf"every level \(coarsest dt={dt}\)"):
         convergence_study(lean_base(t_end=t_end), observables=("drift", "residual_Phi_t"),
                           t_center=t_center)
+
+
+def test_a_linear_solution_level_that_halts_raises_naming_it(monkeypatch):
+    """A free wave whose forcing turns NaN after t = 0.1 halts on its first
+    non-finite step, as a run does; the study names the observable, the
+    level and the reason instead of returning nan errors."""
+    make = verify.make_forcing
+
+    def nan_later(ms, g, **kw):
+        force = make(ms, g, **kw)
+        return lambda t: force(t) + (np.nan if t > 0.1 else 0.0)
+    monkeypatch.setattr(verify, "make_forcing", nan_later)
+    with pytest.raises(RuntimeError, match=r"^study linear_solution run at n=64 stopped "
+                                           r"early: non-finite field values at step \d+, "):
+        convergence_study(lean_base(), observables=("linear_solution",))
 
 
 def test_manufactured_observables_run_the_manufactured_problem_from_any_base():
