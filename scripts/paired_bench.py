@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Paired runs of `perfbench/run.py --seed 0 --trace 0` in two checkouts,
-each run in its own interpreter, the parent first in even pairs. Per
-end-to-end metric the file holds each side's quartiles, the ratio of the
-medians (change / parent) and the pairs the change won (ties count for
-neither) by the direction in the change's BENCHMARK.json, then every run.
+"""Paired runs of `perfbench/run.py --seed N --trace 0` (N from --seed,
+default 0) in two checkouts, each run in its own interpreter, the parent
+first in even pairs. Per end-to-end metric the file holds each side's
+quartiles, the ratio of the medians (change / parent) and the pairs the
+change won (ties count for neither) by the direction in the change's
+BENCHMARK.json, then the seed and every run. A claim is rechecked on a seed
+other than the one it was written against.
 Exit 2, writing nothing, when --pairs is below 1, a side has no
 perfbench/run.py or a side reports a run that is not correct; the last is
 named by side, exit code and the run's FAIL lines or stderr tail."""
@@ -18,12 +20,12 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
-def run_side(tree, workload, seconds):
+def run_side(tree, workload, seconds, seed):
     """The result object perfbench/run.py prints last, or "correct": false.
     A run that is not correct also gets "why": its exit code and the FAIL
     lines it printed, or else the tail of its stderr."""
     proc = subprocess.run([sys.executable, str(Path(tree, "perfbench", "run.py")),
-                           "--workload", workload, "--seed", "0", "--seconds", str(seconds),
+                           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", "0"], capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     last = (lines or [""])[-1]
@@ -54,6 +56,7 @@ def main():
         ap.add_argument(f"--{name}", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error(f"--pairs must be >= 1, got {args.pairs}")
@@ -63,7 +66,7 @@ def main():
             ap.exit(2, f"error: {tree} has no perfbench/run.py\n")
     runs = []
     for k in range(args.pairs):
-        pair = {s: run_side(trees[s], args.workload, args.seconds)
+        pair = {s: run_side(trees[s], args.workload, args.seconds, args.seed)
                 for s in (SIDES if k % 2 == 0 else SIDES[::-1])}
         wrong = [f"{s} ({pair[s].get('why', 'no reason given')})"
                  for s in SIDES if not pair[s].get("correct")]
@@ -73,7 +76,8 @@ def main():
     spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     Path(args.out).write_text(json.dumps(
-        {"summary": {args.workload: summarize(runs, better)}, "runs": runs}, indent=1))
+        {"summary": {args.workload: summarize(runs, better)}, "seed": args.seed,
+         "runs": runs}, indent=1))
     print(f"wrote {args.out}")
 
 

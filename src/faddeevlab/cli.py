@@ -10,12 +10,12 @@ Identical config and overrides reproduce diagnostics byte for byte.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import configparser
 import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -363,7 +363,8 @@ def cmd_sweep(args) -> int:
     # the fork start method starts every worker at once: no more than runs
     workers = min(args.jobs, len(packed))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # first read of the attribute loads the pool and multiprocessing (1.1 MB)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_sweep_one, packed))
     else:
         summaries = [_sweep_one(item) for item in packed]

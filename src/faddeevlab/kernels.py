@@ -13,7 +13,8 @@ profile (pi on r <= 1, 0 on r >= 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -39,9 +40,11 @@ class KernelParams:
     alpha: float = 1.0
 
     def __post_init__(self):
-        a = float(self.alpha)  # the evaluators take alpha^2: finite and nonzero
-        if not (a > 0.0 and 0.0 < a * a < math.inf):
-            raise ValueError(f"kernels.alpha must be positive with a finite, nonzero "
+        # The evaluators take alpha^2 and divide by it: a subnormal square has
+        # lost digits (the energy's q / alpha^2 erred by 5e-5 at alpha 1e-160).
+        a = float(self.alpha)
+        if not (a > 0.0 and sys.float_info.min <= a * a < math.inf):
+            raise ValueError(f"kernels.alpha must be positive with a finite, normal "
                              f"square, got {self.alpha!r}")
 
 
@@ -245,10 +248,12 @@ def laplacian_phi_2d(r, profile=DEFAULT_PROFILE):
     return _pointwise(lap, r)
 
 
-def _a3(sin_y, r, p):
+def _a3(sin_y, r, p, out=None):
     """A_3(y, r) = 1 + alpha^2 sin^2(y) / r^2 (A_1 at y = u); needs r > 0.
-    Squared and shifted in place (x * x is x ** 2, x + 1.0 is 1.0 + x)."""
-    a = (sin_y if p.alpha == 1.0 else p.alpha * sin_y) / r
+    Squared and shifted in place (x * x is x ** 2, x + 1.0 is 1.0 + x);
+    out, if given, takes the result and may be sin_y itself."""
+    a = sin_y if p.alpha == 1.0 else np.multiply(p.alpha, sin_y, out=out)
+    a = np.divide(a, r, out=out)
     a *= a
     a += 1.0
     return a
@@ -348,11 +353,16 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     return cut
 
 
-@lru_cache(maxsize=1)
 def mesh_cutoffs(grid):
     """cutoff_arrays(grid.r, grid.profile), built once for the last mesh
-    asked for: the run, its samples and its transforms share one table."""
-    return cutoff_arrays(grid.r, grid.profile)
+    asked for: the run, its samples and its transforms share one table, and
+    so do grids that differ only in alpha, which the table does not read."""
+    return _mesh_table(replace(grid, kernel_params=DEFAULT_PARAMS))
+
+
+@lru_cache(maxsize=1)
+def _mesh_table(mesh):
+    return cutoff_arrays(mesh.r, mesh.profile)
 
 
 def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):

@@ -67,8 +67,7 @@ def v_to_u(v_state: FieldState) -> FieldState:
     return FieldState(g.r * v_state.f + phi, g.r * v_state.f_t, g, v_state.time)
 
 
-@lru_cache(maxsize=None)
-def _unit_samples(panels):
+def _gauss_samples(panels):
     """5-point Gauss-Legendre abscissae/weights on [0,1] with `panels` panels,
     flattened; weights sum to 1."""
     edges = np.linspace(0.0, 1.0, panels + 1)
@@ -78,28 +77,43 @@ def _unit_samples(panels):
     return pts, np.tile(half * _GL_WEIGHTS, panels)
 
 
+# Lines up to 4 long (64 panels: u - pi within +-4, the correction's [0, pi]
+# among them) reuse their samples; a count costs 80 bytes a panel, so the
+# counts 8..64 keep at most 164 KB. Longer lines build theirs per group.
+_SHORT_LINE_PANELS = 64
+_short_line_samples = lru_cache(maxsize=_SHORT_LINE_PANELS)(_gauss_samples)
+
+
+def _unit_samples(panels):
+    return (_short_line_samples if panels <= _SHORT_LINE_PANELS else _gauss_samples)(panels)
+
+
+def _panel_counts(lengths):
+    """max(8, ceil(16 |L|)) panels for a line of length L."""
+    return np.maximum(8, np.ceil(16.0 * np.abs(lengths))).astype(int)
+
+
 def _grouped_line_integral(lengths, integrand):
-    """integral_0^L_i f(s, i) ds for every i, sampling each line with the
-    panel count max(8, ceil(16 |L_i|)); integrand(s, idx) is vectorized."""
+    """integral_0^L_i f(s, i) ds for every i, sampling each line with
+    _panel_counts(L_i) panels; integrand(s, idx) is vectorized and may
+    overwrite its abscissa block s, which is dropped with the group."""
     lengths = np.asarray(lengths, dtype=float)
     out = np.zeros_like(lengths)
-    counts = np.maximum(8, np.ceil(16.0 * np.abs(lengths))).astype(int)
-    for p in np.unique(counts):
+    counts = _panel_counts(lengths)
+    for p in sorted(set(counts.tolist())):  # np.unique would import numpy.ma: 1.2 MB
         sel = np.nonzero(counts == p)[0]
-        pts, wts = _unit_samples(int(p))
-        s = lengths[sel, None] * pts[None, :]
-        vals = integrand(s, sel)
-        out[sel] = lengths[sel] * (vals @ wts)
+        pts, wts = _unit_samples(p)
+        out[sel] = lengths[sel] * (integrand(lengths[sel, None] * pts[None, :], sel) @ wts)
     return out
 
 
 def phi_correction_integral(r, p=DEFAULT_PARAMS):
-    """integral_0^pi A_3^(-3/2)(y, r) dy, vectorized over r > 0."""
+    """integral_0^pi A_3^(-3/2)(y, r) dy, vectorized over r > 0: one row of
+    abscissae serves every line, and A_3 is the one (nodes, samples) block."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    def integrand(y, sel):  # every line is [0, pi]: the first row of y serves all
-        a = kernels._a3(np.sin(y[:1]), r[sel][:, None], p)
-        return np.power(a, -1.5, out=a)  # in place: one (nodes, samples) block
-    return _grouped_line_integral(np.full(r.size, math.pi), integrand)
+    pts, wts = _unit_samples(int(_panel_counts(math.pi)))
+    a = kernels._a3(np.sin(math.pi * pts[None, :]), r[:, None], p)
+    return math.pi * (np.power(a, -1.5, out=a) @ wts)
 
 
 @lru_cache(maxsize=4)  # the meshes of one refinement study
@@ -122,8 +136,10 @@ def _a3_line_integral(lengths, r, p):
     """integral_pi^(pi+L) sqrt(A_3(y, r)) dy at each node (r > 0). It takes
     the length L, not the end point u, because (r v + pi) - pi is not r v
     bit for bit."""
-    return _grouped_line_integral(lengths, lambda s, sel: np.sqrt(
-        kernels._a3(np.sin(math.pi + s), r[sel][:, None], p)))
+    def integrand(s, sel):  # pi + s, sin, A_3 and sqrt, all in s
+        a = kernels._a3(np.sin(np.add(math.pi, s, out=s), out=s), r[sel][:, None], p, out=s)
+        return np.sqrt(a, out=a)
+    return _grouped_line_integral(lengths, integrand)
 
 
 def compute_Phi(v_state: FieldState) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Command-line interface: config plumbing, exit codes, artifacts."""
 
 import ast
+import concurrent.futures
 import configparser
 import csv
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,16 +108,17 @@ def test_missing_profile_table_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["run"], ["verify", "energy"], ["kernels-table"]])
-@pytest.mark.parametrize("alpha", ["1e200", "1e-200"])
+@pytest.mark.parametrize("alpha", ["1e200", "1e-200", "1e-160"])
 def test_an_alpha_whose_square_is_not_a_finite_nonzero_float_is_refused(tmp_path, capsys,
                                                                          command, alpha):
-    """1e200 squared overflowed into an OverflowError traceback, and 1e-200
-    squared to 0 was reported as the initial data's energy overflow."""
+    """1e200 squared overflowed into an OverflowError traceback, 1e-200
+    squared to 0 was reported as the initial data's energy overflow, and
+    1e-160 squared is subnormal: the energy's q / alpha^2 erred by 5e-5."""
     out = tmp_path / "out"
     rc = main(command + ["--set", f"kernels.alpha={alpha}", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"config-error: kernels.alpha must be positive with a finite, nonzero square, "
+        f"config-error: kernels.alpha must be positive with a finite, normal square, "
         f"got {float(alpha)!r}\n")
     assert not out.exists()
 
@@ -635,6 +639,23 @@ def test_sweep_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_importing_the_package_and_its_cli_loads_no_process_pool():
+    """Only a sweep with --jobs > 1 loads its pool (1.1 MB of RSS): a fresh
+    interpreter importing the package and cli loads neither the pool's
+    module nor multiprocessing."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, faddeevlab, faddeevlab.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'concurrent.futures.process'\n"
+            "             or m.split('.')[0] == 'multiprocessing'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
     """A pool that records its size and maps serially: no process starts."""
     sizes = []
@@ -652,7 +673,7 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     out = str(tmp_path / "sweep_pool")
     rc = main(["sweep"] + TINY + ["--sweep", "initial_data.amplitude=0.1,0.3",
                                   "--jobs", "1000", "--out", out])

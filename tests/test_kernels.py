@@ -77,17 +77,19 @@ def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(alpha=0.0)
     assert KernelParams(alpha=1.34e154).alpha == 1.34e154  # its square is finite
-    assert KernelParams(alpha=1e-161).alpha == 1e-161      # and nonzero (subnormal)
+    assert KernelParams(alpha=1.5e-154).alpha == 1.5e-154  # and normal
     # the series seams and length are constants: alpha is the only setting
     assert [f.name for f in dataclasses.fields(KernelParams)] == ["alpha"]
 
 
-@pytest.mark.parametrize("alpha", [1e200, 1.35e154, 1e-200, 1e-162, np.float64(1e200)])
+@pytest.mark.parametrize("alpha", [1e200, 1.35e154, 1e-200, 1e-162, np.float64(1e200),
+                                   1e-160, 1.49e-154])
 def test_kernel_params_refuse_an_alpha_whose_square_is_not_a_finite_nonzero_float(alpha):
     """Every evaluator takes alpha^2: an overflow there was a Python
-    OverflowError, and an underflow to 0 a misreported energy overflow."""
+    OverflowError, an underflow to 0 a misreported energy overflow, and a
+    subnormal square a quietly inexact energy."""
     with pytest.raises(ValueError, match=r"^kernels\.alpha must be positive with a "
-                                         r"finite, nonzero square, got "):
+                                         r"finite, normal square, got "):
         KernelParams(alpha=alpha)
 
 
@@ -520,6 +522,22 @@ def test_mesh_table_is_one_read_only_table_per_mesh(profile):
     assert np.array_equal(cut["phi_far"], cut["phi"][17:])
     assert cut["phi"][cut["near"]].tobytes() == eval_cutoff(
         "phi", g.r[:17], 0, profile).tobytes()  # elementwise: a subset keeps its bytes
+
+
+def test_grids_differing_only_in_alpha_share_one_mesh_table(monkeypatch):
+    """The table reads no alpha: ten lookups alternating two alphas on one
+    mesh built it ten times when the whole grid was the key."""
+    mesh_cutoffs(RadialGrid(72, 3.0))  # another mesh held: the next lookup builds
+    builds = []
+
+    def counted(r, profile):
+        builds.append(r.size)
+        return cutoff_arrays(r, profile)
+    monkeypatch.setattr(kernels, "cutoff_arrays", counted)
+    grids = [RadialGrid(64, 4.0, kernel_params=KernelParams(a)) for a in (1.0, 0.7)]
+    cuts = [mesh_cutoffs(grids[k % 2]) for k in range(10)]
+    assert builds == [65]
+    assert all(cut is cuts[0] for cut in cuts)
 
 
 def test_mesh_table_follows_the_grid_profile():

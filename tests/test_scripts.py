@@ -253,10 +253,10 @@ def _paired_bench(monkeypatch, args, results):
     main = runpy.run_path(str(SCRIPTS / "paired_bench.py"))["main"]
     made = []
 
-    def fake_run(tree, workload, seconds):
+    def fake_run(tree, workload, seconds, seed):
         side = Path(tree).name
-        made.append((side, workload, seconds))
-        return results[side][sum(s == side for s, _, _ in made) - 1]
+        made.append((side, workload, seconds, seed))
+        return results[side][sum(m[0] == side for m in made) - 1]
     monkeypatch.setitem(main.__globals__, "run_side", fake_run)
     return main, made
 
@@ -270,9 +270,10 @@ def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypa
                           ((0.9, 110.0), (1.25, 90.0), (1.0, 100.0), (1.3, 101.0))]}
     main, made = _paired_bench(monkeypatch, args + ["--pairs", "4", "--seconds", "8"], results)
     main()
-    assert [side for side, _, _ in made] == ["parent", "change", "change", "parent"] * 2
-    assert {(w, s) for _, w, s in made} == {("sample_dense", 8.0)}
+    assert [m[0] for m in made] == ["parent", "change", "change", "parent"] * 2
+    assert {m[1:] for m in made} == {("sample_dense", 8.0, 0)}
     written = json.loads((tmp_path / "pairs.json").read_text())
+    assert written["seed"] == 0
     summary = written["summary"]["sample_dense"]
     assert summary["wall_s"] == {
         "parent": {"q1": pytest.approx(1.075), "median": pytest.approx(1.15),
@@ -323,8 +324,8 @@ def test_paired_bench_says_why_a_run_is_not_correct(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(sys, "argv", ["paired_bench.py"] + args + ["--pairs", "1"])
     main = runpy.run_path(str(SCRIPTS / "paired_bench.py"))["main"]
     run_side = main.__globals__["run_side"]
-    assert run_side(str(tmp_path / "change"), "sample_dense", 1) == {"correct": False,
-                                                                     "why": why}
+    assert run_side(str(tmp_path / "change"), "sample_dense", 1, 0) == {"correct": False,
+                                                                        "why": why}
     monkeypatch.setitem(main.__globals__, "run_side", lambda tree, *a: (
         _bench_result(1.0, 1.0) if Path(tree).name == "parent" else run_side(tree, *a)))
     with pytest.raises(SystemExit) as exc:
@@ -332,6 +333,25 @@ def test_paired_bench_says_why_a_run_is_not_correct(tmp_path, monkeypatch, capsy
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
         f"error: pair 0: a run is not correct: change ({why})\n")
+
+
+def test_paired_bench_runs_both_sides_at_the_seed_asked_for(tmp_path, monkeypatch):
+    """--seed reaches every run's perfbench/run.py command line and the file,
+    so a claim is rechecked on a seed it was not written against."""
+    args = _bench_trees(tmp_path)
+    echo = ("import json, sys\n"
+            "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+            "print(json.dumps({'correct': True, 'metrics': {\n"
+            "    'wall_s': {'value': 1.0 + seed}, 'steps_per_s': {'value': 1.0}}}))\n")
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench" / "run.py").write_text(echo)
+    monkeypatch.setattr(sys, "argv", ["paired_bench.py"] + args + ["--pairs", "2",
+                                                                    "--seed", "7"])
+    runpy.run_path(str(SCRIPTS / "paired_bench.py"))["main"]()
+    written = json.loads((tmp_path / "pairs.json").read_text())
+    assert written["seed"] == 7
+    assert {run[side]["metrics"]["wall_s"]["value"] for run in written["runs"]
+            for side in ("parent", "change")} == {8.0}
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])

@@ -2,6 +2,7 @@
 residual evaluators that certify the substitution chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from faddeevlab.evolve import RunConfig, evolve_bundles
 from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile,
-                                KernelParams, _a3, eval_cutoff)
+                                KernelParams, _a3, _a4, eval_cutoff, mesh_cutoffs)
 from faddeevlab.transform import (_a3_line_integral, _a4_line_integral, _phi_correction,
+                                  _unit_samples,
                                   compute_Phi, compute_Phi_t, phi_correction_integral,
                                   residual_Phi_t_wave,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
@@ -142,6 +144,112 @@ def test_phi_interleaved_over_meshes_and_alphas_matches_an_uncached_evaluation()
             assert compute_Phi(v).tobytes() == _phi_uncached(v).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 _phi_correction(g)[...] = 0.0
+
+
+def _old_grouped_line_integral(lengths, integrand):
+    """_grouped_line_integral as it was: the integrand gets a fresh
+    abscissa block and returns another."""
+    lengths = np.asarray(lengths, dtype=float)
+    out = np.zeros_like(lengths)
+    counts = np.maximum(8, np.ceil(16.0 * np.abs(lengths))).astype(int)
+    for p in np.unique(counts):
+        sel = np.nonzero(counts == p)[0]
+        pts, wts = _unit_samples(int(p))
+        s = lengths[sel, None] * pts[None, :]
+        vals = integrand(s, sel)
+        out[sel] = lengths[sel] * (vals @ wts)
+    return out
+
+
+def _old_a3(sin_y, r, p):
+    a = (sin_y if p.alpha == 1.0 else p.alpha * sin_y) / r
+    a *= a
+    a += 1.0
+    return a
+
+
+def _old_a3_line_integral(lengths, r, p):
+    return _old_grouped_line_integral(lengths, lambda s, sel: np.sqrt(
+        _old_a3(np.sin(math.pi + s), r[sel][:, None], p)))
+
+
+def _old_phi_correction_integral(r, p):
+    def integrand(y, sel):  # an (m, 255) block of abscissae, of which one row is read
+        a = _old_a3(np.sin(y[:1]), r[sel][:, None], p)
+        return np.power(a, -1.5, out=a)
+    return _old_grouped_line_integral(np.full(r.size, math.pi), integrand)
+
+
+def _old_compute_Phi(v_state):
+    g, v, p = v_state.grid, v_state.f, v_state.grid.kernel_params
+    cut = mesh_cutoffs(g)
+    inner, outer = g.r <= 0.5, g.r > 0.5
+    r_out = g.r[outer]
+    out = np.empty_like(v)
+    out[inner] = _old_grouped_line_integral(
+        v[inner], lambda y, sel: _a4(y, g.r[inner][sel][:, None], p) ** 0.5)
+    u = r_out * v[outer] + cut["phi"][outer]
+    out[outer] = (_old_a3_line_integral(u - math.pi, r_out, p)
+                  + cut["gt1"][outer] * _old_phi_correction_integral(r_out, p)) / r_out
+    return out
+
+
+def _study_state(alpha):
+    """The residual-order study's finest mesh, n = 1024: 992 outer nodes,
+    904 of them in the 51-panel group of the correction's length pi."""
+    g = RadialGrid(1024, 16.0, DEFAULT_PROFILE, KernelParams(alpha))
+    return manufactured_initial_state(ManufacturedSolution(), g, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("amp", [None, 50.0])
+def test_phi_line_integrals_keep_the_bytes_of_their_old_expressions(alpha, amp):
+    """In place in one block per line group, and the correction from one
+    row of abscissae: the bytes of the expressions they replaced, on groups
+    of hundreds of nodes and (amplitude 50) on lines past 64 panels."""
+    st = _study_state(alpha)
+    if amp is not None:
+        st = gaussian_v_state(st.grid, amp=amp)
+    g, p = st.grid, st.grid.kernel_params
+    r = g.r[g.r > 0.5]
+    lengths = r * st.f[g.r > 0.5] + mesh_cutoffs(g)["phi"][g.r > 0.5] - math.pi
+    assert (_a3_line_integral(lengths, r, p).tobytes()
+            == _old_a3_line_integral(lengths, r, p).tobytes())
+    assert (phi_correction_integral(r, p).tobytes()
+            == _old_phi_correction_integral(r, p).tobytes())
+    assert compute_Phi(st).tobytes() == _old_compute_Phi(st).tobytes()
+
+
+def test_compute_Phi_peaks_at_one_outer_block():
+    """compute_Phi on a fresh n = 1024 mesh, its correction included, holds
+    one (nodes, 255) block at a time (it peaked at 5.8 MB, 2.9 blocks, when
+    each integrand step allocated a block of its own)."""
+    st = _study_state(1.0)
+    block = np.count_nonzero(st.grid.r > 0.5) * 255 * 8
+    _phi_correction.cache_clear()
+    tracemalloc.start()
+    try:
+        compute_Phi(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block
+
+
+def test_line_samples_keep_at_most_164_kb():
+    """Samples of lines up to 64 panels are kept, longer ones built per
+    group (keeping every panel count, these two calls left 8.7 MB)."""
+    g = RadialGrid(512, 16.0)
+    compute_Phi(gaussian_v_state(g, amp=5.0))  # the mesh's tables, built and kept
+    states = [gaussian_v_state(g, amp=amp) for amp in (50.0, 200.0)]
+    tracemalloc.start()
+    try:
+        for st in states:
+            compute_Phi(st)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 164_000
 
 
 def test_phi_t_closed_forms(grid256):
