@@ -4,8 +4,9 @@ default 0) in two checkouts, each run in its own interpreter, the parent
 first in even pairs. Per end-to-end metric the file holds each side's
 quartiles, the ratio of the medians (change / parent) and the pairs the
 change won (ties count for neither) by the direction in the change's
-BENCHMARK.json, then the seed and every run. A claim is rechecked on a seed
-other than the one it was written against.
+BENCHMARK.json, then the seed and every run. After `wrote FILE` it prints
+one line per metric: the two medians, their ratio and the pairs the change
+won. A claim is rechecked on a seed other than the one it was written against.
 Exit 2, writing nothing, when --pairs is below 1, a side has no
 perfbench/run.py or a side reports a run that is not correct; the last is
 named by side, exit code and the run's FAIL lines or stderr tail."""
@@ -75,10 +76,14 @@ def main():
         runs.append(dict(pair, workload=args.workload, parent_first=k % 2 == 0))
     spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    summary = summarize(runs, better)
     Path(args.out).write_text(json.dumps(
-        {"summary": {args.workload: summarize(runs, better)}, "seed": args.seed,
-         "runs": runs}, indent=1))
+        {"summary": {args.workload: summary}, "seed": args.seed, "runs": runs}, indent=1))
     print(f"wrote {args.out}")
+    for name, m in summary.items():
+        print(f"{name}: parent {m['parent']['median']:.6g} change {m['change']['median']:.6g}"
+              f" ratio {m['median_ratio']:.4f} change better in "
+              f"{m['change_better_pairs']}/{m['pairs']} pairs ({better[name]} is better)")
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ class RunConfig:
             raise ValueError("snapshot_every must be >= 0 (0 writes no snapshots)")
         if any(s not in (0, 1, 2, 3, 4) for s in self.sobolev_orders):
             raise ValueError(f"sobolev_orders must lie in 0..4, got {self.sobolev_orders}")
-        make_grid(self)  # the grid's own rules: n_cells >= 6, r_max > 0
+        make_grid(self)  # the grid's own rules: n_cells >= 6, r_max > 0, inside float64
 
 
 @dataclass

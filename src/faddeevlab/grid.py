@@ -10,6 +10,8 @@ lives in.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -49,6 +51,13 @@ class RadialGrid:
                              f"4th-order stencils accept, got {self.n_cells}")
         if not self.r_max > 0:
             raise ValueError("r_max must be positive")
+        # The stencils divide by dr * dr, which must not lose digits or be 0,
+        # and the norms weigh by r^3, which must not overflow at the last node.
+        dr, last = self.dr, self.n_cells * self.dr
+        if not (dr * dr >= sys.float_info.min and math.isfinite(last * last * last)):
+            raise ValueError(f"grid.r_max and grid.n_cells must give a normal dr * dr "
+                             f"and a finite r_max ** 3, got r_max={self.r_max!r}, "
+                             f"n_cells={self.n_cells}")
 
     @property
     def dr(self) -> float:
@@ -188,7 +197,12 @@ def integrate_radial(values, grid, weight_power: int = 0) -> float:
     return float(_simpson(values, grid.dr))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# The 5-point Gauss-Legendre rule on [-1, 1] with the bytes of numpy's
+# legendre.leggauss(5) (its middle weight is 0.5688888888888887, not 128/225).
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                        0.4786286704993663, 0.23692688505618928])
 
 
 def sobolev_norm(values, grid, s: int, d1=None) -> list:

@@ -199,8 +199,8 @@ def _smoothstep_coeffs(kind):
     for jj in range(m + 1):
         coeffs[m + 1 + jj] = ((-1) ** jj * math.comb(m + jj, jj)
                               * math.comb(2 * m + 1, m - jj))
-    d1 = np.polynomial.polynomial.polyder(coeffs)
-    d2 = np.polynomial.polynomial.polyder(d1)
+    d1 = coeffs[1:] * np.arange(1, kind + 1)  # exact: every value is an integer
+    d2 = d1[1:] * np.arange(1, kind)
     return coeffs, d1, d2
 
 
@@ -230,7 +230,10 @@ def eval_cutoff(which, r, order=0, profile=DEFAULT_PROFILE):
     def cutoff(r):
         s = np.clip((r - a) / width, 0.0, 1.0)
         inside = (r > a) & (r < a + width)
-        ramp = np.polynomial.polynomial.polyval(s, polys[order])
+        c = polys[order]
+        ramp = c[-1] + s * 0  # Horner in numpy.polynomial.polyval's order
+        for ci in c[-2::-1]:
+            ramp = ci + ramp * s
         if order == 0:
             return lo + (hi - lo) * np.where(inside, ramp, (r >= a + width) * 1.0)
         return np.where(inside, (hi - lo) / width ** order * ramp, 0.0)

@@ -83,9 +83,29 @@ def _gauss_samples(panels):
 _SHORT_LINE_PANELS = 64
 _short_line_samples = lru_cache(maxsize=_SHORT_LINE_PANELS)(_gauss_samples)
 
+# A line group is integrated in row blocks of at most 2^15 samples (256 KB),
+# whatever the mesh (lines over 2184 samples, |L| > 27, in 8 to 15 rows).
+# OpenBLAS's vals @ wts can give a row other bytes when it lies in a block's
+# last (rows mod 4) or in a block under 8 rows, so blocks are cut at
+# multiples of 8 rows from the group's start and a last block under 8 rows
+# joins the one before: every row keeps the bytes of the one-block product.
+_BLOCK_SAMPLES = 2 ** 15
+
 
 def _unit_samples(panels):
     return (_short_line_samples if panels <= _SHORT_LINE_PANELS else _gauss_samples)(panels)
+
+
+def _row_blocks(m, width):
+    """Slices covering rows 0..m of an (m, width) sample block, cut at
+    multiples of 8 rows, none under 8 rows unless it is the only one; each
+    holds at most max(_BLOCK_SAMPLES, 15 * width) samples."""
+    step = max(8, (_BLOCK_SAMPLES // width - 7) // 8 * 8)  # room for a folded tail
+    cuts = list(range(step, m, step))
+    if cuts and m - cuts[-1] < 8:
+        cuts.pop()
+    bounds = [0] + cuts + [m]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _panel_counts(lengths):
@@ -95,25 +115,33 @@ def _panel_counts(lengths):
 
 def _grouped_line_integral(lengths, integrand):
     """integral_0^L_i f(s, i) ds for every i, sampling each line with
-    _panel_counts(L_i) panels; integrand(s, idx) is vectorized and may
-    overwrite its abscissa block s, which is dropped with the group."""
+    _panel_counts(L_i) panels, one row block of a group at a time;
+    integrand(s, idx) is vectorized and may overwrite its abscissa block s,
+    which is dropped with the row block."""
     lengths = np.asarray(lengths, dtype=float)
     out = np.zeros_like(lengths)
     counts = _panel_counts(lengths)
     for p in sorted(set(counts.tolist())):  # np.unique would import numpy.ma: 1.2 MB
-        sel = np.nonzero(counts == p)[0]
+        group = np.nonzero(counts == p)[0]
         pts, wts = _unit_samples(p)
-        out[sel] = lengths[sel] * (integrand(lengths[sel, None] * pts[None, :], sel) @ wts)
+        for rows in _row_blocks(group.size, pts.size):
+            sel = group[rows]
+            out[sel] = lengths[sel] * (integrand(lengths[sel, None] * pts[None, :], sel) @ wts)
     return out
 
 
 def phi_correction_integral(r, p=DEFAULT_PARAMS):
     """integral_0^pi A_3^(-3/2)(y, r) dy, vectorized over r > 0: one row of
-    abscissae serves every line, and A_3 is the one (nodes, samples) block."""
+    sin(pi y) serves every line, and A_3 is formed one row block of radii
+    at a time."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     pts, wts = _unit_samples(int(_panel_counts(math.pi)))
-    a = kernels._a3(np.sin(math.pi * pts[None, :]), r[:, None], p)
-    return math.pi * (np.power(a, -1.5, out=a) @ wts)
+    sin_y = np.sin(math.pi * pts[None, :])
+    out = np.empty_like(r)
+    for rows in _row_blocks(r.size, pts.size):
+        a = kernels._a3(sin_y, r[rows, None], p)
+        out[rows] = math.pi * (np.power(a, -1.5, out=a) @ wts)
+    return out
 
 
 @lru_cache(maxsize=4)  # the meshes of one refinement study

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -629,6 +630,25 @@ def test_overflowing_energy_density_names_its_setting_and_radius(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sets,r_max", [
+    (["grid.r_max=1e-200", "integrator.t_end=1e-205"], "1e-200"),  # dr * dr underflows to 0
+    (["grid.r_max=1e300"], "1e+300"),  # r^3 overflows
+])
+def test_a_mesh_outside_floating_point_is_a_config_error(tmp_path, capsys, sets, r_max):
+    """One config-error line naming both grid settings, before any array is
+    formed: no warning, no out dir (the first once ran to a nan Sobolev row
+    and a monitor halt, the second blamed the initial data)."""
+    out = tmp_path / "float_mesh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run"] + [a for kv in sets for a in ("--set", kv)] + ["--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config-error: grid.r_max and grid.n_cells must give a normal dr * dr and a "
+        f"finite r_max ** 3, got r_max={r_max}, n_cells=512\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
     out = tmp_path / "sweep_jobs"
@@ -642,14 +662,15 @@ def test_sweep_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
 def test_importing_the_package_and_its_cli_loads_no_process_pool():
     """Only a sweep with --jobs > 1 loads its pool (1.1 MB of RSS): a fresh
     interpreter importing the package and cli loads neither the pool's
-    module nor multiprocessing."""
+    module nor multiprocessing, nor numpy.polynomial (1.1-1.7 MB)."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, faddeevlab, faddeevlab.cli\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m == 'concurrent.futures.process'\n"
-            "             or m.split('.')[0] == 'multiprocessing'))")
+            "             or m.split('.')[0] == 'multiprocessing'\n"
+            "             or m.startswith('numpy.polynomial')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

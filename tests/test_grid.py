@@ -1,16 +1,17 @@
 """Radial mesh, stencils, quadrature and norms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from faddeevlab.diagnostics import SpacetimeTracker
 from faddeevlab.evolve import RunConfig, trajectory
-from faddeevlab.grid import (_D1_EDGE, _D2_EDGE, GHOST, FieldState, RadialGrid,
-                             _d1_laplacian, _d1_values, _simpson, _simpson_weights, d_r,
-                             fill_ghosts, integrate_radial, laplacian, sobolev_norm,
-                             write_csv)
+from faddeevlab.grid import (_D1_EDGE, _D2_EDGE, _GL_NODES, _GL_WEIGHTS, GHOST,
+                             FieldState, RadialGrid, _d1_laplacian, _d1_values, _simpson,
+                             _simpson_weights, d_r, fill_ghosts, integrate_radial,
+                             laplacian, sobolev_norm, write_csv)
 
 from conftest import quadrature_1d
 
@@ -28,6 +29,22 @@ def test_grid_validation():
     assert d_r(f, g).shape == laplacian(f, g).shape == (7,)
     with pytest.raises(ValueError):
         RadialGrid(128, 0.0)
+
+
+@pytest.mark.parametrize("n_cells,r_max", [(512, 1e-200), (6, 6e-154), (512, 1e300),
+                                           (6, 6e102)])
+def test_grid_refuses_a_mesh_whose_arithmetic_leaves_floating_point(n_cells, r_max):
+    """dr * dr must be a normal float (the stencils divide by it) and the
+    last node's r^3 finite (the norms' weight)."""
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"grid.r_max and grid.n_cells must give a normal dr * dr and a finite "
+            f"r_max ** 3, got r_max={r_max!r}, n_cells={n_cells}") + "$"):
+        RadialGrid(n_cells, r_max)
+
+
+def test_grid_accepts_the_meshes_at_the_edge_of_floating_point():
+    for g in (RadialGrid(6, 1e-150), RadialGrid(6, 5e102)):
+        assert np.all(np.isfinite(g.r3)) and (g.dr * g.dr) > 0.0
 
 
 def test_grid_nodes():
@@ -228,6 +245,14 @@ def test_cached_quadrature_weights_are_read_only():
     for cached in (g.r3, _simpson_weights(65)):
         with pytest.raises(ValueError, match="read-only"):
             cached[...] = 0.0
+
+
+def test_gauss_legendre_table_is_numpys_leggauss():
+    """The literal 5-point table is what numpy.polynomial.legendre.leggauss
+    gives, bit for bit; the package itself never imports numpy.polynomial."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_quadrature_examples():

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name a
-module exports exists, the package imports only at module level, only
+module exports exists, the package imports only at module level and loads
+none of numpy's lazily loaded subpackages but where allowed, only
 functions of raw radii take a profile or a p, no command line spells a
 config setting as its own flag, every script the README names exists,
 every flag of a README command line exists, and every python block of the
@@ -93,6 +94,60 @@ def test_the_scan_sees_a_local_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_function_local_imports(path):
     assert local_imports(path.read_text()) == []
+
+
+# numpy loads these on first use: 0.8, 1.3 and 6.4 MB of RSS (numpy 2.4, x86-64)
+LAZY_SUBPACKAGES = {"polynomial", "ma", "random"}
+
+
+def lazy_subpackage_uses(source):
+    """(enclosing top-level function, line, subpackage) of every np.X or
+    numpy.X attribute and every import of numpy.X, for X a lazily loaded
+    subpackage; "" for a use at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("numpy.")]
+            elif (isinstance(node, ast.ImportFrom) and not node.level
+                  and node.module.split(".")[0] == "numpy"):
+                parts = node.module.split(".")
+                names = parts[1:2] or [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(getattr(top, "name", ""), node.lineno, name)
+                      for name in names if name in LAZY_SUBPACKAGES]
+    return sorted(found)
+
+
+def test_the_scan_sees_a_lazy_subpackage():
+    src = ("import numpy as np\n"
+           "from . import kernels\n"
+           "import numpy.polynomial.legendre as leg\n"
+           "from numpy import ma, linalg\n"
+           "from numpy.random import default_rng\n"
+           "def f(x):\n"
+           "    return np.polynomial.polynomial.polyval(x, [1.0]) + np.maximum(x, 0)\n"
+           "def g():\n"
+           "    import numpy.random\n"
+           "    return numpy.ma.masked, np.random.default_rng(0), np.linalg.norm\n")
+    assert lazy_subpackage_uses(src) == [("", 3, "polynomial"), ("", 4, "ma"),
+                                         ("", 5, "random"), ("f", 7, "polynomial"),
+                                         ("g", 9, "random"), ("g", 10, "ma"),
+                                         ("g", 10, "random")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_the_package_loads_no_lazy_numpy_subpackage(path):
+    """The one allowed use: the two-path identity check's random samples,
+    which the pinned verify_kernels.csv fixes."""
+    allowed = {("check_two_path_identity", "random")} if path.name == "cli.py" else set()
+    assert [use for use in lazy_subpackage_uses(path.read_text())
+            if (use[0], use[2]) not in allowed] == []
 
 
 def cutoff_calls(source):

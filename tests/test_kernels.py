@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from faddeevlab import diagnostics as diag
 from faddeevlab import kernels
-from faddeevlab.kernels import (_SERIES, DEFAULT_PARAMS,
+from faddeevlab.kernels import (_CUTOFF_GEOMETRY, _SERIES, DEFAULT_PARAMS,
                                 MAX_CUTOFF_ORDER, CutoffProfile, KernelParams, _a3,
                                 _a4, _a5, _da1_dt, _da1_dtt, _ftilde, _series_rows,
+                                _smoothstep_coeffs,
                                 cutoff_arrays, eval_cutoff, eval_F_given_cutoffs,
                                 eval_F_rhs, eval_Ftilde, eval_N,
                                 laplacian_phi_2d, mesh_cutoffs)
@@ -134,6 +135,45 @@ def test_cutoff_rejects_bad_arguments(profile):
     with pytest.raises(ValueError,
                        match=r"^kernels.cutoff_order must be odd and in 5..21, got 23$"):
         CutoffProfile(kind=MAX_CUTOFF_ORDER + 2)
+
+
+CUTOFF_ORDERS = range(5, MAX_CUTOFF_ORDER + 1, 2)
+
+
+@pytest.mark.parametrize("kind", CUTOFF_ORDERS)
+def test_smoothstep_derivatives_are_numpys_polyder(kind):
+    coeffs, d1, d2 = _smoothstep_coeffs(kind)
+    assert d1.tobytes() == np.polynomial.polynomial.polyder(coeffs).tobytes()
+    assert d2.tobytes() == np.polynomial.polynomial.polyder(coeffs, 2).tobytes()
+
+
+def _polyval_cutoff(which, r, order, profile):
+    """eval_cutoff as it was, on an array r: the ramp is numpy's polyval."""
+    if which == "gt1":
+        g = _polyval_cutoff("lt1", r, order, profile)
+        return 1.0 - g if order == 0 else -g
+    a, width, lo, hi = _CUTOFF_GEOMETRY[which]
+    s = np.clip((r - a) / width, 0.0, 1.0)
+    inside = (r > a) & (r < a + width)
+    ramp = np.polynomial.polynomial.polyval(s, _smoothstep_coeffs(profile.kind)[order])
+    if order == 0:
+        return lo + (hi - lo) * np.where(inside, ramp, (r >= a + width) * 1.0)
+    return np.where(inside, (hi - lo) / width ** order * ramp, 0.0)
+
+
+@pytest.mark.parametrize("kind", CUTOFF_ORDERS)
+def test_eval_cutoff_is_numpys_polyval(kind):
+    """Horner in polyval's order gives polyval's bytes, on a dense grid
+    through both seams of each cutoff and at the seams' neighbours."""
+    seams = np.array([0.5, 1.0, 2.0])
+    r = np.concatenate([np.linspace(0.0, 2.5, 10001), seams,
+                        np.nextafter(seams, 0.0), np.nextafter(seams, 3.0)])
+    profile = CutoffProfile(kind)
+    for which in ("phi", "lt1", "gt1"):
+        for order in (0, 1, 2):
+            got = eval_cutoff(which, r, order, profile)
+            assert got.tobytes() == _polyval_cutoff(which, r, order, profile).tobytes()
+            assert eval_cutoff(which, r[5000], order, profile) == got[5000]
 
 
 def _fd4(f, r, h):

@@ -261,9 +261,11 @@ def _paired_bench(monkeypatch, args, results):
     return main, made
 
 
-def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypatch):
+def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypatch,
+                                                             capsys):
     """Quartiles are numpy's linear percentiles; a tie counts for neither
-    side; wall_s is better lower and steps_per_s higher."""
+    side; wall_s is better lower and steps_per_s higher. The terminal gets
+    one line per metric after the file's name."""
     args = _bench_trees(tmp_path)
     results = {"parent": [_bench_result(w, 100.0) for w in (1.0, 1.2, 1.1, 1.3)],
                "change": [_bench_result(w, r) for w, r in
@@ -285,6 +287,12 @@ def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypa
     assert (rate["median_ratio"], rate["change_better_pairs"]) == (pytest.approx(1.005), 2)
     assert [run["parent_first"] for run in written["runs"]] == [True, False, True, False]
     assert written["runs"][1]["change"] == results["change"][1]
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {tmp_path / 'pairs.json'}",
+        "wall_s: parent 1.15 change 1.125 ratio 0.9783 change better in 2/4 pairs"
+        " (lower is better)",
+        "steps_per_s: parent 100 change 100.5 ratio 1.0050 change better in 2/4 pairs"
+        " (higher is better)"]
 
 
 @pytest.mark.parametrize("missing,correct", [("parent", True), ("change", True),

@@ -11,8 +11,8 @@ from faddeevlab.evolve import RunConfig, evolve_bundles
 from faddeevlab.grid import FieldState, RadialGrid
 from faddeevlab.kernels import (DEFAULT_PARAMS, DEFAULT_PROFILE, CutoffProfile,
                                 KernelParams, _a3, _a4, eval_cutoff, mesh_cutoffs)
-from faddeevlab.transform import (_a3_line_integral, _a4_line_integral, _phi_correction,
-                                  _unit_samples,
+from faddeevlab.transform import (_BLOCK_SAMPLES, _a3_line_integral, _a4_line_integral,
+                                  _phi_correction, _row_blocks, _unit_samples,
                                   compute_Phi, compute_Phi_t, phi_correction_integral,
                                   residual_Phi_t_wave,
                                   residual_Phi_tt_wave, residual_Phi_ttt_wave,
@@ -218,6 +218,60 @@ def test_phi_line_integrals_keep_the_bytes_of_their_old_expressions(alpha, amp):
     assert (phi_correction_integral(r, p).tobytes()
             == _old_phi_correction_integral(r, p).tobytes())
     assert compute_Phi(st).tobytes() == _old_compute_Phi(st).tobytes()
+    # one group of 51 panels (255 samples) over several row blocks, its last
+    # block 8..16 rows, or 1..7 rows folded into the one before, or whole
+    step = _row_blocks(10 ** 4, 255)[0].stop
+    for m in [3 * step + t for t in range(9)] + [step + 1, 7]:
+        rm, lm = r[:m], np.linspace(3.13, 3.18, m)
+        assert (_a3_line_integral(lm, rm, p).tobytes()
+                == _old_a3_line_integral(lm, rm, p).tobytes())
+        assert (phi_correction_integral(rm, p).tobytes()
+                == _old_phi_correction_integral(rm, p).tobytes())
+        for power in (0.5, -1.5):
+            assert (_a4_line_integral(lm, rm, power, p).tobytes()
+                    == _old_grouped_line_integral(
+                        lm, lambda y, sel: _a4(y, rm[sel][:, None], p) ** power).tobytes())
+
+
+def test_row_blocks_keep_the_bytes_of_the_one_block_product():
+    """On random (rows, samples) shapes, each row of vals @ wts formed one
+    row block at a time has the bytes of the one-block product (a last
+    block of 1..7 rows, or a row alone, can give other bytes). Blocks are
+    cut at multiples of 8 rows, hold at most _BLOCK_SAMPLES samples (or 15
+    rows of lines wider than 2184 samples), and none but a lone block is
+    under 8 rows."""
+    rng = np.random.default_rng(35)
+    for _ in range(300):
+        width = 5 * int(rng.integers(8, 1000))
+        m = int(rng.integers(1, 4 * (_BLOCK_SAMPLES // width) + 16))
+        blocks = _row_blocks(m, width)
+        assert blocks[0].start == 0 and blocks[-1].stop == m
+        assert all(a.stop == b.start and a.stop % 8 == 0 for a, b in zip(blocks, blocks[1:]))
+        assert all((b.stop - b.start) * width <= max(_BLOCK_SAMPLES, 15 * width)
+                   for b in blocks)
+        assert len(blocks) == 1 or blocks[-1].stop - blocks[-1].start >= 8
+        vals, wts = rng.uniform(-3.0, 3.0, (m, width)), rng.uniform(0.0, 1.0, width)
+        by_block = np.concatenate([vals[b].copy() @ wts for b in blocks])
+        assert by_block.tobytes() == (vals @ wts).tobytes()
+
+
+@pytest.mark.parametrize("n_cells,limit_mb", [(1024, 1.0), (4096, 1.6)])
+def test_compute_Phi_peak_is_bounded_whatever_the_mesh(n_cells, limit_mb):
+    """compute_Phi on a fresh mesh, its correction built, holds one row
+    block of at most _BLOCK_SAMPLES samples at a time; with one block per
+    line group it peaked at 2.31 MB at n = 1024 and 8.48 MB at n = 4096."""
+    if n_cells == 1024:
+        st = _study_state(1.0)
+    else:
+        st = gaussian_v_state(RadialGrid(n_cells, 16.0), amp=0.5)
+    _phi_correction.cache_clear()
+    tracemalloc.start()
+    try:
+        compute_Phi(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 def test_compute_Phi_peaks_at_one_outer_block():
