@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
 """Paired runs of `perfbench/run.py --seed N --trace 0` (N from --seed,
 default 0) in two checkouts, each run in its own interpreter, the parent
-first in even pairs. Per end-to-end metric the file holds each side's
-quartiles, the ratio of the medians (change / parent) and the pairs the
-change won (ties count for neither) by the direction in the change's
-BENCHMARK.json, then the seed and every run. After `wrote FILE` it prints
-one line per metric: the two medians, their ratio and the pairs the change
-won. A claim is rechecked on a seed other than the one it was written against.
-Exit 2, writing nothing, when --pairs is below 1, a side has no
-perfbench/run.py or a side reports a run that is not correct; the last is
-named by side, exit code and the run's FAIL lines or stderr tail."""
+first in even pairs, --pairs pairs for each --workload (repeatable), one
+workload after the other. Per workload and end-to-end metric the file holds
+each side's quartiles, the ratio of the medians (change / parent), the
+pairs the change won (ties count for neither) by the direction in the
+change's BENCHMARK.json, its bound there and whether the change's median
+is worse than the parent's by more than that bound (as a fraction of the
+parent's median); then the seed and every run. After `wrote FILE` it
+prints one line per workload and metric: the two medians, their ratio and
+the pairs the change won, marked WORSE past the bound, and then a last
+line naming every such metric, or none. A claim is rechecked on a seed
+other than the one it was written against. Exit 2, writing nothing, when
+--pairs is below 1, a side has no perfbench/run.py or a side reports a run
+that is not correct; the last is named by side, exit code and the run's
+FAIL lines or stderr tail."""
 import argparse
 import json
 import subprocess
@@ -38,23 +43,29 @@ def run_side(tree, workload, seconds, seed):
     return result
 
 
-def summarize(runs, better):
-    """The summary of runs = [{side: result}, ...], better = {metric: "lower"|"higher"}."""
+def summarize(runs, spec):
+    """The summary of runs = [{side: result}, ...] by the end-to-end metrics
+    of spec, BENCHMARK.json's [{"name", "better", "bound"}, ...]."""
     summary = {}
-    for name, way in better.items():
+    for m in spec:
+        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
         vals = {s: np.array([r[s]["metrics"][name]["value"] for r in runs]) for s in SIDES}
-        gain = (vals["parent"] - vals["change"]) * (1.0 if way == "lower" else -1.0)
+        gain = (vals["parent"] - vals["change"]) * sign
         q = {s: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
              for s, v in vals.items()}
-        summary[name] = dict(q, median_ratio=q["change"]["median"] / q["parent"]["median"],
-                             change_better_pairs=int(np.sum(gain > 0)), pairs=len(runs))
+        parent, change = q["parent"]["median"], q["change"]["median"]
+        summary[name] = dict(q, median_ratio=change / parent,
+                             change_better_pairs=int(np.sum(gain > 0)), pairs=len(runs),
+                             bound=m["bound"],
+                             worse=bool((change - parent) * sign > m["bound"] * abs(parent)))
     return summary
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    for name in SIDES + ("workload", "out"):
+    for name in SIDES + ("out",):
         ap.add_argument(f"--{name}", required=True)
+    ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--seed", type=int, default=0)
@@ -65,25 +76,34 @@ def main():
     for tree in trees.values():
         if not Path(tree, "perfbench", "run.py").is_file():
             ap.exit(2, f"error: {tree} has no perfbench/run.py\n")
-    runs = []
-    for k in range(args.pairs):
-        pair = {s: run_side(trees[s], args.workload, args.seconds, args.seed)
-                for s in (SIDES if k % 2 == 0 else SIDES[::-1])}
-        wrong = [f"{s} ({pair[s].get('why', 'no reason given')})"
-                 for s in SIDES if not pair[s].get("correct")]
-        if wrong:
-            ap.exit(2, f"error: pair {k}: a run is not correct: {'; '.join(wrong)}\n")
-        runs.append(dict(pair, workload=args.workload, parent_first=k % 2 == 0))
-    spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    summary = summarize(runs, better)
+    runs = {}
+    for workload in args.workload:
+        for k in range(args.pairs):
+            pair = {s: run_side(trees[s], workload, args.seconds, args.seed)
+                    for s in (SIDES if k % 2 == 0 else SIDES[::-1])}
+            wrong = [f"{s} ({pair[s].get('why', 'no reason given')})"
+                     for s in SIDES if not pair[s].get("correct")]
+            if wrong:
+                ap.exit(2, f"error: {workload} pair {k}: a run is not correct: "
+                           f"{'; '.join(wrong)}\n")
+            runs.setdefault(workload, []).append(
+                dict(pair, workload=workload, parent_first=k % 2 == 0))
+    spec = json.loads(Path(trees["change"], "BENCHMARK.json").read_text())["end_to_end"]
+    summary = {w: summarize(w_runs, spec) for w, w_runs in runs.items()}
     Path(args.out).write_text(json.dumps(
-        {"summary": {args.workload: summary}, "seed": args.seed, "runs": runs}, indent=1))
+        {"summary": summary, "seed": args.seed,
+         "runs": [r for w_runs in runs.values() for r in w_runs]}, indent=1))
     print(f"wrote {args.out}")
-    for name, m in summary.items():
-        print(f"{name}: parent {m['parent']['median']:.6g} change {m['change']['median']:.6g}"
-              f" ratio {m['median_ratio']:.4f} change better in "
-              f"{m['change_better_pairs']}/{m['pairs']} pairs ({better[name]} is better)")
+    better = {m["name"]: m["better"] for m in spec}
+    for workload, metrics in summary.items():
+        for name, m in metrics.items():
+            print(f"{workload} {name}: parent {m['parent']['median']:.6g} change "
+                  f"{m['change']['median']:.6g} ratio {m['median_ratio']:.4f} change better "
+                  f"in {m['change_better_pairs']}/{m['pairs']} pairs ({better[name]} is better)"
+                  + (f" WORSE than its bound {m['bound']:g}" if m["worse"] else ""))
+    worse = [f"{w} {name}" for w, metrics in summary.items()
+             for name, m in metrics.items() if m["worse"]]
+    print(f"worse than its bound: {', '.join(worse) or 'none'}")
 
 
 if __name__ == "__main__":

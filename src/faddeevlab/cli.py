@@ -184,11 +184,15 @@ def _check_kernel_oracle(p, profile):
         yield f"Ftilde{j}_oracle_agreement", err, 1e-12, err <= 1e-12
 
 
+# 1000 samples each of v, v_t, v_r (uniform in [-2, 2]) and r (uniform in
+# [0.05, 0.45]), little-endian float64 in that order: the first 4000 draws of
+# numpy.random.default_rng(0), stored so the check loads no numpy.random.
+TWO_PATH_SAMPLES = os.path.join(os.path.dirname(__file__), "two_path_samples.f8")
+
+
 def check_two_path_identity(p, profile):
     """F against v/r^2 + N(u)/r on u = r v + pi at 1000 random samples."""
-    rng = np.random.default_rng(0)
-    v, vt, vr = (rng.uniform(-2.0, 2.0, 1000) for _ in range(3))
-    r = rng.uniform(0.05, 0.45, 1000)
+    v, vt, vr, r = np.fromfile(TWO_PATH_SAMPLES, dtype="<f8").reshape(4, 1000)
     f_direct = kernels.eval_F_rhs(v, vt, vr, r, p, profile)
     u = r * v + math.pi
     f_via_u = v / r ** 2 + kernels.eval_N(u, r * vt, r * vr + v, r, p) / r

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import (FieldState, RadialGrid, _simpson, d_r, integrate_radial,
-                   sobolev_norm, write_csv)
+from .grid import (FLOAT_FMT, FieldState, RadialGrid, _simpson, d_r, integrate_radial,
+                   sobolev_norm)
 from . import kernels
 from .transform import u_to_v
 
@@ -33,7 +33,12 @@ PEAKS = {"max_monitor_v": "monitor_v", "max_monitor_vt": "monitor_vt",
 
 
 class EnergyOverflow(ValueError):
-    """A non-finite energy integrand (of a stepped state: a blow-up)."""
+    """A non-finite energy integrand (of a stepped state: a blow-up); row
+    is the first such row of a stack of states (0 for one state)."""
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row
 
 
 def energy(u_state: FieldState, v_state: FieldState = None, *, return_tail=False,
@@ -53,38 +58,50 @@ def energy(u_state: FieldState, v_state: FieldState = None, *, return_tail=False
     u_state's grid (ValueError otherwise). v_r = d_r(v, grid) is computed
     here when not given; phi' and the r = 1 split are read from
     kernels.mesh_cutoffs(grid), and alpha from u_state's grid.
+
+    A stack of states (with its v_state) gives a list of values, one per
+    row, each with the bytes of its own call; EnergyOverflow names the
+    first row whose integral is not finite.
     """
     g = u_state.grid
     cut, p = kernels.mesh_cutoffs(g), g.kernel_params
     if v_state is None:
+        if u_state.f.ndim > 1:  # u_to_v lifts one state
+            raise ValueError("the energy of a stack of states needs their v_state")
         v_state = u_to_v(u_state)
         u_r = d_r(u_state.f, g)
     else:
         if v_state.grid != g:
             raise ValueError(f"the v state lives on {v_state.grid}, the u state on {g}")
-        v_r = d_r(v_state.f, g) if v_r is None else v_r
-        u_r = v_state.f + g.r * v_r + cut["dphi"]
-    r, near, far, r_far = g.r, cut["near"], cut["far"], cut["r_far"]
-    v = v_state.f
+        u_r = g.r * (d_r(v_state.f, g) if v_r is None else v_r)
+        u_r += v_state.f
+        u_r += cut["dphi"]
+    r, near, r_far = g.r, cut["near"], cut["r_far"]
+    v = v_state.f[..., near]
     # A_4 = 1 + q as in _a4, written out: q also gives sin^2 u / r^2 below
-    q = v[near] * v[near] * kernels._ftilde(cut["r_near"] * v[near], p, (0,),
-                                            cut["series_near"])[0]
+    q = v * v * kernels._ftilde(cut["r_near"] * v, p, (0,), cut["series_near"])[0]
     # beyond r = 1, A_5 is A_1 of u = r v + phi, which shares sin u
-    sin_far = np.sin(u_state.f[far])
-    a1 = np.concatenate((1.0 + q, kernels._a3(sin_far, r_far, p)))
-    sin2_over_r2 = np.concatenate((q / p.alpha ** 2, (sin_far / r_far) ** 2))
-    density = 0.5 * (a1 * (u_state.f_t ** 2 + u_r ** 2) + sin2_over_r2)
-    total = integrate_radial(density, g, 1)
-    if not np.isfinite(total):
-        ok = np.isfinite(density * r)
+    sin_far = np.sin(u_state.f[..., cut["far"]])
+    sin2_over_r2 = np.concatenate((q / p.alpha ** 2, np.square(sin_far / r_far)), axis=-1)
+    q += 1.0
+    density = np.concatenate((q, kernels._a3(sin_far, r_far, p, out=sin_far)), axis=-1)
+    np.square(u_r, out=u_r)  # density = 0.5 (A_1 (u_t^2 + u_r^2) + sin^2 u / r^2)
+    u_r += np.square(u_state.f_t)
+    density *= u_r
+    density += sin2_over_r2
+    density *= 0.5
+    total = _simpson(density * r, g.dr)
+    ok = np.isfinite(total)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        ok = np.isfinite(density.reshape(-1, g.n_nodes)[row] * r)
         where = "" if ok.all() else f" at r={r[np.argmin(ok)]:.6g}"
-        raise EnergyOverflow(f"non-finite energy integrand{where}")
+        raise EnergyOverflow(f"non-finite energy integrand{where}", row)
     if not return_tail:
-        return total
+        return total.tolist()
     k = max(4, g.n_cells // 10)
-    tail = _simpson(np.abs(density[-(k + 1):]) * r[-(k + 1):], g.dr)
-    denom = abs(total) if total != 0.0 else 1.0
-    return total, tail / denom
+    tail = _simpson(np.abs(density[..., -(k + 1):]) * r[-(k + 1):], g.dr)
+    return total.tolist(), (tail / np.where(total != 0.0, np.abs(total), 1.0)).tolist()
 
 
 def energy_drift(e: float, e0: float) -> float:
@@ -94,16 +111,20 @@ def energy_drift(e: float, e0: float) -> float:
 
 def continuation_monitor(v_state: FieldState, v_r, cut):
     """Grid maxima of <r>|v|, <r>|v_t|, <r>|d_r v| with <r> = (1+r^2)^(1/2);
-    v_r = d_r(v, grid), cut the grid's kernels.mesh_cutoffs table."""
-    return tuple(float(np.max(cut["jb"] * np.abs(a))) for a in (v_state.f, v_state.f_t, v_r))
+    v_r = d_r(v, grid), cut the grid's kernels.mesh_cutoffs table. A stack
+    of states gives a list per monitor, one value per row."""
+    return tuple(np.max(cut["jb"] * np.abs(a), axis=-1).tolist()
+                 for a in (v_state.f, v_state.f_t, v_r))
 
 
 def decay_report(values, cut) -> dict:
     """Soft decay ratios (reported, never asserted): max |v| r^(3/2) on
-    r >= 1 and max |v| on 0 < r <= 1; cut the grid's kernels.mesh_cutoffs table."""
+    r >= 1 and max |v| on 0 < r <= 1; cut the grid's kernels.mesh_cutoffs
+    table. A stack of values gives a list per ratio, one value per row."""
     av = np.abs(values)  # >= 0: initial=0.0 changes only an empty maximum
-    return {"outer": float(np.max(av[cut["decay"]] * cut["decay_weight"], initial=0.0)),
-            "inner": float(np.max(av[cut["near"]][1:], initial=0.0))}
+    return {"outer": np.max(av[..., cut["decay"]] * cut["decay_weight"], axis=-1,
+                            initial=0.0).tolist(),
+            "inner": np.max(av[..., cut["near"]][..., 1:], axis=-1, initial=0.0).tolist()}
 
 
 class SpacetimeTracker:
@@ -117,15 +138,25 @@ class SpacetimeTracker:
         self._l2_l8 = 0.0
         self._last_l8 = None
 
-    def update(self, values, grid: RadialGrid, dt_since_last: float, l2=None):
-        """Add the sample values on grid; l2 = sobolev_norm(values, grid, s)[0]
-        when the caller holds it."""
-        self._linf_l2 = max(self._linf_l2,
-                            sobolev_norm(values, grid, 0)[0] if l2 is None else l2)
-        g = integrate_radial(np.abs(values) ** 8, grid, 3) ** (1.0 / 8)
+    def update(self, values, grid: RadialGrid, dt_since_last, l2=None):
+        """Add the sample values on grid, dt_since_last after the one before;
+        l2 = sobolev_norm(values, grid, s)[0] when the caller holds it.
+        Returns values() after the sample. A stack of samples takes a list
+        of dt_since_last (and of l2), adds its rows in order and returns the
+        list of values() after each."""
+        l2 = sobolev_norm(values, grid, 0)[0] if l2 is None else l2
+        l8 = integrate_radial(np.abs(values) ** 8, grid, 3)
+        if values.ndim == 1:
+            return self._add(l2, l8, dt_since_last)
+        return [self._add(*terms) for terms in zip(l2, l8, dt_since_last)]
+
+    def _add(self, l2, l8, dt_since_last):
+        self._linf_l2 = max(self._linf_l2, l2)
+        g = l8 ** (1.0 / 8)
         if self._last_l8 is not None:
             self._l2_l8 += 0.5 * dt_since_last * (self._last_l8 ** 2 + g ** 2)
         self._last_l8 = g
+        return self.values()
 
     def values(self) -> dict:
         return {"Linf_L2": self._linf_l2, "L2_L8": self._l2_l8 ** (1.0 / 2)}
@@ -133,10 +164,13 @@ class SpacetimeTracker:
 
 def write_diagnostics_csv(records, path):
     """One row per sample, the keys of a record as the header, doubles
-    written exactly."""
+    written exactly, each row formatted by one `%`."""
     if not records:
         raise ValueError("no diagnostics records to write")
-    write_csv(path, list(records[0]), np.array([list(rec.values()) for rec in records]))
+    line = ",".join([FLOAT_FMT] * len(records[0])) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(records[0]) + "\n")
+        fh.writelines(line % tuple(rec.values()) for rec in records)
 
 
 def peaks(records) -> dict:

@@ -336,6 +336,8 @@ def trajectory(config: RunConfig, forcing=None, state=None, nonlinear=True):
     state = state if state is not None else initial_state(config)
     if state.grid != g:
         raise ValueError(f"the state lives on {state.grid}, the config's mesh is {g}")
+    if state.f.ndim != 1:
+        raise ValueError("trajectory evolves one state, not a stack")
     if state.time != 0.0:  # the clock, and so any forcing, starts at t = 0
         raise ValueError(f"the state is at t={state.time!r}; trajectory starts at t = 0")
     sig = sponge_sigma(g, config.sponge)
@@ -373,66 +375,127 @@ def detect_blowup(record, monitor_ceiling, drift_ceiling, step, every):
     return None
 
 
-def _sample(state, config, records, tracker):
-    """The diagnostics row of a state: a dict keyed by the diagnostics.csv
-    columns, in file order. Its per-mesh weights are read from
-    kernels.mesh_cutoffs; one v_r serves the energy, the monitors and the
-    Sobolev ladder, which runs once up to the highest order the row or the
-    tracker reads. The drift is taken against the energy of records[0], or
-    is 0 for the first row."""
-    orders = config.sobolev_orders
-    v, t, g = state.f, state.time, state.grid
+def _block_size(config: RunConfig) -> int:
+    """Samples evaluated in one stacked pass: about 2^12 nodes' worth and at
+    most 16 steps' worth (a halting run steps at most 15 past its halt), at
+    least 1. Large meshes and sparse cadences sample one state at a time."""
+    return max(1, min(2 ** 12 // (config.n_cells + 1), 16 // config.output_every))
+
+
+def _sample(stack, config, records, tracker):
+    """(rows, overflow): the diagnostics rows of a stack of consecutive
+    sampled states (a FieldState of (m, n_nodes) arrays and m times), from
+    one pass, each a dict keyed by the diagnostics.csv columns in file
+    order, with the bytes each state's own pass gives. Its per-mesh weights
+    are read from kernels.mesh_cutoffs; one v_r serves the energy, the
+    monitors and the Sobolev ladder, which runs once up to the highest order
+    the rows or the tracker read. Drift is taken against the energy of
+    records[0], or of the first row when records is empty, and the tracker
+    takes the rows in order. When a state's energy overflows, rows stop
+    before it and overflow is its EnergyOverflow, else None."""
+    orders, g, v = config.sobolev_orders, stack.grid, stack.f
     cut = kernels.mesh_cutoffs(g)
     vr = d_r(v, g)
-    e, tail = diag.energy(v_to_u(state), state, return_tail=True, v_r=vr)
+    try:
+        energies, tails = diag.energy(v_to_u(stack), stack, return_tail=True, v_r=vr)
+    except diag.EnergyOverflow as exc:  # the rows before it, from their own pass
+        head = FieldState(v[:exc.row], stack.f_t[:exc.row], g, stack.time[:exc.row])
+        return (_sample(head, config, records, tracker)[0] if exc.row else []), exc
     ladder = (diag.sobolev_norm(v, g, max(orders, default=0), vr)
               if orders or tracker is not None else [])
-    row = {"time": t, "energy": e,
-           "energy_drift": diag.energy_drift(e, records[0]["energy"] if records else e),
-           "energy_tail": tail}
-    row.update(zip(("monitor_v", "monitor_vt", "monitor_gradv"),
-                   diag.continuation_monitor(state, vr, cut)))
-    row.update((f"sobolev_s{s}", ladder[s]) for s in sorted(set(orders)))
+    monitors = diag.continuation_monitor(stack, vr, cut)
     decay = diag.decay_report(v, cut)
-    row.update(decay_inner=decay["inner"], decay_outer=decay["outer"])
+    times = stack.time.tolist()
     if tracker is not None:
-        tracker.update(v, g, t - records[-1]["time"] if records else 0.0, ladder[0])
-        row.update(tracker.values())
-    return row
+        before = [records[-1]["time"] if records else times[0]] + times
+        tracked = tracker.update(v, g, [t - b for t, b in zip(times, before)], ladder[0])
+    e0 = records[0]["energy"] if records else energies[0]
+    rows = []
+    for j, (t, e) in enumerate(zip(times, energies)):
+        row = {"time": t, "energy": e, "energy_drift": diag.energy_drift(e, e0),
+               "energy_tail": tails[j]}
+        row.update(zip(("monitor_v", "monitor_vt", "monitor_gradv"), (m[j] for m in monitors)))
+        row.update((f"sobolev_s{s}", ladder[s][j]) for s in sorted(set(orders)))
+        row.update(decay_inner=decay["inner"][j], decay_outer=decay["outer"][j])
+        if tracker is not None:
+            row.update(tracked[j])
+        rows.append(row)
+    return rows, None
+
+
+def _flush(steps, stack, config, records, tracker):
+    """Sample the stack of states taken at steps, append their rows to
+    records and judge them in order: (status, reason, step, state) of the
+    first that halts the run, its state a copy of its row, else None. An
+    overflow of the initial data's energy is a config error naming the
+    data."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, overflow = _sample(stack, config, records, tracker)
+    halt = None
+    for j, (k, row) in enumerate(zip(steps, rows)):
+        records.append(row)
+        halt = detect_blowup(row, config.monitor_ceiling, config.drift_ceiling, k,
+                             config.output_every)
+        if halt is not None:
+            break
+    else:
+        if overflow is None:
+            return None
+        j = len(rows)
+        if not steps[j]:  # finite fields too large to square, in the initial data
+            spec = config.initial
+            data = f"initial_data.family={spec.family}" + (
+                f", initial_data.profile_path={spec.profile_path}"
+                if spec.family == "profile_u" else "")
+            raise diag.EnergyOverflow(f"{data} gives a {overflow}") from overflow
+        halt = ("blowup_nan", f"{overflow} at step {steps[j]}, t={stack.time[j]:.6g}")
+    state = FieldState(stack.f[j].copy(), stack.f_t[j].copy(), stack.grid, stack.time[j].item())
+    return (*halt, steps[j], state)
 
 
 def run(config: RunConfig, forcing=None) -> RunResult:
     """Advance to t_end, or until a step yields a non-finite value or a
     sample fires detect_blowup; diagnostics at the configured cadence (plus
-    the initial and final instants)."""
-    nsteps, _ = _schedule(config)
+    the initial and final instants). The initial sample is taken alone,
+    before the first step; the others are copied into a stack of
+    _block_size(config) states and sampled in one pass when it is full, at
+    the last step or on a non-finite step. A halt is judged in sample order
+    and reported at its own sample: records, state, step and snapshots end
+    there, as when every sample is taken alone."""
+    g, (nsteps, _) = make_grid(config), _schedule(config)
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
-    records, snapshots = [], []
-    verdict = None
+    pending = np.empty((2, _block_size(config), g.n_nodes))  # f and f_t of the samples
+    records, snapshots, steps, times = [], [], [], []
+
+    def flush():
+        m = len(steps)
+        stack = FieldState(pending[0, :m], pending[1, :m], g, np.array(times))
+        return _flush(steps, stack, config, records, tracker)
+
+    halt = None
     try:
         for k, state in enumerate(trajectory(config, forcing)):
             if config.snapshot_every and (k % config.snapshot_every == 0 or k == nsteps):
                 snapshots.append((k, state))
             if k % config.output_every == 0 or k == nsteps:
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        records.append(_sample(state, config, records, tracker))
-                except diag.EnergyOverflow as exc:  # finite fields too large to square
-                    if not k:  # the initial data's: a config error naming it
-                        spec = config.initial
-                        data = f"initial_data.family={spec.family}" + (
-                            f", initial_data.profile_path={spec.profile_path}"
-                            if spec.family == "profile_u" else "")
-                        raise diag.EnergyOverflow(f"{data} gives a {exc}") from exc
-                    verdict = ("blowup_nan", f"{exc} at step {k}, t={state.time:.6g}")
-                    break
-                verdict = detect_blowup(records[-1], config.monitor_ceiling,
-                                        config.drift_ceiling, k, config.output_every)
-                if verdict is not None:
-                    break
+                pending[0, len(steps)] = state.f
+                pending[1, len(steps)] = state.f_t
+                steps.append(k)
+                times.append(state.time)
+                if not k or len(steps) == len(pending[0]) or k == nsteps:
+                    halt = flush()
+                    steps.clear()
+                    times.clear()
+                    if halt is not None:
+                        break
     except NonFiniteStep as exc:
-        verdict, state, k = ("blowup_nan", str(exc)), exc.state, exc.step
-    status, reason = verdict or ("completed", f"reached t_end={config.t_end:g}")
+        halt = (flush() if steps else None) or ("blowup_nan", str(exc), exc.step, exc.state)
+    if halt is None:
+        return RunResult("completed", f"reached t_end={config.t_end:g}", records, state,
+                         snapshots, config, k)
+    status, reason, k, state = halt
+    while snapshots and snapshots[-1][0] > k:  # taken past the halting sample
+        snapshots.pop()
     return RunResult(status, reason, records, state, snapshots, config, k)
 
 

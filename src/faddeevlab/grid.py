@@ -83,7 +83,8 @@ class RadialGrid:
 @dataclass
 class FieldState:
     """A Cauchy pair (f, f_t) at one instant: two float arrays on the nodes
-    of one grid."""
+    of one grid. Where a function says so, it also takes a stack of m
+    pairs: two (m, n_nodes) arrays, time then being the m instants."""
 
     f: np.ndarray
     f_t: np.ndarray
@@ -93,7 +94,8 @@ class FieldState:
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)
         self.f_t = np.asarray(self.f_t, dtype=float)
-        if not self.f.shape == self.f_t.shape == (self.grid.n_nodes,):
+        if not (self.f.shape == self.f_t.shape and self.f.ndim in (1, 2)
+                and self.f.shape[-1] == self.grid.n_nodes):
             raise ValueError("field values not aligned to grid nodes")
 
 
@@ -132,10 +134,25 @@ def _d1_values(values, grid, ext=None, tmp=None):
     return out
 
 
+def _per_row(fn, y, *more):
+    """fn(y, *more) for 1-D y; for an (m, n) stack, fn of each row (with the
+    same row of each of more), stacked. Simpson's dot and the stencils take
+    this path: a batched BLAS product can give a row other bytes than its
+    own call, and a stacked stencil holds (m, n) temporaries. One row is
+    returned as a view of its call's result."""
+    if y.ndim == 1:
+        return fn(y, *more)
+    if len(y) == 1:
+        return fn(y[0], *(a[0] for a in more))[None]
+    return np.array([fn(*rows) for rows in zip(y, *more)])
+
+
 def d_r(values, grid) -> np.ndarray:
-    """4th-order first radial derivative at the nodes. The derivative of an
-    even field vanishes at the origin, so node 0 is exactly 0.0 (the raw
-    stencil leaves roundoff there)."""
+    """4th-order first radial derivative at the nodes, along the trailing
+    axis. The derivative of an even field vanishes at the origin, so node 0
+    is exactly 0.0 (the raw stencil leaves roundoff there)."""
+    if values.ndim > 1:
+        return _per_row(lambda row: d_r(row, grid), values)
     out = _d1_values(values, grid)
     out[0] = 0.0
     return out
@@ -167,9 +184,9 @@ def _d1_laplacian(values, grid, d1=None):
 
 
 def laplacian(values, grid) -> np.ndarray:
-    """4D radial Laplacian f'' + 3 f'/r with the r=0 column replaced by its
-    limit 4 f''(0)."""
-    return _d1_laplacian(values, grid)[1]
+    """4D radial Laplacian f'' + 3 f'/r along the trailing axis, with the
+    r=0 column replaced by its limit 4 f''(0)."""
+    return _per_row(lambda row: _d1_laplacian(row, grid)[1], values)
 
 
 @lru_cache(maxsize=8)  # a run's meshes and its energy tail: a few lengths
@@ -182,19 +199,23 @@ def _simpson_weights(n_nodes):
 
 
 def _simpson(y, h):
-    n = len(y) - 1
+    """Composite Simpson along the trailing axis: a numpy float for 1-D y,
+    one per row of an (m, n) stack."""
+    n = y.shape[-1] - 1
     if n % 2 == 0:
-        return h / 3.0 * np.dot(_simpson_weights(n + 1), y)
+        return h / 3.0 * _per_row(_simpson_weights(n + 1).dot, y)
     # odd interval count: Simpson up to n-3, then a 3/8 closing panel
-    head = _simpson(y[: n - 2], h) if n > 3 else 0.0
-    return head + 3.0 * h / 8.0 * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
+    head = _simpson(y[..., : n - 2], h) if n > 3 else 0.0
+    return head + 3.0 * h / 8.0 * (y[..., -4] + 3.0 * y[..., -3] + 3.0 * y[..., -2]
+                                   + y[..., -1])
 
 
-def integrate_radial(values, grid, weight_power: int = 0) -> float:
-    """Composite Simpson of f(r) * r^weight_power over the mesh."""
+def integrate_radial(values, grid, weight_power: int = 0):
+    """Composite Simpson of f(r) * r^weight_power over the mesh: a float, or
+    for an (m, n) stack a list of one per row."""
     if weight_power:
         values = values * (grid.r3 if weight_power == 3 else grid.r ** weight_power)
-    return float(_simpson(values, grid.dr))
+    return _simpson(values, grid.dr).tolist()
 
 
 # The 5-point Gauss-Legendre rule on [-1, 1] with the bytes of numpy's
@@ -211,8 +232,9 @@ def sobolev_norm(values, grid, s: int, d1=None) -> list:
 
         ( sum_{2j <= k} ||lap^j f||^2 + sum_{2j+1 <= k} ||d_r lap^j f||^2 )^(1/2)
 
-    as a running sum, one term per order. d1 = d_r(values, grid) when the
-    caller has it.
+    as a running sum, one term per order: a float, or for an (m, n) stack a
+    list of one per row, each with the bytes of its own call. d1 =
+    d_r(values, grid) when the caller has it.
     """
     if s not in (0, 1, 2, 3, 4):
         raise ValueError("s must be an integer 0..4")
@@ -225,25 +247,20 @@ def sobolev_norm(values, grid, s: int, d1=None) -> list:
             y = d1 ** 2
         else:
             if order:
-                g, d1 = _d1_laplacian(g, grid, d1)[1], None
+                g, d1 = _per_row(lambda a, b: _d1_laplacian(a, grid, b)[1], g, d1), None
             y = g ** 2
-        total += float(_simpson(y * r3, grid.dr))
-        norms.append(float(np.sqrt(total)))
+        y *= r3
+        total = total + _simpson(y, grid.dr)
+        norms.append(np.sqrt(total).tolist())
     return norms
 
 
 def write_csv(path, header, rows):
-    """Write a header row and data rows. rows is an iterable of rows, or a
-    2-D float array, formatted as one table by a single % operation. Floats
-    (numpy float64 included) are written as FLOAT_FMT, so doubles survive
-    exactly; any other value is written as str() writes it. Both forms give
-    the same bytes for the same floats: no formatted float needs quoting."""
+    """Write a header row and data rows. Floats (numpy float64 included) are
+    written as FLOAT_FMT, so doubles survive exactly; any other value is
+    written as str() writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        if isinstance(rows, np.ndarray):
-            line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
-            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
-        else:
-            w.writerows([FLOAT_FMT % x if isinstance(x, float) else x for x in row]
-                        for row in rows)
+        w.writerows([FLOAT_FMT % x if isinstance(x, float) else x for x in row]
+                    for row in rows)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -356,16 +356,19 @@ def cutoff_arrays(r, profile=DEFAULT_PROFILE):
     return cut
 
 
+_MESH_TABLE = {}  # (n_cells, r_max, profile) -> table: the last mesh asked for
+
+
 def mesh_cutoffs(grid):
     """cutoff_arrays(grid.r, grid.profile), built once for the last mesh
     asked for: the run, its samples and its transforms share one table, and
     so do grids that differ only in alpha, which the table does not read."""
-    return _mesh_table(replace(grid, kernel_params=DEFAULT_PARAMS))
-
-
-@lru_cache(maxsize=1)
-def _mesh_table(mesh):
-    return cutoff_arrays(mesh.r, mesh.profile)
+    key = (grid.n_cells, grid.r_max, grid.profile)
+    cut = _MESH_TABLE.get(key)
+    if cut is None:
+        _MESH_TABLE.clear()
+        cut = _MESH_TABLE[key] = cutoff_arrays(grid.r, grid.profile)
+    return cut
 
 
 def eval_F_given_cutoffs(v, v_t, v_r, cut, p=DEFAULT_PARAMS):

@@ -61,7 +61,8 @@ def u_to_v(u_state: FieldState) -> FieldState:
 
 
 def v_to_u(v_state: FieldState) -> FieldState:
-    """Reconstruct u = r v + phi, phi of v's grid (exact; u(0) = pi by construction)."""
+    """Reconstruct u = r v + phi, phi of v's grid (exact; u(0) = pi by
+    construction); a stack of states gives the stack of their u."""
     g = v_state.grid
     phi = kernels.mesh_cutoffs(g)["phi"]
     return FieldState(g.r * v_state.f + phi, g.r * v_state.f_t, g, v_state.time)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from faddeevlab import cli, kernels
+from faddeevlab import cli, evolve, kernels
 from faddeevlab.cli import ConfigError, load_config, main, write_effective_config
 from faddeevlab.evolve import CONFIG_TABLE, RunConfig
 from faddeevlab.grid import RadialGrid
@@ -235,6 +235,26 @@ def test_an_initial_gaussian_whose_energy_overflows_names_its_family(tmp_path, c
     assert not out.exists()
 
 
+def test_initial_data_whose_energy_overflows_stops_before_a_step_in_blocks(
+        tmp_path, capsys, monkeypatch):
+    """Sampled every step on this mesh, samples are taken in blocks of 16;
+    the initial sample is taken alone, so overflowing initial data is still
+    a config error, raised before the first RK4 step."""
+    steps = []
+    rk4 = evolve._rk4
+    monkeypatch.setattr(evolve, "_rk4", lambda *a: steps.append(1) or rk4(*a))
+    args = TINY_GRID + ["--set", "diagnostics.output_every=1"]
+    assert evolve._block_size(load_config(None, args[1::2])[0]) == 16
+    out = tmp_path / "wide"
+    rc = main(["run", "--set", "initial_data.amplitude=1e150",
+               "--set", "initial_data.width=0.001"] + args + ["--out", str(out)])
+    assert rc == 1 and steps == []
+    assert capsys.readouterr().err == (
+        "config-error: initial_data.family=gaussian_v gives a non-finite "
+        "energy integrand at r=0\n")
+    assert not out.exists()
+
+
 def test_an_initial_table_whose_energy_overflows_names_its_path(tmp_path, capsys):
     table, out = tmp_path / "big.csv", tmp_path / "big"
     write_table(table, np.where(TABLE_R == 3.0, 1e200, 0.0))
@@ -278,6 +298,17 @@ def test_verify_suites_pass(tmp_path, capsys, suite, n_checks):
     assert all(row.endswith("True") for row in rows[1:])
     digest = hashlib.sha256(Path(report).read_bytes()).hexdigest()
     assert digest == VERIFY_CSV_SHA256[suite]
+
+
+def test_two_path_samples_are_the_draws_of_default_rng_0():
+    """The stored samples of the two-path check are, byte for byte, the
+    draws numpy.random.default_rng(0) gives in the order the check used to
+    make them: v, v_t and v_r in [-2, 2], then r in [0.05, 0.45]."""
+    rng = np.random.default_rng(0)
+    draws = [rng.uniform(-2.0, 2.0, 1000) for _ in range(3)] + [
+        rng.uniform(0.05, 0.45, 1000)]
+    assert Path(cli.TWO_PATH_SAMPLES).read_bytes() == np.concatenate(draws).astype(
+        "<f8").tobytes()
 
 
 def test_every_convergence_row_is_judged_at_its_printed_tolerance(tmp_path, capsys):

@@ -112,6 +112,59 @@ def test_non_finite_energy_names_its_first_radius():
         diag.energy(v_to_u(vs), vs)
 
 
+def _stack(states):
+    g = states[0].grid
+    return FieldState(np.stack([s.f for s in states]), np.stack([s.f_t for s in states]),
+                      g, np.array([s.time for s in states]))
+
+
+@pytest.mark.parametrize("alpha,kind", [(1.0, 7), (0.7, 9)])
+def test_a_stack_of_states_gives_each_row_its_own_values(alpha, kind):
+    """energy, its tail, the monitors, the decay ratios and the tracker of a
+    stack of states are lists whose entries equal, with ==, the values each
+    state gives alone (the tracker's after each state, in order)."""
+    g = RadialGrid(127, 6.0, CutoffProfile(kind), KernelParams(alpha))
+    states = [gaussian_v_state(g, amp=a, width=w, amp_t=b, t=0.1 * j)
+              for j, (a, w, b) in enumerate([(0.2, 1.0, 0.0), (-0.5, 0.7, 0.3),
+                                             (1.3, 2.0, -0.1), (0.0, 1.0, 0.0)])]
+    stack, cut = _stack(states), mesh_cutoffs(g)
+    vr = d_r(stack.f, g)
+    got = {"energy": list(diag.energy(v_to_u(stack), stack, return_tail=True, v_r=vr)),
+           "monitors": list(diag.continuation_monitor(stack, vr, cut)),
+           "decay": diag.decay_report(stack.f, cut),
+           "tracker": diag.SpacetimeTracker().update(stack.f, g, [0.0, 0.1, 0.1, 0.1])}
+    tracker = diag.SpacetimeTracker()
+    for j, st in enumerate(states):
+        one = {"energy": diag.energy(v_to_u(st), st, return_tail=True),
+               "monitors": diag.continuation_monitor(st, d_r(st.f, g), cut),
+               "decay": diag.decay_report(st.f, cut),
+               "tracker": tracker.update(st.f, g, 0.1 if j else 0.0)}
+        assert [e[j] for e in got["energy"]] == list(one["energy"])
+        assert [m[j] for m in got["monitors"]] == list(one["monitors"])
+        assert {k: v[j] for k, v in got["decay"].items()} == one["decay"]
+        assert got["tracker"][j] == one["tracker"]
+    with pytest.raises(ValueError, match="a stack of states needs their v_state"):
+        diag.energy(v_to_u(stack))
+
+
+def test_an_overflowing_row_of_a_stack_is_named():
+    """EnergyOverflow of a stack names the first row whose integral is not
+    finite and the first radius of that row, as that state alone does."""
+    g = RadialGrid(64, 8.0)
+    base = gaussian_v_state(g, amp=0.3)
+    states = []
+    for where in (None, 3.0, 5.0):
+        vt = np.zeros(g.n_nodes)
+        if where is not None:
+            vt[int(np.searchsorted(g.r, where))] = 1e200
+        states.append(FieldState(base.f, vt, g))
+    stack = _stack(states)
+    with np.errstate(over="ignore"), pytest.raises(
+            diag.EnergyOverflow, match=r"^non-finite energy integrand at r=3$") as exc:
+        diag.energy(v_to_u(stack), stack)
+    assert exc.value.row == 1
+
+
 def test_a_non_default_chart_survives_post_processing():
     """A run at cutoff order 9 returns its state on the order-9 grid, so
     post-processing it reads the run's own chart: the energy of that state

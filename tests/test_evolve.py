@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from faddeevlab import diagnostics as diag
-from faddeevlab import kernels
+from faddeevlab import evolve, kernels
 from faddeevlab.evolve import (
     InitialDataSpec,
     RunConfig,
@@ -293,6 +293,16 @@ def test_trajectory_refuses_a_state_at_another_time():
         next(trajectory(config, state=late))
 
 
+def test_trajectory_refuses_a_stack_of_states():
+    """A FieldState may hold a stack of states for the diagnostics; the
+    stepper evolves one."""
+    config = lean(n_cells=32, r_max=8.0, t_end=0.5)
+    state = initial_state(config)
+    stack = FieldState(np.stack([state.f] * 2), np.stack([state.f_t] * 2), state.grid)
+    with pytest.raises(ValueError, match="trajectory evolves one state, not a stack"):
+        next(trajectory(config, state=stack))
+
+
 def _locked(*arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -524,6 +534,127 @@ def test_run_halts_on_the_first_non_finite_step(bad_step):
     assert [rec["time"] for rec in res.records] == [0.0, 4 * dt]
 
 
+# ------------------------------------------------------ block sampling
+
+def _per_state_rows(config, states):
+    """The diagnostics rows of states, in order, each from the public
+    per-state functions alone."""
+    tracker = diag.SpacetimeTracker() if config.track_spacetime else None
+    rows = []
+    for st in states:
+        g = st.grid
+        cut, vr = kernels.mesh_cutoffs(g), d_r(st.f, g)
+        e, tail = diag.energy(v_to_u(st), st, return_tail=True)
+        row = {"time": st.time, "energy": e,
+               "energy_drift": diag.energy_drift(e, rows[0]["energy"] if rows else e),
+               "energy_tail": tail}
+        row.update(zip(("monitor_v", "monitor_vt", "monitor_gradv"),
+                       diag.continuation_monitor(st, vr, cut)))
+        row.update((f"sobolev_s{s}", sobolev_norm(st.f, g, s)[s])
+                   for s in sorted(set(config.sobolev_orders)))
+        decay = diag.decay_report(st.f, cut)
+        row.update(decay_inner=decay["inner"], decay_outer=decay["outer"])
+        if tracker is not None:
+            row.update(tracker.update(st.f, g, st.time - rows[-1]["time"] if rows else 0.0))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n_cells=64, r_max=8.0, t_end=0.9, output_every=1),
+    dict(n_cells=127, r_max=6.0, t_end=0.6, output_every=3, sobolev_orders=(2, 0),
+         kernel_params=kernels.KernelParams(0.7), profile=kernels.CutoffProfile(9)),
+    dict(n_cells=64, r_max=8.0, t_end=0.52, output_every=2, track_spacetime=False),
+])
+def test_block_samples_are_the_per_state_diagnostics(kw):
+    """Samples evaluated in blocks of several states give records equal,
+    row for row with ==, to the public per-state diagnostics of the sampled
+    states, a partial last block included."""
+    cfg = RunConfig(**dict(dict(drift_ceiling=1.0, initial=InitialDataSpec(
+        amplitude=0.5, amplitude_t=0.3, width_t=0.7)), **kw))
+    nsteps, _ = _schedule(cfg)
+    sampled = [st for k, st in enumerate(trajectory(cfg))
+               if k % cfg.output_every == 0 or k == nsteps]
+    size = evolve._block_size(cfg)
+    assert size > 1 and (len(sampled) - 1) % size  # the last block is partial
+    res = run(cfg)
+    assert res.status == "completed"
+    assert res.records == _per_state_rows(cfg, sampled)
+
+
+def test_block_size_follows_the_mesh_and_the_cadence():
+    sizes = {(n, every): evolve._block_size(RunConfig(n_cells=n, output_every=every))
+             for n, every in ((512, 1), (512, 4), (512, 64), (2048, 1), (64, 1), (255, 3))}
+    assert sizes == {(512, 1): 7, (512, 4): 4, (512, 64): 1, (2048, 1): 1, (64, 1): 16,
+                     (255, 3): 5}
+
+
+BLOCK_CFG = dict(n_cells=64, r_max=8.0, t_end=0.9, output_every=1, snapshot_every=3,
+                 drift_ceiling=1.0, initial=InitialDataSpec(amplitude=0.5, amplitude_t=0.3,
+                                                            width_t=0.7))
+
+
+def _first_new_peak(values, start):
+    """The first index from start whose value exceeds every one before it."""
+    return next(j for j in range(start, len(values)) if values[j] > max(values[:j]))
+
+
+def _kick(config, step, value):
+    """Forcing that adds value everywhere in the last RK4 stage of step (and
+    the first of the next), zero elsewhere."""
+    n, (_, dt) = make_grid(config).n_nodes, _schedule(config)
+    return lambda t: np.full(n, value if abs(t / dt - step) < 0.25 else 0.0)
+
+
+def _one_at_a_time(config, forcing, monkeypatch):
+    """run with every sample flushed alone, as before blocks."""
+    with monkeypatch.context() as m:
+        m.setattr(evolve, "_block_size", lambda config: 1)
+        return run(config, forcing)
+
+
+def _same_result(got, want):
+    assert (got.status, got.reason, got.step, got.config) == (
+        want.status, want.reason, want.step, want.config)
+    assert got.records == want.records
+    assert (got.state.f.tobytes(), got.state.f_t.tobytes(), got.state.time) == (
+        want.state.f.tobytes(), want.state.f_t.tobytes(), want.state.time)
+    assert [(k, s.f.tobytes(), s.f_t.tobytes()) for k, s in got.snapshots] == [
+        (k, s.f.tobytes(), s.f_t.tobytes()) for k, s in want.snapshots]
+
+
+@pytest.mark.parametrize("case", ["monitor", "drift", "overflow", "nan_after_halt"])
+def test_a_halt_mid_block_gives_the_one_at_a_time_result(case, monkeypatch):
+    """Blocks of 16 samples (steps 1-16 and 17-29) halt where samples taken
+    one at a time halt, with the same status, reason, records, state, step
+    and snapshots: a monitor at step 26, a drift at step 4, an energy
+    overflow at step 20 (step 21 goes non-finite), and a monitor at step 26
+    whose block is flushed by a non-finite step 28."""
+    cfg = RunConfig(**BLOCK_CFG)
+    assert evolve._block_size(cfg) == 16
+    ref = run(cfg).records
+    worst = [max(r["monitor_v"], r["monitor_vt"], r["monitor_gradv"]) for r in ref]
+    drift = [r["energy_drift"] for r in ref]
+    forcing, halt = None, {"monitor": 26, "drift": 4, "overflow": 20, "nan_after_halt": 26}
+    if case in ("monitor", "nan_after_halt"):
+        assert _first_new_peak(worst, 19) == 26
+        cfg = RunConfig(**dict(BLOCK_CFG, monitor_ceiling=worst[26]))
+    if case == "drift":
+        assert _first_new_peak(drift, 4) == 4
+        cfg = RunConfig(**dict(BLOCK_CFG, drift_ceiling=max(drift[:4])))
+    if case == "overflow":
+        forcing = _kick(cfg, 20, 1e170)
+    if case == "nan_after_halt":
+        forcing = _kick(cfg, 28, np.nan)
+    res = run(cfg, forcing)
+    assert res.step == halt[case]
+    assert len(res.records) == halt[case] + (case != "overflow")  # no row of an overflow
+    assert res.status == {"monitor": "blowup_monitor", "drift": "scheme_breakdown",
+                          "overflow": "blowup_nan", "nan_after_halt": "blowup_monitor"}[case]
+    assert res.snapshots[-1][0] == halt[case] // 3 * 3
+    _same_result(res, _one_at_a_time(cfg, forcing, monkeypatch))
+
+
 def _old_rk4(f, v, vt, t, dt):
     """_rk4 as it stood before the in-place stages and combine, kept as an
     oracle: _rk4 must match it byte for byte."""
@@ -658,15 +789,14 @@ def test_checkpoint_csv_matches_a_row_by_row_csv_writer(tmp_path):
 
 def test_checkpoints_across_grids_keep_the_csv_writer_bytes(tmp_path):
     """The per-grid radius column is rebuilt when the grid changes: grids A,
-    B, A, each in two charts, give the bytes write_csv gives the stacked
-    (r, v, v_t) table every time."""
+    B, A, each in two charts, give the bytes write_csv gives the
+    (r, v, v_t) rows every time."""
     for k, (n, kind) in enumerate([(48, 7), (40, 7), (48, 7), (48, 9), (40, 9), (48, 9)]):
         cfg = lean(n_cells=n, r_max=6.0, t_end=0.2, profile=kernels.CutoffProfile(kind))
         g = make_grid(cfg)
         state = FieldState(np.sin(g.r + k), np.cos(3.0 * g.r - k) / 7.0, g, 0.5)
         write_checkpoint(state, tmp_path / "ck", cfg, step_no=k)
-        write_csv(tmp_path / "ref.csv", ["r", "v", "v_t"],
-                  np.column_stack((g.r, state.f, state.f_t)))
+        write_csv(tmp_path / "ref.csv", ["r", "v", "v_t"], zip(g.r, state.f, state.f_t))
         assert (tmp_path / "ck.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

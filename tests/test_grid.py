@@ -73,6 +73,12 @@ def test_field_validation():
         FieldState(np.ones(g.n_nodes), np.ones(other.n_nodes), g)
     st = FieldState([1, 2, 3, 4, 5, 6, 7], range(7), RadialGrid(6, 1.0))
     assert st.f.dtype == st.f_t.dtype == np.float64
+    stack = FieldState(np.ones((3, g.n_nodes)), np.zeros((3, g.n_nodes)), g)  # 3 states
+    assert stack.f.shape == (3, g.n_nodes)
+    for f, f_t in (((3, g.n_nodes), (2, g.n_nodes)), ((2, 3, g.n_nodes),) * 2,
+                   ((3, g.n_nodes - 1),) * 2, ((), ())):
+        with pytest.raises(ValueError, match="not aligned"):
+            FieldState(np.ones(f), np.ones(f_t), g)
 
 
 def test_ghost_fill_is_exact_parity():
@@ -179,6 +185,32 @@ def test_stencils_match_their_old_expressions_bitwise():
         given = d_r(values, g)  # node 0 zeroed, as sobolev_norm passes it
         lap_given = _d1_laplacian(values, g, given)[1]
         assert lap_given.tobytes() == _old_d1_laplacian(values, g, given)[1].tobytes()
+
+
+def test_stacked_rows_match_their_own_calls_bitwise():
+    """d_r, the Laplacian, the Sobolev ladder and the radial integrals of
+    an (m, n) stack give each row the bytes of that row's own 1-D call: the
+    stencil cases stacked, m = 1..7, each stack also as a non-contiguous
+    view."""
+    cases = {}
+    for g, values in _stencil_cases():
+        cases.setdefault(g, []).append(values)
+    for g, rows in cases.items():
+        for m in (1, 2, len(rows)):
+            stack = np.stack(rows[:m])
+            for values in (stack, np.stack([stack, stack], axis=1)[:, 0]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = {"d_r": d_r(values, g), "laplacian": laplacian(values, g),
+                           "ladder": np.array(sobolev_norm(values, g, 4)).T,
+                           "integral": np.array([integrate_radial(values, g, w)
+                                                 for w in (0, 1, 3)]).T}
+                    for j, row in enumerate(values):
+                        one = {"d_r": d_r(row, g), "laplacian": laplacian(row, g),
+                               "ladder": np.array(sobolev_norm(row, g, 4)),
+                               "integral": np.array([integrate_radial(row, g, w)
+                                                     for w in (0, 1, 3)])}
+                        assert {k: got[k][j].tobytes() for k in got} == {
+                            k: v.tobytes() for k, v in one.items()}
 
 
 def test_edge_rows_from_one_product_match_one_dot_per_row():

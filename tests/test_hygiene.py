@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, every name a
 module exports exists, the package imports only at module level and loads
-none of numpy's lazily loaded subpackages but where allowed, only
+none of numpy's lazily loaded subpackages, only
 functions of raw radii take a profile or a p, no command line spells a
 config setting as its own flag, every script the README names exists,
 every flag of a README command line exists, and every python block of the
@@ -143,11 +143,7 @@ def test_the_scan_sees_a_lazy_subpackage():
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_the_package_loads_no_lazy_numpy_subpackage(path):
-    """The one allowed use: the two-path identity check's random samples,
-    which the pinned verify_kernels.csv fixes."""
-    allowed = {("check_two_path_identity", "random")} if path.name == "cli.py" else set()
-    assert [use for use in lazy_subpackage_uses(path.read_text())
-            if (use[0], use[2]) not in allowed] == []
+    assert lazy_subpackage_uses(path.read_text()) == []
 
 
 def cutoff_calls(source):

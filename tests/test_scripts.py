@@ -236,7 +236,8 @@ def _bench_trees(tmp_path):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "better": "lower"}, {"name": "steps_per_s", "better": "higher"}]}))
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "steps_per_s", "better": "higher", "bound": 0.1}]}))
     return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
             "--workload", "sample_dense", "--out", str(tmp_path / "pairs.json")]
 
@@ -282,17 +283,51 @@ def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypa
                    "q3": pytest.approx(1.225)},
         "change": {"q1": pytest.approx(0.975), "median": pytest.approx(1.125),
                    "q3": pytest.approx(1.2625)},
-        "median_ratio": pytest.approx(1.125 / 1.15), "change_better_pairs": 2, "pairs": 4}
+        "median_ratio": pytest.approx(1.125 / 1.15), "change_better_pairs": 2, "pairs": 4,
+        "bound": 0.25, "worse": False}
     rate = summary["steps_per_s"]
     assert (rate["median_ratio"], rate["change_better_pairs"]) == (pytest.approx(1.005), 2)
     assert [run["parent_first"] for run in written["runs"]] == [True, False, True, False]
     assert written["runs"][1]["change"] == results["change"][1]
     assert capsys.readouterr().out.splitlines() == [
         f"wrote {tmp_path / 'pairs.json'}",
-        "wall_s: parent 1.15 change 1.125 ratio 0.9783 change better in 2/4 pairs"
-        " (lower is better)",
-        "steps_per_s: parent 100 change 100.5 ratio 1.0050 change better in 2/4 pairs"
-        " (higher is better)"]
+        "sample_dense wall_s: parent 1.15 change 1.125 ratio 0.9783 change better in 2/4"
+        " pairs (lower is better)",
+        "sample_dense steps_per_s: parent 100 change 100.5 ratio 1.0050 change better in"
+        " 2/4 pairs (higher is better)",
+        "worse than its bound: none"]
+
+
+def test_paired_bench_summarizes_each_workload_and_marks_a_metric_past_its_bound(
+        tmp_path, monkeypatch, capsys):
+    """--workload repeats: each workload gets its pairs and its summary in
+    one file. A median that moves the wrong way by more than the metric's
+    bound, as a fraction of the parent's, is marked WORSE, and the last line
+    names it; one that moves by less, or the right way, is not marked."""
+    args = _bench_trees(tmp_path) + ["--workload", "verify_small"]
+    parent = [_bench_result(1.0, 100.0)] * 4
+    results = {"parent": parent, "change": [_bench_result(1.2, 100.0)] * 2
+               + [_bench_result(1.3, 89.0)] * 2}
+    main, made = _paired_bench(monkeypatch, args + ["--pairs", "2"], results)
+    main()
+    assert [m[:2] for m in made] == [("parent", "sample_dense"), ("change", "sample_dense"),
+                                     ("change", "sample_dense"), ("parent", "sample_dense"),
+                                     ("parent", "verify_small"), ("change", "verify_small"),
+                                     ("change", "verify_small"), ("parent", "verify_small")]
+    written = json.loads((tmp_path / "pairs.json").read_text())
+    assert [run["workload"] for run in written["runs"]] == ["sample_dense"] * 2 + [
+        "verify_small"] * 2
+    worse = {w: {name: m["worse"] for name, m in metrics.items()}
+             for w, metrics in written["summary"].items()}
+    assert worse == {"sample_dense": {"wall_s": False, "steps_per_s": False},
+                     "verify_small": {"wall_s": True, "steps_per_s": True}}
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.endswith(" WORSE than its bound 0.25") for line in lines[1:3]] == [
+        False, False]
+    assert lines[3].startswith("verify_small wall_s: parent 1 change 1.3 ratio 1.3000")
+    assert lines[3].endswith("(lower is better) WORSE than its bound 0.25")
+    assert lines[4].endswith("(higher is better) WORSE than its bound 0.1")
+    assert lines[5] == "worse than its bound: verify_small wall_s, verify_small steps_per_s"
 
 
 @pytest.mark.parametrize("missing,correct", [("parent", True), ("change", True),
@@ -340,7 +375,7 @@ def test_paired_bench_says_why_a_run_is_not_correct(tmp_path, monkeypatch, capsy
         main()
     assert exc.value.code == 2
     assert capsys.readouterr().err == (
-        f"error: pair 0: a run is not correct: change ({why})\n")
+        f"error: sample_dense pair 0: a run is not correct: change ({why})\n")
 
 
 def test_paired_bench_runs_both_sides_at_the_seed_asked_for(tmp_path, monkeypatch):
