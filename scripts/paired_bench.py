@@ -5,16 +5,19 @@ first in even pairs, --pairs pairs for each --workload (repeatable), one
 workload after the other. Per workload and end-to-end metric the file holds
 each side's quartiles, the ratio of the medians (change / parent), the
 pairs the change won (ties count for neither) by the direction in the
-change's BENCHMARK.json, its bound there and whether the change's median
+change's BENCHMARK.json, its bound there, whether the change's median
 is worse than the parent's by more than that bound (as a fraction of the
-parent's median); then the seed and every run. After `wrote FILE` it
-prints one line per workload and metric: the two medians, their ratio and
-the pairs the change won, marked WORSE past the bound, and then a last
-line naming every such metric, or none. A claim is rechecked on a seed
-other than the one it was written against. Exit 2, writing nothing, when
---pairs is below 1, a side has no perfbench/run.py or a side reports a run
-that is not correct; the last is named by side, exit code and the run's
-FAIL lines or stderr tail."""
+parent's median) and whether the metric is unresolved: the parent's own
+spread, (q3 - q1) / |median|, is wider than the bound and not every change
+run beats every parent run; then the seed and every run. After `wrote
+FILE` it prints one line per workload and metric: the two medians, their
+ratio and the pairs the change won, marked WORSE past the bound and
+UNRESOLVED when unresolved, and then a last line naming every WORSE
+metric, or none, followed by every UNRESOLVED one if there are any. A
+claim is rechecked on a seed other than the one it was written against.
+Exit 2, writing nothing, when --pairs is below 1, a side has no
+perfbench/run.py or a side reports a run that is not correct; the last is
+named by side, exit code and the run's FAIL lines or stderr tail."""
 import argparse
 import json
 import subprocess
@@ -54,10 +57,13 @@ def summarize(runs, spec):
         q = {s: dict(zip(("q1", "median", "q3"), np.percentile(v, [25, 50, 75]).tolist()))
              for s, v in vals.items()}
         parent, change = q["parent"]["median"], q["change"]["median"]
+        wide = q["parent"]["q3"] - q["parent"]["q1"] > m["bound"] * abs(parent)
+        apart = np.max(vals["change"] * sign) < np.min(vals["parent"] * sign)
         summary[name] = dict(q, median_ratio=change / parent,
                              change_better_pairs=int(np.sum(gain > 0)), pairs=len(runs),
                              bound=m["bound"],
-                             worse=bool((change - parent) * sign > m["bound"] * abs(parent)))
+                             worse=bool((change - parent) * sign > m["bound"] * abs(parent)),
+                             unresolved=bool(wide and not apart))
     return summary
 
 
@@ -100,10 +106,14 @@ def main():
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} change "
                   f"{m['change']['median']:.6g} ratio {m['median_ratio']:.4f} change better "
                   f"in {m['change_better_pairs']}/{m['pairs']} pairs ({better[name]} is better)"
-                  + (f" WORSE than its bound {m['bound']:g}" if m["worse"] else ""))
-    worse = [f"{w} {name}" for w, metrics in summary.items()
-             for name, m in metrics.items() if m["worse"]]
-    print(f"worse than its bound: {', '.join(worse) or 'none'}")
+                  + (f" WORSE than its bound {m['bound']:g}" if m["worse"] else "")
+                  + (f" UNRESOLVED: parent spread past its bound {m['bound']:g}"
+                     if m["unresolved"] else ""))
+    named = {flag: [f"{w} {name}" for w, metrics in summary.items()
+                    for name, m in metrics.items() if m[flag]]
+             for flag in ("worse", "unresolved")}
+    print(f"worse than its bound: {', '.join(named['worse']) or 'none'}"
+          + (f"; unresolved: {', '.join(named['unresolved'])}" if named["unresolved"] else ""))
 
 
 if __name__ == "__main__":

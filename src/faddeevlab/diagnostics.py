@@ -33,12 +33,7 @@ PEAKS = {"max_monitor_v": "monitor_v", "max_monitor_vt": "monitor_vt",
 
 
 class EnergyOverflow(ValueError):
-    """A non-finite energy integrand (of a stepped state: a blow-up); row
-    is the first such row of a stack of states (0 for one state)."""
-
-    def __init__(self, message, row=0):
-        super().__init__(message)
-        self.row = row
+    """A non-finite energy integrand of one state (of a stepped state: a blow-up)."""
 
 
 def energy(u_state: FieldState, v_state: FieldState = None, *, return_tail=False,
@@ -59,9 +54,10 @@ def energy(u_state: FieldState, v_state: FieldState = None, *, return_tail=False
     here when not given; phi' and the r = 1 split are read from
     kernels.mesh_cutoffs(grid), and alpha from u_state's grid.
 
-    A stack of states (with its v_state) gives a list of values, one per
-    row, each with the bytes of its own call; EnergyOverflow names the
-    first row whose integral is not finite.
+    One state whose integral is not finite raises EnergyOverflow, naming
+    the first radius where its integrand is not. A stack of states (with
+    its v_state) gives a list of values, one per row, each with the bytes
+    of its own call: non-finite exactly where that call raises.
     """
     g = u_state.grid
     cut, p = kernels.mesh_cutoffs(g), g.kernel_params
@@ -91,12 +87,10 @@ def energy(u_state: FieldState, v_state: FieldState = None, *, return_tail=False
     density += sin2_over_r2
     density *= 0.5
     total = _simpson(density * r, g.dr)
-    ok = np.isfinite(total)
-    if not ok.all():
-        row = int(np.argmin(ok))
-        ok = np.isfinite(density.reshape(-1, g.n_nodes)[row] * r)
+    if total.ndim == 0 and not np.isfinite(total):
+        ok = np.isfinite(density * r)
         where = "" if ok.all() else f" at r={r[np.argmin(ok)]:.6g}"
-        raise EnergyOverflow(f"non-finite energy integrand{where}", row)
+        raise EnergyOverflow(f"non-finite energy integrand{where}")
     if not return_tail:
         return total.tolist()
     k = max(4, g.n_cells // 10)

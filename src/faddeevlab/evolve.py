@@ -103,7 +103,8 @@ class RunConfig:
     track_spacetime: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "sobolev_orders", tuple(self.sobolev_orders))
+        # one order set, one config: (2, 0) and (0, 2, 2) sample and hash alike
+        object.__setattr__(self, "sobolev_orders", tuple(sorted(set(self.sobolev_orders))))
         for key, value in config_items(self):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
@@ -382,25 +383,24 @@ def _block_size(config: RunConfig) -> int:
     return max(1, min(2 ** 12 // (config.n_cells + 1), 16 // config.output_every))
 
 
-def _sample(stack, config, records, tracker):
-    """(rows, overflow): the diagnostics rows of a stack of consecutive
-    sampled states (a FieldState of (m, n_nodes) arrays and m times), from
-    one pass, each a dict keyed by the diagnostics.csv columns in file
-    order, with the bytes each state's own pass gives. Its per-mesh weights
-    are read from kernels.mesh_cutoffs; one v_r serves the energy, the
-    monitors and the Sobolev ladder, which runs once up to the highest order
-    the rows or the tracker read. Drift is taken against the energy of
-    records[0], or of the first row when records is empty, and the tracker
-    takes the rows in order. When a state's energy overflows, rows stop
-    before it and overflow is its EnergyOverflow, else None."""
+@np.errstate(over="ignore", invalid="ignore")
+def _sample(stack, steps, config, records, tracker):
+    """Sample a stack of consecutive states taken at steps (a FieldState of
+    (m, n_nodes) arrays and m times) in one pass, then append to records and
+    judge, row by row, their diagnostics rows: dicts keyed by the
+    diagnostics.csv columns in file order, with the bytes each state's own
+    pass gives. Its per-mesh weights are read from kernels.mesh_cutoffs; one
+    v_r serves the energy, the monitors and the Sobolev ladder, which runs
+    once up to the highest order the rows or the tracker read. Drift is
+    taken against the energy of records[0], or of the first row when records
+    is empty, and the tracker takes the rows in order. Returns (status,
+    reason, step, state) of the first state that halts the run, its state a
+    copy of its row, else None; a state whose energy is not finite halts
+    with no row written (_overflow)."""
     orders, g, v = config.sobolev_orders, stack.grid, stack.f
     cut = kernels.mesh_cutoffs(g)
     vr = d_r(v, g)
-    try:
-        energies, tails = diag.energy(v_to_u(stack), stack, return_tail=True, v_r=vr)
-    except diag.EnergyOverflow as exc:  # the rows before it, from their own pass
-        head = FieldState(v[:exc.row], stack.f_t[:exc.row], g, stack.time[:exc.row])
-        return (_sample(head, config, records, tracker)[0] if exc.row else []), exc
+    energies, tails = diag.energy(v_to_u(stack), stack, return_tail=True, v_r=vr)
     ladder = (diag.sobolev_norm(v, g, max(orders, default=0), vr)
               if orders or tracker is not None else [])
     monitors = diag.continuation_monitor(stack, vr, cut)
@@ -410,67 +410,63 @@ def _sample(stack, config, records, tracker):
         before = [records[-1]["time"] if records else times[0]] + times
         tracked = tracker.update(v, g, [t - b for t, b in zip(times, before)], ladder[0])
     e0 = records[0]["energy"] if records else energies[0]
-    rows = []
-    for j, (t, e) in enumerate(zip(times, energies)):
-        row = {"time": t, "energy": e, "energy_drift": diag.energy_drift(e, e0),
-               "energy_tail": tails[j]}
-        row.update(zip(("monitor_v", "monitor_vt", "monitor_gradv"), (m[j] for m in monitors)))
-        row.update((f"sobolev_s{s}", ladder[s][j]) for s in sorted(set(orders)))
-        row.update(decay_inner=decay["inner"][j], decay_outer=decay["outer"][j])
-        if tracker is not None:
-            row.update(tracked[j])
-        rows.append(row)
-    return rows, None
-
-
-def _flush(steps, stack, config, records, tracker):
-    """Sample the stack of states taken at steps, append their rows to
-    records and judge them in order: (status, reason, step, state) of the
-    first that halts the run, its state a copy of its row, else None. An
-    overflow of the initial data's energy is a config error naming the
-    data."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows, overflow = _sample(stack, config, records, tracker)
-    halt = None
-    for j, (k, row) in enumerate(zip(steps, rows)):
-        records.append(row)
-        halt = detect_blowup(row, config.monitor_ceiling, config.drift_ceiling, k,
-                             config.output_every)
+    for j, (k, t, e) in enumerate(zip(steps, times, energies)):
+        if math.isfinite(e):
+            row = {"time": t, "energy": e, "energy_drift": diag.energy_drift(e, e0),
+                   "energy_tail": tails[j]}
+            row.update(zip(("monitor_v", "monitor_vt", "monitor_gradv"),
+                           (m[j] for m in monitors)))
+            row.update((f"sobolev_s{s}", ladder[s][j]) for s in orders)
+            row.update(decay_inner=decay["inner"][j], decay_outer=decay["outer"][j])
+            if tracker is not None:
+                row.update(tracked[j])
+            records.append(row)
+            halt = detect_blowup(row, config.monitor_ceiling, config.drift_ceiling, k,
+                                 config.output_every)
+        else:  # no row: the reason is the state's own EnergyOverflow
+            halt = _overflow(FieldState(stack.f[j], stack.f_t[j], g, t), k, config)
         if halt is not None:
-            break
-    else:
-        if overflow is None:
-            return None
-        j = len(rows)
-        if not steps[j]:  # finite fields too large to square, in the initial data
-            spec = config.initial
-            data = f"initial_data.family={spec.family}" + (
-                f", initial_data.profile_path={spec.profile_path}"
-                if spec.family == "profile_u" else "")
-            raise diag.EnergyOverflow(f"{data} gives a {overflow}") from overflow
-        halt = ("blowup_nan", f"{overflow} at step {steps[j]}, t={stack.time[j]:.6g}")
-    state = FieldState(stack.f[j].copy(), stack.f_t[j].copy(), stack.grid, stack.time[j].item())
-    return (*halt, steps[j], state)
+            return (*halt, k, FieldState(stack.f[j].copy(), stack.f_t[j].copy(), g, t))
+    return None
+
+
+def _overflow(state, step, config):
+    """(status, reason) of a sampled state whose energy is not finite: the
+    EnergyOverflow its own energy call raises, named with its step; raised
+    as a config error naming the data at step 0."""
+    try:
+        diag.energy(v_to_u(state), state)
+    except diag.EnergyOverflow as exc:
+        if step:
+            return "blowup_nan", f"{exc} at step {step}, t={state.time:.6g}"
+        spec = config.initial  # finite fields too large to square, in the initial data
+        data = f"initial_data.family={spec.family}" + (
+            f", initial_data.profile_path={spec.profile_path}"
+            if spec.family == "profile_u" else "")
+        raise diag.EnergyOverflow(f"{data} gives a {exc}") from exc
 
 
 def run(config: RunConfig, forcing=None) -> RunResult:
     """Advance to t_end, or until a step yields a non-finite value or a
-    sample fires detect_blowup; diagnostics at the configured cadence (plus
-    the initial and final instants). The initial sample is taken alone,
-    before the first step; the others are copied into a stack of
-    _block_size(config) states and sampled in one pass when it is full, at
-    the last step or on a non-finite step. A halt is judged in sample order
-    and reported at its own sample: records, state, step and snapshots end
-    there, as when every sample is taken alone."""
-    g, (nsteps, _) = make_grid(config), _schedule(config)
+    sample halts the run (detect_blowup, or an energy that is not finite);
+    diagnostics at the configured cadence (plus the initial and final
+    instants). The initial sample is taken alone, before the first step;
+    the others are copied into a stack of _block_size(config) states and
+    sampled by _sample when it is full, at the last step or on a non-finite
+    step. A halt is judged in sample order and reported at its own sample:
+    records, state, step and snapshots end there, as when every sample is
+    taken alone."""
+    g, (nsteps, dt) = make_grid(config), _schedule(config)
     tracker = diag.SpacetimeTracker() if config.track_spacetime else None
     pending = np.empty((2, _block_size(config), g.n_nodes))  # f and f_t of the samples
-    records, snapshots, steps, times = [], [], [], []
+    records, snapshots, steps = [], [], []
 
-    def flush():
+    def sample():  # a sample's time k * dt, as trajectory's
         m = len(steps)
-        stack = FieldState(pending[0, :m], pending[1, :m], g, np.array(times))
-        return _flush(steps, stack, config, records, tracker)
+        stack = FieldState(pending[0, :m], pending[1, :m], g, np.array(steps) * dt)
+        halt = _sample(stack, steps, config, records, tracker)
+        steps.clear()
+        return halt
 
     halt = None
     try:
@@ -481,19 +477,14 @@ def run(config: RunConfig, forcing=None) -> RunResult:
                 pending[0, len(steps)] = state.f
                 pending[1, len(steps)] = state.f_t
                 steps.append(k)
-                times.append(state.time)
                 if not k or len(steps) == len(pending[0]) or k == nsteps:
-                    halt = flush()
-                    steps.clear()
-                    times.clear()
+                    halt = sample()
                     if halt is not None:
                         break
     except NonFiniteStep as exc:
-        halt = (flush() if steps else None) or ("blowup_nan", str(exc), exc.step, exc.state)
-    if halt is None:
-        return RunResult("completed", f"reached t_end={config.t_end:g}", records, state,
-                         snapshots, config, k)
-    status, reason, k, state = halt
+        halt = (sample() if steps else None) or ("blowup_nan", str(exc), exc.step, exc.state)
+    status, reason, k, state = halt or ("completed", f"reached t_end={config.t_end:g}", k,
+                                        state)
     while snapshots and snapshots[-1][0] > k:  # taken past the halting sample
         snapshots.pop()
     return RunResult(status, reason, records, state, snapshots, config, k)

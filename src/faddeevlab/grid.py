@@ -184,9 +184,9 @@ def _d1_laplacian(values, grid, d1=None):
 
 
 def laplacian(values, grid) -> np.ndarray:
-    """4D radial Laplacian f'' + 3 f'/r along the trailing axis, with the
-    r=0 column replaced by its limit 4 f''(0)."""
-    return _per_row(lambda row: _d1_laplacian(row, grid)[1], values)
+    """4D radial Laplacian f'' + 3 f'/r of one state's node values, with the
+    r=0 value replaced by its limit 4 f''(0)."""
+    return _d1_laplacian(values, grid)[1]
 
 
 @lru_cache(maxsize=8)  # a run's meshes and its energy tail: a few lengths

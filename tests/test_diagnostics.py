@@ -147,22 +147,30 @@ def test_a_stack_of_states_gives_each_row_its_own_values(alpha, kind):
         diag.energy(v_to_u(stack))
 
 
-def test_an_overflowing_row_of_a_stack_is_named():
-    """EnergyOverflow of a stack names the first row whose integral is not
-    finite and the first radius of that row, as that state alone does."""
+def test_a_stack_is_non_finite_exactly_where_its_states_raise():
+    """The energies of a stack are non-finite exactly at the rows whose
+    state alone raises EnergyOverflow, and equal, with ==, the lone values
+    at the others; a lone state's overflow names its first radius."""
     g = RadialGrid(64, 8.0)
-    base = gaussian_v_state(g, amp=0.3)
     states = []
-    for where in (None, 3.0, 5.0):
+    for amp, where in ((0.3, None), (0.3, 3.0), (-0.4, None), (0.3, 5.0)):
         vt = np.zeros(g.n_nodes)
         if where is not None:
             vt[int(np.searchsorted(g.r, where))] = 1e200
-        states.append(FieldState(base.f, vt, g))
+        states.append(FieldState(gaussian_v_state(g, amp=amp).f, vt, g))
     stack = _stack(states)
+    with np.errstate(over="ignore"):
+        got = diag.energy(v_to_u(stack), stack)
+    for st, e in zip(states, got):
+        with np.errstate(over="ignore"):
+            try:
+                assert e == diag.energy(v_to_u(st), st) and math.isfinite(e)
+            except diag.EnergyOverflow:
+                assert not math.isfinite(e)
+    assert [math.isfinite(e) for e in got] == [True, False, True, False]
     with np.errstate(over="ignore"), pytest.raises(
-            diag.EnergyOverflow, match=r"^non-finite energy integrand at r=3$") as exc:
-        diag.energy(v_to_u(stack), stack)
-    assert exc.value.row == 1
+            diag.EnergyOverflow, match=r"^non-finite energy integrand at r=3$"):
+        diag.energy(v_to_u(states[1]), states[1])
 
 
 def test_a_non_default_chart_survives_post_processing():

@@ -111,12 +111,15 @@ def test_config_fingerprint_stability():
 
 
 def test_a_list_of_sobolev_orders_is_the_tuple_config(tmp_path):
-    """Library code may pass a list: the config stores the tuple, so it is
-    equal to, fingerprints as and checkpoints as the tuple's config."""
-    listed = lean(n_cells=48, r_max=6.0, t_end=0.2, sobolev_orders=[1, 2])
+    """Library code may pass a list, in any order and with repeats: the
+    config stores the sorted tuple of the orders, so it is equal to,
+    fingerprints as and checkpoints as that tuple's config, whose samples
+    carry the same columns."""
     tupled = lean(n_cells=48, r_max=6.0, t_end=0.2, sobolev_orders=(1, 2))
-    assert listed == tupled
-    assert config_fingerprint(listed) == config_fingerprint(tupled)
+    for orders in ([1, 2], (2, 1), (1, 2, 2), [2, 1, 1]):
+        listed = lean(n_cells=48, r_max=6.0, t_end=0.2, sobolev_orders=orders)
+        assert listed == tupled and listed.sobolev_orders == (1, 2)
+        assert config_fingerprint(listed) == config_fingerprint(tupled)
     write_checkpoint(run(listed).state, tmp_path / "final", listed, step_no=5)
     meta = (tmp_path / "final.meta").read_text()
     assert f"config_hash = {config_fingerprint(tupled)}\n" in meta
@@ -623,35 +626,48 @@ def _same_result(got, want):
         (k, s.f.tobytes(), s.f_t.tobytes()) for k, s in want.snapshots]
 
 
-@pytest.mark.parametrize("case", ["monitor", "drift", "overflow", "nan_after_halt"])
+# the step whose energy a kick overflows, by case
+OVERFLOWS = {"overflow": 20, "overflow_row0": 1, "overflow_last_row": 16,
+             "overflow_row0_of_block2": 17, "overflow_partial_block": 29,
+             "overflow_after_monitor": 28}
+
+
+@pytest.mark.parametrize("case", ["monitor", "drift", "nan_after_halt", *OVERFLOWS])
 def test_a_halt_mid_block_gives_the_one_at_a_time_result(case, monkeypatch):
     """Blocks of 16 samples (steps 1-16 and 17-29) halt where samples taken
     one at a time halt, with the same status, reason, records, state, step
-    and snapshots: a monitor at step 26, a drift at step 4, an energy
-    overflow at step 20 (step 21 goes non-finite), and a monitor at step 26
-    whose block is flushed by a non-finite step 28."""
+    and snapshots: a monitor at step 26, a drift at step 4, a monitor at
+    step 26 whose block is flushed by a non-finite step 28, an energy
+    overflow (no row written; the next step goes non-finite) at step 20, in
+    row 0 of either block (steps 1 and 17), in the last row of a full block
+    (step 16) and of the partial last block (step 29), and a monitor at
+    step 26 that keeps its verdict over an overflow at step 28."""
     cfg = RunConfig(**BLOCK_CFG)
-    assert evolve._block_size(cfg) == 16
+    assert evolve._block_size(cfg) == 16 and _schedule(cfg)[0] == 29
     ref = run(cfg).records
     worst = [max(r["monitor_v"], r["monitor_vt"], r["monitor_gradv"]) for r in ref]
     drift = [r["energy_drift"] for r in ref]
-    forcing, halt = None, {"monitor": 26, "drift": 4, "overflow": 20, "nan_after_halt": 26}
-    if case in ("monitor", "nan_after_halt"):
+    forcing, overflow = None, OVERFLOWS.get(case)
+    monitor = case in ("monitor", "nan_after_halt", "overflow_after_monitor")
+    halt = 26 if monitor else 4 if case == "drift" else overflow
+    if monitor:
         assert _first_new_peak(worst, 19) == 26
         cfg = RunConfig(**dict(BLOCK_CFG, monitor_ceiling=worst[26]))
     if case == "drift":
         assert _first_new_peak(drift, 4) == 4
         cfg = RunConfig(**dict(BLOCK_CFG, drift_ceiling=max(drift[:4])))
-    if case == "overflow":
-        forcing = _kick(cfg, 20, 1e170)
+    if overflow:
+        forcing = _kick(cfg, overflow, 1e170)
     if case == "nan_after_halt":
         forcing = _kick(cfg, 28, np.nan)
     res = run(cfg, forcing)
-    assert res.step == halt[case]
-    assert len(res.records) == halt[case] + (case != "overflow")  # no row of an overflow
-    assert res.status == {"monitor": "blowup_monitor", "drift": "scheme_breakdown",
-                          "overflow": "blowup_nan", "nan_after_halt": "blowup_monitor"}[case]
-    assert res.snapshots[-1][0] == halt[case] // 3 * 3
+    assert res.step == halt
+    assert len(res.records) == halt + (halt != overflow)  # no row of an overflow
+    assert res.status == ("blowup_monitor" if monitor else "scheme_breakdown"
+                          if case == "drift" else "blowup_nan")
+    if halt == overflow:
+        assert res.reason.startswith("non-finite energy integrand at r=")
+    assert res.snapshots[-1][0] == (29 if halt == 29 else halt // 3 * 3)
     _same_result(res, _one_at_a_time(cfg, forcing, monkeypatch))
 
 

@@ -188,10 +188,9 @@ def test_stencils_match_their_old_expressions_bitwise():
 
 
 def test_stacked_rows_match_their_own_calls_bitwise():
-    """d_r, the Laplacian, the Sobolev ladder and the radial integrals of
-    an (m, n) stack give each row the bytes of that row's own 1-D call: the
-    stencil cases stacked, m = 1..7, each stack also as a non-contiguous
-    view."""
+    """d_r, the Sobolev ladder and the radial integrals of an (m, n) stack
+    give each row the bytes of that row's own 1-D call: the stencil cases
+    stacked, m = 1..7, each stack also as a non-contiguous view."""
     cases = {}
     for g, values in _stencil_cases():
         cases.setdefault(g, []).append(values)
@@ -200,12 +199,12 @@ def test_stacked_rows_match_their_own_calls_bitwise():
             stack = np.stack(rows[:m])
             for values in (stack, np.stack([stack, stack], axis=1)[:, 0]):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = {"d_r": d_r(values, g), "laplacian": laplacian(values, g),
+                    got = {"d_r": d_r(values, g),
                            "ladder": np.array(sobolev_norm(values, g, 4)).T,
                            "integral": np.array([integrate_radial(values, g, w)
                                                  for w in (0, 1, 3)]).T}
                     for j, row in enumerate(values):
-                        one = {"d_r": d_r(row, g), "laplacian": laplacian(row, g),
+                        one = {"d_r": d_r(row, g),
                                "ladder": np.array(sobolev_norm(row, g, 4)),
                                "integral": np.array([integrate_radial(row, g, w)
                                                      for w in (0, 1, 3)])}

@@ -284,7 +284,7 @@ def test_paired_bench_summarizes_each_metric_by_its_direction(tmp_path, monkeypa
         "change": {"q1": pytest.approx(0.975), "median": pytest.approx(1.125),
                    "q3": pytest.approx(1.2625)},
         "median_ratio": pytest.approx(1.125 / 1.15), "change_better_pairs": 2, "pairs": 4,
-        "bound": 0.25, "worse": False}
+        "bound": 0.25, "worse": False, "unresolved": False}
     rate = summary["steps_per_s"]
     assert (rate["median_ratio"], rate["change_better_pairs"]) == (pytest.approx(1.005), 2)
     assert [run["parent_first"] for run in written["runs"]] == [True, False, True, False]
@@ -328,6 +328,29 @@ def test_paired_bench_summarizes_each_workload_and_marks_a_metric_past_its_bound
     assert lines[3].endswith("(lower is better) WORSE than its bound 0.25")
     assert lines[4].endswith("(higher is better) WORSE than its bound 0.1")
     assert lines[5] == "worse than its bound: verify_small wall_s, verify_small steps_per_s"
+
+
+def test_paired_bench_marks_a_metric_whose_parent_spread_is_past_its_bound(
+        tmp_path, monkeypatch, capsys):
+    """A metric whose parent quartiles lie further apart than its bound, as
+    a fraction of the parent's median, is UNRESOLVED, and the last line
+    names it after the WORSE ones, unless every change run beats every
+    parent run; a steady parent leaves a metric resolved."""
+    args = _bench_trees(tmp_path) + ["--workload", "verify_small"]
+    results = {"parent": [_bench_result(w, 100.0) for w in (1.0, 1.5, 1.0, 1.5) * 2],
+               "change": [_bench_result(w, 100.0) for w in
+                          (0.9, 1.6, 0.9, 0.9, 0.9, 0.8, 0.9, 0.95)]}
+    main, _ = _paired_bench(monkeypatch, args + ["--pairs", "4"], results)
+    main()
+    written = json.loads((tmp_path / "pairs.json").read_text())
+    unresolved = {w: {name: m["unresolved"] for name, m in metrics.items()}
+                  for w, metrics in written["summary"].items()}
+    assert unresolved == {"sample_dense": {"wall_s": True, "steps_per_s": False},
+                          "verify_small": {"wall_s": False, "steps_per_s": False}}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("(lower is better) UNRESOLVED: parent spread past its bound 0.25")
+    assert not any("UNRESOLVED" in line for line in lines[2:5])
+    assert lines[5] == "worse than its bound: none; unresolved: sample_dense wall_s"
 
 
 @pytest.mark.parametrize("missing,correct", [("parent", True), ("change", True),
